@@ -14,6 +14,18 @@ class ValidationError(GermoidError):
     """Base class for rejections of malformed algebraic input."""
 
 
+class InvariantViolation(GermoidError):
+    """An internal invariant of a construction failed: a bug, not bad input.
+
+    Raised instead of ``assert`` so the check survives ``python -O`` and a
+    verify run reports it as a failed check with its witness.
+    """
+
+    def __init__(self, msg, witness):
+        super().__init__(f"{msg} (witness {witness})")
+        self.witness = witness
+
+
 # -- semigroup level ---------------------------------------------------------
 
 class NotAssociative(ValidationError):

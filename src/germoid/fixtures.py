@@ -129,7 +129,9 @@ def semidirect(meet_table, G: FiniteGroup, action, enames=None, name=None) -> In
             table[a, b] = index[(meet[e, act[g][f]], G.mul(g, h))]
     names = [f"({enames[e]},{G.names[g]})" for e, g in elems]
     S = validate_semigroup(names, table, None, name=name or f"E:{G.name}")
-    assert is_e_unitary(S), "semidirect products must be E-unitary"
+    if not is_e_unitary(S):
+        raise errors.InvariantViolation(
+            "semidirect products must be E-unitary", S.name)
     return S
 
 

@@ -11,6 +11,8 @@ Finite sets carry the discrete topology, so every action here is special
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import errors
@@ -18,13 +20,20 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
     GroupoidSpaceAction,
+    compose_by_label,
     groupoid_functor,
     reduction,
     semidirect_product,
     validate_groupoid,
     validate_space_action,
 )
-from .semigroups import InvSemigroup, SemigroupHom, is_ideal
+from .semigroups import (
+    CHUNK,
+    InvSemigroup,
+    SemigroupHom,
+    first_occurrence_ids,
+    is_ideal,
+)
 from .spectra import (
     enumerate_filters,
     hat_map,
@@ -67,64 +76,88 @@ class SAction:
 
     def restrict(self, subset, check_invariant=True) -> "SAction":
         """Restriction to an invariant point subset (re-indexed)."""
-        subset = sorted(set(int(x) for x in subset))
-        pos = {x: i for i, x in enumerate(subset)}
-        S = self.semigroup
-        if check_invariant:
-            for s in range(len(S)):
-                for x in subset:
-                    y = self(s, x)
-                    if y is not None and y not in pos:
-                        raise errors.NotInvariant(s, x)
-        sub = np.full((len(S), len(subset)), -1, dtype=np.int64)
-        for s in range(len(S)):
-            for x in subset:
-                y = self(s, x)
-                if y is not None and y in pos:
-                    sub[s, pos[x]] = pos[y]
-        act = SAction(S, [self.point_labels[x] for x in subset], sub)
-        act.parent_points = tuple(subset)
+        subset, sub = restrict_maps(self.maps, subset, check_invariant)
+        act = SAction(self.semigroup,
+                      [self.point_labels[x] for x in subset], sub)
+        act.parent_points = tuple(subset.tolist())
         return act
 
 
-def _compose_partial(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Partial-map composition of -1-padded index vectors: outer after inner."""
-    out = np.full_like(inner, -1)
-    defined = inner >= 0
-    out[defined] = outer[inner[defined]]
-    return out
+def anchor_idempotents(action: SAction) -> np.ndarray:
+    """m_x for each point x: the product of the idempotents e with x in the
+    domain of theta_e, or -1 when x lies in no such domain.
+
+    Since theta_e theta_f = theta_ef, x lies in the domain of theta_{m_x}:
+    m_x is the least idempotent whose domain holds x.
+    """
+    S = action.semigroup
+    m = np.full(action.n_points, -1, dtype=np.int64)
+    for e in S.idempotents:
+        inside = action.maps[e] >= 0
+        m = np.where(inside, np.where(m < 0, e, S.table[m, e]), m)
+    return m
+
+
+def inverse_defects(maps: np.ndarray, star: np.ndarray):
+    """Per row s of partial maps (-1-padded images): whether theta_s repeats
+    an image, whether theta_{star[s]} fails to undo theta_s, and whether
+    the domain of theta_{star[s]} outgrows the image of theta_s.  An image
+    outside the points is never undone."""
+    m = maps.shape[1]
+    defined = maps >= 0
+    ordered = np.sort(np.where(defined, maps, -1), axis=1)
+    repeated = ((ordered[:, 1:] == ordered[:, :-1]) &
+                (ordered[:, 1:] >= 0)).any(axis=1)
+    inside = defined & (maps < m)
+    back = maps[star[:, None], np.where(inside, maps, 0)]
+    not_undone = (defined & (~inside | (back != np.arange(m)))).any(axis=1)
+    overshoots = defined[star].sum(axis=1) != defined.sum(axis=1)
+    return repeated, not_undone, overshoots
 
 
 def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
-    """Validate a family of partial maps as an inverse semigroup action."""
+    """Validate a family of partial maps as an inverse semigroup action.
+
+    Row by row in id order, theta_s must map into the points, be injective
+    and be inverted by theta_{s*}; then theta_s theta_t = theta_st must hold
+    for all pairs (s, t), and every point must lie in some idempotent's
+    domain.  The first failure in that order is reported.
+    """
     action = SAction(S, point_labels, np.asarray(maps))
     n, m = len(S), action.n_points
-    if action.maps.shape != (n, m):
+    maps = action.maps
+    if maps.shape != (n, m):
         raise errors.InvalidParams("need one partial map per semigroup element")
-    idx = np.arange(m)
-    for s in range(n):
-        row = action.maps[s]
-        if row.max(initial=-1) >= m:
+    out_of_range = (maps >= m).any(axis=1)
+    repeated, not_inverted, overshoots = inverse_defects(maps, S.star)
+    failing = out_of_range | repeated | not_inverted | overshoots
+    if failing.any():
+        s = int(np.flatnonzero(failing)[0])
+        si = int(S.star[s])
+        if out_of_range[s]:
             raise errors.InvalidParams("map image out of range")
-        vals = row[row >= 0]
-        if len(vals) != len(set(vals.tolist())):
+        if repeated[s]:
             raise errors.NotBijective(f"theta_{s} is not injective")
-        si = S.inv(s)
-        back = _compose_partial(action.maps[si], row)
-        if not np.array_equal(back >= 0, row >= 0) or \
-                not np.array_equal(back[back >= 0], idx[back >= 0]):
+        if not_inverted[s]:
             raise errors.NotBijective(f"theta_{si} does not invert theta_{s}")
-        if (action.maps[si] >= 0).sum() != len(vals):
-            raise errors.NotBijective(f"theta_{si} overshoots theta_{s}")
-    for s in range(n):
-        for t in range(n):
-            comp = _compose_partial(action.maps[s], action.maps[t])
-            if not np.array_equal(comp, action.maps[S.mul(s, t)]):
+        raise errors.NotBijective(f"theta_{si} overshoots theta_{s}")
+    # theta_s theta_t = theta_st: if it holds for every generator t it holds
+    # for all t, since theta_s theta_tu = theta_st theta_u = theta_stu; only
+    # when a generator fails does the full scan, in slabs of s, run to find
+    # the first failing pair
+    defined = maps >= 0
+    inner = np.where(defined, maps, 0)
+    if not all(np.array_equal(np.where(defined[t], maps[:, inner[t]], -1),
+                              maps[S.table[:, t]]) for t in S.generators):
+        slab = max(1, CHUNK // max(n * m, 1))
+        for lo in range(0, n, slab):
+            comp = np.where(defined[None], maps[lo:lo + slab][:, inner], -1)
+            bad = (comp != maps[S.table[lo:lo + slab]]).any(axis=2)
+            if bad.any():
+                s, t = np.argwhere(bad)[0]
                 raise errors.NotAHomomorphism(
-                    f"theta_{s} theta_{t} != theta_{{s t}}")
-    covered = np.zeros(m, dtype=bool)
-    for e in S.idempotents:
-        covered |= action.maps[e] >= 0
+                    f"theta_{int(s) + lo} theta_{int(t)} != theta_{{s t}}")
+    covered = defined[list(S.idempotents)].any(axis=0)
     if not covered.all():
         raise errors.DomainsDontCover(int(np.flatnonzero(~covered)[0]))
     return action
@@ -137,38 +170,78 @@ def beta_action(S: InvSemigroup, contracted=False) -> SAction:
     agree, which the tests check against the semi-character oracle.
     """
     space = enumerate_filters(S, contracted=contracted)
-    n = len(S)
-    maps = np.full((n, len(space)), -1, dtype=np.int64)
-    for s in range(n):
-        ss = S.mul(S.inv(s), s)
-        for i, m in enumerate(space.mins):
-            if S.mul(m, ss) == m:  # m <= s*s
-                img = S.mul_all(s, m, S.inv(s))
-                maps[s, i] = space.index_of(img)
     action = validate_saction(S, [space.label(i) for i in range(len(space))],
-                              maps)
+                              beta_maps(S, space))
     action.space = space
     return action
 
 
-class GermGroupoid(FiniteGroupoid):
-    """A groupoid of germs: each arrow carries its germ class of (s, x) pairs."""
+def beta_maps(S: InvSemigroup, space) -> np.ndarray:
+    """maps[s, i] = index of the filter (s m_i s*)^ when m_i <= s*s, else -1,
+    where m_i is the minimum of filter i."""
+    n = len(S)
+    mins = np.asarray(space.mins, dtype=np.int64)
+    index = np.full(n, -1, dtype=np.int64)
+    index[mins] = np.arange(len(mins))
+    ss = S.table[S.star, np.arange(n)]
+    below = S.table[mins[None, :], ss[:, None]] == mins[None, :]   # m <= s*s
+    image = S.table[S.table[:, mins], S.star[:, None]]              # s m s*
+    maps = np.where(below, index[image], -1)
+    if (below & (maps < 0)).any():
+        s, i = np.argwhere(below & (maps < 0))[0]
+        space.index_of(int(image[s, i]))   # raises UnknownElement
+    return maps
 
-    def __init__(self, action: SAction, reps, classes, **kw):
+
+def restrict_maps(maps: np.ndarray, subset, check_invariant=True):
+    """Partial maps (rows of -1-padded images) restricted to a point subset.
+
+    Returns ``(subset, sub)``: the sorted subset and the restricted maps,
+    re-indexed to it.  With ``check_invariant``, the first (row, point)
+    mapped outside the subset raises :class:`~germoid.errors.NotInvariant`.
+    """
+    subset = np.array(sorted(set(int(x) for x in subset)), dtype=np.int64)
+    pos = np.full(maps.shape[1] + 1, -1, dtype=np.int64)   # pos[-1] = -1
+    pos[subset] = np.arange(len(subset))
+    rows = maps[:, subset]
+    sub = np.where(rows >= 0, pos[rows], -1)
+    if check_invariant and ((rows >= 0) & (sub < 0)).any():
+        g, i = np.argwhere((rows >= 0) & (sub < 0))[0]
+        raise errors.NotInvariant(int(g), int(subset[i]))
+    return subset, sub
+
+
+class GermGroupoid(FiniteGroupoid):
+    """A groupoid of germs: arrow ``arrow_at[s, x]`` is the germ [s, x]."""
+
+    def __init__(self, action: SAction, reps, arrow_at, **kw):
         self.action = action
         self.germ_reps = tuple(reps)
-        self.germ_classes = tuple(frozenset(c) for c in classes)
-        self.germ_of = {}
-        for i, cls in enumerate(self.germ_classes):
-            for p in cls:
-                self.germ_of[p] = i
+        self.arrow_at = arrow_at
+        self.arrow_at.setflags(write=False)
         super().__init__(**kw)
+
+    @functools.cached_property
+    def germ_of(self) -> dict:
+        """(s, x) -> arrow id of the germ [s, x], over the germ set."""
+        s, x = np.nonzero(self.arrow_at >= 0)
+        return dict(zip(zip(s.tolist(), x.tolist()),
+                        self.arrow_at[s, x].tolist()))
+
+    @functools.cached_property
+    def germ_classes(self):
+        """Per arrow, the frozenset of (s, x) pairs of its germ class."""
+        classes = [[] for _ in range(self.n_arrows)]
+        for pair, arrow in self.germ_of.items():
+            classes[arrow].append(pair)
+        return tuple(frozenset(c) for c in classes)
 
     def germ(self, s: int, x: int) -> int:
         """Arrow id of the germ [s, x]; raises if x is outside dom theta_s."""
-        if (s, x) not in self.germ_of:
+        n, m = self.arrow_at.shape
+        if not (0 <= s < n and 0 <= x < m) or self.arrow_at[s, x] < 0:
             raise errors.UnknownElement(f"({s},{x}) is not in the germ set")
-        return self.germ_of[(s, x)]
+        return int(self.arrow_at[s, x])
 
     def to_json_dict(self) -> dict:
         data = super().to_json_dict()
@@ -179,69 +252,44 @@ class GermGroupoid(FiniteGroupoid):
 
 
 def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
-    """The groupoid of germs of an action, with exhaustive class computation.
+    """The groupoid of germs of an action.
 
+    The germ set is Omega = {(s, x) : x in dom theta_{s*s}}, and
     (s, x) ~ (t, x) iff some u <= s, t has x in the domain of theta_{u*u};
     composition is [s, theta_t(y)][t, y] = [st, y] and the inverse of [s, x]
-    is [s*, theta_s(x)].
+    is [s*, theta_s(x)].  Arrows are numbered by their least (s, x).
+
+    Germ classes come from one key per pair.  Let m_x be the product of the
+    idempotents e with x in dom theta_e (:func:`anchor_idempotents`).
+    Lemma: for (s, x), (t, x) in Omega, some u <= s, t has x in
+    dom theta_{u*u} iff s m_x = t m_x.  If s m_x = t m_x, take u = s m_x:
+    u <= s, t, and u*u = s*s m_x, whose domain is dom theta_{s*s} n
+    dom theta_{m_x}, which holds x.  Conversely, x in dom theta_{u*u} gives
+    m_x <= u*u, so s m_x = s u*u m_x = u m_x = t u*u m_x = t m_x.  The proof
+    needs only theta_e theta_f = theta_ef, which :func:`validate_saction`
+    establishes.  So the class of (s, x) is keyed by (s m_x, x), at
+    O(|S| |X|) cost.
     """
     S = action.semigroup
     n, m = len(S), action.n_points
-    leq = S.leq_matrix()
-    omega = [(s, x) for s in range(n) for x in range(m)
-             if action(S.mul(S.inv(s), s), x) is not None]
-    pair_class = {}
-    classes = []
-    dom_e = np.zeros((n, m), dtype=bool)   # x in domain of theta_{u*u}
-    for u in range(n):
-        uu = S.mul(S.inv(u), u)
-        dom_e[u] = action.maps[uu] >= 0
-    # eq[s][t, x]: some u <= s, t has x in dom theta_{u*u} (one matmul per s)
-    below = leq.T.astype(np.int32)         # below[s, u] = (u <= s)
-    dom8 = dom_e.astype(np.int32)
-    by_point = {}
-    for s, x in omega:
-        by_point.setdefault(x, []).append(s)
-    eq_of = {}
-    for s in range(n):
-        eq_of[s] = ((below * below[s]) @ dom8) > 0
-    for x, ss in by_point.items():
-        local = []
-        for s in ss:
-            placed = False
-            for cls in local:
-                if eq_of[s][cls[0], x]:
-                    cls.append(s)
-                    placed = True
-                    break
-            if not placed:
-                local.append([s])
-        for cls in local:
-            idx = len(classes)
-            classes.append([(s, x) for s in cls])
-            for s in cls:
-                pair_class[(s, x)] = idx
-    # order arrows by their least representative for determinism
-    order = sorted(range(len(classes)), key=lambda i: min(classes[i]))
-    renum = {old: new for new, old in enumerate(order)}
-    classes = [classes[i] for i in order]
-    pair_class = {p: renum[i] for p, i in pair_class.items()}
-    reps = [min(c) for c in classes]
-    dom = [x for _, x in reps]
-    ran = [action(s, x) for s, x in reps]
-    comp = {}
-    for i, (s, x) in enumerate(reps):
-        for j, (t, y) in enumerate(reps):
-            if action(t, y) == x:
-                comp[(i, j)] = pair_class[(S.mul(s, t), y)]
-    inv = [pair_class[(S.inv(s), action(s, x))] for s, x in reps]
-    identity = []
-    for x in range(m):
-        e = next(e for e in S.idempotents if action(e, x) is not None)
-        identity.append(pair_class[(e, x)])
+    maps = action.maps
+    anchor = anchor_idempotents(action)
+    in_omega = maps[S.table[S.star, np.arange(n)]] >= 0
+    key = S.table[:, anchor] * m + np.arange(m)
+    s_of, x_of = np.nonzero(in_omega)                      # lexicographic
+    arrow_of_pair, firsts = first_occurrence_ids(key[s_of, x_of])
+    arrow_at = np.full((n, m), -1, dtype=np.int64)
+    arrow_at[s_of, x_of] = arrow_of_pair
+    label, dom = s_of[firsts], x_of[firsts]
+    ran = maps[label, dom]
+    comp = compose_by_label(m, label, dom, ran, S.table, arrow_at)
+    inv = arrow_at[S.star[label], ran]
+    # [e, x] = [m_x, x] for every idempotent e whose domain holds x
+    identity = arrow_at[anchor, np.arange(m)]
+    reps = list(zip(label.tolist(), dom.tolist()))
     labels = [f"[{S.names[s]},{action.point_labels[x]}]" for s, x in reps]
     g = GermGroupoid(
-        action, reps, classes,
+        action, reps, arrow_at,
         unit_labels=action.point_labels, dom=dom, ran=ran, comp=comp,
         inv=inv, identity=identity, arrow_labels=labels,
         name=name or f"{S.name}|germs")
@@ -261,18 +309,23 @@ def tight_groupoid(S: InvSemigroup) -> GermGroupoid:
     """Germ groupoid of the action restricted to the tight spectrum.
 
     Agrees arrow-for-arrow with the reduction of the contracted universal
-    groupoid to the tight units (asserted).
+    groupoid to the tight units; a mismatch raises
+    :class:`~germoid.errors.InvariantViolation` with the first differing
+    arrow.
     """
     if S.zero is None:
         raise errors.NoZero(S.name)
-    action = beta_action(S, contracted=True)
-    tight = tight_spectrum(action.space)
-    g = germ_groupoid(action.restrict(tight), name=f"Gt({S.name})")
-    red = reduction(universal_groupoid(S, contracted=True), tight)
-    assert g.n_arrows == red.n_arrows and \
-        [tuple(p) for p in zip(g.dom, g.ran)] == \
-        [tuple(p) for p in zip(red.dom, red.ran)], \
-        "tight groupoid must match the reduction to tight units"
+    universal = universal_groupoid(S, contracted=True)
+    tight = tight_spectrum(universal.action.space)
+    g = germ_groupoid(universal.action.restrict(tight), name=f"Gt({S.name})")
+    red = reduction(universal, tight)
+    ends = list(zip(g.dom.tolist(), g.ran.tolist()))
+    red_ends = list(zip(red.dom.tolist(), red.ran.tolist()))
+    if ends != red_ends:
+        first = next((a for a, (p, q) in enumerate(zip(ends, red_ends))
+                      if p != q), min(len(ends), len(red_ends)))
+        raise errors.InvariantViolation(
+            "tight groupoid must match the reduction to tight units", first)
     return g
 
 
@@ -340,25 +393,19 @@ def gspace_from_saction(action: SAction, contracted=None):
         contracted = S.zero is not None and not action.domain(S.zero)
     g = universal_groupoid(S, contracted=contracted)
     space = g.action.space
-    anchor = []
-    for x in range(action.n_points):
-        containing = [e for e in S.idempotents if action(e, x) is not None]
-        m = containing[0]
-        for e in containing[1:]:
-            m = S.mul(m, e)
-        if action(m, x) is None:
-            raise errors.NotAFilter(f"{{e : x{x} in X_e}} is not a filter")
-        anchor.append(space.index_of(m))
-    act = np.full((g.n_arrows, action.n_points), -1, dtype=np.int64)
-    for a, (s, xf) in enumerate(g.germ_reps):
-        for x in range(action.n_points):
-            if anchor[x] == xf:
-                # germ representatives through p(x) act alike; use s
-                y = action(s, x)
-                if y is None:
-                    raise errors.WrongGroupoid(
-                        "anchored point outside the domain of a representative")
-                act[a, x] = y
+    m_of = anchor_idempotents(action)
+    points = np.arange(action.n_points)
+    if (m_of < 0).any() or (action.maps[m_of, points] < 0).any():
+        x = int(np.flatnonzero((m_of < 0) | (action.maps[m_of, points] < 0))[0])
+        raise errors.NotAFilter(f"{{e : x{x} in X_e}} is not a filter")
+    anchor = [space.index_of(int(m)) for m in m_of]
+    # germ representatives through p(x) act alike; use s
+    rep_s, rep_x = np.array(g.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    through = rep_x[:, None] == np.array(anchor, dtype=np.int64)[None, :]
+    act = np.where(through, action.maps[rep_s], -1)
+    if (through & (act < 0)).any():
+        raise errors.WrongGroupoid(
+            "anchored point outside the domain of a representative")
     ga = validate_space_action(
         GroupoidSpaceAction(g, action.point_labels, anchor, act))
     return ga, g
@@ -373,13 +420,16 @@ def saction_from_gspace(gaction: GroupoidSpaceAction) -> SAction:
     space = getattr(g.action, "space", None)
     if space is None:
         raise errors.WrongGroupoid("expected the universal groupoid's action")
-    maps = np.full((len(S), gaction.n_points), -1, dtype=np.int64)
-    for s in range(len(S)):
-        ss = S.mul(S.inv(s), s)
-        for x in range(gaction.n_points):
-            m = space.mins[gaction.anchor[x]]
-            if S.mul(m, ss) == m:  # p(x) in D(s*s)
-                maps[s, x] = gaction(g.germ(s, gaction.anchor[x]), x)
+    n = len(S)
+    anchor = np.asarray(gaction.anchor, dtype=np.int64)
+    mins = np.asarray(space.mins, dtype=np.int64)[anchor]
+    ss = S.table[S.star, np.arange(n)]
+    inside = S.table[mins[None, :], ss[:, None]] == mins[None, :]  # p(x) in D(s*s)
+    arrows = g.arrow_at[:, anchor]
+    if (inside & (arrows < 0)).any():
+        s, x = np.argwhere(inside & (arrows < 0))[0]
+        g.germ(int(s), int(anchor[x]))     # raises UnknownElement
+    maps = np.where(inside, gaction.act[arrows, np.arange(len(anchor))], -1)
     return validate_saction(S, gaction.point_labels, maps)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .semigroups import check_size
+from .semigroups import CHUNK, check_size
 
 
 class FiniteGroupoid:
@@ -36,6 +36,7 @@ class FiniteGroupoid:
         self.arrow_labels = tuple(arrow_labels) if arrow_labels else tuple(
             f"a{i}" for i in range(len(self.dom)))
         self.name = name
+        self._comp_table = None
         for arr in (self.dom, self.ran, self.inv, self.identity):
             arr.setflags(write=False)
 
@@ -55,8 +56,30 @@ class FiniteGroupoid:
         """ab if dom(a) = ran(b), else None."""
         return self.comp.get((a, b))
 
-    def arrows_from(self, u: int):
-        return [a for a in range(self.n_arrows) if self.dom[a] == u]
+    @property
+    def comp_table(self) -> np.ndarray:
+        """The dense composition table: ab at [a, b], or -1 where undefined.
+
+        Raises DomainMismatch, at the first entry of ``comp`` in its own
+        order, if a key or value is not an arrow id.
+        """
+        if self._comp_table is None:
+            n = self.n_arrows
+            table = np.full((n, n), -1, dtype=np.int32)
+            if self.comp:
+                keys = np.array(list(self.comp), dtype=np.int64)
+                values = np.array(list(self.comp.values()), dtype=np.int64)
+                outside = ((keys < 0) | (keys >= n)).any(axis=1) | \
+                    (values < 0) | (values >= n)
+                if outside.any():
+                    a, b = keys[_first(outside)]
+                    raise errors.DomainMismatch(
+                        f"composition of {a}, {b} names an arrow outside "
+                        "the groupoid")
+                table[keys[:, 0], keys[:, 1]] = values
+            table.setflags(write=False)
+            self._comp_table = table
+        return self._comp_table
 
     def isotropy_orders(self):
         """Multiset (sorted tuple) of isotropy group orders, one per unit."""
@@ -107,45 +130,112 @@ class FiniteGroupoid:
         return "\n".join(lines)
 
 
+def _first(mask) -> int:
+    """Flat index of the first True entry of ``mask`` (row-major)."""
+    return int(np.flatnonzero(mask.ravel())[0])
+
+
+def _arrows_ending_at(units, ran, n_units):
+    """The arrows ending at each of ``units``, in id order, flattened.
+
+    Returns ``(counts, arrows)``: ``counts[i]`` arrows end at ``units[i]``,
+    and they follow one another in ``arrows``.
+    """
+    by_ran = np.argsort(ran, kind="stable")
+    per_unit = np.bincount(ran, minlength=n_units)
+    start = np.cumsum(per_unit) - per_unit
+    counts = per_unit[units]
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+    return counts, by_ran[np.repeat(start[units], counts) + offsets]
+
+
+def compose_by_label(n_units, labels, dom, ran, product, arrow_at) -> dict:
+    """The composition of arrows given as (label, point) pairs.
+
+    Arrow a is the pair (labels[a], dom[a]) and ends at ran[a].  Each a is
+    paired with the arrows b ending at dom[a], one unit at a time, and
+    ab = arrow_at[product[labels[a], labels[b]], dom[b]].  Returns the
+    ``comp`` dict of a :class:`FiniteGroupoid`, keyed in lexicographic
+    order of (a, b).
+    """
+    labels, dom, ran = (np.asarray(v, dtype=np.int64) for v in (labels, dom, ran))
+    counts, b = _arrows_ending_at(dom, ran, n_units)
+    a = np.repeat(np.arange(len(dom)), counts)
+    c = arrow_at[product[labels[a], labels[b]], dom[b]]
+    return dict(zip(zip(a.tolist(), b.tolist()), c.tolist()))
+
+
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
-    """Exhaustive check of the groupoid axioms; raises on any failure."""
-    n = g.n_arrows
+    """Exhaustive check of the groupoid axioms; raises on any failure.
+
+    Works on the dense composition table.  Associativity is checked on the
+    composable triples only: each composable pair (a, b) is extended by the
+    arrows c ending at dom(b).  Every check scans in the same order as the
+    plain loops over arrow ids, so the witness is the first failure in
+    that order.
+    """
+    n, n_units = g.n_arrows, g.n_units
     check_size(n)
-    for a in range(n):
-        for b in range(n):
-            c = g.compose(a, b)
-            if (g.dom[a] == g.ran[b]) != (c is not None):
+    dom, ran, inv, identity = g.dom, g.ran, g.inv, g.identity
+    if len(ran) != n or len(inv) != n or len(identity) != n_units:
+        raise errors.InvalidParams(
+            "need one ran and inv entry per arrow and one identity per unit")
+    for ends in (dom, ran):
+        if n and (ends.min() < 0 or ends.max() >= n_units):
+            raise errors.UnknownUnit(
+                f"arrow {_first((ends < 0) | (ends >= n_units))} "
+                "has an endpoint outside the units")
+    table = g.comp_table
+    ids = np.arange(n)
+
+    rows = max(1, CHUNK // max(n, 1))
+    for lo in range(0, n, rows):
+        t = table[lo:lo + rows]
+        defined = t >= 0
+        wrong = defined != (dom[lo:lo + rows, None] == ran[None, :])
+        c = np.where(defined, t, 0)
+        ends = defined & ((dom[c] != dom[None, :]) |
+                          (ran[c] != ran[lo:lo + rows, None]))
+        if wrong.any() or ends.any():
+            a, b = divmod(_first(wrong | ends), n)
+            if wrong[a, b]:
                 raise errors.DomainMismatch(
-                    f"composition of {a}, {b} defined on the wrong domain")
-            if c is not None and (g.dom[c] != g.dom[b] or g.ran[c] != g.ran[a]):
-                raise errors.DomainMismatch(
-                    f"composite {a}{b} has the wrong endpoints")
-    for u in range(g.n_units):
-        i = int(g.identity[u])
-        if not (0 <= i < n) or g.dom[i] != u or g.ran[i] != u:
-            raise errors.MissingIdentity(u)
-        for a in range(n):
-            if g.dom[a] == u and g.compose(a, i) != a:
-                raise errors.MissingIdentity(u)
-            if g.ran[a] == u and g.compose(i, a) != a:
-                raise errors.MissingIdentity(u)
-    for a in range(n):
-        ai = int(g.inv[a])
-        if g.dom[ai] != g.ran[a] or g.ran[ai] != g.dom[a] or \
-                g.compose(ai, a) != g.identity[g.dom[a]] or \
-                g.compose(a, ai) != g.identity[g.ran[a]]:
-            raise errors.MissingInverse(a)
-    for a in range(n):
-        for b in range(n):
-            ab = g.compose(a, b)
-            if ab is None:
-                continue
-            for c in range(n):
-                bc = g.compose(b, c)
-                if bc is None:
-                    continue
-                if g.compose(ab, c) != g.compose(a, bc):
-                    raise errors.CompositionNotAssociative(a, b, c)
+                    f"composition of {a + lo}, {b} defined on the wrong domain")
+            raise errors.DomainMismatch(
+                f"composite {a + lo}{b} has the wrong endpoints")
+
+    units = np.arange(n_units)
+    has_id = (identity >= 0) & (identity < n)
+    ident = np.where(has_id, identity, 0)
+    has_id &= (dom[ident] == units) & (ran[ident] == units)
+    bad_unit = ~has_id
+    right = has_id[dom] & (table[ids, ident[dom]] != ids)    # a 1_dom(a) != a
+    left = has_id[ran] & (table[ident[ran], ids] != ids)     # 1_ran(a) a != a
+    bad_unit[dom[right]] = True
+    bad_unit[ran[left]] = True
+    if bad_unit.any():
+        raise errors.MissingIdentity(_first(bad_unit))
+
+    has_inv = (inv >= 0) & (inv < n)
+    ai = np.where(has_inv, inv, 0)
+    good = has_inv & (dom[ai] == ran) & (ran[ai] == dom) & \
+        (table[ai, ids] == identity[dom]) & (table[ids, ai] == identity[ran])
+    if not good.all():
+        raise errors.MissingInverse(_first(~good))
+
+    a, b = np.nonzero(table >= 0)                            # lexicographic
+    per_pair = np.bincount(ran, minlength=n_units)[dom[b]]
+    step = max(1, CHUNK // max(int(per_pair.max(initial=1)), 1))
+    for lo in range(0, len(a), step):
+        pa, pb = a[lo:lo + step], b[lo:lo + step]
+        counts, tc = _arrows_ending_at(dom[pb], ran, n_units)
+        ta, tb = np.repeat(pa, counts), np.repeat(pb, counts)
+        bad = table[table[ta, tb], tc] != table[ta, table[tb, tc]]
+        if bad.any():
+            i = _first(bad)
+            raise errors.CompositionNotAssociative(
+                int(ta[i]), int(tb[i]), int(tc[i]))
     return g
 
 
@@ -162,17 +252,15 @@ def groupoid_from_group(G, name=None) -> FiniteGroupoid:
 
 def pair_groupoid(n: int, name=None) -> FiniteGroupoid:
     """The pair groupoid on n units: one arrow (i <- j) per ordered pair."""
+    # arrow (i <- j) has id i n + j; it is the label i at the point j, and
+    # labels multiply by keeping the left one
     arrows = [(i, j) for i in range(n) for j in range(n)]
-    index = {p: a for a, p in enumerate(arrows)}
-    dom = [j for _, j in arrows]
-    ran = [i for i, _ in arrows]
-    comp = {}
-    for a, (i, j) in enumerate(arrows):
-        for b, (k, l) in enumerate(arrows):
-            if j == k:
-                comp[(a, b)] = index[(i, l)]
-    inv = [index[(j, i)] for i, j in arrows]
-    identity = [index[(u, u)] for u in range(n)]
+    index = np.arange(n * n).reshape(n, n)
+    ran, dom = np.divmod(np.arange(n * n), n)
+    product = np.repeat(np.arange(n)[:, None], n, axis=1)
+    comp = compose_by_label(n, ran, dom, ran, product, index)
+    inv = index[dom, ran]
+    identity = index[np.arange(n), np.arange(n)]
     g = FiniteGroupoid([f"x{u}" for u in range(n)], dom, ran, comp, inv,
                        identity, arrow_labels=[f"({i}<-{j})" for i, j in arrows],
                        name=name or f"Pair{n}")
@@ -234,9 +322,6 @@ class GroupoidFunctor:
     target: FiniteGroupoid
     unit_map: tuple
     arrow_map: tuple
-
-    def on_unit(self, u: int) -> int:
-        return self.unit_map[u]
 
     def __call__(self, a: int) -> int:
         return self.arrow_map[a]
@@ -488,64 +573,83 @@ class GroupoidSpaceAction:
 
 
 def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
+    """Check the anchor, identities, equivariance and hx functoriality.
+
+    Each check covers all arrows and points at once (functoriality over
+    the composable pairs, in chunks); the witness is the first failure in
+    id order.
+    """
     h = action.groupoid
-    for x in range(action.n_points):
-        if not 0 <= action.anchor[x] < h.n_units:
+    m = action.n_points
+    points = np.arange(m)
+    anchor = np.asarray(action.anchor, dtype=np.int64)
+    act = np.maximum(action.act, -1)
+    outside = (anchor < 0) | (anchor >= h.n_units)
+    fixed = act[h.identity[np.where(outside, 0, anchor)], points] == points
+    if (outside | ~fixed).any():
+        x = _first(outside | ~fixed)
+        if outside[x]:
             raise errors.InvalidAction(f"anchor of point {x} out of range")
-        if action(int(h.identity[action.anchor[x]]), x) != x:
-            raise errors.InvalidAction(f"identity does not fix point {x}")
-    for a in range(h.n_arrows):
-        for x in range(action.n_points):
-            defined = h.dom[a] == action.anchor[x]
-            y = action(a, x)
-            if defined != (y is not None):
-                raise errors.InvalidAction(
-                    f"arrow {a} defined on the wrong points")
-            if y is not None and action.anchor[y] != h.ran[a]:
-                raise errors.InvalidAction(
-                    f"anchor not equivariant at arrow {a}, point {x}")
-    for a in range(h.n_arrows):
-        for b in range(h.n_arrows):
-            ab = h.compose(a, b)
-            if ab is None:
-                continue
-            for x in range(action.n_points):
-                bx = action(b, x)
-                if bx is None:
-                    continue
-                if action(a, bx) != action(ab, x):
-                    raise errors.InvalidAction(
-                        f"action not functorial at ({a},{b},{x})")
+        raise errors.InvalidAction(f"identity does not fix point {x}")
+    wrong = (h.dom[:, None] == anchor[None, :]) != (act >= 0)
+    moved = (act >= 0) & (anchor[act] != h.ran[:, None])
+    if (wrong | moved).any():
+        a, x = divmod(_first(wrong | moved), m)
+        if wrong[a, x]:
+            raise errors.InvalidAction(f"arrow {a} defined on the wrong points")
+        raise errors.InvalidAction(
+            f"anchor not equivariant at arrow {a}, point {x}")
+    a, b = np.nonzero(h.comp_table >= 0)                     # lexicographic
+    step = max(1, CHUNK // max(m, 1))
+    for lo in range(0, len(a), step):
+        pa, pb = a[lo:lo + step], b[lo:lo + step]
+        bx = act[pb]
+        ab_x = act[h.comp_table[pa, pb]]
+        bad = (bx >= 0) & (act[pa[:, None], bx] != ab_x)
+        if bad.any():
+            i, x = divmod(_first(bad), m)
+            raise errors.InvalidAction(
+                f"action not functorial at ({pa[i]},{pb[i]},{x})")
     return action
+
+
+def action_groupoid(maps, product, inverse, unit_label, label_names,
+                    point_labels, name) -> FiniteGroupoid:
+    """The groupoid of pairs (label, x) with maps[label, x] >= 0.
+
+    (l, x) goes from x to maps[l, x]; (k, maps[l, x])(l, x) = (kl, x) with
+    kl = product[k, l]; the inverse of (l, x) is (inverse[l], maps[l, x]);
+    the identity at x is (unit_label[x], x).  Arrows are numbered in
+    lexicographic order of (label, x).  The result, not yet validated,
+    carries ``arrow_pairs`` and ``pair_index``.
+    """
+    m = len(point_labels)
+    label, dom = np.nonzero(maps >= 0)
+    arrows = list(zip(label.tolist(), dom.tolist()))
+    arrow_at = np.full(maps.shape, -1, dtype=np.int64)
+    arrow_at[label, dom] = np.arange(len(arrows))
+    ran = maps[label, dom]
+    g = FiniteGroupoid(
+        point_labels, dom, ran,
+        compose_by_label(m, label, dom, ran, product, arrow_at),
+        arrow_at[np.asarray(inverse)[label], ran],
+        arrow_at[unit_label, np.arange(m)],
+        arrow_labels=[f"({label_names[a]},{point_labels[x]})"
+                      for a, x in arrows],
+        name=name)
+    g.arrow_pairs = tuple(arrows)
+    g.pair_index = dict(zip(arrows, range(len(arrows))))
+    return g
 
 
 def semidirect_product(action: GroupoidSpaceAction, name=None) -> FiniteGroupoid:
     """H x X with d(h, x) = x, r(h, x) = hx and (g, hy)(h, y) = (gh, y)."""
     validate_space_action(action)
     h = action.groupoid
-    arrows = [(a, x) for a in range(h.n_arrows)
-              for x in range(action.n_points)
-              if h.dom[a] == action.anchor[x]]
-    index = {p: i for i, p in enumerate(arrows)}
-    dom = [x for _, x in arrows]
-    ran = [action(a, x) for a, x in arrows]
-    comp = {}
-    for i, (a, x) in enumerate(arrows):
-        for j, (b, y) in enumerate(arrows):
-            if action(b, y) == x:
-                ab = h.compose(a, b)
-                comp[(i, j)] = index[(ab, y)]
-    inv = [index[(int(h.inv[a]), action(a, x))] for a, x in arrows]
-    identity = [index[(int(h.identity[action.anchor[x]]), x)]
-                for x in range(action.n_points)]
-    labels = [f"({h.arrow_labels[a]},{action.point_labels[x]})"
-              for a, x in arrows]
-    g = FiniteGroupoid(action.point_labels, dom, ran, comp, inv, identity,
-                       arrow_labels=labels,
-                       name=name or f"{h.name}|X")
-    g.arrow_pairs = tuple(arrows)
-    g.pair_index = index
-    return validate_groupoid(g)
+    anchor = np.asarray(action.anchor, dtype=np.int64)
+    return validate_groupoid(action_groupoid(
+        action.act, h.comp_table, h.inv, h.identity[anchor], h.arrow_labels,
+        action.point_labels, name=name or f"{h.name}|X"))
 
 
 def semidirect_projection(sd: FiniteGroupoid, h: FiniteGroupoid) -> GroupoidFunctor:

@@ -14,6 +14,7 @@ from . import errors
 from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
+    action_groupoid,
     cocycle_faithfulness_map,
     enveloping_action_of_functor,
     functor_report,
@@ -25,12 +26,16 @@ from .groupoids import (
 )
 from .germs import (
     GermGroupoid,
+    beta_maps,
     germ_groupoid,
     induced_functor,
+    inverse_defects,
+    restrict_maps,
     saction_from_gspace,
     universal_groupoid,
 )
 from .semigroups import (
+    CHUNK,
     FiniteGroup,
     InvSemigroup,
     SemigroupHom,
@@ -72,58 +77,45 @@ class PartialGroupAction:
 
 def validate_partial_action(G: FiniteGroup, point_labels, maps) -> PartialGroupAction:
     """Check theta(1) total, theta(g^{-1}) = theta(g)^{-1}, and the dual
-    prehomomorphism law theta(g) theta(h) <= theta(gh)."""
+    prehomomorphism law theta(g) theta(h) <= theta(gh).
+
+    Each law is checked for all group elements at once, in slabs of g for
+    the last one; the witness is the first failure in id order.
+    """
     theta = PartialGroupAction(G, point_labels, np.asarray(maps))
     m = theta.n_points
-    if any(theta(G.identity, x) != x for x in range(m)):
+    maps = theta.maps
+    points = np.arange(m)
+    if (maps[G.identity] != points).any():
         raise errors.IdentityNotTotal("theta(1) must be the identity of X")
-    for g in range(len(G)):
-        vals = [y for y in theta.maps[g] if y >= 0]
-        if len(vals) != len(set(vals)):
+    # theta(g^-1) must undo theta(g) on exactly its image
+    repeated, not_undone, overshoots = inverse_defects(maps, G.star)
+    failing = repeated | not_undone | overshoots
+    if failing.any():
+        g = int(np.flatnonzero(failing)[0])
+        if repeated[g]:
             raise errors.NotBijective(f"theta({g}) is not injective")
-        gi = G.inv(g)
-        for x in range(m):
-            y = theta(g, x)
-            if y is not None and theta(gi, y) != x:
-                raise errors.InverseMismatch(g)
-        if sorted(vals) != sorted(
-                x for x in range(m) if theta(gi, x) is not None):
-            raise errors.InverseMismatch(g)
-    for g in range(len(G)):
-        for h in range(len(G)):
-            gh = G.mul(g, h)
-            for x in range(m):
-                hx = theta(h, x)
-                if hx is None:
-                    continue
-                y = theta(g, hx)
-                if y is not None and theta(gh, x) != y:
-                    raise errors.NotDualPrehom(g, h)
+        raise errors.InverseMismatch(g)
+    # theta(g) theta(h) at [g, h, x], where both are defined, against theta(gh)
+    defined = maps >= 0
+    inner = np.where(defined, maps, 0)
+    slab = max(1, CHUNK // max(len(G) * m, 1))
+    for lo in range(0, len(G), slab):
+        both = maps[lo:lo + slab][:, inner]
+        bad = (defined[None] & (both >= 0) &
+               (maps[G.table[lo:lo + slab]] != both)).any(axis=2)
+        if bad.any():
+            g, h = np.argwhere(bad)[0]
+            raise errors.NotDualPrehom(int(g) + lo, int(h))
     return theta
 
 
 def partial_trans_groupoid(theta: PartialGroupAction, name=None) -> FiniteGroupoid:
     """G x X with arrows (g, x) for x in X_{g^{-1}}, (g, x)(h, y) = (gh, y)."""
     G = theta.group
-    arrows = [(g, x) for g in range(len(G)) for x in range(theta.n_points)
-              if theta(g, x) is not None]
-    index = {p: i for i, p in enumerate(arrows)}
-    dom = [x for _, x in arrows]
-    ran = [theta(g, x) for g, x in arrows]
-    comp = {}
-    for i, (g, x) in enumerate(arrows):
-        for j, (h, y) in enumerate(arrows):
-            if theta(h, y) == x:
-                comp[(i, j)] = index[(G.mul(g, h), y)]
-    inv = [index[(G.inv(g), theta(g, x))] for g, x in arrows]
-    identity = [index[(G.identity, x)] for x in range(theta.n_points)]
-    labels = [f"({G.names[g]},{theta.point_labels[x]})" for g, x in arrows]
-    gpd = FiniteGroupoid(theta.point_labels, dom, ran, comp, inv, identity,
-                         arrow_labels=labels,
-                         name=name or f"{G.name}|X")
-    gpd.arrow_pairs = tuple(arrows)
-    gpd.pair_index = index
-    return validate_groupoid(gpd)
+    return validate_groupoid(action_groupoid(
+        theta.maps, G.table, G.star, np.full(theta.n_points, G.identity),
+        G.names, theta.point_labels, name=name or f"{G.name}|X"))
 
 
 def theta_from_sigma(S: InvSemigroup, sigma: SigmaMap | None = None,
@@ -140,18 +132,17 @@ def theta_from_sigma(S: InvSemigroup, sigma: SigmaMap | None = None,
         sigma = max_group_image(S)
     G = sigma.group
     space = _space or enumerate_filters(S, contracted=False)
+    beta = beta_maps(S, space)
+    s_of, x_of = np.nonzero(beta >= 0)
+    g_of = np.asarray(sigma.classmap)[s_of]
     maps = np.full((len(G), len(space)), -1, dtype=np.int64)
-    for s in range(len(S)):
-        g = sigma(s)
-        ss = S.mul(S.inv(s), s)
-        for i, m in enumerate(space.mins):
-            if S.mul(m, ss) != m:
-                continue
-            img = space.index_of(S.mul_all(s, m, S.inv(s)))
-            if maps[g, i] >= 0 and maps[g, i] != img:
-                raise AssertionError(
-                    "sigma-fiber members disagree on a shared domain")
-            maps[g, i] = img
+    maps[g_of, x_of] = beta[s_of, x_of]
+    disagree = maps[g_of, x_of] != beta[s_of, x_of]
+    if disagree.any():
+        i = int(np.flatnonzero(disagree)[0])
+        raise errors.InvariantViolation(
+            "sigma-fiber members disagree on a shared domain",
+            (int(s_of[i]), int(x_of[i])))
     theta = validate_partial_action(
         G, [space.label(i) for i in range(len(space))], maps)
     theta.space = space
@@ -199,24 +190,10 @@ def restrict_partial_action(theta: PartialGroupAction, subset,
     disabled; the restricted groupoid is the reduction of the unrestricted
     one, which callers can assert arrow-for-arrow.
     """
-    subset = sorted(set(int(x) for x in subset))
-    pos = {x: i for i, x in enumerate(subset)}
-    G = theta.group
-    if check_invariant:
-        for g in range(len(G)):
-            for x in subset:
-                y = theta(g, x)
-                if y is not None and y not in pos:
-                    raise errors.NotInvariant(g, x)
-    sub = np.full((len(G), len(subset)), -1, dtype=np.int64)
-    for g in range(len(G)):
-        for x in subset:
-            y = theta(g, x)
-            if y is not None:
-                sub[g, pos[x]] = pos[y]
+    subset, sub = restrict_maps(theta.maps, subset, check_invariant)
     restricted = validate_partial_action(
-        G, [theta.point_labels[x] for x in subset], sub)
-    restricted.parent_points = tuple(subset)
+        theta.group, [theta.point_labels[x] for x in subset], sub)
+    restricted.parent_points = tuple(subset.tolist())
     return restricted
 
 
@@ -276,17 +253,21 @@ def enveloping_group_action(theta: PartialGroupAction) -> EnvelopeResult:
     global_action = validate_partial_action(G, labels, glob)
     embedding = tuple(cidx[(G.identity, x)] for x in range(theta.n_points))
     if len(set(embedding)) != theta.n_points:
-        raise AssertionError("embedding of X into its globalization must be injective")
+        raise errors.InvariantViolation(
+            "embedding of X into its globalization must be injective",
+            embedding)
     # restriction of the global action to the image recovers theta
     emb = set(embedding)
     for g in range(len(G)):
         for x in range(theta.n_points):
             y = theta(g, x)
             gx = int(glob[g, embedding[x]])
-            if y is not None:
-                assert gx == embedding[y], "globalization must extend theta"
-            else:
-                assert gx not in emb, "globalization must not enlarge theta inside X"
+            if y is not None and gx != embedding[y]:
+                raise errors.InvariantViolation(
+                    "globalization must extend theta", (g, x))
+            if y is None and gx in emb:
+                raise errors.InvariantViolation(
+                    "globalization must not enlarge theta inside X", (g, x))
     small = partial_trans_groupoid(theta)
     big = partial_trans_groupoid(global_action, name=f"{G.name}|env")
     unit_map = embedding
@@ -372,7 +353,8 @@ def ks_pipeline(phi: SemigroupHom, contract_to=None) -> KSPipelineResult:
         amap.append(sd.pair_index[(arrow, x)])
     ident = groupoid_functor(target, sd, range(target.n_units), amap)
     if not verify_isomorphism(ident):
-        raise AssertionError("germ groupoid must match the semidirect product")
+        raise errors.InvariantViolation(
+            "germ groupoid must match the semidirect product", ident.arrow_map)
     back = {b: a for a, b in enumerate(amap)}
     alpha = groupoid_functor(
         source, target,
@@ -382,7 +364,9 @@ def ks_pipeline(phi: SemigroupHom, contract_to=None) -> KSPipelineResult:
     # the projection relation pi . alpha = F
     proj = semidirect_projection(sd, gt)
     for a in range(source.n_arrows):
-        assert proj(alpha0(a)) == F(a), "projection must recover the cocycle"
+        if proj(alpha0(a)) != F(a):
+            raise errors.InvariantViolation(
+                "projection must recover the cocycle", a)
     sizes = {
         "source_units": source.n_units,
         "source_arrows": source.n_arrows,

@@ -8,6 +8,7 @@ immutable after construction and every operation here is a pure function.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -29,6 +30,10 @@ def check_size(n: int) -> None:
         raise errors.SizeLimitExceeded(n, limit)
 
 
+# Entries per vectorized step of every array kernel: bounds their memory.
+CHUNK = 1 << 16
+
+
 class InvSemigroup:
     """A finite inverse semigroup: names, table, optional zero, computed star.
 
@@ -47,6 +52,7 @@ class InvSemigroup:
         self._idempotents = tuple(
             int(e) for e in range(len(names)) if table[e, e] == e)
         self._leq = None
+        self._generators = None
         self._sigma = None
         self._e_unitary = None
 
@@ -73,18 +79,26 @@ class InvSemigroup:
     def idempotents(self):
         return self._idempotents
 
+    @property
+    def generators(self) -> tuple:
+        """A generating set of S, from :func:`greedy_generators`."""
+        if self._generators is None:
+            self._generators = tuple(greedy_generators(self.table))
+        return self._generators
+
     def is_idempotent(self, s: int) -> bool:
         return self.table[s, s] == s
 
     def leq_matrix(self) -> np.ndarray:
-        """Boolean matrix of the natural partial order, leq[s, t] = (s <= t)."""
+        """Boolean matrix of the natural partial order, leq[s, t] = (s <= t).
+
+        s <= t iff t s*s = s, so row s compares column s*s of the table
+        with s.
+        """
         if self._leq is None:
             n = len(self)
-            m = np.zeros((n, n), dtype=bool)
-            for s in range(n):
-                ss = self.mul(self.star[s], s)
-                for t in range(n):
-                    m[s, t] = self.mul(t, ss) == s
+            ss = self.table[self.star, np.arange(n)]
+            m = self.table[:, ss].T == np.arange(n)[:, None]
             m.setflags(write=False)
             self._leq = m
         return self._leq
@@ -145,11 +159,72 @@ class PartialGroupHom:
         return v
 
 
+def first_nonassociative(table):
+    """The lexicographically first (i, j, k) with (ij)k != i(jk), or None.
+
+    Scans i in slabs of at most ``CHUNK`` triples.
+    """
+    n = len(table)
+    chunk = max(1, CHUNK // (n * n))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        lhs = table[table[lo:hi, :], :]         # lhs[i,j,k] = (ij)k
+        rhs = table[lo:hi, table]               # rhs[i,j,k] = i(jk)
+        if not np.array_equal(lhs, rhs):
+            bad = np.argwhere(lhs != rhs)[0]
+            return int(bad[0]) + lo, int(bad[1]), int(bad[2])
+    return None
+
+
+def greedy_generators(table):
+    """Generators of the magma of ``table``: in id order, every element not
+    yet in the closure of the earlier generators under the table product."""
+    n = len(table)
+    inside = np.zeros(n, dtype=bool)
+    gens = []
+    for a in range(n):
+        if inside[a]:
+            continue
+        gens.append(a)
+        inside[a] = True
+        frontier = np.array([a])
+        # each pair is multiplied when the later of its two elements enters
+        while frontier.size:
+            closure = np.flatnonzero(inside)
+            before = inside.copy()
+            inside[table[np.ix_(frontier, closure)]] = True
+            inside[table[np.ix_(closure, frontier)]] = True
+            frontier = np.flatnonzero(inside & ~before)
+    return gens
+
+
+def lights_test(table, gens) -> bool:
+    """True iff (xa)y = x(ay) for every generator a and all x, y."""
+    n = len(table)
+    rows = max(1, CHUNK // n)
+    for a in gens:
+        for lo in range(0, n, rows):
+            lhs = table[table[lo:lo + rows, a]]         # lhs[x,y] = (xa)y
+            rhs = table[lo:lo + rows][:, table[a]]      # rhs[x,y] = x(ay)
+            if not np.array_equal(lhs, rhs):
+                return False
+    return True
+
+
 def validate_semigroup(names, table, zero=None, name="S") -> InvSemigroup:
     """Validate a multiplication table as a finite inverse semigroup.
 
     Checks associativity, existence of a unique inverse for every element,
     commuting idempotents, and (when declared) that the zero is absorbing.
+
+    Associativity uses Light's test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, 1961): the elements a with (xa)y = x(ay) for
+    all x, y are closed under the product, so the table is associative iff
+    that identity holds for every a in a set that generates the table as a
+    magma.  With a greedily built generating set this costs
+    O(|gens| n^2) instead of n^3.  Only when Light's test fails does the
+    full scan run, to find the lexicographically first failing triple for
+    the witness.
     """
     n = len(names)
     check_size(n)
@@ -161,43 +236,41 @@ def validate_semigroup(names, table, zero=None, name="S") -> InvSemigroup:
     if table.min() < 0 or table.max() >= n:
         raise errors.InvalidParams("table entries out of range")
 
-    # associativity, chunked so memory stays bounded per slab
-    chunk = max(1, (1 << 22) // (n * n))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        lhs = table[table[lo:hi, :], :]         # lhs[i,j,k] = (ij)k
-        rhs = table[lo:hi, table]               # rhs[i,j,k] = i(jk)
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
-            raise errors.NotAssociative(int(bad[0]) + lo, int(bad[1]), int(bad[2]))
+    small = table.astype(np.int32)   # halves the memory traffic of gathers
+    gens = tuple(greedy_generators(small))
+    if not lights_test(small, gens):
+        bad = first_nonassociative(small)
+        if bad is not None:
+            raise errors.NotAssociative(*bad)
 
     # unique inverse: t inverts s iff sts = s and tst = t
-    sts = table[table, np.arange(n)[:, None]]   # sts[s,t] = (st)s
-    tst = np.empty_like(table)                  # tst[s,t] = (ts)t
-    for t in range(n):
-        tst[:, t] = table[table[t, :], t]
-    star = np.full(n, -1, dtype=np.int64)
-    for s in range(n):
-        cands = np.flatnonzero((sts[s, :] == s) & (tst[s, :] == np.arange(n)))
-        if len(cands) != 1:
-            raise errors.NoUniqueInverse(s, len(cands))
-        star[s] = cands[0]
+    ids = np.arange(n)
+    sts = table[table, ids[:, None]]            # sts[s,t] = (st)s
+    tst = table[table.T, ids[None, :]]          # tst[s,t] = (ts)t
+    cands = (sts == ids[:, None]) & (tst == ids[None, :])
+    counts = cands.sum(axis=1)
+    if (counts != 1).any():
+        s = int(np.flatnonzero(counts != 1)[0])
+        raise errors.NoUniqueInverse(s, int(counts[s]))
+    star = cands.argmax(axis=1).astype(np.int64)
     # star is automatically an involution once inverses are unique
 
-    idem = [e for e in range(n) if table[e, e] == e]
-    for e in idem:
-        for f in idem:
-            if table[e, f] != table[f, e]:
-                raise errors.IdempotentsDontCommute(e, f)
+    idem = np.flatnonzero(table[ids, ids] == ids)
+    sub = table[np.ix_(idem, idem)]
+    if (sub != sub.T).any():
+        i, j = np.argwhere(sub != sub.T)[0]
+        raise errors.IdempotentsDontCommute(int(idem[i]), int(idem[j]))
 
     if zero is not None:
         if not 0 <= zero < n:
             raise errors.InvalidParams("zero id out of range")
-        for s in range(n):
-            if table[zero, s] != zero or table[s, zero] != zero:
-                raise errors.ZeroNotAbsorbing(s)
+        bad = (table[zero, :] != zero) | (table[:, zero] != zero)
+        if bad.any():
+            raise errors.ZeroNotAbsorbing(int(np.flatnonzero(bad)[0]))
 
-    return InvSemigroup(names, table, zero, star, name=name)
+    S = InvSemigroup(names, table, zero, star, name=name)
+    S._generators = gens
+    return S
 
 
 def semigroup_from_json(text: str, name="S") -> InvSemigroup:
@@ -234,34 +307,39 @@ def natural_leq(S: InvSemigroup, s: int, t: int) -> bool:
 def max_group_image(S: InvSemigroup) -> SigmaMap:
     """Quotient by the congruence s ~ t iff se = te for some idempotent e.
 
+    With z the least idempotent (the product of all of them), s ~ t iff
+    sz = tz: se = te gives sz = sez = tez = tz, and e = z is one choice.
     Classes are re-indexed by their least representative; the quotient table
     is validated as a group.  The result is memoized on the semigroup.
     """
     if S._sigma is not None:
         return S._sigma
-    n = len(S)
-    related = np.zeros((n, n), dtype=bool)
-    for e in S.idempotents:
-        col = S.table[:, e]
-        related |= col[:, None] == col[None, :]
-    # the relation is a congruence, hence already transitive; partition by row
-    class_of = [-1] * n
-    reps = []
-    for s in range(n):
-        if class_of[s] >= 0:
-            continue
-        reps.append(s)
-        for t in np.flatnonzero(related[s]):
-            class_of[int(t)] = len(reps) - 1
-    k = len(reps)
-    gtable = np.zeros((k, k), dtype=np.int64)
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            gtable[a, b] = class_of[S.mul(ra, rb)]
+    z = functools.reduce(S.mul, S.idempotents)
+    class_of, reps = first_occurrence_ids(S.table[:, z])
+    gtable = class_of[S.table[np.ix_(reps, reps)]]
     gnames = [f"[{S.names[r]}]" for r in reps]
     G = validate_group(gnames, gtable, name=f"G({S.name})")
-    S._sigma = SigmaMap(S, G, tuple(class_of))
+    S._sigma = SigmaMap(S, G, tuple(class_of.tolist()))
     return S._sigma
+
+
+def first_occurrence_ids(keys):
+    """Number the distinct keys in order of first occurrence.
+
+    Returns ``(ids, firsts)``: ``ids[i]`` is the number of ``keys[i]`` and
+    ``firsts[c]`` the position where key number c first occurs.
+    """
+    keys = np.asarray(keys)
+    order = np.argsort(keys, kind="stable")
+    starts = np.ones(len(keys), dtype=bool)       # a new key in sorted order
+    starts[1:] = keys[order[1:]] != keys[order[:-1]]
+    firsts = order[starts]                         # stable: least position
+    by_first = np.argsort(firsts)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    ids = np.empty_like(order)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return ids, firsts[by_first]
 
 
 def is_e_unitary(S: InvSemigroup) -> bool:
@@ -296,7 +374,9 @@ def meet_sigma(S: InvSemigroup, s: int, t: int, sigma: SigmaMap | None = None) -
     if sigma(s) != sigma(t):
         raise errors.SigmaMismatch(s, t)
     u = S.mul_all(t, S.inv(s), s)
-    assert u == S.mul_all(s, S.inv(t), t)
+    if u != S.mul_all(s, S.inv(t), t):
+        raise errors.InvariantViolation(
+            "t s*s and s t*t must agree in an E-unitary semigroup", (s, t))
     return u
 
 
@@ -420,13 +500,6 @@ def is_idempotent_pure_partial_hom(theta: PartialGroupHom) -> bool:
     return fiber == {e for e in S.idempotents if e != S.zero}
 
 
-def is_idempotent_pure_hom(phi: SemigroupHom) -> bool:
-    """phi(s) idempotent implies s idempotent."""
-    return all(phi.source.is_idempotent(s)
-               for s in range(len(phi.source))
-               if phi.target.is_idempotent(phi(s)))
-
-
 def is_locally_idempotent_pure(phi: SemigroupHom) -> bool:
     """phi restricted to each local monoid eSe is idempotent pure."""
     S, T = phi.source, phi.target
@@ -496,7 +569,8 @@ def eunitary_cover(S: InvSemigroup, theta: PartialGroupHom):
     names = [f"({S.names[s]},{G.names[g]})" for s, g in pairs]
     T = validate_semigroup(names, table, None, name=f"cov({S.name})")
     if not is_e_unitary(T):
-        raise AssertionError("cover construction must be E-unitary")
+        raise errors.InvariantViolation(
+            "cover construction must be E-unitary", T.name)
     ideal = tuple(index[(S.zero, g)] for g in g0)
     Q, qmap = rees_quotient(T, ideal)
     # identify Q with S elementwise: the class of (s, theta(s)) goes to s
@@ -507,5 +581,6 @@ def eunitary_cover(S: InvSemigroup, theta: PartialGroupHom):
             iso[qmap(tid)] = s
     iso_hom = semigroup_hom(Q, S, iso)
     if sorted(iso) != list(range(len(S))):
-        raise AssertionError("quotient of the cover must be isomorphic to S")
+        raise errors.InvariantViolation(
+            "quotient of the cover must be isomorphic to S", tuple(iso))
     return T, ideal, iso_hom

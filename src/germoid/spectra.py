@@ -265,14 +265,6 @@ def hat_map(phi: SemilatticeHom, source_space: CharSpace | None = None,
     return source_space, target_space, mapping
 
 
-def upclosure_filter_oracle(phi: SemilatticeHom, filter_upset):
-    """Brute-force hat: the up-closure of the image of a filter (test oracle)."""
-    E2 = phi.target
-    image = {phi(x) for x in filter_upset}
-    return frozenset(e for e in E2.elements
-                     if any(E2.leq(b, e) for b in image))
-
-
 def check_ks_condition(phi: SemigroupHom):
     """Certificates for the coherence of every corner map eSf -> T.
 

@@ -157,3 +157,246 @@ def semicharacter_beta(S, phi_upset, s):
         return None
     return frozenset(e for e in S.idempotents
                      if S.mul_all(S.inv(s), e, s) in phi_upset)
+
+
+# -- loop versions of the library's vectorized kernels ---------------------------
+#
+# These are the plain scans the kernels replaced.  They raise the same
+# structured errors with the same messages, in the same scan order, so a
+# kernel and its oracle must agree on the verdict, the error type and the
+# witness.
+
+def first_nonassociative_triple(table):
+    """The first (i, j, k) in lexicographic order with (ij)k != i(jk), or
+    None: the full slab scan over all n^3 triples."""
+    import numpy as np
+
+    table = np.asarray(table, dtype=np.int64)
+    n = len(table)
+    chunk = max(1, (1 << 22) // (n * n))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        lhs = table[table[lo:hi, :], :]
+        rhs = table[lo:hi, table]
+        if not np.array_equal(lhs, rhs):
+            bad = np.argwhere(lhs != rhs)[0]
+            return int(bad[0]) + lo, int(bad[1]), int(bad[2])
+    return None
+
+
+def validate_groupoid_loops(g):
+    """The groupoid axioms by exhaustive loops over arrow ids."""
+    from germoid import errors
+
+    n = g.n_arrows
+    for a in range(n):
+        for b in range(n):
+            c = g.compose(a, b)
+            if (g.dom[a] == g.ran[b]) != (c is not None):
+                raise errors.DomainMismatch(
+                    f"composition of {a}, {b} defined on the wrong domain")
+            if c is not None and (g.dom[c] != g.dom[b] or g.ran[c] != g.ran[a]):
+                raise errors.DomainMismatch(
+                    f"composite {a}{b} has the wrong endpoints")
+    for u in range(g.n_units):
+        i = int(g.identity[u])
+        if not (0 <= i < n) or g.dom[i] != u or g.ran[i] != u:
+            raise errors.MissingIdentity(u)
+        for a in range(n):
+            if g.dom[a] == u and g.compose(a, i) != a:
+                raise errors.MissingIdentity(u)
+            if g.ran[a] == u and g.compose(i, a) != a:
+                raise errors.MissingIdentity(u)
+    for a in range(n):
+        ai = int(g.inv[a])
+        if g.dom[ai] != g.ran[a] or g.ran[ai] != g.dom[a] or \
+                g.compose(ai, a) != g.identity[g.dom[a]] or \
+                g.compose(a, ai) != g.identity[g.ran[a]]:
+            raise errors.MissingInverse(a)
+    for a in range(n):
+        for b in range(n):
+            ab = g.compose(a, b)
+            if ab is None:
+                continue
+            for c in range(n):
+                bc = g.compose(b, c)
+                if bc is None:
+                    continue
+                if g.compose(ab, c) != g.compose(a, bc):
+                    raise errors.CompositionNotAssociative(a, b, c)
+    return g
+
+
+def validate_saction_scan(S, maps):
+    """The action checks row by row, then theta_s theta_t = theta_st over
+    every pair (s, t), then the covering of the points."""
+    import numpy as np
+
+    from germoid import errors
+
+    maps = np.asarray(maps, dtype=np.int64)
+    n, m = maps.shape
+
+    def compose(outer, inner):
+        out = np.full_like(inner, -1)
+        defined = inner >= 0
+        out[defined] = outer[inner[defined]]
+        return out
+
+    idx = np.arange(m)
+    for s in range(n):
+        row = maps[s]
+        if row.max(initial=-1) >= m:
+            raise errors.InvalidParams("map image out of range")
+        vals = row[row >= 0]
+        if len(vals) != len(set(vals.tolist())):
+            raise errors.NotBijective(f"theta_{s} is not injective")
+        si = S.inv(s)
+        back = compose(maps[si], row)
+        if not np.array_equal(back >= 0, row >= 0) or \
+                not np.array_equal(back[back >= 0], idx[back >= 0]):
+            raise errors.NotBijective(f"theta_{si} does not invert theta_{s}")
+        if (maps[si] >= 0).sum() != len(vals):
+            raise errors.NotBijective(f"theta_{si} overshoots theta_{s}")
+    for s in range(n):
+        for t in range(n):
+            if not np.array_equal(compose(maps[s], maps[t]), maps[S.mul(s, t)]):
+                raise errors.NotAHomomorphism(
+                    f"theta_{s} theta_{t} != theta_{{s t}}")
+    covered = np.zeros(m, dtype=bool)
+    for e in S.idempotents:
+        covered |= maps[e] >= 0
+    if not covered.all():
+        raise errors.DomainsDontCover(int(np.flatnonzero(~covered)[0]))
+
+
+def germ_classes_by_order(S, action):
+    """Germ classes from the natural order: (s, x) ~ (t, x) iff some u below
+    s and t has x in dom theta_{u*u}, one matrix product per s.  Returns the
+    classes as sorted lists of (s, x), ordered by least member."""
+    import numpy as np
+
+    n, m = len(S), action.n_points
+    leq = np.array([[leq_semigroup(S, s, t) for t in range(n)]
+                    for s in range(n)])
+    below = leq.T.astype(np.int32)            # below[s, u] = (u <= s)
+    dom = np.array([[action(S.mul(S.inv(u), u), x) is not None
+                     for x in range(m)] for u in range(n)], dtype=np.int32)
+    eq_of = {s: ((below * below[s]) @ dom) > 0 for s in range(n)}
+    classes = []
+    for x in range(m):
+        local = []
+        for s in range(n):
+            if not dom[s, x]:
+                continue
+            for cls in local:
+                if eq_of[s][cls[0], x]:
+                    cls.append(s)
+                    break
+            else:
+                local.append([s])
+        classes += [[(s, x) for s in cls] for cls in local]
+    return sorted(classes)
+
+
+def validate_semigroup_scan(table, zero=None):
+    """The semigroup checks of ``validate_semigroup`` in their order: the
+    full associativity scan, unique inverses, commuting idempotents, an
+    absorbing zero."""
+    import numpy as np
+
+    from germoid import errors
+
+    table = np.asarray(table, dtype=np.int64)
+    n = len(table)
+    bad = first_nonassociative_triple(table)
+    if bad is not None:
+        raise errors.NotAssociative(*bad)
+    for s in range(n):
+        cands = [t for t in range(n)
+                 if table[table[s, t], s] == s and table[table[t, s], t] == t]
+        if len(cands) != 1:
+            raise errors.NoUniqueInverse(s, len(cands))
+    idem = [e for e in range(n) if table[e, e] == e]
+    for e in idem:
+        for f in idem:
+            if table[e, f] != table[f, e]:
+                raise errors.IdempotentsDontCommute(e, f)
+    if zero is not None:
+        for s in range(n):
+            if table[zero, s] != zero or table[s, zero] != zero:
+                raise errors.ZeroNotAbsorbing(s)
+
+
+def validate_partial_action_loops(G, maps):
+    """The partial group action checks by loops over group elements and
+    points, in the order of ``validate_partial_action``."""
+    import numpy as np
+
+    from germoid import errors
+
+    maps = np.asarray(maps, dtype=np.int64)
+    m = maps.shape[1]
+
+    def theta(g, x):
+        y = int(maps[g, x])
+        return y if y >= 0 else None
+
+    if any(theta(G.identity, x) != x for x in range(m)):
+        raise errors.IdentityNotTotal("theta(1) must be the identity of X")
+    for g in range(len(G)):
+        vals = [y for y in maps[g] if y >= 0]
+        if len(vals) != len(set(vals)):
+            raise errors.NotBijective(f"theta({g}) is not injective")
+        gi = G.inv(g)
+        for x in range(m):
+            y = theta(g, x)
+            if y is not None and theta(gi, y) != x:
+                raise errors.InverseMismatch(g)
+        if sorted(vals) != sorted(
+                x for x in range(m) if theta(gi, x) is not None):
+            raise errors.InverseMismatch(g)
+    for g in range(len(G)):
+        for h in range(len(G)):
+            gh = G.mul(g, h)
+            for x in range(m):
+                hx = theta(h, x)
+                if hx is None:
+                    continue
+                y = theta(g, hx)
+                if y is not None and theta(gh, x) != y:
+                    raise errors.NotDualPrehom(g, h)
+
+
+def validate_space_action_loops(action):
+    """The groupoid space action checks by loops over arrows and points."""
+    from germoid import errors
+
+    h = action.groupoid
+    for x in range(action.n_points):
+        if not 0 <= action.anchor[x] < h.n_units:
+            raise errors.InvalidAction(f"anchor of point {x} out of range")
+        if action(int(h.identity[action.anchor[x]]), x) != x:
+            raise errors.InvalidAction(f"identity does not fix point {x}")
+    for a in range(h.n_arrows):
+        for x in range(action.n_points):
+            defined = h.dom[a] == action.anchor[x]
+            y = action(a, x)
+            if defined != (y is not None):
+                raise errors.InvalidAction(
+                    f"arrow {a} defined on the wrong points")
+            if y is not None and action.anchor[y] != h.ran[a]:
+                raise errors.InvalidAction(
+                    f"anchor not equivariant at arrow {a}, point {x}")
+    for a in range(h.n_arrows):
+        for b in range(h.n_arrows):
+            ab = h.compose(a, b)
+            if ab is None:
+                continue
+            for x in range(action.n_points):
+                bx = action(b, x)
+                if bx is None:
+                    continue
+                if action(a, bx) != action(ab, x):
+                    raise errors.InvalidAction(
+                        f"action not functorial at ({a},{b},{x})")
