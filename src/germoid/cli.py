@@ -15,18 +15,18 @@ from pathlib import Path
 
 from . import errors
 from .fixtures import generate_fixture
-from .semigroups import InvSemigroup, semigroup_from_json
+from .semigroups import InvSemigroup, semigroup_from_json, size_limit
 from .verify import analyze, groupoid_variant, run_suite
 
 
 def _load(path: str) -> InvSemigroup:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")
     try:
         return semigroup_from_json(text, name=Path(path).stem)
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise SystemExit2(f"cannot parse {path}: {exc}")
     except errors.ValidationError as exc:
         raise SystemExit2(f"invalid semigroup in {path}: {exc}")
@@ -162,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        size_limit()                # a malformed setting is an input error
         return args.fn(args)
-    except SystemExit2 as exc:
+    except (SystemExit2, errors.MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -14,6 +14,11 @@ class ValidationError(GermoidError):
     """Base class for rejections of malformed algebraic input."""
 
 
+class MalformedInput(ValidationError):
+    """Input that does not follow the file format or a setting's syntax:
+    wrong JSON shape, non-integer or out-of-range ids, a bad size limit."""
+
+
 class InvariantViolation(GermoidError):
     """An internal invariant of a construction failed: a bug, not bad input.
 

@@ -36,6 +36,7 @@ class FiniteGroupoid:
         self.arrow_labels = tuple(arrow_labels) if arrow_labels else tuple(
             f"a{i}" for i in range(len(self.dom)))
         self.name = name
+        self.validated = False     # set once validate_groupoid passes
         self._comp_table = None
         for arr in (self.dom, self.ran, self.inv, self.identity):
             arr.setflags(write=False)
@@ -135,19 +136,20 @@ def _first(mask) -> int:
     return int(np.flatnonzero(mask.ravel())[0])
 
 
-def _arrows_ending_at(units, ran, n_units):
-    """The arrows ending at each of ``units``, in id order, flattened.
+def arrows_at(units, ends, n_units):
+    """The arrows a with ``ends[a]`` equal to each of ``units``, in id
+    order, flattened; ``ends`` is ``ran`` or ``dom``.
 
-    Returns ``(counts, arrows)``: ``counts[i]`` arrows end at ``units[i]``,
-    and they follow one another in ``arrows``.
+    Returns ``(counts, arrows)``: ``counts[i]`` arrows have ``units[i]`` as
+    that end, and they follow one another in ``arrows``.
     """
-    by_ran = np.argsort(ran, kind="stable")
-    per_unit = np.bincount(ran, minlength=n_units)
+    by_end = np.argsort(ends, kind="stable")
+    per_unit = np.bincount(ends, minlength=n_units)
     start = np.cumsum(per_unit) - per_unit
     counts = per_unit[units]
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
                                                   counts)
-    return counts, by_ran[np.repeat(start[units], counts) + offsets]
+    return counts, by_end[np.repeat(start[units], counts) + offsets]
 
 
 def compose_by_label(n_units, labels, dom, ran, product, arrow_at) -> dict:
@@ -160,7 +162,7 @@ def compose_by_label(n_units, labels, dom, ran, product, arrow_at) -> dict:
     order of (a, b).
     """
     labels, dom, ran = (np.asarray(v, dtype=np.int64) for v in (labels, dom, ran))
-    counts, b = _arrows_ending_at(dom, ran, n_units)
+    counts, b = arrows_at(dom, ran, n_units)
     a = np.repeat(np.arange(len(dom)), counts)
     c = arrow_at[product[labels[a], labels[b]], dom[b]]
     return dict(zip(zip(a.tolist(), b.tolist()), c.tolist()))
@@ -229,13 +231,14 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     step = max(1, CHUNK // max(int(per_pair.max(initial=1)), 1))
     for lo in range(0, len(a), step):
         pa, pb = a[lo:lo + step], b[lo:lo + step]
-        counts, tc = _arrows_ending_at(dom[pb], ran, n_units)
+        counts, tc = arrows_at(dom[pb], ran, n_units)
         ta, tb = np.repeat(pa, counts), np.repeat(pb, counts)
         bad = table[table[ta, tb], tc] != table[ta, table[tb, tc]]
         if bad.any():
             i = _first(bad)
             raise errors.CompositionNotAssociative(
                 int(ta[i]), int(tb[i]), int(tc[i]))
+    g.validated = True
     return g
 
 
@@ -662,6 +665,34 @@ def semidirect_projection(sd: FiniteGroupoid, h: FiniteGroupoid) -> GroupoidFunc
     return groupoid_functor(sd, h, unit_map, arrow_map)
 
 
+def equivalence_classes(items, related):
+    """The classes of the equivalence on ``items`` generated by the pairs in
+    ``related``, by union-find.
+
+    ``items`` must be in increasing order.  Returns ``(classes, index)``:
+    ``classes`` lists each class's members in that order, so each class
+    starts with its least member, and the classes are ordered by it
+    whichever roots the unions chose; ``index`` maps every item to the
+    number of its class.
+    """
+    parent = {p: p for p in items}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for p, q in related:
+        rp, rq = find(p), find(q)
+        parent[rp] = rq
+    members = {}
+    for p in items:
+        members.setdefault(find(p), []).append(p)
+    number = {root: i for i, root in enumerate(members)}
+    return list(members.values()), {p: number[find(p)] for p in items}
+
+
 def enveloping_action_of_functor(F: GroupoidFunctor):
     """The enveloping H-space of a faithful functor F: G -> H.
 
@@ -677,34 +708,19 @@ def enveloping_action_of_functor(F: GroupoidFunctor):
             "enveloping action needs a faithful functor")
     pairs = [(a, e) for a in range(h.n_arrows) for e in range(g.n_units)
              if h.dom[a] == F.unit_map[e]]
-    # union-find over the equivalence generated by arrows of g
-    parent = {p: p for p in pairs}
 
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
+    def related():
+        for (a, e) in pairs:
+            for arr in range(g.n_arrows):
+                if g.dom[arr] != e:
+                    continue
+                # (a, e) ~ (k, f) when F(arr) = k^{-1} a, i.e. k = a F(arr)^{-1}
+                k = h.compose(a, int(h.inv[F(arr)]))
+                if k is not None:
+                    yield (a, e), (k, int(g.ran[arr]))
 
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[max(rp, rq)] = min(rp, rq)
-
-    for (a, e) in pairs:
-        for arr in range(g.n_arrows):
-            if g.dom[arr] != e:
-                continue
-            f = int(g.ran[arr])
-            # (a, e) ~ (k, f) when F(arr) = k^{-1} a, i.e. k = a F(arr)^{-1}
-            k = h.compose(a, int(h.inv[F(arr)]))
-            if k is not None:
-                union((a, e), (k, f))
-    classes = {}
-    for p in pairs:
-        classes.setdefault(find(p), []).append(p)
-    reps = sorted(classes)
-    class_index = {p: reps.index(find(p)) for p in pairs}
+    classes, class_index = equivalence_classes(pairs, related())
+    reps = [cls[0] for cls in classes]
     labels = [f"[{h.arrow_labels[a]},{g.unit_labels[e]}]" for a, e in reps]
     anchor = [int(h.ran[a]) for a, e in reps]
     act = np.full((h.n_arrows, len(reps)), -1, dtype=np.int64)
@@ -722,4 +738,4 @@ def enveloping_action_of_functor(F: GroupoidFunctor):
         x = unit_map[g.dom[arr]]
         arrow_map.append(sd.pair_index[(F(arr), x)])
     alpha = groupoid_functor(g, sd, unit_map, arrow_map)
-    return action, alpha, sd, {reps.index(r): cls for r, cls in classes.items()}
+    return action, alpha, sd, dict(enumerate(classes))

@@ -3,9 +3,10 @@ regular representations, the basis intertwiner, covariant representations,
 groupoid convolution algebras, and the center in the role of a desk-scale
 Morita invariant.
 
-Representation matrices are exact 0/1 integer arrays and all comparisons on
-them are exact; floating point appears only in the commutant solve, where
-singular values below 1e-10 count as zero.
+Representation matrices are exact 0/1 integer arrays, and no floating point
+remains: the intertwining identity is checked by index gathers, the center
+dimension is a count of isotropy conjugacy classes, and the one rank test is
+an integer elimination.
 """
 
 from __future__ import annotations
@@ -15,27 +16,33 @@ import json
 import numpy as np
 
 from . import errors
-from .groupoids import FiniteGroupoid, GroupoidFunctor
+from .groupoids import (
+    FiniteGroupoid,
+    GroupoidFunctor,
+    arrows_at,
+    validate_groupoid,
+)
 from .partial_actions import PartialGroupAction, theta_from_sigma
-from .semigroups import InvSemigroup, SigmaMap, is_e_unitary, max_group_image
+from .semigroups import (
+    CHUNK,
+    InvSemigroup,
+    SigmaMap,
+    is_e_unitary,
+    max_group_image,
+)
 from .spectra import d_set, enumerate_filters
-
-SV_TOLERANCE = 1e-10
 
 
 def left_regular_rep(S: InvSemigroup) -> dict:
     """The 0/1 matrices L_s with L_s e_t = e_{st} iff s*s t = t."""
     n = len(S)
-    out = {}
-    for s in range(n):
-        ss = S.mul(S.inv(s), s)
-        mat = np.zeros((n, n), dtype=np.int64)
-        for t in range(n):
-            if S.mul(ss, t) == t:
-                mat[S.mul(s, t), t] = 1
-        mat.setflags(write=False)
-        out[s] = mat
-    return out
+    ids = np.arange(n)
+    ss = S.table[S.star, ids]
+    s, t = np.nonzero(S.table[ss] == ids)          # s*s t = t
+    mats = np.zeros((n, n, n), dtype=np.int64)
+    mats[s, S.table[s, t], t] = 1
+    mats.setflags(write=False)
+    return dict(enumerate(mats))
 
 
 def pair_basis(S: InvSemigroup, sigma: SigmaMap):
@@ -82,48 +89,67 @@ def covariant_rep(S: InvSemigroup, sigma: SigmaMap | None = None,
         theta = theta_from_sigma(S, sigma)
     G = sigma.group
     space = theta.space
-    index, _ = pair_basis(S, sigma)
-    dim = len(index)
-    out = {}
-    for s in range(len(S)):
-        ssi = S.mul(s, S.inv(s))
-        dss = d_set(space, ssi)
-        mat = np.zeros((dim, dim), dtype=np.int64)
-        for (e, g), col in index.items():
-            h = G.mul(sigma(s), g)
-            fe = space.index_of(e)
-            img = theta(h, fe)
-            if img is not None and img in dss:
-                mat[index[(e, h)], col] = 1
-        mat.setflags(write=False)
-        out[s] = mat
-    return out
+    n, k, m = len(S), len(S.idempotents), len(G)
+    ids = np.arange(n)
+    mins = np.asarray(space.mins, dtype=np.int64)
+    fe = np.array([space.index_of(e) for e in S.idempotents], dtype=np.int64)
+    ssi = S.table[ids, S.star]
+    in_d = S.table[mins[None, :], ssi[:, None]] == mins   # [s, x]: x in D(ss*)
+    h = G.table[np.asarray(sigma.classmap)]                # h[s, g] = sigma(s) g
+    img = theta.maps[h[:, None, :], fe[None, :, None]]     # [s, e, g]
+    hit = (img >= 0) & in_d[ids[:, None, None], np.maximum(img, 0)]
+    s, e, g = np.nonzero(hit)
+    mats = np.zeros((n, k * m, k * m), dtype=np.int64)
+    mats[s, e * m + h[s, g], e * m + g] = 1
+    mats.setflags(write=False)
+    return dict(enumerate(mats))
 
 
 def check_rep_conditions(S: InvSemigroup) -> bool:
     """The three order conditions behind the intertwining identity agree:
-    s*s t = t, t*t = t*s*s t, and t*t <= t*s*s t, for every pair."""
-    for s in range(len(S)):
-        for t in range(len(S)):
-            tt = S.mul(S.inv(t), t)
-            w = S.mul_all(S.inv(t), S.inv(s), s, t)
-            c1 = S.mul_all(S.inv(s), s, t) == t
-            c2 = tt == w
-            c3 = tt == S.mul(tt, w)  # t*t <= w, both idempotent
-            if not (c1 == c2 == c3):
-                return False
+    s*s t = t, t*t = t*s*s t, and t*t <= t*s*s t, for every pair.
+
+    Each condition is a boolean |S| x |S| array over (s, t), computed in
+    row blocks of at most ``CHUNK`` entries.
+    """
+    n = len(S)
+    ids = np.arange(n)
+    table, star = S.table, S.star
+    ss = table[star, ids]                    # s*s, and t*t by column
+    rows = max(1, CHUNK // n)
+    for lo in range(0, n, rows):
+        s = ids[lo:lo + rows, None]
+        w = table[table[table[star[None, :], star[s]], s], ids]  # t*s*s t
+        c1 = table[ss[s], ids] == ids
+        c2 = w == ss
+        c3 = table[ss[None, :], w] == ss     # t*t <= w, both idempotent
+        if ((c1 != c2) | (c2 != c3)).any():
+            return False
     return True
 
 
 def check_intertwining(U, lambdas: dict, covs: dict) -> bool:
-    """Exact matrix check that U is a 0/1 isometry and U L_s = A_s U for all s."""
+    """Exact check that U is a 0/1 isometry and U L_s = A_s U for all s.
+
+    A 0/1 matrix U has U*U = I exactly when every column holds a single 1
+    and those ones sit in distinct rows u[0], ..., u[n-1].  Such a U
+    scatters basis vector j to u[j], so (U L)[u[j], t] = L[j, t] and the
+    rows of U L off u are zero, while (A U)[i, t] = A[i, u[t]] gathers
+    columns.  Hence U L_s = A_s U iff L_s = A_s[u][:, u] and A_s[i, u[t]]
+    = 0 for every row i off u: an exact identity for any integer L_s and
+    A_s, at O(|u|^2) reads per s instead of two dense products.
+    """
     U = np.asarray(U)
-    if not set(np.unique(U)) <= {0, 1}:
+    if not ((U == 0) | (U == 1)).all() or (U.sum(axis=0) != 1).any():
         return False
-    if not np.array_equal(U.T @ U, np.eye(U.shape[1], dtype=U.dtype)):
+    u = U.argmax(axis=0)
+    off = np.ones(U.shape[0], dtype=bool)
+    off[u] = False
+    if off.sum() != U.shape[0] - U.shape[1]:          # two ones in one row
         return False
     for s, lam in lambdas.items():
-        if not np.array_equal(U @ lam, covs[s] @ U):
+        A = np.asarray(covs[s])
+        if not np.array_equal(lam, A[np.ix_(u, u)]) or A[off][:, u].any():
             return False
     return True
 
@@ -153,27 +179,6 @@ class ConvolutionAlgebra:
         self.inv = tuple(int(x) for x in groupoid.inv)
         self.labels = groupoid.arrow_labels
 
-    def product_matrix(self, a: int) -> np.ndarray:
-        """Left multiplication by basis element a, as a dim x dim matrix."""
-        mat = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for b in range(self.dim):
-            c = self.mult.get((a, b))
-            if c is not None:
-                mat[c, b] = 1
-        return mat
-
-    def multiply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=f.dtype)
-        for (a, b), c in self.mult.items():
-            out[c] += f[a] * g[b]
-        return out
-
-    def involution(self, f: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=f.dtype)
-        for a in range(self.dim):
-            out[self.inv[a]] = np.conj(f[a])
-        return out
-
     def to_json(self) -> str:
         return json.dumps({
             "dim": self.dim,
@@ -184,39 +189,42 @@ class ConvolutionAlgebra:
 
 
 def convolution_algebra(g: FiniteGroupoid) -> ConvolutionAlgebra:
-    """Structure constants from arrow composition; associativity and the
-    involution law are rechecked exactly on the basis."""
-    alg = ConvolutionAlgebra(g)
-    for (a, b), c in alg.mult.items():
-        if alg.mult.get((alg.inv[b], alg.inv[a])) != alg.inv[c]:
-            raise errors.InvalidParams("involution is not antimultiplicative")
-        for d in range(alg.dim):
-            bd = alg.mult.get((b, d))
-            cd = alg.mult.get((c, d))
-            if (bd is None) != (cd is None):
-                raise errors.CompositionNotAssociative(a, b, d)
-            if bd is not None and alg.mult.get((a, bd)) != cd:
-                raise errors.CompositionNotAssociative(a, b, d)
-    return alg
+    """Structure constants from arrow composition.
+
+    The groupoid axioms make the product associative and the involution
+    antimultiplicative, so the algebra needs only a groupoid that
+    ``validate_groupoid`` has passed; one built by hand is validated here.
+    """
+    if not g.validated:
+        validate_groupoid(g)
+    return ConvolutionAlgebra(g)
 
 
-def center_dimension(alg: ConvolutionAlgebra, tol: float = SV_TOLERANCE) -> int:
-    """dim{z : za = az for all a}, from the nullity of the commutant system."""
-    if alg.dim == 0:
-        return 0
-    rows = []
-    for a in range(alg.dim):
-        la = alg.product_matrix(a)
-        ra = np.zeros((alg.dim, alg.dim), dtype=np.int64)
-        for b in range(alg.dim):
-            c = alg.mult.get((b, a))
-            if c is not None:
-                ra[c, b] = 1
-        rows.append(la - ra)
-    system = np.vstack(rows).astype(np.float64)
-    sv = np.linalg.svd(system, compute_uv=False)
-    rank = int((sv > tol).sum())
-    return alg.dim - rank
+def center_dimension(alg: ConvolutionAlgebra) -> int:
+    """dim{z : za = az for all a}, as a count of isotropy conjugacy classes.
+
+    The algebra of a finite groupoid is the direct sum, over its orbits, of
+    matrix algebras M_k(CH_u) over the isotropy group algebras, so its
+    center has dimension the sum over orbits of the number of conjugacy
+    classes of H_u (Steinberg, *A groupoid approach to discrete inverse
+    semigroup algebras*, Adv. Math. 223 (2010)).  Those classes, taken over
+    a whole orbit, are the classes of isotropy arrows a under a -> x a x^{-1}
+    with x ranging over the arrows with dom x = dom a; each class is
+    labelled by its least arrow, and the labels are counted.  No linear
+    algebra is involved, so the count is exact.
+    """
+    g = alg.groupoid
+    table = g.comp_table
+    iso = np.flatnonzero(g.dom == g.ran)
+    label = np.empty(len(iso), dtype=np.int64)
+    step = max(1, CHUNK // max(g.n_arrows, 1))
+    for lo in range(0, len(iso), step):
+        a = iso[lo:lo + step]
+        counts, x = arrows_at(g.dom[a], g.dom, g.n_units)
+        conj = table[table[x, np.repeat(a, counts)], g.inv[x]]
+        starts = np.cumsum(counts) - counts
+        label[lo:lo + step] = np.minimum.reduceat(conj, starts)
+    return len(np.unique(label))
 
 
 def algebra_map_from_functor(F: GroupoidFunctor):
@@ -238,6 +246,25 @@ def algebra_map_from_functor(F: GroupoidFunctor):
     for a in range(src.n_arrows):
         mat[F(a), a] = 1
     return mat
+
+
+def integer_rank(mat) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination on
+    Python integers: every division is exact, so no tolerance is needed."""
+    rows = [[int(x) for x in row] for row in np.asarray(mat)]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            rows[r] = [(top[c] * x - rows[r][c] * y) // prev
+                       for x, y in zip(rows[r], top)]
+        prev = top[c]
+        rank += 1
+    return rank
 
 
 def gelfand_check(S: InvSemigroup) -> bool:
@@ -270,7 +297,7 @@ def gelfand_check(S: InvSemigroup) -> bool:
                 target[x] = 1
             if not np.array_equal(prod, target):
                 return False
-    if np.linalg.matrix_rank(ind.astype(np.float64)) != k:
+    if integer_rank(ind) != k:
         return False
     # the semilattice regular representation, conjugated by the bijection
     # t -> t^, is diagonal with the indicator entries

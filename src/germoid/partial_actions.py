@@ -17,6 +17,7 @@ from .groupoids import (
     action_groupoid,
     cocycle_faithfulness_map,
     enveloping_action_of_functor,
+    equivalence_classes,
     functor_report,
     groupoid_functor,
     reduction,
@@ -220,30 +221,17 @@ def enveloping_group_action(theta: PartialGroupAction) -> EnvelopeResult:
     """
     G = theta.group
     pairs = [(g, x) for g in range(len(G)) for x in range(theta.n_points)]
-    parent = {p: p for p in pairs}
 
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
+    def related():
+        for g, x in pairs:
+            for h in range(len(G)):
+                # (g, x) ~ (h, y) iff theta(h^{-1} g) is defined at x
+                y = theta(G.mul(G.inv(h), g), x)
+                if y is not None:
+                    yield (g, x), (h, y)
 
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[max(rp, rq)] = min(rp, rq)
-
-    for g, x in pairs:
-        for h in range(len(G)):
-            # (g, x) ~ (h, y) iff theta(h^{-1} g) is defined at x
-            y = theta(G.mul(G.inv(h), g), x)
-            if y is not None:
-                union((g, x), (h, y))
-    classes = {}
-    for p in pairs:
-        classes.setdefault(find(p), []).append(p)
-    reps = sorted(classes)
-    cidx = {p: reps.index(find(p)) for p in pairs}
+    classes, cidx = equivalence_classes(pairs, related())
+    reps = [cls[0] for cls in classes]
     k = len(reps)
     glob = np.zeros((len(G), k), dtype=np.int64)
     for g in range(len(G)):
@@ -276,7 +264,7 @@ def enveloping_group_action(theta: PartialGroupAction) -> EnvelopeResult:
     inclusion = groupoid_functor(small, big, unit_map, arrow_map)
     report = functor_report(inclusion)
     return EnvelopeResult(theta, global_action, embedding,
-                          tuple(tuple(sorted(classes[r])) for r in reps),
+                          tuple(map(tuple, classes)),
                           inclusion, report)
 
 

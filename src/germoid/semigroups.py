@@ -21,7 +21,14 @@ DEFAULT_SIZE_LIMIT = 4096
 
 
 def size_limit() -> int:
-    return int(os.environ.get("GERMOID_SIZE_LIMIT", DEFAULT_SIZE_LIMIT))
+    text = os.environ.get("GERMOID_SIZE_LIMIT")
+    if text is None:
+        return DEFAULT_SIZE_LIMIT
+    try:
+        return int(text)
+    except ValueError:
+        raise errors.MalformedInput(
+            f"GERMOID_SIZE_LIMIT must be an integer, not {text!r}") from None
 
 
 def check_size(n: int) -> None:
@@ -274,9 +281,35 @@ def validate_semigroup(names, table, zero=None, name="S") -> InvSemigroup:
 
 
 def semigroup_from_json(text: str, name="S") -> InvSemigroup:
+    """Parse and validate ``{"elements": [names], "table": [[ids]], "zero":
+    id or null}``.
+
+    The schema is checked before the algebra, on the whole table at once:
+    it must convert to a square integer array with entries in range, so a
+    ragged table, or one holding strings, floats or booleans, raises
+    ``MalformedInput`` and is never truncated or coerced.
+    """
     data = json.loads(text)
-    return validate_semigroup(
-        data["elements"], data["table"], data.get("zero"), name=name)
+    if not isinstance(data, dict):
+        raise errors.MalformedInput("a semigroup file holds one JSON object")
+    names = data.get("elements")
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise errors.MalformedInput('"elements" must be a list of names')
+    n = len(names)
+    not_square = errors.MalformedInput(
+        f'"table" must be a {n}x{n} array of integer element ids')
+    try:
+        table = np.asarray(data.get("table"))
+    except ValueError:                       # ragged nesting
+        raise not_square from None
+    if table.dtype.kind not in "iu" or table.shape != (n, n) or n == 0:
+        raise not_square
+    if table.min() < 0 or table.max() >= n:
+        raise errors.MalformedInput('"table" entries must be ids in range')
+    zero = data.get("zero")
+    if zero is not None and (type(zero) is not int or not 0 <= zero < n):
+        raise errors.MalformedInput('"zero" must be null or an element id')
+    return validate_semigroup(names, table, zero, name=name)
 
 
 def validate_group(names, table, name="G") -> FiniteGroup:

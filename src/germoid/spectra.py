@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .semigroups import InvSemigroup, SemigroupHom, natural_leq
+from .semigroups import InvSemigroup, SemigroupHom
 
 
 class Semilattice:
@@ -271,15 +271,33 @@ def check_ks_condition(phi: SemigroupHom):
     For each pair of idempotents e, f of the source and each t in the target,
     computes the generating antichain of ``{s in eSf : phi(s) <= t}``.  The
     boolean is vacuously true here; the antichains are the content.
+
+    Per (e, f) everything is a boolean array over the corner: ``leq`` is the
+    natural order of S on it, and ``pre[c, t]`` says phi(corner[c]) <= t,
+    read off the natural order of T through ``phi.map``.  A preimage that is
+    not a downset raises ``NotADownset`` at its least failing member; the
+    generators of each preimage are its members with no other member above.
     """
     S, T = phi.source, phi.target
-    PS = Poset.of_semigroup(S)
+    below_t = T.leq_matrix()[np.asarray(phi.map, dtype=np.int64)]  # [s, t]
+    leq_s = S.leq_matrix()
     certs = {}
     for e in S.idempotents:
         for f in S.idempotents:
-            corner = sorted({S.mul_all(e, s, f) for s in range(len(S))})
-            sub = Poset(corner, PS.leq)
+            corner = np.unique(S.table[S.table[e], f])
+            leq = leq_s[np.ix_(corner, corner)]           # [y, x]: y <= x
+            pre = below_t[corner]                         # [c, t]
+            # [t, x]: x is in the preimage of t but something below it is not
+            escapes = ((~pre).T.astype(np.int64) @ leq.astype(np.int64) > 0) \
+                & pre.T
+            if escapes.any():
+                t, x = np.argwhere(escapes)[0]
+                y = np.flatnonzero(leq[:, x] & ~pre[:, t])[0]
+                raise errors.NotADownset(int(corner[x]), int(corner[y]))
+            above = leq & ~np.eye(len(corner), dtype=bool)  # [x, y]: x < y
+            maximal = pre & (above.astype(np.int64) @ pre.astype(np.int64) == 0)
             for t in range(len(T)):
-                pre = {s for s in corner if natural_leq(T, phi(s), t)}
-                certs[(e, f, t)] = downset_generators(sub, pre)
+                certs[(e, f, t)] = DownsetCertificate(
+                    tuple(corner[maximal[:, t]].tolist()),
+                    frozenset(corner[pre[:, t]].tolist()))
     return True, certs

@@ -400,3 +400,122 @@ def validate_space_action_loops(action):
                 if action(a, bx) != action(ab, x):
                     raise errors.InvalidAction(
                         f"action not functorial at ({a},{b},{x})")
+
+
+# -- the representation layer and the KS certificates, by loops and dense algebra --
+
+def left_regular_rep_loops(S):
+    """L_s e_t = e_{st} iff s*s t = t, one entry at a time."""
+    import numpy as np
+
+    n = len(S)
+    out = {}
+    for s in range(n):
+        ss = S.mul(S.inv(s), s)
+        mat = np.zeros((n, n), dtype=np.int64)
+        for t in range(n):
+            if S.mul(ss, t) == t:
+                mat[S.mul(s, t), t] = 1
+        out[s] = mat
+    return out
+
+
+def covariant_rep_loops(S, sigma, theta):
+    """A_s (e_e (x) e_g) = [theta(sigma(s) g) maps e^ into D(ss*)]
+    e_e (x) e_{sigma(s) g}, one basis vector at a time."""
+    import numpy as np
+
+    from germoid.matrixrep import pair_basis
+    from germoid.spectra import d_set
+
+    G = sigma.group
+    space = theta.space
+    index, _ = pair_basis(S, sigma)
+    out = {}
+    for s in range(len(S)):
+        dss = d_set(space, S.mul(s, S.inv(s)))
+        mat = np.zeros((len(index), len(index)), dtype=np.int64)
+        for (e, g), col in index.items():
+            h = G.mul(sigma(s), g)
+            img = theta(h, space.index_of(e))
+            if img is not None and img in dss:
+                mat[index[(e, h)], col] = 1
+        out[s] = mat
+    return out
+
+
+def check_rep_conditions_loops(S):
+    """s*s t = t, t*t = t*s*s t and t*t <= t*s*s t agree, pair by pair."""
+    for s in range(len(S)):
+        for t in range(len(S)):
+            tt = S.mul(S.inv(t), t)
+            w = S.mul_all(S.inv(t), S.inv(s), s, t)
+            c1 = S.mul_all(S.inv(s), s, t) == t
+            c2 = tt == w
+            c3 = tt == S.mul(tt, w)
+            if not (c1 == c2 == c3):
+                return False
+    return True
+
+
+def check_intertwining_dense(U, lambdas, covs):
+    """U is a 0/1 isometry and U L_s = A_s U, by dense matrix products."""
+    import numpy as np
+
+    U = np.asarray(U)
+    if not set(np.unique(U)) <= {0, 1}:
+        return False
+    if not np.array_equal(U.T @ U, np.eye(U.shape[1], dtype=U.dtype)):
+        return False
+    return all(np.array_equal(U @ lam, covs[s] @ U)
+               for s, lam in lambdas.items())
+
+
+def product_matrix(alg, a):
+    """Left multiplication by basis element a, as a dim x dim matrix."""
+    import numpy as np
+
+    mat = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+    for b in range(alg.dim):
+        c = alg.mult.get((a, b))
+        if c is not None:
+            mat[c, b] = 1
+    return mat
+
+
+def center_dimension_svd(alg, tol=1e-10):
+    """dim{z : za = az for all a}: the nullity of the stacked commutant
+    system [L_a - R_a], from its singular values."""
+    import numpy as np
+
+    if alg.dim == 0:
+        return 0
+    rows = []
+    for a in range(alg.dim):
+        ra = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+        for b in range(alg.dim):
+            c = alg.mult.get((b, a))
+            if c is not None:
+                ra[c, b] = 1
+        rows.append(product_matrix(alg, a) - ra)
+    sv = np.linalg.svd(np.vstack(rows).astype(np.float64), compute_uv=False)
+    return alg.dim - int((sv > tol).sum())
+
+
+def check_ks_condition_by_sets(phi):
+    """The KS certificates set by set: each corner eSf as a sub-poset and
+    each preimage {s in eSf : phi(s) <= t} through ``downset_generators``."""
+    from germoid.semigroups import natural_leq
+    from germoid.spectra import Poset, downset_generators
+
+    S, T = phi.source, phi.target
+    PS = Poset.of_semigroup(S)
+    certs = {}
+    for e in S.idempotents:
+        for f in S.idempotents:
+            corner = sorted({S.mul_all(e, s, f) for s in range(len(S))})
+            sub = Poset(corner, PS.leq)
+            for t in range(len(T)):
+                pre = {s for s in corner if natural_leq(T, phi(s), t)}
+                certs[(e, f, t)] = downset_generators(sub, pre)
+    return True, certs

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germoid import cli
 from germoid import fixtures as fx
@@ -214,3 +218,89 @@ class TestVerifyCmd:
         assert all(l["pass"] for l in lines)
         assert any(l["skipped"] for l in lines)  # skips reported, not dropped
         assert all(l["reason"] for l in lines if l["skipped"])
+
+
+# -- malformed input: exit 2, never a traceback ----------------------------------
+
+PRESET_TEXTS = [fx.PRESETS[p]().to_json() for p in ("chain2", "b2", "s3", "i2")]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) |
+    st.floats(allow_nan=False) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) |
+    st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4)
+
+
+def verify_exit(path):
+    """Exit code of ``verify --suite all`` on one file, output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["verify", "--suite", "all", str(path)])
+
+
+def verify_text(path, text):
+    path.write_text(text)
+    return verify_exit(path)
+
+
+@pytest.mark.parametrize("doc", [
+    {"elements": ["a", "b"], "table": [[0, 1], [1]], "zero": None},
+    {"elements": ["0", "1"], "table": [[0, 0], [0, 1]], "zero": True},
+    {"elements": ["0", "1"], "table": [[0, 0], [0, 1]], "zero": "0"},
+    {"elements": ["0", "1"], "table": [[0, 0], [0, 1]], "zero": 2},
+    [["0"]],
+    {"elements": ["a"], "table": [["0"]]},
+    {"elements": ["a", "b"], "table": [[0, 0.5], [1, 0]]},
+    {"elements": ["a"], "table": [[0.0]]},
+    {"elements": ["a"], "table": [[True]]},
+    {"elements": ["a"], "table": [[2 ** 63]]},
+    {"elements": [], "table": []},
+    {"elements": [0], "table": [[0]]},
+    {"table": [[0]]},
+])
+def test_malformed_semigroup_exits_2(tmp_path, doc):
+    assert verify_text(tmp_path / "bad.json", json.dumps(doc)) == 2
+
+
+def test_undecodable_or_too_deeply_nested_file_exits_2(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe not text")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert verify_exit(binary) == 2
+    assert verify_exit(deep) == 2
+
+
+def test_malformed_size_limit_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("GERMOID_SIZE_LIMIT", "abc")
+    assert verify_text(tmp_path / "ok.json", PRESET_TEXTS[0]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_fixture_json_exits_0_or_2(tmp_path_factory, data):
+    doc = json.loads(data.draw(st.sampled_from(PRESET_TEXTS), label="preset"))
+    n = len(doc["elements"])
+    kind = data.draw(st.sampled_from(
+        ["entry", "row", "drop-entry", "zero", "name", "drop-key", "document"]),
+        label="kind")
+    if kind == "entry":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        doc["table"][i][j] = data.draw(json_values, label="value")
+    elif kind == "row":
+        doc["table"][data.draw(st.integers(0, n - 1))] = \
+            data.draw(json_values, label="row")
+    elif kind == "drop-entry":
+        doc["table"][data.draw(st.integers(0, n - 1))].pop()
+    elif kind == "zero":
+        doc["zero"] = data.draw(json_values, label="zero")
+    elif kind == "name":
+        doc["elements"][data.draw(st.integers(0, n - 1))] = \
+            data.draw(json_values, label="name")
+    elif kind == "drop-key":
+        del doc[data.draw(st.sampled_from(sorted(doc)), label="key")]
+    else:
+        doc = data.draw(json_values, label="document")
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+    assert verify_text(path, json.dumps(doc)) in (0, 2)

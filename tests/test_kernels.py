@@ -2,9 +2,12 @@
 
 Each kernel must give its oracle's verdict and, on failure, the same error
 type and message, so the same witness.  Inputs are the named fixtures, the
-random E-unitary semidirect products, and single-entry mutations of
-multiplication tables, action maps and groupoid compositions.
+random E-unitary semidirect products, the groupoids of the Morita pipeline,
+and single-entry mutations of multiplication tables, action maps, groupoid
+compositions and representation matrices.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,8 +19,10 @@ from germoid import errors
 from germoid import fixtures as fx
 from germoid import germs
 from germoid import groupoids as gpd
+from germoid import matrixrep as mr
 from germoid import partial_actions as pa
 from germoid import semigroups as sg
+from germoid import spectra as sp
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 FEW = settings(max_examples=12, deadline=None)
@@ -306,3 +311,187 @@ def test_leq_matrix_matches_definition(semigroups):
         expect = [[oracles.leq(table, s, t) for t in range(len(S))]
                   for s in range(len(S))]
         assert S.leq_matrix().tolist() == expect
+
+
+# -- the representation layer ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def eunitary(semigroups, random_eunitary):
+    return [S for S in semigroups + random_eunitary[12:] if sg.is_e_unitary(S)]
+
+
+def test_left_regular_rep_matches_loops(semigroups):
+    for S in semigroups:
+        fast, slow = mr.left_regular_rep(S), oracles.left_regular_rep_loops(S)
+        assert list(fast) == list(slow)
+        assert all(np.array_equal(fast[s], slow[s]) and
+                   fast[s].dtype == slow[s].dtype for s in slow)
+
+
+def test_covariant_rep_matches_loops(eunitary):
+    for S in eunitary:
+        sigma = sg.max_group_image(S)
+        theta = pa.theta_from_sigma(S, sigma)
+        fast = mr.covariant_rep(S, sigma, theta)
+        slow = oracles.covariant_rep_loops(S, sigma, theta)
+        assert list(fast) == list(slow)
+        assert all(np.array_equal(fast[s], slow[s]) for s in slow)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_check_rep_conditions_matches_loops(semigroups, data):
+    # the raw constructor takes a mutated table unchecked: both sides then
+    # evaluate the same products on a table that need not be associative
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    T = sg.InvSemigroup(S.names, mutated_table(data, S), S.zero,
+                        np.array(S.star))
+    assert mr.check_rep_conditions(T) == oracles.check_rep_conditions_loops(T)
+
+
+@pytest.fixture(scope="module")
+def intertwining_inputs(eunitary):
+    out = []
+    for S in eunitary:
+        sigma = sg.max_group_image(S)
+        out.append((mr.intertwiner_u(S, sigma), mr.left_regular_rep(S),
+                    mr.covariant_rep(S, sigma)))
+    return out
+
+
+def test_check_intertwining_holds_on_every_fixture(intertwining_inputs):
+    for U, lams, covs in intertwining_inputs:
+        assert mr.check_intertwining(U, lams, covs)
+        assert oracles.check_intertwining_dense(U, lams, covs)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_check_intertwining_matches_dense_products(intertwining_inputs, data):
+    U, lams, covs = data.draw(st.sampled_from(intertwining_inputs), label="input")
+    U, lams, covs = np.array(U), dict(lams), dict(covs)
+    which = data.draw(st.sampled_from(["U", "move", "lambda", "cov"]),
+                      label="which")
+    s = data.draw(st.sampled_from(sorted(lams)), label="s")
+    mat = {"U": U, "move": U, "lambda": np.array(lams[s]),
+           "cov": np.array(covs[s])}[which]
+    i = data.draw(st.integers(0, mat.shape[0] - 1), label="i")
+    j = data.draw(st.integers(0, mat.shape[1] - 1), label="j")
+    if which == "move":
+        # column j keeps a single 1, possibly in a row another column uses
+        mat[:, j] = 0
+        mat[i, j] = 1
+    else:
+        mat[i, j] = data.draw(st.sampled_from([-1, 0, 1, 2]), label="value")
+    if which == "lambda":
+        lams[s] = mat
+    elif which == "cov":
+        covs[s] = mat
+    assert mr.check_intertwining(U, lams, covs) == \
+        oracles.check_intertwining_dense(U, lams, covs)
+
+
+def test_check_intertwining_needs_an_isometry():
+    # zero operators intertwine any U; two columns on one row (U*U != I)
+    # or a column without a 1 must still fail
+    for U in ([[1, 1]], [[1, 0], [0, 0]]):
+        zeros = {0: np.zeros((2, 2), dtype=np.int64)}
+        covs = {0: np.zeros((len(U), len(U)), dtype=np.int64)}
+        assert not mr.check_intertwining(U, zeros, covs)
+        assert not oracles.check_intertwining_dense(U, zeros, covs)
+
+
+# -- centers ------------------------------------------------------------------------------
+
+def s3_group():
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+             for p in perms]
+    return fx.group_from_table([str(p) for p in perms], table, name="Sym3")
+
+
+@pytest.fixture(scope="module")
+def center_groupoids(corpus, random_eunitary, groupoids):
+    # every groupoid whose center the other tests and the verify suites use,
+    # the KS sources and targets, and non-abelian isotropy
+    out = list(groupoids)
+    for S in list(corpus.values()) + random_eunitary:
+        phi = sg.hom_from_sigma(sg.max_group_image(S))
+        if sg.is_locally_idempotent_pure(phi):
+            res = pa.ks_pipeline(phi)
+            out += [res.source, res.target]
+    out += [pa.partial_trans_groupoid(pa.theta_from_sigma(S))
+            for S in corpus.values() if sg.is_e_unitary(S)]
+    env = pa.enveloping_group_action(pa.theta_from_sigma(corpus["S3"]))
+    out += [env.inclusion.source, env.inclusion.target]
+    sym3 = s3_group()
+    out += [gpd.groupoid_from_group(sym3),
+            gpd.groupoid_from_group(fx.cyclic_group(2)),
+            germs.universal_groupoid(fx.brandt(sym3, 2)),
+            germs.universal_groupoid(fx.symmetric_inverse(3)),
+            germs.universal_groupoid(fx.chain(4))]
+    out += [gpd.pair_groupoid(n) for n in (1, 2, 4)]
+    return out
+
+
+def test_center_dimension_matches_svd(center_groupoids):
+    for g in center_groupoids:
+        alg = mr.convolution_algebra(g)
+        assert mr.center_dimension(alg) == oracles.center_dimension_svd(alg), g
+
+
+def test_center_of_a_nonabelian_group_counts_classes():
+    alg = mr.convolution_algebra(gpd.groupoid_from_group(s3_group()))
+    assert alg.dim == 6 and mr.center_dimension(alg) == 3
+
+
+def test_convolution_algebra_rejects_a_non_groupoid():
+    g = gpd.pair_groupoid(2)
+    comp = dict(g.comp)
+    comp[(0, 0)] = 1
+    bad = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, comp, g.inv,
+                             g.identity)
+    with pytest.raises(errors.DomainMismatch):
+        mr.convolution_algebra(bad)
+
+
+# -- KS certificates ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def morphisms(semigroups, random_eunitary):
+    out = []
+    for S in semigroups + random_eunitary[12:]:
+        out.append(sg.hom_from_sigma(sg.max_group_image(S)))
+        if len(S) <= 24:
+            out.append(sg.semigroup_hom(S, S, range(len(S))))
+    table = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
+    M = sg.validate_semigroup(["1", "e1", "e2", "b"], table)
+    out.append(sg.semigroup_hom(M, fx.chain2(), [0, 1, 1, 1]))
+    return out
+
+
+def test_check_ks_condition_matches_sets(morphisms):
+    for phi in morphisms:
+        ok, certs = sp.check_ks_condition(phi)
+        ok_sets, expect = oracles.check_ks_condition_by_sets(phi)
+        assert ok and ok_sets
+        assert list(certs) == list(expect)
+        assert certs == expect
+        assert all(type(x) is int for c in certs.values() for x in c.generators)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_check_ks_condition_of_an_arbitrary_map_matches_sets(semigroups, data):
+    # a map that does not preserve the order leaves some preimage without
+    # its lower members: both sides name the same least member and element
+    # below it, as a frozenset of ids below 8 iterates in increasing order
+    S = data.draw(st.sampled_from([S for S in semigroups if len(S) <= 8]),
+                  label="S")
+    T = data.draw(st.sampled_from([fx.chain2(), fx.chain(3), fx.b2()]),
+                  label="T")
+    mapping = data.draw(st.lists(st.integers(0, len(T) - 1),
+                                 min_size=len(S), max_size=len(S)))
+    phi = sg.SemigroupHom(S, T, tuple(mapping))
+    assert outcome(sp.check_ks_condition, phi) == \
+        outcome(oracles.check_ks_condition_by_sets, phi)
