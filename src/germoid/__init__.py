@@ -48,7 +48,6 @@ from .groupoids import (
     GroupoidSpaceAction,
     cocycle_faithfulness_map,
     enveloping_action_of_functor,
-    find_isomorphism,
     functor_report,
     groupoid_functor,
     reduction,

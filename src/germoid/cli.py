@@ -15,21 +15,26 @@ from pathlib import Path
 
 from . import errors
 from .fixtures import generate_fixture
-from .semigroups import InvSemigroup, semigroup_from_json, size_limit
+from .groupoids import groupoid_from_json
+from .semigroups import semigroup_from_json, size_limit
 from .verify import analyze, groupoid_variant, run_suite
 
 
-def _load(path: str) -> InvSemigroup:
+def _load(path: str):
+    return _read(path, semigroup_from_json, "semigroup")
+
+
+def _read(path: str, parse, kind: str):
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")
     try:
-        return semigroup_from_json(text, name=Path(path).stem)
+        return parse(text, name=Path(path).stem)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise SystemExit2(f"cannot parse {path}: {exc}")
     except errors.ValidationError as exc:
-        raise SystemExit2(f"invalid semigroup in {path}: {exc}")
+        raise SystemExit2(f"invalid {kind} in {path}: {exc}")
 
 
 class SystemExit2(Exception):
@@ -103,14 +108,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    from .groupoids import groupoid_from_json
-    try:
-        g = groupoid_from_json(Path(args.file).read_text(),
-                               name=Path(args.file).stem)
-    except OSError as exc:
-        raise SystemExit2(f"cannot read {args.file}: {exc}")
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise SystemExit2(f"cannot parse {args.file}: {exc}")
+    g = _read(args.file, groupoid_from_json, "groupoid")
     _emit(g.to_dot(), args.out)
     return 0
 

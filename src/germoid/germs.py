@@ -236,12 +236,19 @@ class GermGroupoid(FiniteGroupoid):
             classes[arrow].append(pair)
         return tuple(frozenset(c) for c in classes)
 
-    def germ(self, s: int, x: int) -> int:
-        """Arrow id of the germ [s, x]; raises if x is outside dom theta_s."""
+    def germ(self, s, x):
+        """Arrow id of the germ [s, x], or the array of them for arrays s
+        and x; raises at the first (s, x) with x outside dom theta_s."""
+        s, x = np.broadcast_arrays(np.asarray(s, dtype=np.int64),
+                                   np.asarray(x, dtype=np.int64))
         n, m = self.arrow_at.shape
-        if not (0 <= s < n and 0 <= x < m) or self.arrow_at[s, x] < 0:
-            raise errors.UnknownElement(f"({s},{x}) is not in the germ set")
-        return int(self.arrow_at[s, x])
+        known = (s >= 0) & (s < n) & (x >= 0) & (x < m)
+        arrows = np.where(known, self.arrow_at[s * known, x * known], -1)
+        if (arrows < 0).any():
+            i = int(np.flatnonzero(arrows < 0)[0])
+            raise errors.UnknownElement(
+                f"({s.flat[i]},{x.flat[i]}) is not in the germ set")
+        return int(arrows) if arrows.ndim == 0 else arrows
 
     def to_json_dict(self) -> dict:
         data = super().to_json_dict()
@@ -448,12 +455,9 @@ def verify_equiv_roundtrip(action: SAction):
         return False, None
     germ = germ_groupoid(action)
     sd = semidirect_product(ga)
-    unit_map = list(range(action.n_points))
-    arrow_map = []
-    for s, x in germ.germ_reps:
-        arrow = g.germ(s, ga.anchor[x])
-        arrow_map.append(sd.pair_index[(arrow, x)])
-    functor = groupoid_functor(germ, sd, unit_map, arrow_map)
+    s, x = np.array(germ.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    arrow_map = sd.arrow_at[g.germ(s, np.asarray(ga.anchor)[x]), x]
+    functor = groupoid_functor(germ, sd, range(action.n_points), arrow_map)
     ok = verify_isomorphism(functor)
     # and back again: a groupoid space action regenerates itself
     ga2, _ = gspace_from_saction(back)
@@ -472,7 +476,6 @@ def induced_functor(phi: SemigroupHom) -> GroupoidFunctor:
     gt = universal_groupoid(phi.target, contracted=False)
     ehom = restrict_to_idempotents(phi)
     _, _, umap = hat_map(ehom, gs.action.space, gt.action.space)
-    arrow_map = []
-    for s, x in gs.germ_reps:
-        arrow_map.append(gt.germ(phi(s), umap[x]))
+    s, x = np.array(gs.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    arrow_map = gt.germ(np.asarray(phi.map)[s], np.asarray(umap)[x])
     return groupoid_functor(gs, gt, umap, arrow_map)

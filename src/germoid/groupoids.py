@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,7 +23,9 @@ class FiniteGroupoid:
     """Arrows over a finite unit set with partial composition and inversion.
 
     Composition ``compose(a, b)`` is defined iff ``dom(a) == ran(b)`` and
-    then ``dom(ab) = dom(b)``, ``ran(ab) = ran(a)``.
+    then ``dom(ab) = dom(b)``, ``ran(ab) = ran(a)``.  It is stored as the
+    table ``comp_table``, or given by hand as a mapping {(a, b): ab} that
+    the table is made from on first use; ``comp`` is a read-only dict.
     """
 
     def __init__(self, unit_labels, dom, ran, comp, inv, identity,
@@ -30,14 +33,17 @@ class FiniteGroupoid:
         self.unit_labels = tuple(unit_labels)
         self.dom = np.asarray(dom, dtype=np.int64)
         self.ran = np.asarray(ran, dtype=np.int64)
-        self.comp = dict(comp)
         self.inv = np.asarray(inv, dtype=np.int64)
         self.identity = np.asarray(identity, dtype=np.int64)
         self.arrow_labels = tuple(arrow_labels) if arrow_labels else tuple(
             f"a{i}" for i in range(len(self.dom)))
         self.name = name
         self.validated = False     # set once validate_groupoid passes
-        self._comp_table = None
+        if isinstance(comp, np.ndarray):
+            self._comp_table, self._comp = np.asarray(comp, dtype=np.int32), None
+            self._comp_table.setflags(write=False)
+        else:
+            self._comp_table, self._comp = None, MappingProxyType(dict(comp))
         for arr in (self.dom, self.ran, self.inv, self.identity):
             arr.setflags(write=False)
 
@@ -58,25 +64,32 @@ class FiniteGroupoid:
         return self.comp.get((a, b))
 
     @property
+    def comp(self):
+        """The composition as a read-only dict {(a, b): ab}."""
+        if self._comp is None:
+            a, b = np.nonzero(self._comp_table >= 0)
+            self._comp = MappingProxyType(dict(zip(
+                zip(a.tolist(), b.tolist()), self._comp_table[a, b].tolist())))
+        return self._comp
+
+    @property
     def comp_table(self) -> np.ndarray:
         """The dense composition table: ab at [a, b], or -1 where undefined.
 
-        Raises DomainMismatch, at the first entry of ``comp`` in its own
-        order, if a key or value is not an arrow id.
+        Made on first use from a ``comp`` mapping, which raises
+        DomainMismatch, at its first entry in its own order, if a key or
+        value is not an arrow id.
         """
         if self._comp_table is None:
             n = self.n_arrows
             table = np.full((n, n), -1, dtype=np.int32)
-            if self.comp:
-                keys = np.array(list(self.comp), dtype=np.int64)
-                values = np.array(list(self.comp.values()), dtype=np.int64)
+            if self._comp:
+                keys = np.array(list(self._comp), dtype=np.int64)
+                values = np.array(list(self._comp.values()), dtype=np.int64)
                 outside = ((keys < 0) | (keys >= n)).any(axis=1) | \
                     (values < 0) | (values >= n)
                 if outside.any():
-                    a, b = keys[_first(outside)]
-                    raise errors.DomainMismatch(
-                        f"composition of {a}, {b} names an arrow outside "
-                        "the groupoid")
+                    raise _outside(*keys[_first(outside)])
                 table[keys[:, 0], keys[:, 1]] = values
             table.setflags(write=False)
             self._comp_table = table
@@ -84,34 +97,22 @@ class FiniteGroupoid:
 
     def isotropy_orders(self):
         """Multiset (sorted tuple) of isotropy group orders, one per unit."""
-        counts = []
-        for u in range(self.n_units):
-            counts.append(sum(1 for a in range(self.n_arrows)
-                              if self.dom[a] == u and self.ran[a] == u))
-        return tuple(sorted(counts))
+        loops = self.dom[self.dom == self.ran]
+        return tuple(sorted(np.bincount(loops, minlength=self.n_units).tolist()))
 
-    def orbit_of(self, u: int):
-        seen = {u}
-        frontier = [u]
-        while frontier:
-            x = frontier.pop()
-            for a in range(self.n_arrows):
-                if self.dom[a] == x and self.ran[a] not in seen:
-                    seen.add(int(self.ran[a]))
-                    frontier.append(int(self.ran[a]))
-                if self.ran[a] == x and self.dom[a] not in seen:
-                    seen.add(int(self.dom[a]))
-                    frontier.append(int(self.dom[a]))
-        return frozenset(seen)
+    def comp_triples(self) -> list:
+        """[a, b, ab] for every composable pair, in lexicographic order."""
+        a, b = np.nonzero(self.comp_table >= 0)
+        return np.column_stack((a, b, self.comp_table[a, b])).tolist()
 
     def to_json_dict(self) -> dict:
+        ends = zip(self.dom.tolist(), self.ran.tolist(), self.arrow_labels)
         return {
             "units": list(self.unit_labels),
-            "arrows": [{"id": a, "dom": int(self.dom[a]), "ran": int(self.ran[a]),
-                        "label": self.arrow_labels[a]}
-                       for a in range(self.n_arrows)],
-            "comp": sorted([a, b, c] for (a, b), c in self.comp.items()),
-            "inv": [[a, int(self.inv[a])] for a in range(self.n_arrows)],
+            "arrows": [{"id": i, "dom": d, "ran": r, "label": label}
+                       for i, (d, r, label) in enumerate(ends)],
+            "comp": self.comp_triples(),
+            "inv": list(map(list, enumerate(self.inv.tolist()))),
         }
 
     def to_json(self) -> str:
@@ -136,6 +137,11 @@ def _first(mask) -> int:
     return int(np.flatnonzero(mask.ravel())[0])
 
 
+def _outside(a, b):
+    return errors.DomainMismatch(
+        f"composition of {a}, {b} names an arrow outside the groupoid")
+
+
 def arrows_at(units, ends, n_units):
     """The arrows a with ``ends[a]`` equal to each of ``units``, in id
     order, flattened; ``ends`` is ``ran`` or ``dom``.
@@ -152,20 +158,20 @@ def arrows_at(units, ends, n_units):
     return counts, by_end[np.repeat(start[units], counts) + offsets]
 
 
-def compose_by_label(n_units, labels, dom, ran, product, arrow_at) -> dict:
-    """The composition of arrows given as (label, point) pairs.
+def compose_by_label(n_units, labels, dom, ran, product, arrow_at) -> np.ndarray:
+    """The composition table of arrows given as (label, point) pairs.
 
     Arrow a is the pair (labels[a], dom[a]) and ends at ran[a].  Each a is
     paired with the arrows b ending at dom[a], one unit at a time, and
     ab = arrow_at[product[labels[a], labels[b]], dom[b]].  Returns the
-    ``comp`` dict of a :class:`FiniteGroupoid`, keyed in lexicographic
-    order of (a, b).
+    ``comp_table`` of a :class:`FiniteGroupoid`.
     """
     labels, dom, ran = (np.asarray(v, dtype=np.int64) for v in (labels, dom, ran))
     counts, b = arrows_at(dom, ran, n_units)
     a = np.repeat(np.arange(len(dom)), counts)
-    c = arrow_at[product[labels[a], labels[b]], dom[b]]
-    return dict(zip(zip(a.tolist(), b.tolist()), c.tolist()))
+    table = np.full((len(dom), len(dom)), -1, dtype=np.int32)
+    table[a, b] = arrow_at[product[labels[a], labels[b]], dom[b]]
+    return table
 
 
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
@@ -189,6 +195,8 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
                 f"arrow {_first((ends < 0) | (ends >= n_units))} "
                 "has an endpoint outside the units")
     table = g.comp_table
+    if n and (table.min() < -1 or table.max() >= n):
+        raise _outside(*divmod(_first((table < -1) | (table >= n)), n))
     ids = np.arange(n)
 
     rows = max(1, CHUNK // max(n, 1))
@@ -245,9 +253,7 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
 def groupoid_from_group(G, name=None) -> FiniteGroupoid:
     """A group as a one-unit groupoid."""
     n = len(G)
-    comp = {(a, b): G.mul(a, b) for a in range(n) for b in range(n)}
-    g = FiniteGroupoid(["pt"], [0] * n, [0] * n, comp,
-                       [G.inv(a) for a in range(n)],
+    g = FiniteGroupoid(["pt"], [0] * n, [0] * n, G.table, G.star,
                        [G.identity], arrow_labels=G.names,
                        name=name or G.name)
     return validate_groupoid(g)
@@ -270,50 +276,90 @@ def pair_groupoid(n: int, name=None) -> FiniteGroupoid:
     return validate_groupoid(g)
 
 
+def _id_rows(rows, bounds, what):
+    """A list of id rows as an integer array with column j below bounds[j];
+    anything else raises MalformedInput(what)."""
+    bounds = np.asarray(bounds)
+    try:
+        ids = np.asarray(rows if rows else np.empty((0, len(bounds)), int))
+    except ValueError:                                       # ragged
+        ids = None
+    if not isinstance(rows, list) or ids is None or ids.dtype.kind not in "iu" \
+            or ids.shape[1:] != bounds.shape or (ids < 0).any() \
+            or (ids >= bounds).any():
+        raise errors.MalformedInput(what)
+    return ids
+
+
+def _last(keys):
+    """The index of the last occurrence of each distinct key: an entry given
+    twice counts as its last value, as in a dict."""
+    return len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
+
+
 def groupoid_from_json(text: str, name="G") -> FiniteGroupoid:
+    """Parse the document ``FiniteGroupoid.to_json`` writes.  Its schema
+    is checked on whole arrays, raising ``MalformedInput``, before the
+    groupoid axioms."""
     data = json.loads(text)
-    units = data["units"]
-    arrows = sorted(data["arrows"], key=lambda a: a["id"])
-    dom = [a["dom"] for a in arrows]
-    ran = [a["ran"] for a in arrows]
-    comp = {(a, b): c for a, b, c in data["comp"]}
-    inv = [0] * len(arrows)
-    for a, ai in data["inv"]:
-        inv[a] = ai
-    identity = [-1] * len(units)
-    for a in range(len(arrows)):
-        if dom[a] == ran[a] and comp.get((a, a)) == a:
-            identity[dom[a]] = a
-    labels = [a.get("label", f"a{a['id']}") for a in arrows]
-    g = FiniteGroupoid(units, dom, ran, comp, inv, identity,
+    if not isinstance(data, dict):
+        raise errors.MalformedInput("a groupoid file holds one JSON object")
+    units, arrows = data.get("units"), data.get("arrows")
+    if not isinstance(units, list) or not all(isinstance(u, str) for u in units):
+        raise errors.MalformedInput('"units" must be a list of names')
+    if not isinstance(arrows, list) or \
+            not all(isinstance(a, dict) for a in arrows):
+        raise errors.MalformedInput('"arrows" must be a list of objects')
+    n, k = len(arrows), len(units)
+    ends = _id_rows([[a.get(key) for key in ("id", "dom", "ran")] for a in arrows],
+                    (n, k, k), '"arrows" need integer "id", "dom" and "ran" in range')
+    order = np.argsort(ends[:, 0])
+    if (ends[order, 0] != np.arange(n)).any():
+        raise errors.MalformedInput('"arrows" ids must number them 0, 1, ...')
+    dom, ran = ends[order, 1], ends[order, 2]
+    check_size(n)
+    comp = _id_rows(data.get("comp"), (n, n, n),
+                    '"comp" must hold [a, b, ab] triples of arrow ids')
+    table = np.full((n, n), -1, dtype=np.int32)
+    last = _last(comp[:, 0] * n + comp[:, 1])
+    table[comp[last, 0], comp[last, 1]] = comp[last, 2]
+    pairs = _id_rows(data.get("inv"), (n, n),
+                     '"inv" must hold [a, inverse] pairs of arrow ids')
+    inv = np.zeros(n, dtype=np.int64)
+    last = _last(pairs[:, 0])
+    inv[pairs[last, 0]] = pairs[last, 1]
+    ids = np.arange(n)
+    loops = np.flatnonzero((dom == ran) & (table[ids, ids] == ids))
+    identity = np.full(k, -1, dtype=np.int64)
+    np.maximum.at(identity, dom[loops], loops)
+    labels = [arrows[j].get("label", f"a{i}") for i, j in enumerate(order.tolist())]
+    g = FiniteGroupoid(units, dom, ran, table, inv, identity,
                        arrow_labels=labels, name=name)
     return validate_groupoid(g)
 
 
 def reduction(g: FiniteGroupoid, unit_subset, name=None) -> FiniteGroupoid:
     """Full subgroupoid on a unit subset: arrows with both endpoints inside."""
-    units = sorted(set(int(u) for u in unit_subset))
-    for u in units:
-        if not 0 <= u < g.n_units:
-            raise errors.UnknownUnit(f"unit {u} out of range")
-    uset = set(units)
-    unew = {u: i for i, u in enumerate(units)}
-    arrows = [a for a in range(g.n_arrows)
-              if g.dom[a] in uset and g.ran[a] in uset]
-    anew = {a: i for i, a in enumerate(arrows)}
-    comp = {(anew[a], anew[b]): anew[c]
-            for (a, b), c in g.comp.items() if a in anew and b in anew}
+    units = np.array(sorted(set(int(u) for u in unit_subset)), dtype=np.int64)
+    outside = (units < 0) | (units >= g.n_units)
+    if outside.any():
+        raise errors.UnknownUnit(f"unit {units[outside][0]} out of range")
+    inside = np.zeros(g.n_units, dtype=bool)
+    inside[units] = True
+    arrows = np.flatnonzero(inside[g.dom] & inside[g.ran])
+    unew = np.full(g.n_units, -1, dtype=np.int64)
+    unew[units] = np.arange(len(units))
+    anew = np.full(g.n_arrows + 1, -1, dtype=np.int64)      # anew[-1] = -1
+    anew[arrows] = np.arange(len(arrows))
     red = FiniteGroupoid(
-        [g.unit_labels[u] for u in units],
-        [unew[int(g.dom[a])] for a in arrows],
-        [unew[int(g.ran[a])] for a in arrows],
-        comp,
-        [anew[int(g.inv[a])] for a in arrows],
-        [anew[int(g.identity[u])] for u in units],
-        arrow_labels=[g.arrow_labels[a] for a in arrows],
+        [g.unit_labels[u] for u in units.tolist()],
+        unew[g.dom[arrows]], unew[g.ran[arrows]],
+        anew[g.comp_table[np.ix_(arrows, arrows)]],
+        anew[g.inv[arrows]], anew[g.identity[units]],
+        arrow_labels=[g.arrow_labels[a] for a in arrows.tolist()],
         name=name or f"{g.name}|")
-    red.parent_units = tuple(units)
-    red.parent_arrows = tuple(arrows)
+    red.parent_units = tuple(units.tolist())
+    red.parent_arrows = tuple(arrows.tolist())
     return red
 
 
@@ -332,24 +378,34 @@ class GroupoidFunctor:
 
 def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
                      unit_map, arrow_map) -> GroupoidFunctor:
-    """Validate dom/ran/composition/identity preservation."""
+    """Validate dom/ran/composition/identity preservation, each on all
+    arrows, units or composable pairs at once; the witness is the first
+    failing arrow, unit, or pair (a, b) in lexicographic order."""
     unit_map = tuple(int(x) for x in unit_map)
     arrow_map = tuple(int(x) for x in arrow_map)
     if len(unit_map) != src.n_units or len(arrow_map) != src.n_arrows:
         raise errors.NotAFunctor("maps must cover all units and arrows")
-    for a in range(src.n_arrows):
-        fa = arrow_map[a]
-        if not 0 <= fa < tgt.n_arrows:
-            raise errors.NotAFunctor(f"arrow image {fa} out of range")
-        if tgt.dom[fa] != unit_map[src.dom[a]] or \
-                tgt.ran[fa] != unit_map[src.ran[a]]:
-            raise errors.NotAFunctor(f"endpoints of arrow {a} not preserved")
-    for u in range(src.n_units):
-        if arrow_map[src.identity[u]] != tgt.identity[unit_map[u]]:
-            raise errors.NotAFunctor(f"identity at unit {u} not preserved")
-    for (a, b), c in src.comp.items():
-        if tgt.compose(arrow_map[a], arrow_map[b]) != arrow_map[c]:
-            raise errors.NotAFunctor(f"composition {a}{b} not preserved")
+    um = np.array(unit_map, dtype=np.int64)
+    f = np.array(arrow_map, dtype=np.int64)
+    ok = (f >= 0) & (f < tgt.n_arrows)
+    bad = ~ok
+    bad[ok] = (tgt.dom[f[ok]] != um[src.dom[ok]]) | (tgt.ran[f[ok]] != um[src.ran[ok]])
+    if bad.any():
+        a = _first(bad)
+        raise errors.NotAFunctor(f"endpoints of arrow {a} not preserved" if ok[a]
+                                 else f"arrow image {f[a]} out of range")
+    # every unit's identity kept its endpoints, so um is in range
+    lost = f[src.identity] != tgt.identity[um]
+    if lost.any():
+        raise errors.NotAFunctor(f"identity at unit {_first(lost)} not preserved")
+    table = src.comp_table
+    a, b = np.nonzero(table >= 0)                            # lexicographic
+    for lo in range(0, len(a), CHUNK):
+        pa, pb = a[lo:lo + CHUNK], b[lo:lo + CHUNK]
+        bad = tgt.comp_table[f[pa], f[pb]] != f[table[pa, pb]]
+        if bad.any():
+            i = _first(bad)
+            raise errors.NotAFunctor(f"composition {pa[i]}{pb[i]} not preserved")
     return GroupoidFunctor(src, tgt, unit_map, arrow_map)
 
 
@@ -358,10 +414,9 @@ def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
     if G.target is not F.source and (
             G.target.n_arrows != F.source.n_arrows):
         raise errors.NotAFunctor("functors are not composable")
-    return groupoid_functor(
-        G.source, F.target,
-        [F.unit_map[G.unit_map[u]] for u in range(G.source.n_units)],
-        [F.arrow_map[G.arrow_map[a]] for a in range(G.source.n_arrows)])
+    return groupoid_functor(G.source, F.target,
+                            np.array(F.unit_map)[list(G.unit_map)],
+                            np.array(F.arrow_map)[list(G.arrow_map)])
 
 
 def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:
@@ -372,13 +427,8 @@ def invert_functor(F: GroupoidFunctor) -> GroupoidFunctor:
     """The inverse of a bijective functor."""
     if not verify_isomorphism(F):
         raise errors.NotBijective("only bijective functors invert")
-    umap = [0] * F.target.n_units
-    for u, v in enumerate(F.unit_map):
-        umap[v] = u
-    amap = [0] * F.target.n_arrows
-    for a, b in enumerate(F.arrow_map):
-        amap[b] = a
-    return groupoid_functor(F.target, F.source, umap, amap)
+    return groupoid_functor(F.target, F.source, np.argsort(F.unit_map),
+                            np.argsort(F.arrow_map))
 
 
 def inclusion_of_reduction(red: FiniteGroupoid, g: FiniteGroupoid) -> GroupoidFunctor:
@@ -388,29 +438,32 @@ def inclusion_of_reduction(red: FiniteGroupoid, g: FiniteGroupoid) -> GroupoidFu
 def cocycle_faithfulness_map(F: GroupoidFunctor):
     """Materialize psi(g) = (ran g, dom g, F(g)) and report injectivity."""
     src = F.source
-    triples = [(int(src.ran[a]), int(src.dom[a]), F(a))
-               for a in range(src.n_arrows)]
+    triples = list(zip(src.ran.tolist(), src.dom.tolist(), F.arrow_map))
     return triples, len(set(triples)) == src.n_arrows
 
 
 def functor_report(F: GroupoidFunctor) -> dict:
     """Faithful / full / fully faithful / essentially surjective / weak equivalence.
 
-    Faithful and full are read off the comparison map into the pullback
-    ``{(x, y, h) : h an arrow F(y) -> F(x)}``; essential surjectivity asks
-    every target unit to be connected by an arrow to an image unit.
+    Faithful and full are read off the comparison map psi(g) = (ran g,
+    dom g, F(g)) into the pullback ``{(x, y, h) : h an arrow F(y) -> F(x)}``,
+    whose size is a sum of hom-set counts; essential surjectivity asks
+    every target unit to be the domain of an arrow to an image unit.
     """
     src, tgt = F.source, F.target
-    triples, faithful = cocycle_faithfulness_map(F)
-    pullback = {(x, y, h)
-                for x in range(src.n_units) for y in range(src.n_units)
-                for h in range(tgt.n_arrows)
-                if tgt.dom[h] == F.unit_map[y] and tgt.ran[h] == F.unit_map[x]}
-    full = set(triples) >= pullback
-    image_units = set(F.unit_map)
-    ess = all(any((tgt.dom[h] == u and int(tgt.ran[h]) in image_units)
-                  for h in range(tgt.n_arrows))
-              for u in range(tgt.n_units))
+    um = np.array(F.unit_map, dtype=np.int64)
+    f = np.array(F.arrow_map, dtype=np.int64)
+    psi = (src.ran * src.n_units + src.dom) * tgt.n_arrows + f
+    faithful = len(np.unique(psi)) == src.n_arrows
+    inside = (tgt.dom[f] == um[src.dom]) & (tgt.ran[f] == um[src.ran])
+    homs = np.bincount(tgt.dom * tgt.n_units + tgt.ran,
+                       minlength=tgt.n_units ** 2).reshape(tgt.n_units, tgt.n_units)
+    full = len(np.unique(psi[inside])) == homs[np.ix_(um, um)].sum()
+    image = np.zeros(tgt.n_units, dtype=bool)
+    image[um] = True
+    reached = np.zeros(tgt.n_units, dtype=bool)
+    reached[tgt.dom[image[tgt.ran]]] = True
+    faithful, full, ess = bool(faithful), bool(full), bool(reached.all())
     ff = faithful and full
     return {
         "faithful": faithful,
@@ -425,130 +478,11 @@ def verify_isomorphism(F: GroupoidFunctor, G_back: GroupoidFunctor | None = None
     """True iff F is bijective on units and arrows (and G_back inverts it)."""
     bij = (sorted(F.unit_map) == list(range(F.target.n_units))
            and sorted(F.arrow_map) == list(range(F.target.n_arrows)))
-    if not bij:
-        return False
-    if G_back is not None:
-        if any(G_back.arrow_map[F.arrow_map[a]] != a
-               for a in range(F.source.n_arrows)):
-            return False
-        if any(F.arrow_map[G_back.arrow_map[a]] != a
-               for a in range(G_back.source.n_arrows)):
-            return False
-    return True
-
-
-def find_isomorphism(g: FiniteGroupoid, h: FiniteGroupoid,
-                     arrow_limit: int = 64):
-    """Brute-force isomorphism search (oracle for small groupoids).
-
-    Returns a GroupoidFunctor or None.  Pre-checks cheap invariants (unit and
-    arrow counts, isotropy multiset) before backtracking over unit bijections
-    and hom-set assignments.
-    """
-    if g.n_arrows > arrow_limit or h.n_arrows > arrow_limit:
-        raise errors.SizeLimitExceeded(max(g.n_arrows, h.n_arrows), arrow_limit)
-    if g.n_units != h.n_units or g.n_arrows != h.n_arrows:
-        return None
-    if g.isotropy_orders() != h.isotropy_orders():
-        return None
-
-    def unit_sig(k, u):
-        iso = sum(1 for a in range(k.n_arrows)
-                  if k.dom[a] == u and k.ran[a] == u)
-        out = sum(1 for a in range(k.n_arrows) if k.dom[a] == u)
-        return (iso, out, len(k.orbit_of(u)))
-
-    gsig = [unit_sig(g, u) for u in range(g.n_units)]
-    hsig = [unit_sig(h, u) for u in range(h.n_units)]
-    if sorted(gsig) != sorted(hsig):
-        return None
-
-    def hom_set(k, u, v):
-        return [a for a in range(k.n_arrows)
-                if k.dom[a] == u and k.ran[a] == v]
-
-    def try_units(unit_map):
-        amap = [-1] * g.n_arrows
-        used = [False] * h.n_arrows
-        order = sorted(range(g.n_arrows),
-                       key=lambda a: (g.dom[a], g.ran[a], a))
-
-        def consistent(a, b):
-            # every composition constraint touching a: a as a factor, and a
-            # as the composite of two arrows mapped earlier
-            mapped = [x for x in range(g.n_arrows) if amap[x] >= 0]
-            for x in mapped:
-                c = g.compose(a, x)
-                if c is not None and amap[c] >= 0:
-                    if h.compose(b, amap[x]) != amap[c]:
-                        return False
-                c = g.compose(x, a)
-                if c is not None and amap[c] >= 0:
-                    if h.compose(amap[x], b) != amap[c]:
-                        return False
-            c = g.compose(a, a)
-            if c is not None and amap[c] >= 0 and h.compose(b, b) != amap[c]:
-                return False
-            for x in mapped:
-                for y in mapped:
-                    if g.compose(x, y) == a and \
-                            h.compose(amap[x], amap[y]) != b:
-                        return False
-            return True
-
-        def backtrack(i):
-            if i == len(order):
-                return True
-            a = order[i]
-            if amap[a] >= 0:
-                return backtrack(i + 1)
-            du, ru = unit_map[g.dom[a]], unit_map[g.ran[a]]
-            for b in hom_set(h, du, ru):
-                if used[b]:
-                    continue
-                ai, bi = int(g.inv[a]), int(h.inv[b])
-                if amap[ai] >= 0 and amap[ai] != bi:
-                    continue
-                if used[bi] and amap[ai] != bi:
-                    continue
-                amap[a] = b
-                used[b] = True
-                set_inv = amap[ai] < 0
-                if set_inv:
-                    amap[ai] = bi
-                    used[bi] = True
-                if consistent(a, b) and (not set_inv or consistent(ai, bi)) \
-                        and backtrack(i + 1):
-                    return True
-                amap[a] = -1
-                used[b] = False
-                if set_inv:
-                    amap[ai] = -1
-                    used[bi] = False
-            return False
-
-        if backtrack(0):
-            return amap
-        return None
-
-    def unit_backtrack(i, unit_map, taken):
-        if i == g.n_units:
-            amap = try_units(unit_map)
-            if amap is not None:
-                return groupoid_functor(g, h, unit_map, amap)
-            return None
-        for v in range(h.n_units):
-            if taken[v] or hsig[v] != gsig[i]:
-                continue
-            unit_map[i] = v
-            taken[v] = True
-            res = unit_backtrack(i + 1, unit_map, taken)
-            if res is not None:
-                return res
-            taken[v] = False
-        return None
-
-    return unit_backtrack(0, [-1] * g.n_units, [False] * h.n_units)
+    if not bij or G_back is None:
+        return bij
+    f, g = np.array(F.arrow_map), np.array(G_back.arrow_map)
+    return np.array_equal(g[f], np.arange(len(f))) and \
+        np.array_equal(f[g], np.arange(len(g)))
 
 
 # -- groupoid actions on spaces and semidirect products --------------------------
@@ -624,13 +558,13 @@ def action_groupoid(maps, product, inverse, unit_label, label_names,
     kl = product[k, l]; the inverse of (l, x) is (inverse[l], maps[l, x]);
     the identity at x is (unit_label[x], x).  Arrows are numbered in
     lexicographic order of (label, x).  The result, not yet validated,
-    carries ``arrow_pairs`` and ``pair_index``.
+    carries ``arrow_pairs``, the (label, x) of each arrow as rows of an
+    array, and ``arrow_at``, the arrow id of each (label, x) or -1.
     """
     m = len(point_labels)
     label, dom = np.nonzero(maps >= 0)
-    arrows = list(zip(label.tolist(), dom.tolist()))
     arrow_at = np.full(maps.shape, -1, dtype=np.int64)
-    arrow_at[label, dom] = np.arange(len(arrows))
+    arrow_at[label, dom] = np.arange(len(label))
     ran = maps[label, dom]
     g = FiniteGroupoid(
         point_labels, dom, ran,
@@ -638,10 +572,12 @@ def action_groupoid(maps, product, inverse, unit_label, label_names,
         arrow_at[np.asarray(inverse)[label], ran],
         arrow_at[unit_label, np.arange(m)],
         arrow_labels=[f"({label_names[a]},{point_labels[x]})"
-                      for a, x in arrows],
+                      for a, x in zip(label.tolist(), dom.tolist())],
         name=name)
-    g.arrow_pairs = tuple(arrows)
-    g.pair_index = dict(zip(arrows, range(len(arrows))))
+    g.arrow_pairs = np.column_stack((label, dom))
+    g.arrow_at = arrow_at
+    for arr in (g.arrow_pairs, g.arrow_at):
+        arr.setflags(write=False)
     return g
 
 
@@ -657,40 +593,33 @@ def semidirect_product(action: GroupoidSpaceAction, name=None) -> FiniteGroupoid
 
 def semidirect_projection(sd: FiniteGroupoid, h: FiniteGroupoid) -> GroupoidFunctor:
     """The projection H x X -> H onto the first coordinate."""
-    unit_map = []
-    for x in range(sd.n_units):
-        a, _ = sd.arrow_pairs[sd.identity[x]]
-        unit_map.append(int(h.dom[a]))
-    arrow_map = [a for a, _ in sd.arrow_pairs]
-    return groupoid_functor(sd, h, unit_map, arrow_map)
+    arrow_map = sd.arrow_pairs[:, 0]
+    return groupoid_functor(sd, h, h.dom[arrow_map[sd.identity]], arrow_map)
 
 
-def equivalence_classes(items, related):
-    """The classes of the equivalence on ``items`` generated by the pairs in
-    ``related``, by union-find.
+def connected_components(n, p, q):
+    """The classes of the equivalence on 0, ..., n-1 generated by p[i] ~ q[i].
 
-    ``items`` must be in increasing order.  Returns ``(classes, index)``:
-    ``classes`` lists each class's members in that order, so each class
-    starts with its least member, and the classes are ordered by it
-    whichever roots the unions chose; ``index`` maps every item to the
-    number of its class.
+    Min-label propagation with pointer jumping: each round lowers every
+    root (an item labelled by itself) to the least root across a pair,
+    then points every label at its root.  Labels stay in their class and
+    only fall, so once every pair agrees each class is labelled by its
+    least member.  Returns ``(classes, index)``: the members of each class
+    in increasing order, classes ordered by least member, and the class
+    number of every item.
     """
-    parent = {p: p for p in items}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for p, q in related:
-        rp, rq = find(p), find(q)
-        parent[rp] = rq
-    members = {}
-    for p in items:
-        members.setdefault(find(p), []).append(p)
-    number = {root: i for i, root in enumerate(members)}
-    return list(members.values()), {p: number[find(p)] for p in items}
+    label = np.arange(n)
+    lp, lq = label[p], label[q]
+    while not np.array_equal(lp, lq):
+        low = np.minimum(lp, lq)
+        np.minimum.at(label, lp, low)
+        np.minimum.at(label, lq, low)
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        lp, lq = label[p], label[q]
+    index = np.unique(label, return_inverse=True)[1]
+    members = np.argsort(index, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(index))[:-1]) if n else [], index
 
 
 def enveloping_action_of_functor(F: GroupoidFunctor):
@@ -706,36 +635,30 @@ def enveloping_action_of_functor(F: GroupoidFunctor):
     if not injective:
         raise errors.NotFaithful(
             "enveloping action needs a faithful functor")
-    pairs = [(a, e) for a in range(h.n_arrows) for e in range(g.n_units)
-             if h.dom[a] == F.unit_map[e]]
-
-    def related():
-        for (a, e) in pairs:
-            for arr in range(g.n_arrows):
-                if g.dom[arr] != e:
-                    continue
-                # (a, e) ~ (k, f) when F(arr) = k^{-1} a, i.e. k = a F(arr)^{-1}
-                k = h.compose(a, int(h.inv[F(arr)]))
-                if k is not None:
-                    yield (a, e), (k, int(g.ran[arr]))
-
-    classes, class_index = equivalence_classes(pairs, related())
-    reps = [cls[0] for cls in classes]
-    labels = [f"[{h.arrow_labels[a]},{g.unit_labels[e]}]" for a, e in reps]
-    anchor = [int(h.ran[a]) for a, e in reps]
-    act = np.full((h.n_arrows, len(reps)), -1, dtype=np.int64)
-    for b in range(h.n_arrows):
-        for i, (a, e) in enumerate(reps):
-            if h.dom[b] == h.ran[a]:
-                act[b, i] = class_index[(h.compose(b, a), e)]
+    um = np.array(F.unit_map, dtype=np.int64)
+    f = np.array(F.arrow_map, dtype=np.int64)
+    table = h.comp_table
+    # the pairs (a, e) with dom a = F(e), numbered in lexicographic order
+    pa, pe = np.nonzero(h.dom[:, None] == um[None, :])
+    pair_id = np.full((h.n_arrows, g.n_units), -1, dtype=np.int64)
+    pair_id[pa, pe] = np.arange(len(pa))
+    # (a, e) ~ (k, ran x) with k = a F(x)^{-1}, for the arrows x from e
+    counts, x = arrows_at(pe, g.dom, g.n_units)
+    p = np.repeat(np.arange(len(pa)), counts)
+    k = table[pa[p], h.inv[f[x]]]
+    ok = k >= 0
+    classes, index = connected_components(
+        len(pa), p[ok], pair_id[k[ok], g.ran[x[ok]]])
+    reps = np.array([c[0] for c in classes], dtype=np.int64)
+    ra, re = pa[reps], pe[reps]
+    labels = [f"[{h.arrow_labels[a]},{g.unit_labels[e]}]"
+              for a, e in zip(ra.tolist(), re.tolist())]
+    ba = table[:, ra]                              # b a for each rep (a, e)
+    act = np.where(ba >= 0, index[pair_id[ba, re]], -1)
     action = validate_space_action(
-        GroupoidSpaceAction(h, labels, anchor, act))
+        GroupoidSpaceAction(h, labels, h.ran[ra], act))
     sd = semidirect_product(action, name=f"{h.name}|env")
-    unit_map = [class_index[(int(h.identity[F.unit_map[e]]), e)]
-                for e in range(g.n_units)]
-    arrow_map = []
-    for arr in range(g.n_arrows):
-        x = unit_map[g.dom[arr]]
-        arrow_map.append(sd.pair_index[(F(arr), x)])
-    alpha = groupoid_functor(g, sd, unit_map, arrow_map)
-    return action, alpha, sd, dict(enumerate(classes))
+    unit_map = index[pair_id[h.identity[um], np.arange(g.n_units)]]
+    alpha = groupoid_functor(g, sd, unit_map, sd.arrow_at[f, unit_map[g.dom]])
+    return action, alpha, sd, {i: list(zip(pa[c].tolist(), pe[c].tolist()))
+                               for i, c in enumerate(classes)}

@@ -175,15 +175,14 @@ class ConvolutionAlgebra:
     def __init__(self, groupoid: FiniteGroupoid):
         self.groupoid = groupoid
         self.dim = groupoid.n_arrows
-        self.mult = dict(groupoid.comp)
-        self.inv = tuple(int(x) for x in groupoid.inv)
+        self.inv = tuple(groupoid.inv.tolist())
         self.labels = groupoid.arrow_labels
 
     def to_json(self) -> str:
         return json.dumps({
             "dim": self.dim,
             "basis": list(self.labels),
-            "mult": sorted([a, b, c] for (a, b), c in self.mult.items()),
+            "mult": self.groupoid.comp_triples(),
             "inv": list(self.inv),
         }, sort_keys=True)
 

@@ -16,8 +16,8 @@ from .groupoids import (
     GroupoidFunctor,
     action_groupoid,
     cocycle_faithfulness_map,
+    connected_components,
     enveloping_action_of_functor,
-    equivalence_classes,
     functor_report,
     groupoid_functor,
     reduction,
@@ -156,7 +156,8 @@ def verify_main1(S: InvSemigroup):
     partial transformation groupoid of the filter-space partial action.
 
     Phi sends [s, phi] to (sigma(s), phi); Psi sends (g, phi) to [s, phi]
-    for any fiber member defined at phi.  Returns (ok, Phi, Psi).
+    for the least fiber member s defined at phi, that is with phi in
+    dom beta_{s*s}.  Returns (ok, Phi, Psi).
     """
     if not is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
@@ -165,19 +166,17 @@ def verify_main1(S: InvSemigroup):
     theta = theta_from_sigma(S, sigma, _space=univ.action.space)
     trans = partial_trans_groupoid(theta, name=f"G({S.name})xE^")
 
-    unit_map = list(range(univ.n_units))
-    phi_arrows = [trans.pair_index[(sigma(s), x)]
-                  for s, x in univ.germ_reps]
-    Phi = groupoid_functor(univ, trans, unit_map, phi_arrows)
+    n, m = len(S), univ.n_units
+    classmap = np.asarray(sigma.classmap, dtype=np.int64)
+    s, x = np.array(univ.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    Phi = groupoid_functor(univ, trans, range(m), trans.arrow_at[classmap[s], x])
 
-    psi_arrows = []
-    for g, x in trans.arrow_pairs:
-        m = univ.action.space.mins[x]
-        s = next(s for s in range(len(S))
-                 if sigma(s) == g and
-                 S.mul(m, S.mul(S.inv(s), s)) == m)
-        psi_arrows.append(univ.germ(s, x))
-    Psi = groupoid_functor(trans, univ, unit_map, psi_arrows)
+    # per (g, x), the least s with sigma(s) = g and x in dom beta_{s*s}
+    s, x = np.nonzero(univ.action.maps[S.table[S.star, np.arange(n)]] >= 0)
+    least = np.full(len(sigma.group) * m, n)          # n: no such s
+    np.minimum.at(least, classmap[s] * m + x, s)
+    g, y = trans.arrow_pairs.T
+    Psi = groupoid_functor(trans, univ, range(m), univ.germ(least[g * m + y], y))
 
     ok = verify_isomorphism(Phi, Psi) and verify_isomorphism(Psi, Phi)
     return ok, Phi, Psi
@@ -220,51 +219,45 @@ def enveloping_group_action(theta: PartialGroupAction) -> EnvelopeResult:
     groupoids is a weak equivalence (checked, returned in the report).
     """
     G = theta.group
-    pairs = [(g, x) for g in range(len(G)) for x in range(theta.n_points)]
-
-    def related():
-        for g, x in pairs:
-            for h in range(len(G)):
-                # (g, x) ~ (h, y) iff theta(h^{-1} g) is defined at x
-                y = theta(G.mul(G.inv(h), g), x)
-                if y is not None:
-                    yield (g, x), (h, y)
-
-    classes, cidx = equivalence_classes(pairs, related())
-    reps = [cls[0] for cls in classes]
-    k = len(reps)
-    glob = np.zeros((len(G), k), dtype=np.int64)
-    for g in range(len(G)):
-        for i, (h, x) in enumerate(reps):
-            glob[g, i] = cidx[(G.mul(g, h), x)]
-    labels = [f"[{G.names[g]},{theta.point_labels[x]}]" for g, x in reps]
+    n, m = len(G), theta.n_points
+    maps = theta.maps
+    # (g, x) is item g m + x, and (g, x) ~ (h, y) when y = theta(h^{-1} g)(x)
+    ids = np.arange(n)
+    to = maps[G.table[G.star[None, :], ids[:, None]]]           # [g, h, x]
+    g, h, x = np.nonzero(to >= 0)
+    classes, index = connected_components(n * m, g * m + x, h * m + to[g, h, x])
+    reps = np.array([c[0] for c in classes], dtype=np.int64)
+    rep_g, rep_x = np.divmod(reps, m)
+    glob = index[G.table[:, rep_g] * m + rep_x]
+    labels = [f"[{G.names[g]},{theta.point_labels[x]}]"
+              for g, x in zip(rep_g.tolist(), rep_x.tolist())]
     global_action = validate_partial_action(G, labels, glob)
-    embedding = tuple(cidx[(G.identity, x)] for x in range(theta.n_points))
-    if len(set(embedding)) != theta.n_points:
+    embedding = index[G.identity * m + np.arange(m)]
+    if len(np.unique(embedding)) != m:
         raise errors.InvariantViolation(
             "embedding of X into its globalization must be injective",
-            embedding)
+            tuple(embedding.tolist()))
     # restriction of the global action to the image recovers theta
-    emb = set(embedding)
-    for g in range(len(G)):
-        for x in range(theta.n_points):
-            y = theta(g, x)
-            gx = int(glob[g, embedding[x]])
-            if y is not None and gx != embedding[y]:
-                raise errors.InvariantViolation(
-                    "globalization must extend theta", (g, x))
-            if y is None and gx in emb:
-                raise errors.InvariantViolation(
-                    "globalization must not enlarge theta inside X", (g, x))
+    defined = maps >= 0
+    gx = glob[:, embedding]
+    inside = np.zeros(len(reps), dtype=bool)
+    inside[embedding] = True
+    wrong = np.where(defined, gx != embedding[np.where(defined, maps, 0)],
+                     inside[gx])
+    if wrong.any():
+        g, x = (int(v) for v in np.argwhere(wrong)[0])
+        raise errors.InvariantViolation(
+            "globalization must extend theta" if defined[g, x] else
+            "globalization must not enlarge theta inside X", (g, x))
     small = partial_trans_groupoid(theta)
     big = partial_trans_groupoid(global_action, name=f"{G.name}|env")
-    unit_map = embedding
-    arrow_map = [big.pair_index[(g, embedding[x])]
-                 for g, x in small.arrow_pairs]
-    inclusion = groupoid_functor(small, big, unit_map, arrow_map)
+    g, x = small.arrow_pairs.T
+    inclusion = groupoid_functor(small, big, embedding,
+                                 big.arrow_at[g, embedding[x]])
     report = functor_report(inclusion)
-    return EnvelopeResult(theta, global_action, embedding,
-                          tuple(map(tuple, classes)),
+    return EnvelopeResult(theta, global_action, tuple(embedding.tolist()),
+                          tuple(tuple(zip((c // m).tolist(), (c % m).tolist()))
+                                for c in classes),
                           inclusion, report)
 
 
@@ -335,26 +328,22 @@ def ks_pipeline(phi: SemigroupHom, contract_to=None) -> KSPipelineResult:
     target = germ_groupoid(taction, name=f"{phi.target.name}|envX")
     # identify T x X (germs) with G(T) x X (semidirect): [t, x] -> ([t, p(x)], x)
     gt = F.target
-    amap = []
-    for t, x in target.germ_reps:
-        arrow = gt.germ(t, gaction.anchor[x])
-        amap.append(sd.pair_index[(arrow, x)])
+    t, x = np.array(target.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    amap = sd.arrow_at[gt.germ(t, np.asarray(gaction.anchor)[x]), x]
     ident = groupoid_functor(target, sd, range(target.n_units), amap)
     if not verify_isomorphism(ident):
         raise errors.InvariantViolation(
             "germ groupoid must match the semidirect product", ident.arrow_map)
-    back = {b: a for a, b in enumerate(amap)}
-    alpha = groupoid_functor(
-        source, target,
-        list(alpha0.unit_map),
-        [back[a] for a in alpha0.arrow_map])
+    alpha0_arrows = np.array(alpha0.arrow_map, dtype=np.int64)
+    back = np.argsort(amap)                     # ident is a bijection
+    alpha = groupoid_functor(source, target, alpha0.unit_map, back[alpha0_arrows])
     report = functor_report(alpha)
     # the projection relation pi . alpha = F
     proj = semidirect_projection(sd, gt)
-    for a in range(source.n_arrows):
-        if proj(alpha0(a)) != F(a):
-            raise errors.InvariantViolation(
-                "projection must recover the cocycle", a)
+    moved = np.array(proj.arrow_map)[alpha0_arrows] != F.arrow_map
+    if moved.any():
+        raise errors.InvariantViolation(
+            "projection must recover the cocycle", int(np.flatnonzero(moved)[0]))
     sizes = {
         "source_units": source.n_units,
         "source_arrows": source.n_arrows,

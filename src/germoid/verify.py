@@ -11,6 +11,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import errors
 from .germs import (
     beta_action,
@@ -164,10 +166,10 @@ def suite_envelope(S: InvSemigroup) -> list:
         env = enveloping_group_action(theta)
         ok = env.report["weak_equivalence"]
         glob = env.global_action
-        orbit_hits = all(
-            any(env.embedding[x] in {glob(g, y) for g in range(len(glob.group))}
-                for x in range(theta.n_points))
-            for y in range(glob.n_points))
+        # every global orbit meets the embedded points
+        embedded = np.zeros(glob.n_points + 1, dtype=bool)   # [-1] is False
+        embedded[list(env.embedding)] = True
+        orbit_hits = bool(embedded[glob.maps].any(axis=0).all())
         sizes = {"points": theta.n_points, "global_points": glob.n_points}
         return ok and glob.is_global() and orbit_hits, sizes, \
             "" if ok else "inclusion is not a weak equivalence", \

@@ -477,7 +477,7 @@ def product_matrix(alg, a):
 
     mat = np.zeros((alg.dim, alg.dim), dtype=np.int64)
     for b in range(alg.dim):
-        c = alg.mult.get((a, b))
+        c = alg.groupoid.compose(a, b)
         if c is not None:
             mat[c, b] = 1
     return mat
@@ -494,7 +494,7 @@ def center_dimension_svd(alg, tol=1e-10):
     for a in range(alg.dim):
         ra = np.zeros((alg.dim, alg.dim), dtype=np.int64)
         for b in range(alg.dim):
-            c = alg.mult.get((b, a))
+            c = alg.groupoid.compose(b, a)
             if c is not None:
                 ra[c, b] = 1
         rows.append(product_matrix(alg, a) - ra)
@@ -519,3 +519,368 @@ def check_ks_condition_by_sets(phi):
                 pre = {s for s in corner if natural_leq(T, phi(s), t)}
                 certs[(e, f, t)] = downset_generators(sub, pre)
     return True, certs
+
+
+# -- groupoid functors, reductions and envelopes, by dict lookups and loops ---------
+
+def isotropy_orders_loops(g):
+    """The isotropy group orders, one count over the arrows per unit."""
+    counts = []
+    for u in range(g.n_units):
+        counts.append(sum(1 for a in range(g.n_arrows)
+                          if g.dom[a] == u and g.ran[a] == u))
+    return tuple(sorted(counts))
+
+
+def groupoid_functor_loops(src, tgt, unit_map, arrow_map):
+    """The functor laws arrow by arrow, unit by unit, then over the ``comp``
+    dict in lexicographic order of (a, b); returns the maps as tuples."""
+    from germoid import errors
+
+    unit_map = tuple(int(x) for x in unit_map)
+    arrow_map = tuple(int(x) for x in arrow_map)
+    if len(unit_map) != src.n_units or len(arrow_map) != src.n_arrows:
+        raise errors.NotAFunctor("maps must cover all units and arrows")
+    for a in range(src.n_arrows):
+        fa = arrow_map[a]
+        if not 0 <= fa < tgt.n_arrows:
+            raise errors.NotAFunctor(f"arrow image {fa} out of range")
+        if tgt.dom[fa] != unit_map[src.dom[a]] or \
+                tgt.ran[fa] != unit_map[src.ran[a]]:
+            raise errors.NotAFunctor(f"endpoints of arrow {a} not preserved")
+    for u in range(src.n_units):
+        if arrow_map[src.identity[u]] != tgt.identity[unit_map[u]]:
+            raise errors.NotAFunctor(f"identity at unit {u} not preserved")
+    for (a, b), c in sorted(src.comp.items()):
+        if tgt.compose(arrow_map[a], arrow_map[b]) != arrow_map[c]:
+            raise errors.NotAFunctor(f"composition {a}{b} not preserved")
+    return unit_map, arrow_map
+
+
+def functor_report_sets(F):
+    """Faithful, full and essentially surjective from the comparison map
+    into the pullback, both materialized as Python sets."""
+    src, tgt = F.source, F.target
+    triples = [(int(src.ran[a]), int(src.dom[a]), F(a))
+               for a in range(src.n_arrows)]
+    faithful = len(set(triples)) == src.n_arrows
+    pullback = {(x, y, h)
+                for x in range(src.n_units) for y in range(src.n_units)
+                for h in range(tgt.n_arrows)
+                if tgt.dom[h] == F.unit_map[y] and tgt.ran[h] == F.unit_map[x]}
+    full = set(triples) >= pullback
+    image_units = set(F.unit_map)
+    ess = all(any((tgt.dom[h] == u and int(tgt.ran[h]) in image_units)
+                  for h in range(tgt.n_arrows))
+              for u in range(tgt.n_units))
+    return {"faithful": faithful, "full": full,
+            "fully_faithful": faithful and full,
+            "essentially_surjective": ess,
+            "weak_equivalence": faithful and full and ess}
+
+
+def reduction_dict(g, unit_subset):
+    """The full subgroupoid on a unit subset, re-indexed through dicts."""
+    from germoid import errors
+    from germoid.groupoids import FiniteGroupoid
+
+    units = sorted(set(int(u) for u in unit_subset))
+    for u in units:
+        if not 0 <= u < g.n_units:
+            raise errors.UnknownUnit(f"unit {u} out of range")
+    uset = set(units)
+    unew = {u: i for i, u in enumerate(units)}
+    arrows = [a for a in range(g.n_arrows)
+              if g.dom[a] in uset and g.ran[a] in uset]
+    anew = {a: i for i, a in enumerate(arrows)}
+    comp = {(anew[a], anew[b]): anew[c]
+            for (a, b), c in g.comp.items() if a in anew and b in anew}
+    red = FiniteGroupoid(
+        [g.unit_labels[u] for u in units],
+        [unew[int(g.dom[a])] for a in arrows],
+        [unew[int(g.ran[a])] for a in arrows],
+        comp,
+        [anew[int(g.inv[a])] for a in arrows],
+        [anew[int(g.identity[u])] for u in units],
+        arrow_labels=[g.arrow_labels[a] for a in arrows])
+    red.parent_units = tuple(units)
+    red.parent_arrows = tuple(arrows)
+    return red
+
+
+def equivalence_classes_union_find(items, related):
+    """Classes of the equivalence on ``items`` (increasing) generated by
+    the pairs in ``related``: each class lists its members in order, the
+    classes ordered by least member; ``index`` maps items to class numbers."""
+    parent = {p: p for p in items}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for p, q in related:
+        rp, rq = find(p), find(q)
+        parent[rp] = rq
+    members = {}
+    for p in items:
+        members.setdefault(find(p), []).append(p)
+    number = {root: i for i, root in enumerate(members)}
+    return list(members.values()), {p: number[find(p)] for p in items}
+
+
+def enveloping_group_action_loops(theta):
+    """The globalization of a partial action pair by pair: union-find
+    classes of (g, x), the global action, the embedding and its checks,
+    and the inclusion of transformation groupoids through a pair dict.
+    Returns (classes, glob, embedding, inclusion arrow map, report)."""
+    import numpy as np
+
+    from germoid import errors
+    from germoid.groupoids import groupoid_functor
+    from germoid.partial_actions import (
+        partial_trans_groupoid,
+        validate_partial_action,
+    )
+
+    G = theta.group
+    pairs = [(g, x) for g in range(len(G)) for x in range(theta.n_points)]
+
+    def related():
+        for g, x in pairs:
+            for h in range(len(G)):
+                # (g, x) ~ (h, y) iff theta(h^{-1} g) is defined at x
+                y = theta(G.mul(G.inv(h), g), x)
+                if y is not None:
+                    yield (g, x), (h, y)
+
+    classes, cidx = equivalence_classes_union_find(pairs, related())
+    reps = [cls[0] for cls in classes]
+    glob = np.zeros((len(G), len(reps)), dtype=np.int64)
+    for g in range(len(G)):
+        for i, (h, x) in enumerate(reps):
+            glob[g, i] = cidx[(G.mul(g, h), x)]
+    labels = [f"[{G.names[g]},{theta.point_labels[x]}]" for g, x in reps]
+    global_action = validate_partial_action(G, labels, glob)
+    embedding = tuple(cidx[(G.identity, x)] for x in range(theta.n_points))
+    if len(set(embedding)) != theta.n_points:
+        raise errors.InvariantViolation(
+            "embedding of X into its globalization must be injective",
+            embedding)
+    emb = set(embedding)
+    for g in range(len(G)):
+        for x in range(theta.n_points):
+            y = theta(g, x)
+            gx = int(glob[g, embedding[x]])
+            if y is not None and gx != embedding[y]:
+                raise errors.InvariantViolation(
+                    "globalization must extend theta", (g, x))
+            if y is None and gx in emb:
+                raise errors.InvariantViolation(
+                    "globalization must not enlarge theta inside X", (g, x))
+    small = partial_trans_groupoid(theta)
+    big = partial_trans_groupoid(global_action)
+    index = {tuple(p): a for a, p in enumerate(big.arrow_pairs.tolist())}
+    arrow_map = [index[(g, embedding[x])]
+                 for g, x in small.arrow_pairs.tolist()]
+    inclusion = groupoid_functor(small, big, embedding, arrow_map)
+    return (tuple(map(tuple, classes)), glob, embedding, inclusion.arrow_map,
+            functor_report_sets(inclusion))
+
+
+def enveloping_action_of_functor_loops(F):
+    """The enveloping space of a faithful functor pair by pair: union-find
+    classes of (a, e), the action by lookups of composites, and alpha
+    through a pair dict of the semidirect product.  Returns (classes,
+    labels, anchor, act, alpha unit map, alpha arrow map)."""
+    import numpy as np
+
+    from germoid.groupoids import (
+        GroupoidSpaceAction,
+        groupoid_functor,
+        semidirect_product,
+        validate_space_action,
+    )
+
+    g, h = F.source, F.target
+    pairs = [(a, e) for a in range(h.n_arrows) for e in range(g.n_units)
+             if h.dom[a] == F.unit_map[e]]
+
+    def related():
+        for (a, e) in pairs:
+            for arr in range(g.n_arrows):
+                if g.dom[arr] != e:
+                    continue
+                # (a, e) ~ (k, f) when F(arr) = k^{-1} a, i.e. k = a F(arr)^{-1}
+                k = h.compose(a, int(h.inv[F(arr)]))
+                if k is not None:
+                    yield (a, e), (k, int(g.ran[arr]))
+
+    classes, class_index = equivalence_classes_union_find(pairs, related())
+    reps = [cls[0] for cls in classes]
+    labels = [f"[{h.arrow_labels[a]},{g.unit_labels[e]}]" for a, e in reps]
+    anchor = [int(h.ran[a]) for a, e in reps]
+    act = np.full((h.n_arrows, len(reps)), -1, dtype=np.int64)
+    for b in range(h.n_arrows):
+        for i, (a, e) in enumerate(reps):
+            if h.dom[b] == h.ran[a]:
+                act[b, i] = class_index[(h.compose(b, a), e)]
+    action = validate_space_action(GroupoidSpaceAction(h, labels, anchor, act))
+    sd = semidirect_product(action)
+    index = {tuple(p): a for a, p in enumerate(sd.arrow_pairs.tolist())}
+    unit_map = [class_index[(int(h.identity[F.unit_map[e]]), e)]
+                for e in range(g.n_units)]
+    arrow_map = [index[(F(arr), unit_map[g.dom[arr]])]
+                 for arr in range(g.n_arrows)]
+    alpha = groupoid_functor(g, sd, unit_map, arrow_map)
+    return classes, labels, anchor, act, alpha.unit_map, alpha.arrow_map
+
+
+def main1_psi_by_search(S, univ, trans):
+    """Psi of ``verify_main1`` by search: (g, x) goes to [s, x] for the
+    least s with sigma(s) = g and m_x <= s*s, m_x the minimum of filter x."""
+    from germoid.semigroups import max_group_image
+
+    sigma = max_group_image(S)
+    psi = []
+    for g, x in trans.arrow_pairs.tolist():
+        m = univ.action.space.mins[x]
+        s = next(s for s in range(len(S))
+                 if sigma(s) == g and S.mul(m, S.mul(S.inv(s), s)) == m)
+        psi.append(univ.germ(s, x))
+    return tuple(psi)
+
+
+# -- groupoid isomorphism by backtracking ---------------------------------------------
+
+def orbit_of(k, u):
+    """The units connected to unit u by arrows of k, by graph search."""
+    seen = {u}
+    frontier = [u]
+    while frontier:
+        x = frontier.pop()
+        for a in range(k.n_arrows):
+            if k.dom[a] == x and k.ran[a] not in seen:
+                seen.add(int(k.ran[a]))
+                frontier.append(int(k.ran[a]))
+            if k.ran[a] == x and k.dom[a] not in seen:
+                seen.add(int(k.dom[a]))
+                frontier.append(int(k.dom[a]))
+    return frozenset(seen)
+
+
+def find_isomorphism(g, h, arrow_limit=64):
+    """Brute-force isomorphism search between small groupoids.
+
+    Returns a GroupoidFunctor or None.  Pre-checks cheap invariants (unit and
+    arrow counts, isotropy multiset) before backtracking over unit bijections
+    and hom-set assignments.
+    """
+    from germoid import errors
+    from germoid.groupoids import groupoid_functor
+
+    if g.n_arrows > arrow_limit or h.n_arrows > arrow_limit:
+        raise errors.SizeLimitExceeded(max(g.n_arrows, h.n_arrows), arrow_limit)
+    if g.n_units != h.n_units or g.n_arrows != h.n_arrows:
+        return None
+    if g.isotropy_orders() != h.isotropy_orders():
+        return None
+
+    def unit_sig(k, u):
+        iso = sum(1 for a in range(k.n_arrows)
+                  if k.dom[a] == u and k.ran[a] == u)
+        out = sum(1 for a in range(k.n_arrows) if k.dom[a] == u)
+        return (iso, out, len(orbit_of(k, u)))
+
+    gsig = [unit_sig(g, u) for u in range(g.n_units)]
+    hsig = [unit_sig(h, u) for u in range(h.n_units)]
+    if sorted(gsig) != sorted(hsig):
+        return None
+
+    def hom_set(k, u, v):
+        return [a for a in range(k.n_arrows)
+                if k.dom[a] == u and k.ran[a] == v]
+
+    def try_units(unit_map):
+        amap = [-1] * g.n_arrows
+        used = [False] * h.n_arrows
+        order = sorted(range(g.n_arrows),
+                       key=lambda a: (g.dom[a], g.ran[a], a))
+
+        def consistent(a, b):
+            # every composition constraint touching a: a as a factor, and a
+            # as the composite of two arrows mapped earlier
+            mapped = [x for x in range(g.n_arrows) if amap[x] >= 0]
+            for x in mapped:
+                c = g.compose(a, x)
+                if c is not None and amap[c] >= 0:
+                    if h.compose(b, amap[x]) != amap[c]:
+                        return False
+                c = g.compose(x, a)
+                if c is not None and amap[c] >= 0:
+                    if h.compose(amap[x], b) != amap[c]:
+                        return False
+            c = g.compose(a, a)
+            if c is not None and amap[c] >= 0 and h.compose(b, b) != amap[c]:
+                return False
+            for x in mapped:
+                for y in mapped:
+                    if g.compose(x, y) == a and \
+                            h.compose(amap[x], amap[y]) != b:
+                        return False
+            return True
+
+        def backtrack(i):
+            if i == len(order):
+                return True
+            a = order[i]
+            if amap[a] >= 0:
+                return backtrack(i + 1)
+            du, ru = unit_map[g.dom[a]], unit_map[g.ran[a]]
+            for b in hom_set(h, du, ru):
+                if used[b]:
+                    continue
+                ai, bi = int(g.inv[a]), int(h.inv[b])
+                if amap[ai] >= 0 and amap[ai] != bi:
+                    continue
+                if used[bi] and amap[ai] != bi:
+                    continue
+                amap[a] = b
+                used[b] = True
+                set_inv = amap[ai] < 0
+                if set_inv:
+                    amap[ai] = bi
+                    used[bi] = True
+                if consistent(a, b) and (not set_inv or consistent(ai, bi)) \
+                        and backtrack(i + 1):
+                    return True
+                amap[a] = -1
+                used[b] = False
+                if set_inv:
+                    amap[ai] = -1
+                    used[bi] = False
+            return False
+
+        if backtrack(0):
+            return amap
+        return None
+
+    def unit_backtrack(i, unit_map, taken):
+        if i == g.n_units:
+            amap = try_units(unit_map)
+            if amap is not None:
+                return groupoid_functor(g, h, unit_map, amap)
+            return None
+        for v in range(h.n_units):
+            if taken[v] or hsig[v] != gsig[i]:
+                continue
+            unit_map[i] = v
+            taken[v] = True
+            res = unit_backtrack(i + 1, unit_map, taken)
+            if res is not None:
+                return res
+            taken[v] = False
+        return None
+
+    return unit_backtrack(0, [-1] * g.n_units, [False] * h.n_units)

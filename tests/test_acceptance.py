@@ -158,7 +158,7 @@ def test_criterion_4_tight_suite():
     assert (A.n_units, A.n_arrows) == (2, 4)
     assert (gt.n_units, gt.n_arrows) == (2, 4)
     assert A.germ_reps == gt.germ_reps  # same arrows, arrow-for-arrow
-    pair = gpd.find_isomorphism(A, gpd.pair_groupoid(2))
+    pair = oracles.find_isomorphism(A, gpd.pair_groupoid(2))
     assert pair is not None
 
     # the restricted partial action of the cover reproduces it arrow-for-arrow
@@ -186,7 +186,7 @@ def test_criterion_4_tight_suite():
     red_amap = []
     for a in red.parent_arrows:
         g, x = PhiT.target.arrow_pairs[PhiT(a)]
-        red_amap.append(GY.pair_index[(g, pos[x])])
+        red_amap.append(GY.arrow_at[g, pos[x]])
     F_red_GY = gpd.groupoid_functor(red, GY, red_umap, red_amap)
     assert gpd.verify_isomorphism(F_red_GY)
 
@@ -248,7 +248,7 @@ def test_criterion_6_ks_suite():
     resC = pa.ks_pipeline(sg.hom_from_sigma(sg.max_group_image(T)),
                           contract_to=perp)
     assert resC.ok
-    assert gpd.find_isomorphism(resC.target, gpd.pair_groupoid(2)) is not None
+    assert oracles.find_isomorphism(resC.target, gpd.pair_groupoid(2)) is not None
     _line(6, True,
           "ks pipeline: S3 (3 pts, 6 arrows, centers 3=3), S4 (isomorphism), "
           "B2 cover contracted to the perp (pair groupoid)")

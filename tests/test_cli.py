@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from germoid import cli
 from germoid import fixtures as fx
+from germoid import groupoids as gpd
 
 
 def run_cli(capsys, *argv):
@@ -304,3 +305,117 @@ def test_mutated_fixture_json_exits_0_or_2(tmp_path_factory, data):
         doc = data.draw(json_values, label="document")
     path = tmp_path_factory.mktemp("fuzz") / "mutated.json"
     assert verify_text(path, json.dumps(doc)) in (0, 2)
+
+
+# -- malformed groupoid files: export-dot exits 2, never a traceback -------------
+
+PAIR3 = gpd.pair_groupoid(3).to_json()
+
+
+def export_exit(path, text):
+    """Exit code of ``export-dot`` on a file holding ``text``."""
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["export-dot", str(path)])
+
+
+def pair3_with(**changes):
+    doc = json.loads(PAIR3)
+    doc.update(changes)
+    return doc
+
+
+def test_export_dot_reads_its_own_json(tmp_path):
+    assert export_exit(tmp_path / "pair3.json", PAIR3) == 0
+
+
+def test_export_dot_reads_arrows_in_any_order(tmp_path, capsys):
+    doc = json.loads(PAIR3)
+    for arrow in doc["arrows"][::2]:
+        del arrow["label"]                                   # default a<id>
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["export-dot", str(path)]) == 0
+    in_order = capsys.readouterr().out
+    doc["arrows"].reverse()
+    path.write_text(json.dumps(doc))
+    assert cli.main(["export-dot", str(path)]) == 0
+    assert capsys.readouterr().out == in_order
+    assert '[label="a2"' in in_order and '[label="(0<-1)"' in in_order
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "pair",
+    pair3_with(comp=[["0", 0, 0]]),
+    pair3_with(comp=[[0, 0]]),
+    pair3_with(comp=[[0, 0, 9]]),
+    pair3_with(comp=[[0, 0, 0.0]]),
+    pair3_with(comp={"0": 0}),
+    pair3_with(inv=[[0, -1]]),
+    pair3_with(inv=[[0, 1, 2]]),
+    pair3_with(units=["x0", 1, "x2"]),
+    pair3_with(units="x0"),
+    pair3_with(arrows=[1, 2]),
+    pair3_with(arrows=[{"id": 0, "dom": 0}]),
+    pair3_with(arrows=[{"id": 0, "dom": 0, "ran": 5}]),
+    pair3_with(arrows=[{"id": 1, "dom": 0, "ran": 0}]),
+    pair3_with(arrows=[{"id": 0.0, "dom": 0, "ran": 0}]),
+    pair3_with(arrows=[{"id": 0, "dom": 0, "ran": 0}] * 2),
+    {"units": ["x", "y"],                                    # a repeated id
+     "arrows": [{"id": 0, "dom": 0, "ran": 0}, {"id": 0, "dom": 1, "ran": 1}],
+     "comp": [[0, 0, 0], [1, 1, 1]], "inv": [[0, 0], [1, 1]]},
+    {"units": ["x"], "arrows": [{"id": 0, "dom": 0, "ran": 0}], "inv": [[0, 0]]},
+    pair3_with(comp=json.loads(PAIR3)["comp"][1:]),          # an axiom fails
+])
+def test_malformed_groupoid_exits_2(tmp_path, doc):
+    assert export_exit(tmp_path / "bad.json", json.dumps(doc)) == 2
+
+
+def test_export_dot_keeps_the_last_of_repeated_entries(tmp_path):
+    doc = json.loads(PAIR3)
+    doc["comp"].insert(0, [0, 0, 1])                       # a wrong first value
+    doc["inv"].insert(0, [1, 1])
+    assert export_exit(tmp_path / "late.json", json.dumps(doc)) == 0
+    doc["comp"].append([0, 0, 1])                          # a wrong last value
+    assert export_exit(tmp_path / "early.json", json.dumps(doc)) == 2
+
+
+def test_undecodable_groupoid_file_exits_2(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe not text")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["export-dot", str(binary)]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_groupoid_json_exits_0_or_2(tmp_path_factory, data):
+    doc = json.loads(PAIR3)
+    kind = data.draw(st.sampled_from(
+        ["unit", "arrow-field", "comp-entry", "comp-triple", "drop-comp",
+         "inv-entry", "drop-key", "document"]), label="kind")
+    value = json_values
+    if kind == "unit":
+        doc["units"][data.draw(st.integers(0, 2))] = data.draw(value)
+    elif kind == "arrow-field":
+        arrow = data.draw(st.sampled_from(doc["arrows"]), label="arrow")
+        arrow[data.draw(st.sampled_from(sorted(arrow)))] = data.draw(value)
+    elif kind == "comp-entry":
+        triple = data.draw(st.sampled_from(doc["comp"]), label="triple")
+        triple[data.draw(st.integers(0, 2))] = data.draw(value)
+    elif kind == "comp-triple":
+        doc["comp"][data.draw(st.integers(0, len(doc["comp"]) - 1))] = \
+            data.draw(value)
+    elif kind == "drop-comp":
+        doc["comp"].pop(data.draw(st.integers(0, len(doc["comp"]) - 1)))
+    elif kind == "inv-entry":
+        pair = data.draw(st.sampled_from(doc["inv"]), label="pair")
+        pair[data.draw(st.integers(0, 1))] = data.draw(value)
+    elif kind == "drop-key":
+        del doc[data.draw(st.sampled_from(sorted(doc)), label="key")]
+    else:
+        doc = data.draw(value, label="document")
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+    assert export_exit(path, json.dumps(doc)) in (0, 2)

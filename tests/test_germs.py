@@ -83,6 +83,19 @@ class TestBetaAction:
 
 
 class TestGermGroupoid:
+    def test_germ_outside_the_germ_set_raises(self):
+        g = germs.universal_groupoid(fx.s4_monoid())
+        n, m = g.arrow_at.shape
+        s, x = np.argwhere(g.arrow_at < 0)[0]
+        for bad in ((n, 0), (-1, 0), (0, m), (s, x)):
+            with pytest.raises(errors.UnknownElement, match=r"\(.*\) is not in"):
+                g.germ(*bad)
+        # an array lookup names its first pair outside the germ set
+        good = np.argwhere(g.arrow_at >= 0)[0]
+        with pytest.raises(errors.UnknownElement, match=f"^\\({n},0\\) is not"):
+            g.germ([good[0], n], [good[1], 0])
+        assert g.germ(*good) == g.arrow_at[tuple(good)]
+
     def test_semilattice_gives_unit_groupoid(self):
         for E in (fx.chain2(), fx.chain(3)):
             g = germs.universal_groupoid(E)
@@ -170,7 +183,7 @@ class TestUniversalGroupoid:
     def test_b2_contracted_is_pair_groupoid(self):
         g = germs.universal_groupoid(fx.b2(), contracted=True)
         assert (g.n_units, g.n_arrows) == (2, 4)
-        assert gpd.find_isomorphism(g, gpd.pair_groupoid(2)) is not None
+        assert oracles.find_isomorphism(g, gpd.pair_groupoid(2)) is not None
 
     def test_b2_plain_has_isolated_zero_filter(self):
         g = germs.universal_groupoid(fx.b2(), contracted=False)
@@ -202,7 +215,7 @@ class TestTightGroupoid:
         # frozen from enumeration: the two singleton-domain partial
         # identities are the atoms; germs connect and rotate them
         assert g.n_arrows == 4
-        assert gpd.find_isomorphism(g, gpd.pair_groupoid(2)) is not None
+        assert oracles.find_isomorphism(g, gpd.pair_groupoid(2)) is not None
 
     def test_tight_units_invariant_under_beta(self, corpus):
         for name in ("B2", "I2", "SD6^0", "S4^0", "CHAIN2^0"):

@@ -1,11 +1,13 @@
 """Internal invariants raise InvariantViolation, with a witness, also under
 ``python -O``; a verify run reports one as a failed check."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from germoid import cli, errors
@@ -67,6 +69,22 @@ def test_envelope_report_fails_on_bad_globalization(monkeypatch):
     assert not report.passed and not report.skipped
     assert report.witness == ("InvariantViolation: globalization must not "
                               "enlarge theta inside X (witness (1, 1))")
+
+
+def test_envelope_report_fails_when_an_orbit_misses_x(monkeypatch):
+    # a global action with one more fixed point, outside every orbit of X
+    real = pa.enveloping_group_action
+
+    def with_a_stray_point(theta):
+        env = real(theta)
+        glob = env.global_action
+        maps = np.column_stack([glob.maps, np.full(len(glob.group), glob.n_points)])
+        stray = pa.PartialGroupAction(glob.group, glob.point_labels + ("z",), maps)
+        return dataclasses.replace(env, global_action=stray)
+
+    monkeypatch.setattr(verify, "enveloping_group_action", with_a_stray_point)
+    (report,) = verify.run_suite("envelope", [fx.s4_monoid()])
+    assert not report.passed and not report.skipped and report.witness == ""
 
 
 def test_ks_report_fails_when_projection_misses_cocycle(monkeypatch):

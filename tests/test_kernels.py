@@ -293,6 +293,17 @@ def test_out_of_range_composition_is_a_structured_error():
         gpd.validate_groupoid(bad)
 
 
+def test_out_of_range_table_entry_is_a_structured_error():
+    g = gpd.pair_groupoid(2)
+    table = np.array(g.comp_table)
+    table[1, 2] = 4
+    bad = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, table, g.inv,
+                             g.identity)
+    expect = ("DomainMismatch",
+              "composition of 1, 2 names an arrow outside the groupoid")
+    assert outcome(gpd.validate_groupoid, bad) == expect
+
+
 def test_endpoint_outside_units_is_a_structured_error():
     g = gpd.pair_groupoid(2)
     dom = list(g.dom)
@@ -495,3 +506,233 @@ def test_check_ks_condition_of_an_arbitrary_map_matches_sets(semigroups, data):
     phi = sg.SemigroupHom(S, T, tuple(mapping))
     assert outcome(sp.check_ks_condition, phi) == \
         outcome(oracles.check_ks_condition_by_sets, phi)
+
+
+# -- functors, reductions, components and envelopes ------------------------------------
+
+def test_isotropy_orders_match_loops(center_groupoids):
+    for g in center_groupoids:
+        assert g.isotropy_orders() == oracles.isotropy_orders_loops(g)
+
+
+@pytest.fixture(scope="module")
+def envelope_sources(corpus, random_eunitary):
+    """The presets and 24 random E-unitary semidirect products."""
+    return list(corpus.values()) + random_eunitary[:24]
+
+
+@pytest.fixture(scope="module")
+def functors(envelope_sources):
+    # the functors the verify suites build: Phi and Psi of main1, induced
+    # functors, envelope inclusions and factorizations, projections
+    out = []
+    for S in envelope_sources:
+        if sg.is_e_unitary(S):
+            _, Phi, Psi = pa.verify_main1(S)
+            out += [Phi, Psi, pa.enveloping_group_action(
+                pa.theta_from_sigma(S)).inclusion]
+        phi = sg.hom_from_sigma(sg.max_group_image(S))
+        if sg.is_locally_idempotent_pure(phi):
+            F = germs.induced_functor(phi)
+            _, alpha, sd, _ = gpd.enveloping_action_of_functor(F)
+            out += [F, alpha, gpd.semidirect_projection(sd, F.target)]
+    pair = gpd.pair_groupoid(3)
+    out += [gpd.identity_functor(pair),
+            gpd.inclusion_of_reduction(gpd.reduction(pair, [0, 2]), pair)]
+    return [F for F in out if F.source.n_arrows <= 40 and F.target.n_arrows <= 40]
+
+
+def with_table(g, table):
+    return gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, table, g.inv,
+                              g.identity)
+
+
+def mutated_functor(data, F):
+    src, tgt = F.source, F.target
+    unit_map, arrow_map = list(F.unit_map), list(F.arrow_map)
+    kind = data.draw(st.sampled_from(
+        ["none", "unit", "arrow", "source table", "target table"]), label="kind")
+    if kind == "unit":
+        unit_map[data.draw(st.integers(0, src.n_units - 1))] = \
+            data.draw(st.integers(-1, tgt.n_units), label="unit")
+    elif kind == "arrow":
+        arrow_map[data.draw(st.integers(0, src.n_arrows - 1))] = \
+            data.draw(st.integers(-1, tgt.n_arrows), label="arrow")
+    elif kind.endswith("table"):
+        g = src if kind == "source table" else tgt
+        table = np.array(g.comp_table)
+        a = data.draw(st.integers(0, g.n_arrows - 1), label="a")
+        b = data.draw(st.integers(0, g.n_arrows - 1), label="b")
+        table[a, b] = data.draw(st.integers(-1, g.n_arrows - 1), label="ab")
+        if kind == "source table":
+            src = with_table(src, table)
+        else:
+            tgt = with_table(tgt, table)
+    return src, tgt, unit_map, arrow_map
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_groupoid_functor_matches_loops(functors, data):
+    F = data.draw(st.sampled_from(functors), label="F")
+    args = mutated_functor(data, F)
+    assert outcome(gpd.groupoid_functor, *args) == \
+        outcome(oracles.groupoid_functor_loops, *args)
+
+
+def test_groupoid_functor_reports_a_lost_identity(functors):
+    # an identity sent to another loop at the right unit keeps every
+    # endpoint; the identity law is the first to fail
+    cases = 0
+    for F in functors:
+        src, tgt = F.source, F.target
+        for u in range(src.n_units):
+            v = F.unit_map[u]
+            loops = np.flatnonzero((tgt.dom == v) & (tgt.ran == v))
+            for loop in loops[loops != tgt.identity[v]][:2].tolist():
+                arrow_map = list(F.arrow_map)
+                arrow_map[src.identity[u]] = loop
+                args = (src, tgt, F.unit_map, arrow_map)
+                expect = ("NotAFunctor", f"identity at unit {u} not preserved")
+                assert outcome(gpd.groupoid_functor, *args) == expect
+                assert outcome(oracles.groupoid_functor_loops, *args) == expect
+                cases += 1
+    assert cases > 50
+
+
+def test_functor_report_matches_sets(functors):
+    for F in functors:
+        assert gpd.functor_report(F) == oracles.functor_report_sets(F)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_functor_report_of_arbitrary_maps_matches_sets(functors, data):
+    # any maps into the target's units and arrows, functorial or not
+    F = data.draw(st.sampled_from(functors), label="F")
+    src, tgt = F.source, F.target
+    unit_map, arrow_map = list(F.unit_map), list(F.arrow_map)
+    if data.draw(st.booleans(), label="move a unit"):
+        unit_map[data.draw(st.integers(0, src.n_units - 1))] = \
+            data.draw(st.integers(0, tgt.n_units - 1))
+    if data.draw(st.booleans(), label="move an arrow"):
+        arrow_map[data.draw(st.integers(0, src.n_arrows - 1))] = \
+            data.draw(st.integers(0, tgt.n_arrows - 1))
+    G = gpd.GroupoidFunctor(src, tgt, tuple(unit_map), tuple(arrow_map))
+    assert gpd.functor_report(G) == oracles.functor_report_sets(G)
+
+
+def groupoid_fields(g):
+    return (g.unit_labels, g.dom.tolist(), g.ran.tolist(), sorted(g.comp.items()),
+            g.inv.tolist(), g.identity.tolist(), g.arrow_labels,
+            g.parent_units, g.parent_arrows)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_reduction_matches_dicts(groupoids, data):
+    g = data.draw(st.sampled_from(groupoids), label="g")
+    units = data.draw(st.lists(st.integers(-1, g.n_units), max_size=6),
+                      label="units")
+    assert outcome(gpd.reduction, g, units) == \
+        outcome(oracles.reduction_dict, g, units)
+    if outcome(gpd.reduction, g, units)[0] == "ok":
+        assert groupoid_fields(gpd.reduction(g, units)) == \
+            groupoid_fields(oracles.reduction_dict(g, units))
+
+
+@EXAMPLES
+@given(n=st.integers(0, 30), data=st.data())
+def test_connected_components_match_union_find(n, data):
+    item = st.integers(0, max(n - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(item, item), max_size=40 if n else 0),
+                      label="pairs")
+    p, q = (np.array([pq[i] for pq in pairs], dtype=np.int64) for i in (0, 1))
+    classes, index = gpd.connected_components(n, p, q)
+    expect, expect_index = oracles.equivalence_classes_union_find(
+        range(n), pairs)
+    assert [c.tolist() for c in classes] == expect
+    assert index.tolist() == [expect_index[x] for x in range(n)]
+
+
+def test_connected_components_of_a_long_path():
+    # a path labelled against the propagation direction
+    n = 200
+    perm = np.random.default_rng(3).permutation(n)
+    classes, index = gpd.connected_components(n, perm[1:], perm[:-1])
+    assert [c.tolist() for c in classes] == [list(range(n))]
+    assert not index.any()
+
+
+def envelope_outputs(env):
+    return (env.classes, env.global_action.maps.tolist(), env.embedding,
+            env.inclusion.arrow_map, env.report)
+
+
+def test_enveloping_group_action_matches_loops(envelope_sources):
+    for S in envelope_sources:
+        if sg.is_e_unitary(S):
+            theta = pa.theta_from_sigma(S)
+            classes, glob, embedding, inclusion, report = \
+                oracles.enveloping_group_action_loops(theta)
+            assert envelope_outputs(pa.enveloping_group_action(theta)) == \
+                (classes, glob.tolist(), embedding, inclusion, report)
+
+
+@pytest.fixture(scope="module")
+def small_thetas(envelope_sources):
+    return [pa.theta_from_sigma(S) for S in envelope_sources
+            if sg.is_e_unitary(S) and len(S) <= 24]
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_enveloping_group_action_of_a_mutated_action_matches_loops(
+        small_thetas, data):
+    theta = data.draw(st.sampled_from(small_thetas), label="theta")
+    maps = mutated_maps(data, theta.maps)
+    bad = pa.PartialGroupAction(theta.group, theta.point_labels, maps)
+    result = outcome(pa.enveloping_group_action, bad)
+    assert result == outcome(oracles.enveloping_group_action_loops, bad)
+    if result[0] == "ok":
+        classes, glob, embedding, inclusion, report = \
+            oracles.enveloping_group_action_loops(bad)
+        assert envelope_outputs(pa.enveloping_group_action(bad)) == \
+            (classes, glob.tolist(), embedding, inclusion, report)
+
+
+def test_enveloping_group_action_of_a_nonabelian_restriction_matches_loops():
+    # Sym3 acting on {0, 1, 2}, restricted to a subset: the globalization
+    # is the orbit, and g h != h g tells the two sides of the action apart
+    G = s3_group()
+    perms = list(itertools.permutations(range(3)))
+    for X in ([0], [0, 1], [1, 2]):
+        maps = [[X.index(p[x]) if p[x] in X else -1 for x in X] for p in perms]
+        theta = pa.validate_partial_action(G, [str(x) for x in X], maps)
+        classes, glob, embedding, inclusion, report = \
+            oracles.enveloping_group_action_loops(theta)
+        env = pa.enveloping_group_action(theta)
+        assert envelope_outputs(env) == \
+            (classes, glob.tolist(), embedding, inclusion, report)
+        assert env.global_action.n_points == 3 and report["weak_equivalence"]
+
+
+def test_enveloping_action_of_functor_matches_loops(functors):
+    faithful = [F for F in functors if gpd.cocycle_faithfulness_map(F)[1]]
+    assert len(faithful) > 20
+    for F in faithful:
+        action, alpha, _, classes = gpd.enveloping_action_of_functor(F)
+        expect = oracles.enveloping_action_of_functor_loops(F)
+        assert (list(classes.values()), list(action.point_labels),
+                list(action.anchor), action.act.tolist(),
+                alpha.unit_map, alpha.arrow_map) == \
+            (expect[0], expect[1], expect[2], expect[3].tolist(),
+             expect[4], expect[5])
+
+
+def test_main1_psi_matches_search(envelope_sources):
+    for S in envelope_sources:
+        if sg.is_e_unitary(S):
+            _, Phi, Psi = pa.verify_main1(S)
+            assert Psi.arrow_map == \
+                oracles.main1_psi_by_search(S, Phi.source, Phi.target)
