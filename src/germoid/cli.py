@@ -9,6 +9,7 @@ one failure, 2 input/parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -113,6 +114,11 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+# Looked up on each call, not stored in the parser, which is built once.
+COMMANDS = {"gen": cmd_gen, "analyze": cmd_analyze, "groupoid": cmd_groupoid,
+            "verify": cmd_verify, "export-dot": cmd_export_dot}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="germoid")
     sub = p.add_subparsers(dest="command", required=True)
@@ -128,11 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--right")
     g.add_argument("--in", dest="infile")
     g.add_argument("--out")
-    g.set_defaults(fn=cmd_gen)
 
     a = sub.add_parser("analyze", help="summary facts about a semigroup file")
     a.add_argument("file")
-    a.set_defaults(fn=cmd_analyze)
 
     go = sub.add_parser("groupoid", help="build a groupoid of a semigroup")
     go.add_argument("file")
@@ -140,28 +144,31 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["universal", "contracted", "tight", "partial"])
     go.add_argument("--out")
     go.add_argument("--dot")
-    go.set_defaults(fn=cmd_groupoid)
 
     v = sub.add_parser("verify", help="run a verification suite over fixtures")
     v.add_argument("--suite", required=True,
                    choices=["main1", "main1reduced", "reduction", "equiv",
                             "envelope", "ks", "all"])
     v.add_argument("files", nargs="+")
-    v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("export-dot", help="groupoid JSON to DOT")
     d.add_argument("file")
     d.add_argument("--out")
-    d.set_defaults(fn=cmd_export_dot)
 
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once: parsing leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         size_limit()                # a malformed setting is an input error
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except (SystemExit2, errors.MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

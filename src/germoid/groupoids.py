@@ -9,6 +9,7 @@ and that is checked exhaustively.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -16,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import errors
-from .semigroups import CHUNK, check_size
+from .semigroups import CHUNK, check_size, holds_bool
 
 
 class FiniteGroupoid:
@@ -63,11 +64,17 @@ class FiniteGroupoid:
         """ab if dom(a) = ran(b), else None."""
         return self.comp.get((a, b))
 
+    @functools.cached_property
+    def defined_pairs(self) -> tuple:
+        """The pairs (a, b) where the table is defined, in lexicographic
+        order, as two arrays."""
+        return np.nonzero(self.comp_table >= 0)
+
     @property
     def comp(self):
         """The composition as a read-only dict {(a, b): ab}."""
         if self._comp is None:
-            a, b = np.nonzero(self._comp_table >= 0)
+            a, b = self.defined_pairs
             self._comp = MappingProxyType(dict(zip(
                 zip(a.tolist(), b.tolist()), self._comp_table[a, b].tolist())))
         return self._comp
@@ -102,7 +109,7 @@ class FiniteGroupoid:
 
     def comp_triples(self) -> list:
         """[a, b, ab] for every composable pair, in lexicographic order."""
-        a, b = np.nonzero(self.comp_table >= 0)
+        a, b = self.defined_pairs
         return np.column_stack((a, b, self.comp_table[a, b])).tolist()
 
     def to_json_dict(self) -> dict:
@@ -174,14 +181,68 @@ def compose_by_label(n_units, labels, dom, ran, product, arrow_at) -> np.ndarray
     return table
 
 
+def generating_arrows(g: FiniteGroupoid) -> np.ndarray:
+    """A mask of arrows that generate g, together with its identities,
+    under composition.
+
+    Starting from the identities, the arrows reached so far are closed
+    under composition by repeated squaring, so in O(log order) rounds, and
+    then the least unreached arrow of each hom-set (ran, dom) joins as a
+    generator, until every arrow is reached.  A cyclic group needs one
+    generator.  Needs what ``validate_groupoid`` checks before
+    associativity, not associativity itself.
+    """
+    a, b = g.defined_pairs
+    ab = g.comp_table[a, b]
+    hom = g.ran * g.n_units + g.dom
+    reached = np.zeros(g.n_arrows, dtype=bool)
+    reached[g.identity] = True
+    gens = np.zeros(g.n_arrows, dtype=bool)
+    while True:
+        left = np.flatnonzero(~reached)
+        if not left.size:
+            return gens
+        least = left[np.unique(hom[left], return_index=True)[1]]
+        gens[least] = reached[least] = True
+        size = 0
+        while size != (size := np.count_nonzero(reached)):     # until stable
+            reached[ab[reached[a] & reached[b]]] = True
+
+
+def first_nonassociative_triple(g: FiniteGroupoid, a, b):
+    """The first (a, b, c) with (ab)c != a(bc), or None: each composable
+    pair (a[i], b[i]) in turn is extended by the arrows c ending at dom(b),
+    in increasing order."""
+    table, dom, ran, n_units = g.comp_table, g.dom, g.ran, g.n_units
+    per_pair = np.bincount(ran, minlength=n_units)[dom[b]]
+    step = max(1, CHUNK // max(int(per_pair.max(initial=1)), 1))
+    for lo in range(0, len(a), step):
+        pa, pb = a[lo:lo + step], b[lo:lo + step]
+        counts, tc = arrows_at(dom[pb], ran, n_units)
+        ta, tb = np.repeat(pa, counts), np.repeat(pb, counts)
+        bad = table[table[ta, tb], tc] != table[ta, table[tb, tc]]
+        if bad.any():
+            i = _first(bad)
+            return int(ta[i]), int(tb[i]), int(tc[i])
+    return None
+
+
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     """Exhaustive check of the groupoid axioms; raises on any failure.
 
-    Works on the dense composition table.  Associativity is checked on the
-    composable triples only: each composable pair (a, b) is extended by the
-    arrows c ending at dom(b).  Every check scans in the same order as the
-    plain loops over arrow ids, so the witness is the first failure in
-    that order.
+    Works on the dense composition table.  Every check but associativity
+    scans in the same order as the plain loops over arrow ids, so the
+    witness is the first failure in that order.
+
+    Associativity uses Light's test, as ``validate_semigroup`` does.  Let
+    M be the arrows b with (ab)c = a(bc) for all composable a and c.  Once
+    the endpoint law holds, M is closed under composition: for x, y in M,
+    (a(xy))c = ((ax)y)c = (ax)(yc) = a(x(yc)) = a((xy)c).  The identity law
+    puts every identity in M.  So the table is associative iff M holds the
+    ``generating_arrows``, and only the triples whose middle arrow is one
+    of them are checked.  Only if one fails are all composable triples
+    scanned, in lexicographic order, so the witness is the first failing
+    triple (a, b, c).
     """
     n, n_units = g.n_arrows, g.n_units
     check_size(n)
@@ -234,18 +295,11 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     if not good.all():
         raise errors.MissingInverse(_first(~good))
 
-    a, b = np.nonzero(table >= 0)                            # lexicographic
-    per_pair = np.bincount(ran, minlength=n_units)[dom[b]]
-    step = max(1, CHUNK // max(int(per_pair.max(initial=1)), 1))
-    for lo in range(0, len(a), step):
-        pa, pb = a[lo:lo + step], b[lo:lo + step]
-        counts, tc = arrows_at(dom[pb], ran, n_units)
-        ta, tb = np.repeat(pa, counts), np.repeat(pb, counts)
-        bad = table[table[ta, tb], tc] != table[ta, table[tb, tc]]
-        if bad.any():
-            i = _first(bad)
-            raise errors.CompositionNotAssociative(
-                int(ta[i]), int(tb[i]), int(tc[i]))
+    a, b = g.defined_pairs                 # composable, by the endpoint law
+    middle = generating_arrows(g)[b]
+    if first_nonassociative_triple(g, a[middle], b[middle]) is not None:
+        raise errors.CompositionNotAssociative(
+            *first_nonassociative_triple(g, a, b))
     g.validated = True
     return g
 
@@ -276,9 +330,10 @@ def pair_groupoid(n: int, name=None) -> FiniteGroupoid:
     return validate_groupoid(g)
 
 
-def _id_rows(rows, bounds, what):
-    """A list of id rows as an integer array with column j below bounds[j];
-    anything else raises MalformedInput(what)."""
+def _id_rows(text, rows, bounds, what):
+    """A list of id rows, parsed from ``text``, as an integer array with
+    column j below bounds[j]; anything else, booleans too, raises
+    MalformedInput(what)."""
     bounds = np.asarray(bounds)
     try:
         ids = np.asarray(rows if rows else np.empty((0, len(bounds)), int))
@@ -286,7 +341,7 @@ def _id_rows(rows, bounds, what):
         ids = None
     if not isinstance(rows, list) or ids is None or ids.dtype.kind not in "iu" \
             or ids.shape[1:] != bounds.shape or (ids < 0).any() \
-            or (ids >= bounds).any():
+            or (ids >= bounds).any() or holds_bool(text, rows):
         raise errors.MalformedInput(what)
     return ids
 
@@ -311,19 +366,20 @@ def groupoid_from_json(text: str, name="G") -> FiniteGroupoid:
             not all(isinstance(a, dict) for a in arrows):
         raise errors.MalformedInput('"arrows" must be a list of objects')
     n, k = len(arrows), len(units)
-    ends = _id_rows([[a.get(key) for key in ("id", "dom", "ran")] for a in arrows],
+    ends = _id_rows(text,
+                    [[a.get(key) for key in ("id", "dom", "ran")] for a in arrows],
                     (n, k, k), '"arrows" need integer "id", "dom" and "ran" in range')
     order = np.argsort(ends[:, 0])
     if (ends[order, 0] != np.arange(n)).any():
         raise errors.MalformedInput('"arrows" ids must number them 0, 1, ...')
     dom, ran = ends[order, 1], ends[order, 2]
     check_size(n)
-    comp = _id_rows(data.get("comp"), (n, n, n),
+    comp = _id_rows(text, data.get("comp"), (n, n, n),
                     '"comp" must hold [a, b, ab] triples of arrow ids')
     table = np.full((n, n), -1, dtype=np.int32)
     last = _last(comp[:, 0] * n + comp[:, 1])
     table[comp[last, 0], comp[last, 1]] = comp[last, 2]
-    pairs = _id_rows(data.get("inv"), (n, n),
+    pairs = _id_rows(text, data.get("inv"), (n, n),
                      '"inv" must hold [a, inverse] pairs of arrow ids')
     inv = np.zeros(n, dtype=np.int64)
     last = _last(pairs[:, 0])

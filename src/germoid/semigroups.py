@@ -280,6 +280,14 @@ def validate_semigroup(names, table, zero=None, name="S") -> InvSemigroup:
     return S
 
 
+def holds_bool(text: str, rows) -> bool:
+    """Whether the list of rows ``rows``, parsed from ``text``, holds a
+    JSON boolean, which numpy reads as 0 or 1 among integers.  The entries
+    are scanned only if ``text`` holds the word true or false."""
+    return ("true" in text or "false" in text) and \
+        any(type(v) is bool for row in rows for v in row)
+
+
 def semigroup_from_json(text: str, name="S") -> InvSemigroup:
     """Parse and validate ``{"elements": [names], "table": [[ids]], "zero":
     id or null}``.
@@ -302,7 +310,8 @@ def semigroup_from_json(text: str, name="S") -> InvSemigroup:
         table = np.asarray(data.get("table"))
     except ValueError:                       # ragged nesting
         raise not_square from None
-    if table.dtype.kind not in "iu" or table.shape != (n, n) or n == 0:
+    if table.dtype.kind not in "iu" or table.shape != (n, n) or n == 0 or \
+            holds_bool(text, data["table"]):
         raise not_square
     if table.min() < 0 or table.max() >= n:
         raise errors.MalformedInput('"table" entries must be ids in range')

@@ -227,6 +227,22 @@ def validate_groupoid_loops(g):
     return g
 
 
+def composition_closure(g, seeds):
+    """The arrows reached from ``seeds`` by composing, as a set: each
+    arrow, when it joins, is composed on both sides with every arrow
+    already in."""
+    inside = set(seeds)
+    todo = list(inside)
+    while todo:
+        x = todo.pop()
+        for y in list(inside):
+            for z in (g.compose(x, y), g.compose(y, x)):
+                if z is not None and z not in inside:
+                    inside.add(z)
+                    todo.append(z)
+    return inside
+
+
 def validate_saction_scan(S, maps):
     """The action checks row by row, then theta_s theta_t = theta_st over
     every pair (s, t), then the covering of the points."""

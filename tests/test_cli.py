@@ -58,6 +58,21 @@ class TestGen:
         assert code == 1 and "error" in err
 
 
+def test_consecutive_calls_keep_no_options(tmp_path, capsys):
+    b2 = tmp_path / "b2.json"
+    assert run_cli(capsys, "gen", "preset", "--preset", "b2",
+                   "--out", str(b2))[0] == 0
+    code, out, _ = run_cli(capsys, "gen", "chain", "--n", "2")   # no --out
+    assert code == 0 and json.loads(out)["elements"] == ["1", "f"]
+    assert b2.read_text() == fx.b2().to_json() + "\n"
+    code, out, _ = run_cli(capsys, "analyze", str(b2))
+    assert code == 0 and json.loads(out)["elements"] == 5
+    code, out, _ = run_cli(capsys, "gen", "brandt", "--n", "2", "--group-n", "3")
+    assert code == 0 and len(json.loads(out)["elements"]) == 13
+    code, out, _ = run_cli(capsys, "gen", "brandt", "--n", "2")
+    assert code == 0 and len(json.loads(out)["elements"]) == 5
+
+
 class TestAnalyze:
     def test_b2(self, tmp_path, capsys):
         f = tmp_path / "b2.json"
@@ -255,6 +270,8 @@ def verify_text(path, text):
     {"elements": ["a", "b"], "table": [[0, 0.5], [1, 0]]},
     {"elements": ["a"], "table": [[0.0]]},
     {"elements": ["a"], "table": [[True]]},
+    {"elements": ["1", "f"], "table": [[0, True], [1, 1]], "zero": None},
+    {"elements": ["1", "f"], "table": [[0, 1], [1, False]], "zero": None},
     {"elements": ["a"], "table": [[2 ** 63]]},
     {"elements": [], "table": []},
     {"elements": [0], "table": [[0]]},
@@ -262,6 +279,22 @@ def verify_text(path, text):
 ])
 def test_malformed_semigroup_exits_2(tmp_path, doc):
     assert verify_text(tmp_path / "bad.json", json.dumps(doc)) == 2
+
+
+def test_analyze_rejects_a_boolean_among_integers(tmp_path, capsys):
+    doc = {"elements": ["1", "f"], "table": [[0, 1], [1, 1]], "zero": None}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "analyze", str(path))[0] == 0
+    doc["table"][0][1] = True
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and "integer element ids" in err
+
+
+def test_names_spelling_true_and_false_are_names(tmp_path):
+    doc = {"elements": ["true", "false"], "table": [[0, 1], [1, 1]], "zero": None}
+    assert verify_text(tmp_path / "s.json", json.dumps(doc)) == 0
 
 
 def test_undecodable_or_too_deeply_nested_file_exits_2(tmp_path):
@@ -326,6 +359,20 @@ def pair3_with(**changes):
     return doc
 
 
+def one_arrow(**changes):
+    """The one-arrow groupoid, with ``changes`` to its arrow or its keys."""
+    arrow = {"id": 0, "dom": 0, "ran": 0}
+    doc = {"units": ["x"], "arrows": [arrow], "comp": [[0, 0, 0]],
+           "inv": [[0, 0]]}
+    for key, value in changes.items():
+        (arrow if key in arrow else doc)[key] = value
+    return doc
+
+
+def test_export_dot_reads_the_one_arrow_groupoid(tmp_path):
+    assert export_exit(tmp_path / "one.json", json.dumps(one_arrow())) == 0
+
+
 def test_export_dot_reads_its_own_json(tmp_path):
     assert export_exit(tmp_path / "pair3.json", PAIR3) == 0
 
@@ -368,6 +415,12 @@ def test_export_dot_reads_arrows_in_any_order(tmp_path, capsys):
      "comp": [[0, 0, 0], [1, 1, 1]], "inv": [[0, 0], [1, 1]]},
     {"units": ["x"], "arrows": [{"id": 0, "dom": 0, "ran": 0}], "inv": [[0, 0]]},
     pair3_with(comp=json.loads(PAIR3)["comp"][1:]),          # an axiom fails
+    one_arrow(ran=False),
+    one_arrow(id=False),
+    one_arrow(comp=[[0, 0, False]]),
+    one_arrow(inv=[[0, False]]),
+    pair3_with(inv=[[a, True if a == 3 else b]
+                    for a, b in json.loads(PAIR3)["inv"]]),   # [3, 1]
 ])
 def test_malformed_groupoid_exits_2(tmp_path, doc):
     assert export_exit(tmp_path / "bad.json", json.dumps(doc)) == 2

@@ -268,19 +268,132 @@ def test_validate_groupoid_matches_loops(groupoids, data):
         outcome(oracles.validate_groupoid_loops, h)
 
 
+# a five-element loop in which every element is its own inverse: identity
+# and inverse laws hold, associativity fails first at (1, 1, 2)
+LOOP = [[0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0]]
+
+
 def test_non_associative_composition_witness():
-    # a five-element loop in which every element is its own inverse:
-    # identity and inverse laws hold, associativity fails first at (1, 1, 2)
-    loop = [[0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0]]
-    comp = {(a, b): loop[a][b] for a in range(5) for b in range(5)}
+    comp = {(a, b): LOOP[a][b] for a in range(5) for b in range(5)}
     g = gpd.FiniteGroupoid(["pt"], [0] * 5, [0] * 5, comp, range(5), [0])
     expect = ("CompositionNotAssociative", "(a1 a1) a2 != a1 (a1 a2)")
     assert outcome(gpd.validate_groupoid, g) == expect
     assert outcome(oracles.validate_groupoid_loops, g) == expect
+
+
+def bundle_of(fibres):
+    """The bundle over one unit per fibre, a table with identity 0 in which
+    every element has an inverse."""
+    fibres = [np.asarray(t) for t in fibres]
+    sizes = [len(t) for t in fibres]
+    start = np.cumsum([0] + sizes[:-1])
+    units = np.repeat(np.arange(len(fibres)), sizes)
+    table = np.full((sum(sizes), sum(sizes)), -1)
+    inv = np.concatenate([s + (t == 0).argmax(axis=1)
+                          for s, t in zip(start, fibres)])
+    for s, t in zip(start, fibres):
+        table[s:s + len(t), s:s + len(t)] = s + t
+    return gpd.FiniteGroupoid([f"u{u}" for u in range(len(fibres))], units,
+                              units, table, inv, start)
+
+
+def transitive_with(fibre, k):
+    """k units with an arrow (i, g, j) from j to i for each g of ``fibre``,
+    a table with identity 0 in which every element has an inverse:
+    (i, g, j)(j, h, l) = (i, gh, l)."""
+    fibre = np.asarray(fibre)
+    m = len(fibre)
+    i, g, j = np.unravel_index(np.arange(k * m * k), (k, m, k))
+    ids = np.arange(k * m * k).reshape(k, m, k)
+    table = np.full((k * m * k, k * m * k), -1)
+    a, b = np.nonzero(j[:, None] == i[None, :])
+    table[a, b] = ids[i[a], fibre[g[a], g[b]], j[b]]
+    inv = ids[j, (fibre == 0).argmax(axis=1)[g], i]
+    return gpd.FiniteGroupoid([f"u{u}" for u in range(k)], j, i, table, inv,
+                              ids[np.arange(k), 0, np.arange(k)])
+
+
+def relabelled(g, p):
+    """g with arrow a renamed p[a]."""
+    p = np.asarray(p)
+    q = np.argsort(p)
+    a, b = g.defined_pairs
+    table = np.full_like(g.comp_table, -1)
+    table[p[a], p[b]] = p[g.comp_table[a, b]]
+    return gpd.FiniteGroupoid(g.unit_labels, g.dom[q], g.ran[q], table,
+                              p[g.inv[q]], p[g.identity])
+
+
+def cyclic(m):
+    return fx.cyclic_group(m).table
+
+
+def assert_first_witness(data, g):
+    """g, and g with its arrows relabelled, fail associativity with the
+    witness of the loop oracle."""
+    h = relabelled(g, data.draw(st.permutations(range(g.n_arrows)), label="p"))
+    for groupoid in (g, h):
+        expect = outcome(oracles.validate_groupoid_loops, groupoid)
+        assert expect[0] == "CompositionNotAssociative"
+        assert outcome(gpd.validate_groupoid, groupoid) == expect
+
+
+@FEW
+@given(data=st.data())
+def test_loop_fibre_of_a_bundle_gives_the_first_witness(data):
+    orders = data.draw(st.lists(st.integers(1, 6), max_size=3), label="orders")
+    fibres = [cyclic(m) for m in orders]
+    fibres.insert(data.draw(st.integers(0, len(orders)), label="at"), LOOP)
+    assert_first_witness(data, bundle_of(fibres))
+
+
+@FEW
+@given(data=st.data())
+def test_loop_isotropy_of_a_transitive_groupoid_gives_the_first_witness(data):
+    assert_first_witness(
+        data, transitive_with(LOOP, data.draw(st.integers(3, 4), label="units")))
+
+
+def test_the_builders_of_the_loop_groupoids_make_groupoids():
+    # with a group in place of the loop, both are groupoids
+    gpd.validate_groupoid(bundle_of([cyclic(3), cyclic(1), cyclic(4)]))
+    gpd.validate_groupoid(transitive_with(cyclic(4), 3))
+    gpd.validate_groupoid(relabelled(transitive_with(cyclic(2), 3),
+                                     np.arange(18)[::-1]))
+
+
+@pytest.fixture(scope="module")
+def light_groupoids(groupoids, random_eunitary):
+    return groupoids + [germs.universal_groupoid(S) for S in random_eunitary]
+
+
+def test_generating_arrows_and_identities_generate(light_groupoids):
+    for g in light_groupoids:
+        gens = np.flatnonzero(gpd.generating_arrows(g)).tolist()
+        seeds = gens + g.identity.tolist()
+        assert oracles.composition_closure(g, seeds) == set(range(g.n_arrows))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_generating_arrows_of_a_relabelled_groupoid_generate(light_groupoids,
+                                                             data):
+    g = data.draw(st.sampled_from(light_groupoids), label="g")
+    g = relabelled(g, data.draw(st.permutations(range(g.n_arrows)), label="p"))
+    seeds = np.flatnonzero(gpd.generating_arrows(g)).tolist() + \
+        g.identity.tolist()
+    assert oracles.composition_closure(g, seeds) == set(range(g.n_arrows))
+
+
+def test_a_cyclic_fibre_needs_one_generator():
+    one = germs.universal_groupoid(fx.cyclic_group(61))
+    assert np.count_nonzero(gpd.generating_arrows(one)) == 1
+    bundle = germs.universal_groupoid(chain_by_cyclic(4, 16))
+    assert np.count_nonzero(gpd.generating_arrows(bundle)) == 4
 
 
 def test_out_of_range_composition_is_a_structured_error():
