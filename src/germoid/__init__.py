@@ -37,8 +37,6 @@ from .spectra import (
     downset_generators,
     enumerate_filters,
     hat_map,
-    is_coherent,
-    is_locally_coherent,
     semilattice_hom,
     tight_spectrum,
 )

@@ -51,10 +51,10 @@ def _emit(text: str, out: str | None):
 
 def cmd_gen(args) -> int:
     params = {}
-    if args.kind == "direct-product":
-        params = {"left": _load(args.left), "right": _load(args.right)}
-    elif args.kind == "adjoin-zero":
-        params = {"semigroup": _load(args.infile)}
+    if args.kind in ("direct-product", "adjoin-zero"):
+        files = ({"left": args.left, "right": args.right}
+                 if args.kind == "direct-product" else {"semigroup": args.infile})
+        params = {k: _load(f) for k, f in files.items() if f is not None}
     else:
         if args.n is not None:
             params["n"] = args.n

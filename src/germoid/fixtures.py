@@ -213,34 +213,45 @@ PRESETS = {
 
 
 def generate_fixture(kind: str, **params) -> InvSemigroup:
-    """Dispatch table for the CLI's ``gen`` command."""
+    """Dispatch table for the CLI's ``gen`` command.
+
+    A parameter the kind needs and ``params`` lacks raises ``MalformedInput``
+    naming the CLI option that supplies it.
+    """
     kind = kind.replace("-", "_")
+
+    def need(key, option):
+        if key not in params:
+            raise errors.MalformedInput(
+                f"gen {kind.replace('_', '-')} needs {option}")
+        return params[key]
+
     if kind == "chain":
-        return chain(int(params["n"]))
+        return chain(int(need("n", "--n")))
     if kind == "group":
         if "table" in params:
             return group_from_table(params["names"], params["table"],
                                     name=params.get("name", "G"))
-        return cyclic_group(int(params["n"]))
+        return cyclic_group(int(need("n", "--n")))
     if kind == "brandt":
         G = params.get("group") or cyclic_group(int(params.get("group_n", 1)))
-        return brandt(G, int(params["n"]))
+        return brandt(G, int(need("n", "--n")))
     if kind == "symmetric_inverse":
-        return symmetric_inverse(int(params["n"]))
+        return symmetric_inverse(int(need("n", "--n")))
     if kind == "semidirect":
         preset = params.get("preset")
         if preset == "sd6":
             return sd6()
         if preset is not None:
             raise errors.InvalidParams(f"unknown semidirect preset {preset!r}")
-        return semidirect(params["meet_table"], params["group"],
+        return semidirect(need("meet_table", "--preset"), params["group"],
                           params["action"], enames=params.get("enames"))
     if kind == "direct_product":
-        return direct_product(params["left"], params["right"])
+        return direct_product(need("left", "--left"), need("right", "--right"))
     if kind == "adjoin_zero":
-        return adjoin_zero(params["semigroup"])
+        return adjoin_zero(need("semigroup", "--in"))
     if kind == "preset":
-        key = params["name"].lower()
+        key = need("name", "--preset").lower()
         if key not in PRESETS:
             raise errors.InvalidParams(f"unknown preset {key!r}")
         return PRESETS[key]()

@@ -3,10 +3,12 @@ regular representations, the basis intertwiner, covariant representations,
 groupoid convolution algebras, and the center in the role of a desk-scale
 Morita invariant.
 
-Representation matrices are exact 0/1 integer arrays, and no floating point
-remains: the intertwining identity is checked by index gathers, the center
-dimension is a count of isotropy conjugacy classes, and the one rank test is
-an integer elimination.
+The operators L_s, A_s and U send each basis vector to a basis vector or to
+0, so they are stored as index arrays: entry t is the index of the image of
+basis vector t, or -1 where it goes to 0.  No floating point remains: the
+intertwining identity is checked by index gathers, the center dimension is a
+count of isotropy conjugacy classes, and the one rank test is an integer
+elimination.
 """
 
 from __future__ import annotations
@@ -33,53 +35,50 @@ from .semigroups import (
 from .spectra import d_set, enumerate_filters
 
 
-def left_regular_rep(S: InvSemigroup) -> dict:
-    """The 0/1 matrices L_s with L_s e_t = e_{st} iff s*s t = t."""
-    n = len(S)
-    ids = np.arange(n)
+def left_regular_rep(S: InvSemigroup) -> np.ndarray:
+    """The left regular representation as partial maps of the basis of l2(S).
+
+    Row s is L_s: ``l[s, t] = st`` where s*s t = t, so L_s e_t = e_{st}, and
+    ``l[s, t] = -1`` where L_s e_t = 0.
+    """
+    ids = np.arange(len(S))
     ss = S.table[S.star, ids]
-    s, t = np.nonzero(S.table[ss] == ids)          # s*s t = t
-    mats = np.zeros((n, n, n), dtype=np.int64)
-    mats[s, S.table[s, t], t] = 1
-    mats.setflags(write=False)
-    return dict(enumerate(mats))
-
-
-def pair_basis(S: InvSemigroup, sigma: SigmaMap):
-    """Ordered basis (e, g) of E x G with labels; index = e_pos * |G| + g."""
-    E = S.idempotents
-    G = sigma.group
-    labels = [f"({S.names[e]},{G.names[g]})" for e in E for g in range(len(G))]
-    index = {(e, g): i for i, (e, g) in
-             enumerate((e, g) for e in E for g in range(len(G)))}
-    return index, labels
+    l = np.where(S.table[ss] == ids, S.table, -1)     # s*s t = t
+    l.setflags(write=False)
+    return l
 
 
 def intertwiner_u(S: InvSemigroup, sigma: SigmaMap | None = None) -> np.ndarray:
-    """The |E||G| x |S| matrix of e_s -> e_{s*s} (x) e_{sigma(s)}.
+    """The intertwiner e_t -> e_{t*t} (x) e_{sigma(t)} as the vector
+    ``u[t] = pos(t*t) |G| + sigma(t)``, with pos(e) the place of e in
+    ``S.idempotents``: the basis index of the pair (t*t, sigma(t)).
 
-    Columns are distinct basis vectors exactly because S is E-unitary, so
-    U*U = I on l2(S).
+    The entries are distinct exactly because S is E-unitary, so U*U = I on
+    l2(S).
     """
     if not is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
     if sigma is None:
         sigma = max_group_image(S)
-    index, _ = pair_basis(S, sigma)
-    U = np.zeros((len(index), len(S)), dtype=np.int64)
-    for s in range(len(S)):
-        U[index[(S.mul(S.inv(s), s), sigma(s))], s] = 1
-    U.setflags(write=False)
-    return U
+    pos = np.zeros(len(S), dtype=np.int64)
+    pos[list(S.idempotents)] = np.arange(len(S.idempotents))
+    u = pos[S.table[S.star, np.arange(len(S))]] * len(sigma.group) \
+        + np.asarray(sigma.classmap, dtype=np.int64)
+    u.setflags(write=False)
+    return u
 
 
 def covariant_rep(S: InvSemigroup, sigma: SigmaMap | None = None,
-                  theta: PartialGroupAction | None = None) -> dict:
-    """The operators A_s on l2(E) (x) l2(G) of the covariant representation.
+                  theta: PartialGroupAction | None = None) -> np.ndarray:
+    """The operators A_s on l2(E) (x) l2(G) of the covariant representation,
+    as partial maps of the basis e_e (x) e_g, whose index is pos(e) |G| + g
+    with pos(e) the place of e in ``S.idempotents``.
 
     A_s (e_e (x) e_g) = m * (e_e (x) e_{sigma(s) g}) with m = 1 iff the
     filter-space partial action is defined on e^ at sigma(s) g and lands in
-    D(ss*): the translated-projection coefficient evaluated at e^.
+    D(ss*): the translated-projection coefficient evaluated at e^.  Row s
+    holds ``a[s, pos(e) |G| + g] = pos(e) |G| + sigma(s) g`` where m = 1
+    and -1 where m = 0.
     """
     if not is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
@@ -98,11 +97,10 @@ def covariant_rep(S: InvSemigroup, sigma: SigmaMap | None = None,
     h = G.table[np.asarray(sigma.classmap)]                # h[s, g] = sigma(s) g
     img = theta.maps[h[:, None, :], fe[None, :, None]]     # [s, e, g]
     hit = (img >= 0) & in_d[ids[:, None, None], np.maximum(img, 0)]
-    s, e, g = np.nonzero(hit)
-    mats = np.zeros((n, k * m, k * m), dtype=np.int64)
-    mats[s, e * m + h[s, g], e * m + g] = 1
-    mats.setflags(write=False)
-    return dict(enumerate(mats))
+    a = np.where(hit, np.arange(k)[:, None] * m + h[:, None, :], -1)
+    a = a.reshape(n, k * m)
+    a.setflags(write=False)
+    return a
 
 
 def check_rep_conditions(S: InvSemigroup) -> bool:
@@ -128,39 +126,28 @@ def check_rep_conditions(S: InvSemigroup) -> bool:
     return True
 
 
-def check_intertwining(U, lambdas: dict, covs: dict) -> bool:
-    """Exact check that U is a 0/1 isometry and U L_s = A_s U for all s.
+def intertwines(u, l, a) -> bool:
+    """Exact check that U*U = I and U L_s = A_s U for every s, on the
+    partial-map forms of ``intertwiner_u``, ``left_regular_rep`` and
+    ``covariant_rep``.
 
-    A 0/1 matrix U has U*U = I exactly when every column holds a single 1
-    and those ones sit in distinct rows u[0], ..., u[n-1].  Such a U
-    scatters basis vector j to u[j], so (U L)[u[j], t] = L[j, t] and the
-    rows of U L off u are zero, while (A U)[i, t] = A[i, u[t]] gathers
-    columns.  Hence U L_s = A_s U iff L_s = A_s[u][:, u] and A_s[i, u[t]]
-    = 0 for every row i off u: an exact identity for any integer L_s and
-    A_s, at O(|u|^2) reads per s instead of two dense products.
+    U has its single 1 of column t in row u[t], so U*U = I iff u is
+    injective.  Column t of U L_s is e_{u[l[s, t]]}, or 0 where l[s, t] =
+    -1; column t of A_s U is column u[t] of A_s, e_{a[s, u[t]]} or 0.  So
+    the identity holds iff the two index arrays agree entry by entry, which
+    also says that A_s has no 1 off the rows of u in the columns u reaches.
     """
-    U = np.asarray(U)
-    if not ((U == 0) | (U == 1)).all() or (U.sum(axis=0) != 1).any():
+    u, l, a = np.asarray(u), np.asarray(l), np.asarray(a)
+    if len(np.unique(u)) != len(u):
         return False
-    u = U.argmax(axis=0)
-    off = np.ones(U.shape[0], dtype=bool)
-    off[u] = False
-    if off.sum() != U.shape[0] - U.shape[1]:          # two ones in one row
-        return False
-    for s, lam in lambdas.items():
-        A = np.asarray(covs[s])
-        if not np.array_equal(lam, A[np.ix_(u, u)]) or A[off][:, u].any():
-            return False
-    return True
+    return np.array_equal(np.where(l >= 0, u[l], -1), a[:, u])
 
 
 def verify_intertwining(S: InvSemigroup) -> bool:
     """U L_s = A_s U exactly for every s, plus the symbolic condition check."""
     sigma = max_group_image(S)
-    U = intertwiner_u(S, sigma)
-    lams = left_regular_rep(S)
-    covs = covariant_rep(S, sigma)
-    return check_intertwining(U, lams, covs) and check_rep_conditions(S)
+    return intertwines(intertwiner_u(S, sigma), left_regular_rep(S),
+                       covariant_rep(S, sigma)) and check_rep_conditions(S)
 
 
 # -- convolution algebras ---------------------------------------------------------
@@ -312,11 +299,3 @@ def gelfand_check(S: InvSemigroup) -> bool:
         if not np.array_equal(mat, diag):
             return False
     return True
-
-
-def matrix_to_json(mat: np.ndarray, row_labels, col_labels) -> str:
-    return json.dumps({
-        "rows": list(row_labels),
-        "cols": list(col_labels),
-        "entries": np.asarray(mat).tolist(),
-    }, sort_keys=True)

@@ -222,34 +222,6 @@ def restrict_to_idempotents(phi: SemigroupHom) -> SemilatticeHom:
     return semilattice_hom(E1, E2, {e: phi(e) for e in E1.elements})
 
 
-def is_coherent(phi: SemilatticeHom):
-    """Always true here; the content is the per-element preimage certificates.
-
-    Returns ``(True, certs)`` with ``certs[e]`` the generating antichain of
-    ``phi^{-1}(e downset)`` for each e in the target.
-    """
-    P1 = Poset.of_semilattice(phi.source)
-    certs = {}
-    for e in phi.target.elements:
-        pre = {x for x in phi.source.elements
-               if phi.target.leq(phi(x), e)}
-        certs[e] = downset_generators(P1, pre)
-    return True, certs
-
-
-def is_locally_coherent(phi: SemilatticeHom):
-    """Coherence of each restriction to a principal downset, with certificates."""
-    P1 = Poset.of_semilattice(phi.source)
-    certs = {}
-    for x in phi.source.elements:
-        below = principal_downset(P1, x)
-        sub = Poset(sorted(below), P1.leq)
-        for e in phi.target.elements:
-            pre = {y for y in below if phi.target.leq(phi(y), e)}
-            certs[(x, e)] = downset_generators(sub, pre)
-    return True, certs
-
-
 def hat_map(phi: SemilatticeHom, source_space: CharSpace | None = None,
             target_space: CharSpace | None = None):
     """The induced map on filter spaces, x^ -> phi(x)^.

@@ -420,44 +420,70 @@ def validate_space_action_loops(action):
 
 # -- the representation layer and the KS certificates, by loops and dense algebra --
 
+def dense(rows, n_rows):
+    """The 0/1 matrices of partial maps of basis vectors: M[..., i, t] = 1
+    iff rows[..., t] = i.  A 1-D ``rows`` gives one matrix, a 2-D one a
+    stack with one matrix per row; entries -1 give zero columns."""
+    import numpy as np
+
+    rows = np.asarray(rows)
+    out = np.zeros(rows.shape[:-1] + (n_rows, rows.shape[-1]), dtype=np.int64)
+    *lead, t = np.nonzero(rows >= 0)
+    out[(*lead, rows[rows >= 0], t)] = 1
+    return out
+
+
+def pair_basis(S, sigma):
+    """The index of each basis pair (e, g) of E x G: e_pos * |G| + g."""
+    pairs = [(e, g) for e in S.idempotents for g in range(len(sigma.group))]
+    return {pair: i for i, pair in enumerate(pairs)}
+
+
 def left_regular_rep_loops(S):
-    """L_s e_t = e_{st} iff s*s t = t, one entry at a time."""
+    """The stack of matrices L_s e_t = e_{st} iff s*s t = t, one entry at a
+    time."""
     import numpy as np
 
     n = len(S)
-    out = {}
+    out = np.zeros((n, n, n), dtype=np.int64)
     for s in range(n):
         ss = S.mul(S.inv(s), s)
-        mat = np.zeros((n, n), dtype=np.int64)
         for t in range(n):
             if S.mul(ss, t) == t:
-                mat[S.mul(s, t), t] = 1
-        out[s] = mat
+                out[s, S.mul(s, t), t] = 1
     return out
 
 
 def covariant_rep_loops(S, sigma, theta):
-    """A_s (e_e (x) e_g) = [theta(sigma(s) g) maps e^ into D(ss*)]
-    e_e (x) e_{sigma(s) g}, one basis vector at a time."""
+    """The stack of matrices A_s (e_e (x) e_g) = [theta(sigma(s) g) maps e^
+    into D(ss*)] e_e (x) e_{sigma(s) g}, one basis vector at a time."""
     import numpy as np
 
-    from germoid.matrixrep import pair_basis
     from germoid.spectra import d_set
 
     G = sigma.group
     space = theta.space
-    index, _ = pair_basis(S, sigma)
-    out = {}
+    index = pair_basis(S, sigma)
+    out = np.zeros((len(S), len(index), len(index)), dtype=np.int64)
     for s in range(len(S)):
         dss = d_set(space, S.mul(s, S.inv(s)))
-        mat = np.zeros((len(index), len(index)), dtype=np.int64)
         for (e, g), col in index.items():
             h = G.mul(sigma(s), g)
             img = theta(h, space.index_of(e))
             if img is not None and img in dss:
-                mat[index[(e, h)], col] = 1
-        out[s] = mat
+                out[s, index[(e, h)], col] = 1
     return out
+
+
+def intertwiner_u_loops(S, sigma):
+    """The matrix of e_s -> e_{s*s} (x) e_{sigma(s)}, one column at a time."""
+    import numpy as np
+
+    index = pair_basis(S, sigma)
+    U = np.zeros((len(index), len(S)), dtype=np.int64)
+    for s in range(len(S)):
+        U[index[(S.mul(S.inv(s), s), sigma(s))], s] = 1
+    return U
 
 
 def check_rep_conditions_loops(S):
@@ -475,7 +501,8 @@ def check_rep_conditions_loops(S):
 
 
 def check_intertwining_dense(U, lambdas, covs):
-    """U is a 0/1 isometry and U L_s = A_s U, by dense matrix products."""
+    """U is a 0/1 isometry and U L_s = A_s U for the stacks L and A, by
+    dense matrix products."""
     import numpy as np
 
     U = np.asarray(U)
@@ -483,8 +510,8 @@ def check_intertwining_dense(U, lambdas, covs):
         return False
     if not np.array_equal(U.T @ U, np.eye(U.shape[1], dtype=U.dtype)):
         return False
-    return all(np.array_equal(U @ lam, covs[s] @ U)
-               for s, lam in lambdas.items())
+    return all(np.array_equal(U @ lam, cov @ U)
+               for lam, cov in zip(lambdas, covs))
 
 
 def product_matrix(alg, a):

@@ -85,40 +85,38 @@ def test_criterion_2_main1reduced_suite(named_eunitary, random_corpus):
     for S in random_corpus:
         assert mr.verify_intertwining(S), S.name
     # mutation controls on a representative fixture: every single-entry
-    # change of U or any Lambda_s fails; covariant mutations are pinned on
-    # every column that the intertwiner reaches
+    # change of u or of l[s] fails; covariant mutations are pinned on every
+    # column that the intertwiner reaches
     S = fx.sd6()
     sigma = sg.max_group_image(S)
-    U = mr.intertwiner_u(S, sigma)
-    lams = mr.left_regular_rep(S)
-    covs = mr.covariant_rep(S, sigma)
+    u = np.array(mr.intertwiner_u(S, sigma))
+    l = np.array(mr.left_regular_rep(S))
+    a = np.array(mr.covariant_rep(S, sigma))
+    dim = a.shape[1]
     mutations = failures = 0
-    for i in range(U.shape[0]):
-        for j in range(U.shape[1]):
-            mut = np.array(U)
-            mut[i, j] ^= 1
-            mutations += 1
-            failures += not mr.check_intertwining(mut, lams, covs)
+    for t in range(len(u)):
+        for v in range(dim):
+            if v != u[t]:
+                mut = u.copy()
+                mut[t] = v
+                mutations += 1
+                failures += not mr.intertwines(mut, l, a)
     for s in (0, 1, S.names.index("(b,g)")):
-        for i in range(len(S)):
-            for j in range(len(S)):
-                mut = dict(lams)
-                m = np.array(mut[s])
-                m[i, j] ^= 1
-                mut[s] = m
-                mutations += 1
-                failures += not mr.check_intertwining(U, mut, covs)
-    index, _ = mr.pair_basis(S, sigma)
-    reached = {index[(S.mul(S.inv(s), s), sigma(s))] for s in range(len(S))}
+        for t in range(len(S)):
+            for v in range(-1, len(S)):
+                if v != l[s, t]:
+                    mut = l.copy()
+                    mut[s, t] = v
+                    mutations += 1
+                    failures += not mr.intertwines(u, mut, a)
     for s in (0, S.names.index("(e1,g)")):
-        for col in reached:
-            for row in range(len(index)):
-                mut = dict(covs)
-                m = np.array(mut[s])
-                m[row, col] ^= 1
-                mut[s] = m
-                mutations += 1
-                failures += not mr.check_intertwining(U, lams, mut)
+        for col in set(u.tolist()):
+            for v in range(-1, dim):
+                if v != a[s, col]:
+                    mut = a.copy()
+                    mut[s, col] = v
+                    mutations += 1
+                    failures += not mr.intertwines(u, l, mut)
     elapsed = time.perf_counter() - t0
     assert failures == mutations
     assert elapsed < RUNTIME_BUDGET_S

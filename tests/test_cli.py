@@ -57,6 +57,16 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "chain", "--n", "0")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("kind, option", [
+        ("chain", "--n"), ("group", "--n"), ("brandt", "--n"),
+        ("symmetric-inverse", "--n"), ("preset", "--preset"),
+        ("semidirect", "--preset"), ("direct-product", "--left"),
+        ("adjoin-zero", "--in")])
+    def test_missing_option_exits_2(self, capsys, kind, option):
+        code, out, err = run_cli(capsys, "gen", kind)
+        assert code == 2 and out == ""
+        assert err == f"error: gen {kind} needs {option}\n"
+
 
 def test_consecutive_calls_keep_no_options(tmp_path, capsys):
     b2 = tmp_path / "b2.json"

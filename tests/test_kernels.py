@@ -446,20 +446,31 @@ def eunitary(semigroups, random_eunitary):
 
 def test_left_regular_rep_matches_loops(semigroups):
     for S in semigroups:
-        fast, slow = mr.left_regular_rep(S), oracles.left_regular_rep_loops(S)
-        assert list(fast) == list(slow)
-        assert all(np.array_equal(fast[s], slow[s]) and
-                   fast[s].dtype == slow[s].dtype for s in slow)
+        l = mr.left_regular_rep(S)
+        assert l.shape == (len(S), len(S))
+        assert np.array_equal(oracles.dense(l, len(S)),
+                              oracles.left_regular_rep_loops(S))
 
 
 def test_covariant_rep_matches_loops(eunitary):
     for S in eunitary:
         sigma = sg.max_group_image(S)
         theta = pa.theta_from_sigma(S, sigma)
-        fast = mr.covariant_rep(S, sigma, theta)
-        slow = oracles.covariant_rep_loops(S, sigma, theta)
-        assert list(fast) == list(slow)
-        assert all(np.array_equal(fast[s], slow[s]) for s in slow)
+        a = mr.covariant_rep(S, sigma, theta)
+        dim = len(S.idempotents) * len(sigma.group)
+        assert a.shape == (len(S), dim)
+        assert np.array_equal(oracles.dense(a, dim),
+                              oracles.covariant_rep_loops(S, sigma, theta))
+
+
+def test_intertwiner_u_matches_loops(eunitary):
+    for S in eunitary:
+        sigma = sg.max_group_image(S)
+        u = mr.intertwiner_u(S, sigma)
+        dim = len(S.idempotents) * len(sigma.group)
+        assert u.shape == (len(S),)
+        assert np.array_equal(oracles.dense(u, dim),
+                              oracles.intertwiner_u_loops(S, sigma))
 
 
 @EXAMPLES
@@ -483,46 +494,43 @@ def intertwining_inputs(eunitary):
     return out
 
 
+def dense_inputs(u, l, a):
+    """U, the stack L and the stack A as the 0/1 matrices of the oracle."""
+    dim = a.shape[1]
+    return oracles.dense(u, dim), oracles.dense(l, len(u)), oracles.dense(a, dim)
+
+
 def test_check_intertwining_holds_on_every_fixture(intertwining_inputs):
-    for U, lams, covs in intertwining_inputs:
-        assert mr.check_intertwining(U, lams, covs)
-        assert oracles.check_intertwining_dense(U, lams, covs)
+    for u, l, a in intertwining_inputs:
+        assert mr.intertwines(u, l, a)
+        assert oracles.check_intertwining_dense(*dense_inputs(u, l, a))
 
 
 @EXAMPLES
 @given(data=st.data())
 def test_check_intertwining_matches_dense_products(intertwining_inputs, data):
-    U, lams, covs = data.draw(st.sampled_from(intertwining_inputs), label="input")
-    U, lams, covs = np.array(U), dict(lams), dict(covs)
-    which = data.draw(st.sampled_from(["U", "move", "lambda", "cov"]),
-                      label="which")
-    s = data.draw(st.sampled_from(sorted(lams)), label="s")
-    mat = {"U": U, "move": U, "lambda": np.array(lams[s]),
-           "cov": np.array(covs[s])}[which]
-    i = data.draw(st.integers(0, mat.shape[0] - 1), label="i")
-    j = data.draw(st.integers(0, mat.shape[1] - 1), label="j")
-    if which == "move":
-        # column j keeps a single 1, possibly in a row another column uses
-        mat[:, j] = 0
-        mat[i, j] = 1
-    else:
-        mat[i, j] = data.draw(st.sampled_from([-1, 0, 1, 2]), label="value")
-    if which == "lambda":
-        lams[s] = mat
-    elif which == "cov":
-        covs[s] = mat
-    assert mr.check_intertwining(U, lams, covs) == \
-        oracles.check_intertwining_dense(U, lams, covs)
+    # one entry of u, l or a set to any value its array can hold: a basis
+    # index, or -1 (sent to 0) in l and a
+    u, l, a = (np.array(x) for x in
+               data.draw(st.sampled_from(intertwining_inputs), label="input"))
+    which = data.draw(st.sampled_from(["u", "l", "a"]), label="which")
+    arr = {"u": u, "l": l, "a": a}[which]
+    i = data.draw(st.integers(0, arr.size - 1), label="entry")
+    lo = 0 if which == "u" else -1
+    hi = len(u) - 1 if which == "l" else a.shape[1] - 1
+    arr.flat[i] = data.draw(st.integers(lo, hi), label="value")
+    assert mr.intertwines(u, l, a) == \
+        oracles.check_intertwining_dense(*dense_inputs(u, l, a))
 
 
 def test_check_intertwining_needs_an_isometry():
     # zero operators intertwine any U; two columns on one row (U*U != I)
-    # or a column without a 1 must still fail
-    for U in ([[1, 1]], [[1, 0], [0, 0]]):
-        zeros = {0: np.zeros((2, 2), dtype=np.int64)}
-        covs = {0: np.zeros((len(U), len(U)), dtype=np.int64)}
-        assert not mr.check_intertwining(U, zeros, covs)
-        assert not oracles.check_intertwining_dense(U, zeros, covs)
+    # must still fail.  A column of U without a 1 has no index form.
+    u = np.array([0, 0])
+    l = np.full((1, 2), -1)
+    a = np.full((1, 1), -1)
+    assert not mr.intertwines(u, l, a)
+    assert not oracles.check_intertwining_dense(*dense_inputs(u, l, a))
 
 
 # -- centers ------------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,69 +14,77 @@ from germoid import partial_actions as pa
 from germoid import semigroups as sg
 
 
+def reached_columns(S, sigma):
+    """The basis indices (s*s, sigma(s)) that the intertwiner reaches."""
+    index = oracles.pair_basis(S, sigma)
+    return {index[(S.mul(S.inv(s), s), sigma(s))] for s in range(len(S))}
+
+
 class TestLeftRegularRep:
     def test_idempotent_gives_diagonal_projection(self, corpus):
         for S in corpus.values():
-            lams = mr.left_regular_rep(S)
+            l = mr.left_regular_rep(S)
             for e in S.idempotents:
-                mat = lams[e]
-                assert np.array_equal(mat, np.diag(np.diag(mat)))
                 for t in range(len(S)):
-                    assert mat[t, t] == (S.mul(e, t) == t)
+                    assert l[e, t] == (t if S.mul(e, t) == t else -1)
 
     def test_b2_e12_partial_permutation(self):
         # table evaluation: e21 -> e11 and e22 -> e12, plus the fixed zero
         # basis vector (0 = e22 0); the contracted reading drops the latter
         B2 = fx.b2()
-        lams = mr.left_regular_rep(B2)
+        l = mr.left_regular_rep(B2)
         e12 = B2.names.index("e12")
-        mat = lams[e12]
         e21, e22, e11 = (B2.names.index(n) for n in ("e21", "e22", "e11"))
-        assert mat[e11, e21] == 1 and mat[e12, e22] == 1
-        assert mat[B2.zero, B2.zero] == 1
-        assert mat.sum() == 3
+        assert l[e12, e21] == e11 and l[e12, e22] == e12
+        assert l[e12, B2.zero] == B2.zero
+        assert (l[e12] >= 0).sum() == 3
 
     def test_star_representation_laws(self, corpus):
+        # L_s L_t = L_st composes the partial maps, and L_{s*} = L_s^T
+        # inverts the injective partial map L_s
         for S in corpus.values():
-            lams = mr.left_regular_rep(S)
-            for s in range(len(S)):
-                assert set(np.unique(lams[s])) <= {0, 1}
-                assert np.array_equal(lams[S.inv(s)], lams[s].T)
-                for t in range(len(S)):
-                    assert np.array_equal(lams[s] @ lams[t],
-                                          lams[S.mul(s, t)])
+            n = len(S)
+            l = mr.left_regular_rep(S)
+            assert l.shape == (n, n) and not l.flags.writeable
+            assert ((l >= -1) & (l < n)).all()
+            for s in range(n):
+                assert np.array_equal(np.where(l >= 0, l[s, l], -1),
+                                      l[S.table[s]])
+                defined = np.flatnonzero(l[s] >= 0)
+                inverse = np.full(n, -1)
+                inverse[l[s, defined]] = defined
+                assert len(np.unique(l[s, defined])) == len(defined)
+                assert np.array_equal(l[S.inv(s)], inverse)
 
 
 class TestIntertwiner:
     def test_group_case_is_permutation(self):
         G = fx.cyclic_group(3)
-        U = mr.intertwiner_u(G)
-        assert U.shape == (3, 3)
-        assert np.array_equal(U @ U.T, np.eye(3, dtype=np.int64))
+        u = mr.intertwiner_u(G)
+        assert u.shape == (3,)
+        assert sorted(u.tolist()) == [0, 1, 2]
 
     def test_s4_columns_distinct(self):
-        U = mr.intertwiner_u(fx.s4_monoid())
-        assert U.shape == (4, 4)
-        cols = {tuple(U[:, s]) for s in range(4)}
-        assert len(cols) == 4
+        u = mr.intertwiner_u(fx.s4_monoid())
+        assert u.shape == (4,)
+        assert len(set(u.tolist())) == 4
 
     def test_isometry_for_every_eunitary_fixture(self, eunitary_corpus):
         for S in eunitary_corpus.values():
-            U = mr.intertwiner_u(S)
+            sigma = sg.max_group_image(S)
+            u = mr.intertwiner_u(S, sigma)
+            dim = len(S.idempotents) * len(sigma.group)
+            assert not u.flags.writeable
+            assert ((u >= 0) & (u < dim)).all()
+            assert len(np.unique(u)) == len(S)
+            U = oracles.dense(u, dim)
             assert np.array_equal(U.T @ U, np.eye(len(S), dtype=np.int64))
 
     def test_uut_projects_onto_reached_pairs(self):
         S3 = fx.s3_monoid()
         sigma = sg.max_group_image(S3)
-        U = mr.intertwiner_u(S3, sigma)
-        proj = U @ U.T
-        index, _ = mr.pair_basis(S3, sigma)
-        reached = {index[(S3.mul(S3.inv(s), s), sigma(s))]
-                   for s in range(len(S3))}
-        expect = np.zeros_like(proj)
-        for i in reached:
-            expect[i, i] = 1
-        assert np.array_equal(proj, expect)
+        u = mr.intertwiner_u(S3, sigma)
+        assert set(u.tolist()) == reached_columns(S3, sigma)
 
     def test_requires_e_unitary(self):
         with pytest.raises(errors.NotEUnitary):
@@ -85,42 +95,47 @@ class TestCovariantRep:
     def test_idempotent_projects_like_lambda_through_u(self):
         S = fx.s4_monoid()
         sigma = sg.max_group_image(S)
-        U = mr.intertwiner_u(S, sigma)
-        lams = mr.left_regular_rep(S)
-        covs = mr.covariant_rep(S, sigma)
+        u = mr.intertwiner_u(S, sigma)
+        l = mr.left_regular_rep(S)
+        a = mr.covariant_rep(S, sigma)
+        cols = np.arange(a.shape[1])
         for e in S.idempotents:
-            assert np.array_equal(U @ lams[e], covs[e] @ U)
-            assert np.array_equal(covs[e], np.diag(np.diag(covs[e])))
+            assert np.array_equal(np.where(l[e] >= 0, u[l[e]], -1), a[e, u])
+            assert ((a[e] == cols) | (a[e] == -1)).all()
 
     def test_undefined_translation_kills_basis_vector(self):
         S3 = fx.s3_monoid()
         sigma = sg.max_group_image(S3)
-        covs = mr.covariant_rep(S3, sigma)
-        index, _ = mr.pair_basis(S3, sigma)
+        a = mr.covariant_rep(S3, sigma)
+        index = oracles.pair_basis(S3, sigma)
         t = S3.names.index("t")
         # theta(g) is undefined at 1^, so A_t annihilates e_1 (x) e_1bar
         col = index[(0, sigma.group.identity)]
-        assert not covs[t][:, col].any()
+        assert a[t, col] == -1
 
     def test_proof_route_agreement(self, eunitary_corpus):
         # the evaluated form: A_s (e_{t*t} (x) e_{sigma t}) =
         # [t*t <= t* s*s t] e_{t*t} (x) e_{sigma(st)} on the image of U
         for S in eunitary_corpus.values():
             sigma = sg.max_group_image(S)
-            covs = mr.covariant_rep(S, sigma)
-            index, _ = mr.pair_basis(S, sigma)
+            a = mr.covariant_rep(S, sigma)
+            index = oracles.pair_basis(S, sigma)
             G = sigma.group
             for s in range(len(S)):
                 for t in range(len(S)):
                     tt = S.mul(S.inv(t), t)
                     col = index[(tt, sigma(t))]
                     w = S.mul_all(S.inv(t), S.inv(s), s, t)
-                    out = covs[s][:, col]
                     if S.mul(tt, w) == tt:
-                        row = index[(tt, G.mul(sigma(s), sigma(t)))]
-                        assert out[row] == 1 and out.sum() == 1
+                        assert a[s, col] == index[(tt, G.mul(sigma(s), sigma(t)))]
                     else:
-                        assert not out.any()
+                        assert a[s, col] == -1
+
+
+def rep_inputs(S):
+    sigma = sg.max_group_image(S)
+    return (sigma, np.array(mr.intertwiner_u(S, sigma)),
+            np.array(mr.left_regular_rep(S)), np.array(mr.covariant_rep(S, sigma)))
 
 
 class TestIntertwining:
@@ -133,62 +148,52 @@ class TestIntertwining:
             assert mr.check_rep_conditions(S)
 
     def test_u_mutations_fail(self):
-        S = fx.s4_monoid()
-        sigma = sg.max_group_image(S)
-        U = mr.intertwiner_u(S, sigma)
-        lams = mr.left_regular_rep(S)
-        covs = mr.covariant_rep(S, sigma)
-        assert mr.check_intertwining(U, lams, covs)
-        for i in range(U.shape[0]):
-            for j in range(U.shape[1]):
-                mut = np.array(U)
-                mut[i, j] ^= 1
-                assert not mr.check_intertwining(mut, lams, covs), (i, j)
+        _, u, l, a = rep_inputs(fx.s4_monoid())
+        assert mr.intertwines(u, l, a)
+        for t in range(len(u)):
+            for v in range(a.shape[1]):
+                if v != u[t]:
+                    mut = u.copy()
+                    mut[t] = v
+                    assert not mr.intertwines(mut, l, a), (t, v)
 
     def test_u_column_permutation_fails(self):
-        S = fx.sd6()
-        sigma = sg.max_group_image(S)
-        U = np.array(mr.intertwiner_u(S, sigma))
-        lams = mr.left_regular_rep(S)
-        covs = mr.covariant_rep(S, sigma)
-        U[:, [0, 1]] = U[:, [1, 0]]
-        assert not mr.check_intertwining(U, lams, covs)
+        _, u, l, a = rep_inputs(fx.sd6())
+        u[[0, 1]] = u[[1, 0]]
+        assert not mr.intertwines(u, l, a)
 
     def test_lambda_mutations_fail(self):
-        S = fx.sd6()
-        sigma = sg.max_group_image(S)
-        U = mr.intertwiner_u(S, sigma)
-        lams = mr.left_regular_rep(S)
-        covs = mr.covariant_rep(S, sigma)
-        for s in range(len(S)):
-            for i in range(len(S)):
-                for j in range(len(S)):
-                    mut = {k: v for k, v in lams.items()}
-                    m = np.array(mut[s])
-                    m[i, j] ^= 1
-                    mut[s] = m
-                    assert not mr.check_intertwining(U, mut, covs)
+        _, u, l, a = rep_inputs(fx.sd6())
+        for s, t in np.ndindex(l.shape):
+            for v in range(-1, len(u)):
+                if v != l[s, t]:
+                    mut = l.copy()
+                    mut[s, t] = v
+                    assert not mr.intertwines(u, mut, a), (s, t, v)
 
     def test_covariant_mutations_fail_on_reached_columns(self):
         # entries in columns that U reaches are pinned by the identity;
         # columns off the image of U are not constrained by it
         S = fx.s3_monoid()
-        sigma = sg.max_group_image(S)
-        U = mr.intertwiner_u(S, sigma)
-        lams = mr.left_regular_rep(S)
-        covs = mr.covariant_rep(S, sigma)
-        index, _ = mr.pair_basis(S, sigma)
-        reached = {index[(S.mul(S.inv(s), s), sigma(s))]
-                   for s in range(len(S))}
-        dim = len(index)
+        sigma, u, l, a = rep_inputs(S)
         for s in range(len(S)):
-            for col in reached:
-                for row in range(dim):
-                    mut = dict(covs)
-                    m = np.array(mut[s])
-                    m[row, col] ^= 1
-                    mut[s] = m
-                    assert not mr.check_intertwining(U, lams, mut)
+            for col in reached_columns(S, sigma):
+                for v in range(-1, a.shape[1]):
+                    if v != a[s, col]:
+                        mut = a.copy()
+                        mut[s, col] = v
+                        assert not mr.intertwines(u, l, mut), (s, col, v)
+
+    def test_512_elements_stay_small(self):
+        # the dense stacks of L_s and A_s took 1 GiB each at this size
+        S = fx.direct_product(fx.chain(32), fx.cyclic_group(16))
+        tracemalloc.start()
+        try:
+            assert mr.verify_intertwining(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak
 
 
 class TestConvolutionAlgebra:
@@ -296,13 +301,6 @@ class TestGelfand:
 
 
 class TestExports:
-    def test_matrix_json(self):
-        U = mr.intertwiner_u(fx.s4_monoid())
-        text = mr.matrix_to_json(U, [f"r{i}" for i in range(4)],
-                                 [f"c{i}" for i in range(4)])
-        assert '"entries"' in text and text == mr.matrix_to_json(
-            U, [f"r{i}" for i in range(4)], [f"c{i}" for i in range(4)])
-
     def test_algebra_json_deterministic(self):
         alg = mr.convolution_algebra(gpd.pair_groupoid(2))
         assert alg.to_json() == mr.convolution_algebra(
