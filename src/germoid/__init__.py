@@ -34,7 +34,6 @@ from .spectra import (
     Semilattice,
     check_ks_condition,
     d_set,
-    downset_generators,
     enumerate_filters,
     hat_map,
     semilattice_hom,

@@ -47,16 +47,14 @@ def brandt(G: FiniteGroup, n: int, name=None) -> InvSemigroup:
     (i,g,j)(k,h,l) = (i, gh, l) if j = k, else 0."""
     if n < 1:
         raise errors.InvalidParams("brandt needs n >= 1")
-    elems = [None] + [(i, g, j) for i in range(n) for g in range(len(G))
+    m = len(G)
+    elems = [None] + [(i, g, j) for i in range(n) for g in range(m)
                       for j in range(n)]
-    index = {e: x for x, e in enumerate(elems)}
-    k = len(elems)
-    table = np.zeros((k, k), dtype=np.int64)
-    for a in range(1, k):
-        i, g, j = elems[a]
-        for b in range(1, k):
-            p, h, q = elems[b]
-            table[a, b] = index[(i, G.mul(g, h), q)] if j == p else 0
+    # (i, g, j) has id 1 + (i m + g) n + j
+    i, g, j = np.unravel_index(np.arange(n * m * n), (n, m, n))
+    prod = 1 + (i[:, None] * m + G.table[g[:, None], g]) * n + j
+    table = np.zeros((len(elems), len(elems)), dtype=np.int64)
+    table[1:, 1:] = np.where(j[:, None] == i, prod, 0)
     if len(G) == 1:
         names = ["0"] + [f"e{i + 1}{j + 1}" for i, _, j in elems[1:]]
     else:
@@ -106,28 +104,21 @@ def semidirect(meet_table, G: FiniteGroup, action, enames=None, name=None) -> In
     k = meet.shape[0]
     if enames is None:
         enames = [f"e{i}" for i in range(k)]
-    act = {g: tuple(action[g]) for g in range(len(G))}
-    for g, perm in act.items():
+    act = [tuple(action[g]) for g in range(len(G))]
+    for g, perm in enumerate(act):
         if sorted(perm) != list(range(k)):
             raise errors.ActionNotByAutomorphisms(f"action of {g} is not a permutation")
-        for e in range(k):
-            for f in range(k):
-                if perm[meet[e, f]] != meet[perm[e], perm[f]]:
-                    raise errors.ActionNotByAutomorphisms(
-                        f"action of {g} does not preserve the meet")
-    for g in range(len(G)):
-        for h in range(len(G)):
-            gh = G.mul(g, h)
-            if any(act[g][act[h][e]] != act[gh][e] for e in range(k)):
-                raise errors.ActionNotByAutomorphisms("action is not a homomorphism")
-    elems = [(e, g) for e in range(k) for g in range(len(G))]
-    index = {p: x for x, p in enumerate(elems)}
-    m = len(elems)
-    table = np.zeros((m, m), dtype=np.int64)
-    for a, (e, g) in enumerate(elems):
-        for b, (f, h) in enumerate(elems):
-            table[a, b] = index[(meet[e, act[g][f]], G.mul(g, h))]
-    names = [f"({enames[e]},{G.names[g]})" for e, g in elems]
+        if (np.take(perm, meet) != meet[np.ix_(perm, perm)]).any():
+            raise errors.ActionNotByAutomorphisms(
+                f"action of {g} does not preserve the meet")
+    act = np.array(act, dtype=np.int64)
+    if (act[:, act] != act[G.table]).any():      # [g, h, e]: g.(h.e) = (gh).e
+        raise errors.ActionNotByAutomorphisms("action is not a homomorphism")
+    # (e, g) has id e |G| + g, and (e, g)(f, h) = (e ^ g.f, gh)
+    e, g = np.divmod(np.arange(k * len(G)), len(G))
+    f, h = e[None, :], g[None, :]
+    table = meet[e[:, None], act[g[:, None], f]] * len(G) + G.table[g[:, None], h]
+    names = [f"({enames[e]},{G.names[g]})" for e in range(k) for g in range(len(G))]
     S = validate_semigroup(names, table, None, name=name or f"E:{G.name}")
     if not is_e_unitary(S):
         raise errors.InvariantViolation(
@@ -136,17 +127,12 @@ def semidirect(meet_table, G: FiniteGroup, action, enames=None, name=None) -> In
 
 
 def direct_product(S: InvSemigroup, T: InvSemigroup, name=None) -> InvSemigroup:
-    elems = [(s, t) for s in range(len(S)) for t in range(len(T))]
-    index = {p: x for x, p in enumerate(elems)}
-    m = len(elems)
-    table = np.zeros((m, m), dtype=np.int64)
-    for a, (s, t) in enumerate(elems):
-        for b, (u, v) in enumerate(elems):
-            table[a, b] = index[(S.mul(s, u), T.mul(t, v))]
-    names = [f"({S.names[s]},{T.names[t]})" for s, t in elems]
-    zero = None
-    if S.zero is not None and T.zero is not None:
-        zero = index[(S.zero, T.zero)]
+    """S x T, with (s, t) at id s |T| + t."""
+    m = len(T)
+    table = S.table[:, None, :, None] * m + T.table[None, :, None, :]
+    table = table.reshape(len(S) * m, len(S) * m)
+    names = [f"({a},{b})" for a in S.names for b in T.names]
+    zero = None if S.zero is None or T.zero is None else S.zero * m + T.zero
     return validate_semigroup(names, table, zero,
                               name=name or f"{S.name}x{T.name}")
 

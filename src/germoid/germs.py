@@ -373,15 +373,11 @@ def verify_reduction_iso(S: InvSemigroup, I):
     red = reduction(big, perp)
 
     # unit of red = filter m^ of S with m not in I; in Q it is qmap(m)^
-    unit_map = []
-    for u in range(red.n_units):
-        m = space.mins[red.parent_units[u]]
-        unit_map.append(quot.action.space.index_of(qmap(m)))
-    arrow_map = []
-    for a in range(red.n_arrows):
-        s, x = big.germ_reps[red.parent_arrows[a]]
-        m = space.mins[x]
-        arrow_map.append(quot.germ(qmap(s), quot.action.space.index_of(qmap(m))))
+    unit_map = [quot.action.space.index_of(qmap(space.mins[x]))
+                for x in red.parent_units]
+    unit_of = dict(zip(red.parent_units, unit_map))
+    arrow_map = [quot.germ(qmap(s), unit_of[x])
+                 for s, x in (big.germ_reps[a] for a in red.parent_arrows)]
     functor = groupoid_functor(red, quot, unit_map, arrow_map)
     from .groupoids import verify_isomorphism
     return verify_isomorphism(functor), functor

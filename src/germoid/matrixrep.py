@@ -42,8 +42,8 @@ def left_regular_rep(S: InvSemigroup) -> np.ndarray:
     ``l[s, t] = -1`` where L_s e_t = 0.
     """
     ids = np.arange(len(S))
-    ss = S.table[S.star, ids]
-    l = np.where(S.table[ss] == ids, S.table, -1)     # s*s t = t
+    l = S.table.astype(np.int32)
+    l[S.table[S.table[S.star, ids]] != ids] = -1     # s*s t != t
     l.setflags(write=False)
     return l
 
@@ -62,8 +62,8 @@ def intertwiner_u(S: InvSemigroup, sigma: SigmaMap | None = None) -> np.ndarray:
         sigma = max_group_image(S)
     pos = np.zeros(len(S), dtype=np.int64)
     pos[list(S.idempotents)] = np.arange(len(S.idempotents))
-    u = pos[S.table[S.star, np.arange(len(S))]] * len(sigma.group) \
-        + np.asarray(sigma.classmap, dtype=np.int64)
+    u = (pos[S.table[S.star, np.arange(len(S))]] * len(sigma.group)
+         + np.asarray(sigma.classmap, dtype=np.int64)).astype(np.int32)
     u.setflags(write=False)
     return u
 
@@ -95,10 +95,15 @@ def covariant_rep(S: InvSemigroup, sigma: SigmaMap | None = None,
     ssi = S.table[ids, S.star]
     in_d = S.table[mins[None, :], ssi[:, None]] == mins   # [s, x]: x in D(ss*)
     h = G.table[np.asarray(sigma.classmap)]                # h[s, g] = sigma(s) g
-    img = theta.maps[h[:, None, :], fe[None, :, None]]     # [s, e, g]
-    hit = (img >= 0) & in_d[ids[:, None, None], np.maximum(img, 0)]
-    a = np.where(hit, np.arange(k)[:, None] * m + h[:, None, :], -1)
-    a = a.reshape(n, k * m)
+    base = np.arange(k)[:, None] * m
+    a = np.empty((n, k * m), dtype=np.int32)
+    rows = max(1, CHUNK // (k * m))
+    for lo in range(0, n, rows):
+        hs = h[lo:lo + rows, None, :]                      # [s, 1, g]
+        img = theta.maps[hs, fe[None, :, None]]            # [s, e, g]
+        hit = (img >= 0) & \
+            in_d[ids[lo:lo + rows, None, None], np.maximum(img, 0)]
+        a[lo:lo + rows] = np.where(hit, base + hs, -1).reshape(-1, k * m)
     a.setflags(write=False)
     return a
 
@@ -138,9 +143,15 @@ def intertwines(u, l, a) -> bool:
     also says that A_s has no 1 off the rows of u in the columns u reaches.
     """
     u, l, a = np.asarray(u), np.asarray(l), np.asarray(a)
-    if len(np.unique(u)) != len(u):
+    if len(np.unique(u)) != len(u) or len(a) != len(l):
         return False
-    return np.array_equal(np.where(l >= 0, u[l], -1), a[:, u])
+    rows = max(1, CHUNK // max(len(u), 1))
+    for lo in range(0, len(l), rows):
+        block = l[lo:lo + rows]
+        if not np.array_equal(np.where(block >= 0, u[block], -1),
+                              a[lo:lo + rows, u]):
+            return False
+    return True
 
 
 def verify_intertwining(S: InvSemigroup) -> bool:

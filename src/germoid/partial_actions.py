@@ -306,7 +306,7 @@ def ks_pipeline(phi: SemigroupHom, contract_to=None) -> KSPipelineResult:
     if not is_locally_idempotent_pure(phi):
         raise errors.NotLocallyIdempotentPure(
             "the pipeline needs a locally idempotent pure homomorphism")
-    _, certs = check_ks_condition(phi)
+    certs = check_ks_condition(phi)
 
     F = induced_functor(phi)
     source = F.source

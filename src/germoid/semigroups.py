@@ -322,23 +322,13 @@ def semigroup_from_json(text: str, name="S") -> InvSemigroup:
 
 
 def validate_group(names, table, name="G") -> FiniteGroup:
-    """Validate a table as a group (single idempotent, all invertible)."""
+    """Validate a table as a group: an inverse semigroup with a single
+    idempotent e, which is then its identity with inverses s*, since
+    ss* = s*s = e gives s = ss*s = es = se."""
     S = validate_semigroup(names, table, None, name=name)
     if len(S.idempotents) != 1:
         raise errors.NotAGroup(f"{len(S.idempotents)} idempotents, expected 1")
-    e = S.idempotents[0]
-    for s in range(len(S)):
-        if S.mul(s, e) != s or S.mul(e, s) != s:
-            raise errors.NotAGroup(f"{e} is not a two-sided identity")
-        if S.mul(s, S.inv(s)) != e:
-            raise errors.NotAGroup(f"element {s} has no inverse")
-    return FiniteGroup(names, S.table, S.star, e, name=name)
-
-
-def as_group(S: InvSemigroup) -> FiniteGroup:
-    if isinstance(S, FiniteGroup):
-        return S
-    return validate_group(S.names, np.array(S.table), name=S.name)
+    return FiniteGroup(names, S.table, S.star, S.idempotents[0], name=name)
 
 
 def natural_leq(S: InvSemigroup, s: int, t: int) -> bool:
@@ -388,23 +378,19 @@ def is_e_unitary(S: InvSemigroup) -> bool:
     """sigma^{-1}(1) = E(S)."""
     if S._e_unitary is None:
         sigma = max_group_image(S)
-        one = sigma.group.identity
-        fiber = {s for s in range(len(S)) if sigma(s) == one}
-        S._e_unitary = fiber == set(S.idempotents)
+        fiber = np.flatnonzero(np.asarray(sigma.classmap) == sigma.group.identity)
+        S._e_unitary = fiber.tolist() == list(S.idempotents)
     return S._e_unitary
 
 
 def is_zero_e_unitary(S: InvSemigroup) -> bool:
-    """s >= e != 0 with e idempotent implies s is idempotent."""
+    """s >= e != 0 with e idempotent implies s is idempotent; e <= s iff
+    s e = e."""
     if S.zero is None:
         raise errors.NoZero(f"{S.name} has no zero")
-    for s in range(len(S)):
-        if S.is_idempotent(s):
-            continue
-        for e in S.idempotents:
-            if e != S.zero and natural_leq(S, e, s):
-                return False
-    return True
+    E = np.array([e for e in S.idempotents if e != S.zero], dtype=np.int64)
+    other = S.table.diagonal() != np.arange(len(S))
+    return not (S.table[np.ix_(other, E)] == E).any()
 
 
 def meet_sigma(S: InvSemigroup, s: int, t: int, sigma: SigmaMap | None = None) -> int:
@@ -423,11 +409,9 @@ def meet_sigma(S: InvSemigroup, s: int, t: int, sigma: SigmaMap | None = None) -
 
 
 def is_ideal(S: InvSemigroup, I) -> bool:
-    I = set(I)
-    if not I:
-        return False
-    return all(S.mul(s, i) in I and S.mul(i, s) in I
-               for s in range(len(S)) for i in I)
+    I = sorted(set(I))
+    return bool(I) and bool(np.isin(S.table[:, I], I).all()
+                            and np.isin(S.table[I], I).all())
 
 
 def enumerate_proper_ideals(S: InvSemigroup):
@@ -437,13 +421,9 @@ def enumerate_proper_ideals(S: InvSemigroup):
     set of principal ideals under union.
     """
     n = len(S)
-    principal = set()
-    for s in range(n):
-        J = {s}
-        J |= {S.mul(x, s) for x in range(n)}
-        J |= {S.mul(s, x) for x in range(n)}
-        J |= {S.mul_all(x, s, y) for x in range(n) for y in range(n)}
-        principal.add(frozenset(J))
+    # the principal ideal of s is SsS, which holds s = (ss*) s (s*s)
+    principal = {frozenset(np.unique(S.table[S.table[:, s]]).tolist())
+                 for s in range(n)}
     ideals = set(principal)
     frontier = set(principal)
     while frontier:
@@ -470,23 +450,17 @@ def rees_quotient(S: InvSemigroup, I):
         raise errors.NotAnIdeal(f"{I} is not a non-empty ideal of {S.name}")
     if len(I) == len(S):
         raise errors.ImproperIdeal("cannot collapse the whole semigroup")
-    iset = set(I)
-    survivors = [s for s in range(len(S)) if s not in iset]
-    reps = sorted(survivors + [I[0]])
-    new_id = {}
-    for idx, r in enumerate(reps):
-        new_id[r] = idx
-    zero_new = new_id[I[0]]
-    qmap = [new_id[s] if s not in iset else zero_new for s in range(len(S))]
-    k = len(reps)
-    qtable = np.zeros((k, k), dtype=np.int64)
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            qtable[a, b] = qmap[S.mul(ra, rb)]
+    keep = np.ones(len(S), dtype=bool)
+    keep[I[1:]] = False                   # I[0] represents the zero class
+    reps = np.flatnonzero(keep)
+    qmap = np.cumsum(keep) - 1
+    zero_new = int(qmap[I[0]])
+    qmap[I] = zero_new
+    qtable = qmap[S.table[np.ix_(reps, reps)]]
     qnames = ["0" if idx == zero_new else S.names[r]
               for idx, r in enumerate(reps)]
     Q = validate_semigroup(qnames, qtable, zero=zero_new, name=f"{S.name}/I")
-    return Q, SemigroupHom(S, Q, tuple(qmap))
+    return Q, SemigroupHom(S, Q, tuple(qmap.tolist()))
 
 
 def semigroup_hom(S: InvSemigroup, T: InvSemigroup, mapping) -> SemigroupHom:
@@ -496,11 +470,11 @@ def semigroup_hom(S: InvSemigroup, T: InvSemigroup, mapping) -> SemigroupHom:
         raise errors.NotAHomomorphism("map must be defined on all of S")
     if any(not 0 <= x < len(T) for x in mapping):
         raise errors.NotAHomomorphism("map image out of range")
-    for s in range(len(S)):
-        for t in range(len(S)):
-            if mapping[S.mul(s, t)] != T.mul(mapping[s], mapping[t]):
-                raise errors.NotAHomomorphism(
-                    f"phi({s}{t}) != phi({s})phi({t})")
+    m = np.array(mapping, dtype=np.int64)
+    bad = np.argwhere(m[S.table] != T.table[np.ix_(m, m)])
+    if len(bad):
+        s, t = bad[0]
+        raise errors.NotAHomomorphism(f"phi({s}{t}) != phi({s})phi({t})")
     return SemigroupHom(S, T, mapping)
 
 
@@ -543,43 +517,41 @@ def is_idempotent_pure_partial_hom(theta: PartialGroupHom) -> bool:
 
 
 def is_locally_idempotent_pure(phi: SemigroupHom) -> bool:
-    """phi restricted to each local monoid eSe is idempotent pure."""
+    """phi restricted to each local monoid eSe is idempotent pure: no
+    non-idempotent e s e maps to an idempotent.  Row blocks of at most
+    ``CHUNK`` entries of ``x[i, s] = e_i s e_i``."""
     S, T = phi.source, phi.target
-    for e in S.idempotents:
-        local = {S.mul_all(e, s, e) for s in range(len(S))}
-        for x in local:
-            if T.is_idempotent(phi(x)) and not S.is_idempotent(x):
-                return False
+    E = np.asarray(S.idempotents)
+    idem = S.table.diagonal() == np.arange(len(S))
+    to_idem = (T.table.diagonal() == np.arange(len(T)))[np.asarray(phi.map)]
+    rows = max(1, CHUNK // len(S))
+    for lo in range(0, len(E), rows):
+        e = E[lo:lo + rows]
+        x = S.table[S.table[e], e[:, None]]
+        if (to_idem[x] & ~idem[x]).any():
+            return False
     return True
 
 
 def is_f_morphism(phi: SemigroupHom) -> bool:
     """Every non-empty fiber of phi has a maximum in the natural order."""
-    S = phi.source
-    fibers = {}
-    for s in range(len(S)):
-        fibers.setdefault(phi(s), []).append(s)
-    for fib in fibers.values():
-        if not any(all(natural_leq(S, s, u) for s in fib) for u in fib):
-            return False
-    return True
+    m = np.asarray(phi.map)
+    # [u]: every s in the fiber of u is <= u
+    top = (phi.source.leq_matrix() | (m[:, None] != m[None, :])).all(axis=0)
+    return set(m[top].tolist()) == set(m.tolist())
 
 
 def subgroup_generated(G: FiniteGroup, gens):
-    """Element set of the subgroup generated by ``gens`` (closure)."""
-    seen = {G.identity}
-    frontier = set(gens) | {G.identity}
-    seen |= frontier
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in seen:
-                for c in (G.mul(a, b), G.mul(b, a)):
-                    if c not in seen:
-                        new.add(c)
-        seen |= new
-        frontier = new
-    return sorted(seen)
+    """Element set of the subgroup generated by ``gens``: in a finite group,
+    the closure of ``gens`` and the identity under the product."""
+    inside = np.zeros(len(G), dtype=bool)
+    inside[[G.identity, *gens]] = True
+    while True:
+        grown = inside.copy()
+        grown[G.table[np.ix_(inside, inside)]] = True
+        if grown.sum() == inside.sum():
+            return np.flatnonzero(inside).tolist()
+        inside = grown
 
 
 def eunitary_cover(S: InvSemigroup, theta: PartialGroupHom):
@@ -601,13 +573,11 @@ def eunitary_cover(S: InvSemigroup, theta: PartialGroupHom):
     pairs += [(S.zero, g) for g in g0]
     pairs.sort()
     index = {p: i for i, p in enumerate(pairs)}
-    k = len(pairs)
-    table = np.zeros((k, k), dtype=np.int64)
-    for a, (s, g) in enumerate(pairs):
-        for b, (t, h) in enumerate(pairs):
-            st = S.mul(s, t)
-            gh = G.mul(g, h)
-            table[a, b] = index[(st, gh) if st != S.zero else (S.zero, gh)]
+    # (s, g)(t, h) = (st, gh), which is (0, gh) when st = 0
+    ps, pg = np.array(pairs, dtype=np.int64).T
+    at = np.full(len(S) * len(G), -1, dtype=np.int64)
+    at[ps * len(G) + pg] = np.arange(len(pairs))
+    table = at[S.table[np.ix_(ps, ps)] * len(G) + G.table[np.ix_(pg, pg)]]
     names = [f"({S.names[s]},{G.names[g]})" for s, g in pairs]
     T = validate_semigroup(names, table, None, name=f"cov({S.name})")
     if not is_e_unitary(T):
@@ -615,12 +585,11 @@ def eunitary_cover(S: InvSemigroup, theta: PartialGroupHom):
             "cover construction must be E-unitary", T.name)
     ideal = tuple(index[(S.zero, g)] for g in g0)
     Q, qmap = rees_quotient(T, ideal)
-    # identify Q with S elementwise: the class of (s, theta(s)) goes to s
-    iso = [None] * len(Q)
-    iso[Q.zero] = S.zero
-    for (s, g), tid in index.items():
-        if s != S.zero:
-            iso[qmap(tid)] = s
+    # identify Q with S elementwise: the class of (s, theta(s)) goes to s,
+    # and the class {0} x G0 to 0
+    iso = np.zeros(len(Q), dtype=np.int64)
+    iso[list(qmap.map)] = ps
+    iso = iso.tolist()
     iso_hom = semigroup_hom(Q, S, iso)
     if sorted(iso) != list(range(len(S))):
         raise errors.InvariantViolation(

@@ -6,17 +6,21 @@ subset) definition survives only inside the brute-force test oracles.
 
 Topological content (continuity, clopen-ness, closure) is trivially true at
 this scale; what the operations return instead are the combinatorial
-certificates: generating antichains of downsets.
+certificates: generating antichains of downsets, computed over the cover
+edges of the natural order.  Set-based posets and downset scans live only
+in the test oracles.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import errors
-from .semigroups import InvSemigroup, SemigroupHom
+from .semigroups import CHUNK, InvSemigroup, SemigroupHom
 
 
 class Semilattice:
@@ -33,11 +37,22 @@ class Semilattice:
         self._meet.setflags(write=False)
         self.names = tuple(names) if names else tuple(str(e) for e in self.elements)
         self.zero = zero
-        for e in self.elements:
-            for f in self.elements:
-                if self.meet(e, f) != self.meet(f, e) or \
-                        self.meet(e, self.meet(e, f)) != self.meet(e, f):
-                    raise errors.InvalidParams("table is not a meet semilattice")
+        # meet(e, f) = meet(f, e) and meet(e, meet(e, f)) = meet(e, f) on
+        # the whole table; the first failing pair in row order raises, as
+        # UnknownElement if its meet is not an element
+        k, m = len(self.elements), self._meet
+        if m.shape != (k, k):
+            raise errors.InvalidParams(f"meet table must be {k}x{k}")
+        ids = np.array(self.elements, dtype=np.int64)
+        order = np.argsort(ids)
+        at = order[np.minimum(np.searchsorted(ids, m, sorter=order), k - 1)]
+        known, swapped = ids[at] == m, m != m.T
+        bad = swapped | ~known | (m[np.arange(k)[:, None], at] != m)
+        if bad.any():
+            e, f = np.argwhere(bad)[0]
+            if known[e, f] or swapped[e, f]:
+                raise errors.InvalidParams("table is not a meet semilattice")
+            raise errors.UnknownElement(f"{m[e, f]} is not in the semilattice")
 
     def __len__(self):
         return len(self.elements)
@@ -69,8 +84,8 @@ class Semilattice:
 def idempotent_semilattice(S: InvSemigroup) -> Semilattice:
     """E(S) with the induced meet; ids are S's element ids."""
     E = S.idempotents
-    table = [[S.mul(e, f) for f in E] for e in E]
-    return Semilattice(E, table, names=[S.names[e] for e in E], zero=S.zero)
+    return Semilattice(E, S.table[np.ix_(E, E)],
+                       names=[S.names[e] for e in E], zero=S.zero)
 
 
 @dataclass(frozen=True)
@@ -141,54 +156,28 @@ def tight_spectrum(space: CharSpace) -> tuple:
     if not space.contracted:
         raise errors.ContractedWithoutZero("tight spectrum needs the contracted space")
     E = space.semilattice
-    out = []
-    for i, m in enumerate(space.mins):
-        if all(e == E.zero or e == m or not E.leq(e, m) for e in E.elements):
-            out.append(i)
-    return tuple(out)
+    return tuple(i for i, m in enumerate(space.mins)
+                 if all(e in (E.zero, m) or not E.leq(e, m) for e in E.elements))
 
 
 # -- downsets and coherence ------------------------------------------------------
 
 @dataclass(frozen=True)
 class DownsetCertificate:
-    """A downset together with its unique minimal generating antichain."""
+    """A downset of a semigroup by its unique minimal generating antichain.
+
+    ``downset`` is built only when read, as the down-closure of the
+    generators: the elements below g are exactly g e for e in E(S).
+    """
 
     generators: tuple
-    downset: frozenset
+    semigroup: InvSemigroup = field(repr=False, compare=False)
 
-
-class Poset:
-    """A finite poset given by an explicit order relation on ids."""
-
-    def __init__(self, elements, leq):
-        self.elements = tuple(elements)
-        self.leq = leq
-
-    @staticmethod
-    def of_semilattice(E: Semilattice) -> "Poset":
-        return Poset(E.elements, E.leq)
-
-    @staticmethod
-    def of_semigroup(S: InvSemigroup) -> "Poset":
-        m = S.leq_matrix()
-        return Poset(range(len(S)), lambda s, t: bool(m[s, t]))
-
-
-def downset_generators(P: Poset, X) -> DownsetCertificate:
-    """Minimal generating antichain of a downset: its maximal elements."""
-    X = frozenset(X)
-    for x in X:
-        for y in P.elements:
-            if P.leq(y, x) and y not in X:
-                raise errors.NotADownset(x, y)
-    gens = tuple(sorted(
-        x for x in X if not any(y != x and P.leq(x, y) for y in X)))
-    return DownsetCertificate(gens, X)
-
-
-def principal_downset(P: Poset, x) -> frozenset:
-    return frozenset(y for y in P.elements if P.leq(y, x))
+    @functools.cached_property
+    def downset(self) -> frozenset:
+        S = self.semigroup
+        return frozenset(
+            S.table[np.ix_(self.generators, S.idempotents)].ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -237,39 +226,87 @@ def hat_map(phi: SemilatticeHom, source_space: CharSpace | None = None,
     return source_space, target_space, mapping
 
 
-def check_ks_condition(phi: SemigroupHom):
-    """Certificates for the coherence of every corner map eSf -> T.
+def cover_edges(S: InvSemigroup):
+    """The Hasse diagram of the natural order of S, as the arrays ``(s, c)``
+    of the pairs where c covers s, ordered by c and then by s*s.
 
-    For each pair of idempotents e, f of the source and each t in the target,
-    computes the generating antichain of ``{s in eSf : phi(s) <= t}``.  The
-    boolean is vacuously true here; the antichains are the content.
+    For s <= c the map x -> x*x is an order isomorphism from [s, c] onto
+    [s*s, c*c] (Lawson, *Inverse Semigroups*, 1998, ch. 1), so c covers s
+    iff s = c f for a lower cover f of c*c in E(S).  The covers of E(S) are
+    its strict order minus the square of the strict order.
+    """
+    E = np.asarray(S.idempotents)
+    ids = np.arange(len(S))
+    lt = S.table[np.ix_(E, E)] == E[:, None]         # [a, b]: e_a <= e_b
+    np.fill_diagonal(lt, False)
+    between = lt.astype(np.int64) @ lt.astype(np.int64)
+    lower = (lt & (between == 0)).T                  # [b, a]: e_b covers e_a
+    # E is in increasing id order, so searchsorted finds the place of c*c
+    c, a = np.nonzero(lower[np.searchsorted(E, S.table[S.star, ids])])
+    return S.table[c, E[a]], c
 
-    Per (e, f) everything is a boolean array over the corner: ``leq`` is the
-    natural order of S on it, and ``pre[c, t]`` says phi(corner[c]) <= t,
-    read off the natural order of T through ``phi.map``.  A preimage that is
-    not a downset raises ``NotADownset`` at its least failing member; the
-    generators of each preimage are its members with no other member above.
+
+def _first_escape(S: InvSemigroup, pre, in_e, in_f):
+    """The ``NotADownset`` a scan of the corners eSf in order meets first:
+    in the least corner holding one, the least t and then the least x in
+    the preimage of t with some y <= x outside it, and the least such y."""
+    leq = S.leq_matrix()
+    bad = pre.T & ((~pre).T.astype(np.int64) @ leq > 0)   # [t, x]
+    hit = bad.any(axis=0)
+    i = np.flatnonzero(in_e[:, hit].any(axis=1))[0]
+    j = np.flatnonzero((in_f[:, hit] & in_e[i, hit]).any(axis=1))[0]
+    t, x = np.argwhere(bad & in_e[i] & in_f[j])[0]
+    y = np.flatnonzero(leq[:, x] & ~pre[:, t])[0]
+    return errors.NotADownset(int(x), int(y))
+
+
+def check_ks_condition(phi: SemigroupHom) -> dict:
+    """Certificates for the coherence of every corner map eSf -> T: for
+    each pair of idempotents e, f of the source and each t in the target,
+    the generating antichain of ``{s in eSf : phi(s) <= t}``, keyed
+    ``(e, f, t)``.
+
+    One batched pass over the cover edges (s, c) of S, with no loop over
+    corners: s is in eSf iff ss* <= e and s*s <= f.  The preimages
+    ``pre[s, t]`` (phi(s) <= t) must be downsets, so pre[c, t] implies
+    pre[s, t] on every edge, or ``NotADownset`` names what a scan of the
+    corners in order would.  Corner and preimage are downsets, so the
+    generators are the members with no upper cover in both.  Row blocks of
+    idempotents e hold at most ``CHUNK`` entries.
     """
     S, T = phi.source, phi.target
-    below_t = T.leq_matrix()[np.asarray(phi.map, dtype=np.int64)]  # [s, t]
-    leq_s = S.leq_matrix()
-    certs = {}
-    for e in S.idempotents:
-        for f in S.idempotents:
-            corner = np.unique(S.table[S.table[e], f])
-            leq = leq_s[np.ix_(corner, corner)]           # [y, x]: y <= x
-            pre = below_t[corner]                         # [c, t]
-            # [t, x]: x is in the preimage of t but something below it is not
-            escapes = ((~pre).T.astype(np.int64) @ leq.astype(np.int64) > 0) \
-                & pre.T
-            if escapes.any():
-                t, x = np.argwhere(escapes)[0]
-                y = np.flatnonzero(leq[:, x] & ~pre[:, t])[0]
-                raise errors.NotADownset(int(corner[x]), int(corner[y]))
-            above = leq & ~np.eye(len(corner), dtype=bool)  # [x, y]: x < y
-            maximal = pre & (above.astype(np.int64) @ pre.astype(np.int64) == 0)
-            for t in range(len(T)):
-                certs[(e, f, t)] = DownsetCertificate(
-                    tuple(corner[maximal[:, t]].tolist()),
-                    frozenset(corner[pre[:, t]].tolist()))
-    return True, certs
+    n, nt, k = len(S), len(T), len(S.idempotents)
+    E, ids = np.asarray(S.idempotents), np.arange(n)
+    pre = T.leq_matrix()[np.asarray(phi.map, dtype=np.int64)]   # [s, t]
+    rr, dd = S.table[ids, S.star], S.table[S.star, ids]          # ss*, s*s
+    in_e = S.table[np.ix_(E, rr)] == rr                          # [i, s]
+    in_f = S.table[np.ix_(E, dd)] == dd                          # [j, s]
+    low, up = cover_edges(S)
+    if (pre[up] & ~pre[low]).any():
+        raise _first_escape(S, pre, in_e, in_f)
+    # the members (s, t) of the preimages, by t and then s, and for each
+    # edge with c in the preimage of t the member (s, t) it sits above
+    mt, ms = np.nonzero(pre.T)
+    q, qt = np.nonzero(pre[up])
+    below = np.searchsorted(mt * n + ms, qt * n + low[q])
+    order = np.argsort(below, kind="stable")
+    below, above = below[order], up[q][order]
+    starts = np.flatnonzero(np.diff(below, prepend=-1))
+    ep, fp, ea, fa = in_e[:, ms], in_f[:, ms], in_e[:, above], in_f[:, above]
+    rows = max(1, CHUNK // max(k * (len(ms) + len(above)), 1))
+    keys, gens = [], []
+    for lo in range(0, k, rows):
+        member = ep[lo:lo + rows, None] & fp[None]               # [i, j, m]
+        if len(above):
+            covered = np.logical_or.reduceat(
+                ea[lo:lo + rows, None] & fa[None], starts, axis=2)
+            member[..., below[starts]] &= ~covered
+        i, j, m = np.nonzero(member)
+        keys.append(((i + lo) * k + j) * nt + mt[m])
+        gens.append(ms[m])
+    gens = np.concatenate(gens).tolist()
+    ends = np.cumsum(np.bincount(np.concatenate(keys), minlength=k * k * nt))
+    spans = zip([0] + ends[:-1].tolist(), ends.tolist())
+    corners = itertools.product(S.idempotents, S.idempotents, range(nt))
+    return {key: DownsetCertificate(tuple(gens[a:b]), S)
+            for key, (a, b) in zip(corners, spans)}

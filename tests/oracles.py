@@ -4,6 +4,7 @@ Everything here chases definitions with plain python loops and stays
 deliberately independent of the library's computation paths.
 """
 
+from collections import namedtuple
 from itertools import product
 
 
@@ -545,11 +546,48 @@ def center_dimension_svd(alg, tol=1e-10):
     return alg.dim - int((sv > tol).sum())
 
 
+class Poset:
+    """A finite poset given by an explicit order relation on ids."""
+
+    def __init__(self, elements, leq):
+        self.elements = tuple(elements)
+        self.leq = leq
+
+    @staticmethod
+    def of_semilattice(E):
+        return Poset(E.elements, E.leq)
+
+    @staticmethod
+    def of_semigroup(S):
+        m = S.leq_matrix()
+        return Poset(range(len(S)), lambda s, t: bool(m[s, t]))
+
+
+SetCertificate = namedtuple("SetCertificate", "generators downset")
+
+
+def downset_generators(P, X):
+    """Minimal generating antichain of a downset: its maximal elements."""
+    from germoid import errors
+
+    X = frozenset(X)
+    for x in X:
+        for y in P.elements:
+            if P.leq(y, x) and y not in X:
+                raise errors.NotADownset(x, y)
+    gens = tuple(sorted(
+        x for x in X if not any(y != x and P.leq(x, y) for y in X)))
+    return SetCertificate(gens, X)
+
+
+def principal_downset(P, x):
+    return frozenset(y for y in P.elements if P.leq(y, x))
+
+
 def check_ks_condition_by_sets(phi):
     """The KS certificates set by set: each corner eSf as a sub-poset and
     each preimage {s in eSf : phi(s) <= t} through ``downset_generators``."""
     from germoid.semigroups import natural_leq
-    from germoid.spectra import Poset, downset_generators
 
     S, T = phi.source, phi.target
     PS = Poset.of_semigroup(S)
@@ -561,7 +599,215 @@ def check_ks_condition_by_sets(phi):
             for t in range(len(T)):
                 pre = {s for s in corner if natural_leq(T, phi(s), t)}
                 certs[(e, f, t)] = downset_generators(sub, pre)
-    return True, certs
+    return certs
+
+
+def check_ks_condition_by_corners(phi):
+    """The KS certificates corner by corner with integer matrix products:
+    per eSf, ``leq`` is the natural order on the corner and ``pre[c, t]``
+    says phi(corner[c]) <= t; a member escapes when something below it is
+    outside its preimage, and the generators are the members with no other
+    member above."""
+    import numpy as np
+
+    from germoid import errors
+
+    S, T = phi.source, phi.target
+    below_t = T.leq_matrix()[np.asarray(phi.map, dtype=np.int64)]  # [s, t]
+    leq_s = S.leq_matrix()
+    certs = {}
+    for e in S.idempotents:
+        for f in S.idempotents:
+            corner = np.unique(S.table[S.table[e], f])
+            leq = leq_s[np.ix_(corner, corner)]           # [y, x]: y <= x
+            pre = below_t[corner]                         # [c, t]
+            escapes = ((~pre).T.astype(np.int64) @ leq.astype(np.int64) > 0) \
+                & pre.T
+            if escapes.any():
+                t, x = np.argwhere(escapes)[0]
+                y = np.flatnonzero(leq[:, x] & ~pre[:, t])[0]
+                raise errors.NotADownset(int(corner[x]), int(corner[y]))
+            above = leq & ~np.eye(len(corner), dtype=bool)  # [x, y]: x < y
+            maximal = pre & (above.astype(np.int64) @ pre.astype(np.int64) == 0)
+            for t in range(len(T)):
+                certs[(e, f, t)] = SetCertificate(
+                    tuple(corner[maximal[:, t]].tolist()),
+                    frozenset(corner[pre[:, t]].tolist()))
+    return certs
+
+
+def cover_edges_by_leq(S):
+    """The pairs (s, c) where c covers s in the natural order, as a sorted
+    list: the strict order minus its square, by the definition of s <= t."""
+    n = len(S)
+    lt = [[s != t and leq_semigroup(S, s, t) for t in range(n)]
+          for s in range(n)]
+    return sorted((s, c) for s in range(n) for c in range(n)
+                  if lt[s][c] and not any(lt[s][h] and lt[h][c]
+                                          for h in range(n)))
+
+
+def is_locally_idempotent_pure_loops(phi):
+    """phi restricted to each local monoid eSe is idempotent pure."""
+    S, T = phi.source, phi.target
+    for e in S.idempotents:
+        local = {S.mul_all(e, s, e) for s in range(len(S))}
+        for x in local:
+            if T.is_idempotent(phi(x)) and not S.is_idempotent(x):
+                return False
+    return True
+
+
+def semilattice_check_loops(elements, meet_table):
+    """The meet-semilattice check of a table on the ids ``elements``, pair
+    by pair: ``("ok", "")`` or the error type and message of the first
+    failing pair, where meet(e, f) = meet(f, e) and
+    meet(e, meet(e, f)) = meet(e, f) are checked in that order."""
+    pos = {e: i for i, e in enumerate(elements)}
+    for e in elements:
+        for f in elements:
+            ef = meet_table[pos[e]][pos[f]]
+            if ef != meet_table[pos[f]][pos[e]]:
+                return "InvalidParams", "table is not a meet semilattice"
+            if ef not in pos:
+                return "UnknownElement", f"{ef} is not in the semilattice"
+            if meet_table[pos[e]][pos[ef]] != ef:
+                return "InvalidParams", "table is not a meet semilattice"
+    return "ok", ""
+
+
+# -- scalar predicates, ideals and fixture tables, element by element -----------------
+
+def is_zero_e_unitary_loops(S):
+    """s >= e != 0 with e idempotent implies s is idempotent."""
+    from germoid.semigroups import natural_leq
+
+    for s in range(len(S)):
+        if S.is_idempotent(s):
+            continue
+        for e in S.idempotents:
+            if e != S.zero and natural_leq(S, e, s):
+                return False
+    return True
+
+
+def is_f_morphism_loops(phi):
+    """Every non-empty fiber of phi has a maximum in the natural order."""
+    from germoid.semigroups import natural_leq
+
+    S = phi.source
+    fibers = {}
+    for s in range(len(S)):
+        fibers.setdefault(phi(s), []).append(s)
+    return all(any(all(natural_leq(S, s, u) for s in fib) for u in fib)
+               for fib in fibers.values())
+
+
+def semigroup_hom_loops(S, T, mapping):
+    """``("ok", "")`` or the error of the first pair (s, t), in row order,
+    with phi(st) != phi(s)phi(t); ``mapping`` is defined and in range."""
+    for s in range(len(S)):
+        for t in range(len(S)):
+            if mapping[S.mul(s, t)] != T.mul(mapping[s], mapping[t]):
+                return "NotAHomomorphism", f"phi({s}{t}) != phi({s})phi({t})"
+    return "ok", ""
+
+
+def subgroup_generated_loops(G, gens):
+    """Closure of ``gens`` and the identity under products, frontier by
+    frontier."""
+    seen = {G.identity}
+    frontier = set(gens) | {G.identity}
+    seen |= frontier
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in seen:
+                for c in (G.mul(a, b), G.mul(b, a)):
+                    if c not in seen:
+                        new.add(c)
+        seen |= new
+        frontier = new
+    return sorted(seen)
+
+
+def is_ideal_loops(S, I):
+    I = set(I)
+    return bool(I) and all(S.mul(s, i) in I and S.mul(i, s) in I
+                           for s in range(len(S)) for i in I)
+
+
+def proper_ideals_loops(S):
+    """All non-empty proper ideals: the principal ideals {s} u Ss u sS u SsS
+    closed under union."""
+    n = len(S)
+    principal = set()
+    for s in range(n):
+        J = {s}
+        J |= {S.mul(x, s) for x in range(n)}
+        J |= {S.mul(s, x) for x in range(n)}
+        J |= {S.mul_all(x, s, y) for x in range(n) for y in range(n)}
+        principal.add(frozenset(J))
+    ideals = set(principal)
+    frontier = set(principal)
+    while frontier:
+        new = {I | J for I in frontier for J in principal} - ideals
+        ideals |= new
+        frontier = new
+    full = frozenset(range(n))
+    return sorted(tuple(sorted(I)) for I in ideals if I != full)
+
+
+def rees_quotient_loops(S, I):
+    """(quotient map, quotient table) of S/I with classes numbered by their
+    least member, the ideal's class by the least id of I."""
+    iset = set(I)
+    reps = sorted([s for s in range(len(S)) if s not in iset] + [min(I)])
+    new_id = {r: idx for idx, r in enumerate(reps)}
+    qmap = [new_id[s] if s not in iset else new_id[min(I)]
+            for s in range(len(S))]
+    qtable = [[qmap[S.mul(a, b)] for b in reps] for a in reps]
+    return qmap, qtable
+
+
+def direct_product_table_loops(S, T):
+    elems = [(s, t) for s in range(len(S)) for t in range(len(T))]
+    index = {p: x for x, p in enumerate(elems)}
+    return [[index[(S.mul(s, u), T.mul(t, v))] for u, v in elems]
+            for s, t in elems]
+
+
+def brandt_table_loops(G, n):
+    elems = [None] + [(i, g, j) for i in range(n) for g in range(len(G))
+                      for j in range(n)]
+    index = {e: x for x, e in enumerate(elems)}
+    table = [[0] * len(elems) for _ in elems]
+    for a in range(1, len(elems)):
+        i, g, j = elems[a]
+        for b in range(1, len(elems)):
+            p, h, q = elems[b]
+            table[a][b] = index[(i, G.mul(g, h), q)] if j == p else 0
+    return table
+
+
+def semidirect_table_loops(meet, G, action):
+    elems = [(e, g) for e in range(len(meet)) for g in range(len(G))]
+    index = {p: x for x, p in enumerate(elems)}
+    return [[index[(meet[e][action[g][f]], G.mul(g, h))] for f, h in elems]
+            for e, g in elems]
+
+
+def cover_table_loops(S, G, pairs):
+    """The product table of the pairs (s, g) of an E-unitary cover."""
+    index = {p: i for i, p in enumerate(pairs)}
+    table = []
+    for s, g in pairs:
+        row = []
+        for t, h in pairs:
+            st, gh = S.mul(s, t), G.mul(g, h)
+            row.append(index[(st, gh) if st != S.zero else (S.zero, gh)])
+        table.append(row)
+    return table
 
 
 # -- groupoid functors, reductions and envelopes, by dict lookups and loops ---------

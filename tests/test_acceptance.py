@@ -303,7 +303,7 @@ def test_criterion_7_order_and_invariance_properties(named_eunitary, random_corp
     for S in (fx.s4_monoid(), fx.s3_monoid(), fx.cyclic_group(4)):
         phi = sg.hom_from_sigma(sg.max_group_image(S))
         assert sg.is_f_morphism(phi)
-        _, certs = sp.check_ks_condition(phi)
+        certs = sp.check_ks_condition(phi)
         for (e, f, t), cert in certs.items():
             if not cert.downset:
                 continue

@@ -452,7 +452,7 @@ class TestBlockImageCertificates:
             gs, gt = F.source, F.target
             space_s = gs.action.space
             space_t = gt.action.space
-            _, certs = sp.check_ks_condition(phi)
+            certs = sp.check_ks_condition(phi)
             T = phi.target
             for (e, f, t), cert in certs.items():
                 de = sp.d_set(space_s, e)
@@ -484,11 +484,11 @@ class TestLocallyCoherentCertificateConstruction:
             S = corpus[name]
             phi = sg.hom_from_sigma(sg.max_group_image(S))
             T = phi.target
-            P = sp.Poset.of_semigroup(S)
+            P = oracles.Poset.of_semigroup(S)
             for f in T.idempotents:
                 pre = {s for s in range(len(S))
                        if sg.natural_leq(T, phi(s), f)}
-                gens = sp.downset_generators(P, pre).generators
+                gens = oracles.downset_generators(P, pre).generators
                 for e in S.idempotents:
                     eis = {S.mul_all(e, S.inv(si), si) for si in gens}
                     closure = {x for ei in eis for x in S.idempotents

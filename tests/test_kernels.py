@@ -8,6 +8,7 @@ compositions and representation matrices.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import b2_cover
 from germoid import errors
 from germoid import fixtures as fx
 from germoid import germs
@@ -602,14 +604,25 @@ def morphisms(semigroups, random_eunitary):
     return out
 
 
+def as_pairs(certs):
+    return {key: (c.generators, c.downset) for key, c in certs.items()}
+
+
 def test_check_ks_condition_matches_sets(morphisms):
     for phi in morphisms:
-        ok, certs = sp.check_ks_condition(phi)
-        ok_sets, expect = oracles.check_ks_condition_by_sets(phi)
-        assert ok and ok_sets
+        certs = sp.check_ks_condition(phi)
+        expect = oracles.check_ks_condition_by_sets(phi)
         assert list(certs) == list(expect)
-        assert certs == expect
+        assert as_pairs(certs) == expect
         assert all(type(x) is int for c in certs.values() for x in c.generators)
+
+
+def test_check_ks_condition_matches_the_corner_scan(morphisms):
+    for phi in morphisms:
+        certs = sp.check_ks_condition(phi)
+        expect = oracles.check_ks_condition_by_corners(phi)
+        assert list(certs) == list(expect)
+        assert as_pairs(certs) == expect
 
 
 @EXAMPLES
@@ -627,6 +640,198 @@ def test_check_ks_condition_of_an_arbitrary_map_matches_sets(semigroups, data):
     phi = sg.SemigroupHom(S, T, tuple(mapping))
     assert outcome(sp.check_ks_condition, phi) == \
         outcome(oracles.check_ks_condition_by_sets, phi)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_check_ks_condition_of_a_mutated_hom_matches_the_corner_scan(
+        morphisms, data):
+    # one changed entry of a homomorphism: the first corner holding an
+    # escape may come late in the scan
+    phi = data.draw(st.sampled_from(morphisms), label="phi")
+    mapping = list(phi.map)
+    s = data.draw(st.integers(0, len(mapping) - 1), label="s")
+    mapping[s] = data.draw(st.integers(0, len(phi.target) - 1), label="t")
+    phi = sg.SemigroupHom(phi.source, phi.target, tuple(mapping))
+    assert outcome(sp.check_ks_condition, phi) == \
+        outcome(oracles.check_ks_condition_by_corners, phi)
+
+
+def relabelled_semigroup(S, p):
+    """S with element a renamed p[a]."""
+    table = np.empty_like(S.table)
+    table[np.ix_(p, p)] = p[S.table]
+    names = [S.names[a] for a in np.argsort(p)]
+    return sg.validate_semigroup(
+        names, table, None if S.zero is None else int(p[S.zero]))
+
+
+def test_cover_edges_match_the_order(semigroups, random_eunitary):
+    for S in semigroups + random_eunitary[12:]:
+        low, up = sp.cover_edges(S)
+        assert sorted(zip(low.tolist(), up.tolist())) == \
+            oracles.cover_edges_by_leq(S)
+
+
+@FEW
+@given(data=st.data())
+def test_cover_edges_of_a_relabelled_semigroup_match_the_order(semigroups, data):
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    p = np.array(data.draw(st.permutations(range(len(S))), label="p"))
+    S = relabelled_semigroup(S, p)
+    low, up = sp.cover_edges(S)
+    assert sorted(zip(low.tolist(), up.tolist())) == oracles.cover_edges_by_leq(S)
+
+
+# -- scalar predicates and the semilattice check -----------------------------------------
+
+def test_is_locally_idempotent_pure_matches_loops(morphisms):
+    for phi in morphisms:
+        assert sg.is_locally_idempotent_pure(phi) == \
+            oracles.is_locally_idempotent_pure_loops(phi)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_is_locally_idempotent_pure_of_an_arbitrary_map_matches_loops(
+        semigroups, data):
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    T = data.draw(st.sampled_from([fx.chain2(), fx.b2(), fx.cyclic_group(2),
+                                   fx.cyclic_group(3)]), label="T")
+    mapping = data.draw(st.lists(st.integers(0, len(T) - 1),
+                                 min_size=len(S), max_size=len(S)))
+    phi = sg.SemigroupHom(S, T, tuple(mapping))
+    assert sg.is_locally_idempotent_pure(phi) == \
+        oracles.is_locally_idempotent_pure_loops(phi)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_semilattice_check_matches_loops(semigroups, data):
+    # E(S) in any order of its ids, with at most one entry of its meet table
+    # set to any id of S or just outside them
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    order = data.draw(st.permutations(S.idempotents), label="order")
+    table = np.array(S.table[np.ix_(order, order)])
+    if data.draw(st.booleans(), label="mutate"):
+        i = data.draw(st.integers(0, len(order) - 1), label="i")
+        j = data.draw(st.integers(0, len(order) - 1), label="j")
+        table[i, j] = data.draw(st.integers(-1, len(S)), label="value")
+    assert outcome(sp.Semilattice, order, table) == \
+        oracles.semilattice_check_loops(order, table.tolist())
+
+
+def test_semilattice_rejects_a_table_of_the_wrong_shape():
+    with pytest.raises(errors.InvalidParams):
+        sp.Semilattice([0, 1], [[0, 0], [0, 1], [1, 1]])
+    with pytest.raises(errors.InvalidParams):
+        sp.Semilattice([0, 1, 2], [[0, 0], [0, 1]])
+
+
+def test_is_zero_e_unitary_matches_loops(semigroups):
+    pool = [S for S in semigroups if S.zero is not None] + \
+        [fx.adjoin_zero(S) for S in semigroups if S.zero is None]
+    for S in pool:
+        assert sg.is_zero_e_unitary(S) == oracles.is_zero_e_unitary_loops(S)
+
+
+def test_is_f_morphism_matches_loops(morphisms):
+    for phi in morphisms:
+        assert sg.is_f_morphism(phi) == oracles.is_f_morphism_loops(phi)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_is_f_morphism_of_an_arbitrary_map_matches_loops(semigroups, data):
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    k = data.draw(st.integers(1, 4), label="k")
+    mapping = data.draw(st.lists(st.integers(0, k - 1),
+                                 min_size=len(S), max_size=len(S)))
+    phi = sg.SemigroupHom(S, fx.cyclic_group(k), tuple(mapping))
+    assert sg.is_f_morphism(phi) == oracles.is_f_morphism_loops(phi)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_semigroup_hom_matches_loops(morphisms, data):
+    phi = data.draw(st.sampled_from(morphisms), label="phi")
+    mapping = list(phi.map)
+    if data.draw(st.booleans(), label="mutate"):
+        s = data.draw(st.integers(0, len(mapping) - 1), label="s")
+        mapping[s] = data.draw(st.integers(0, len(phi.target) - 1), label="t")
+    assert outcome(sg.semigroup_hom, phi.source, phi.target, mapping) == \
+        oracles.semigroup_hom_loops(phi.source, phi.target, mapping)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_subgroup_generated_matches_loops(data):
+    G = data.draw(st.sampled_from(
+        [fx.cyclic_group(12), s3_group(), fx.cyclic_group(1)]), label="G")
+    gens = data.draw(st.lists(st.integers(0, len(G) - 1), max_size=3))
+    assert sg.subgroup_generated(G, gens) == \
+        oracles.subgroup_generated_loops(G, gens)
+
+
+def test_ideals_and_rees_quotients_match_loops(semigroups):
+    for S in semigroups:
+        if len(S) > 16:
+            continue
+        ideals = sg.enumerate_proper_ideals(S)
+        assert ideals == oracles.proper_ideals_loops(S)
+        for I in ideals:
+            Q, q = sg.rees_quotient(S, I)
+            assert (list(q.map), Q.table.tolist()) == \
+                oracles.rees_quotient_loops(S, I)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_is_ideal_matches_loops(semigroups, data):
+    # the ideal SsS, or any subset, with at most one id toggled
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    if data.draw(st.booleans(), label="principal"):
+        s = data.draw(st.integers(0, len(S) - 1), label="s")
+        I = {S.mul_all(x, s, y) for x in range(len(S)) for y in range(len(S))}
+    else:
+        I = data.draw(st.sets(st.integers(0, len(S) - 1)), label="I")
+    if data.draw(st.booleans(), label="toggle"):
+        I ^= {data.draw(st.integers(0, len(S) - 1), label="x")}
+    assert sg.is_ideal(S, I) == oracles.is_ideal_loops(S, I)
+
+
+def cyclic_action(perm):
+    """The action of Z_k generated by the permutation ``perm`` of order k."""
+    powers = [tuple(range(len(perm)))]
+    while len(powers) == 1 or powers[-1] != powers[0]:
+        powers.append(tuple(perm[i] for i in powers[-1]))
+    return fx.cyclic_group(len(powers) - 1), dict(enumerate(powers[:-1]))
+
+
+def test_fixture_tables_match_loops():
+    for G, n in ((fx.cyclic_group(1), 3), (fx.cyclic_group(3), 2), (s3_group(), 2)):
+        assert fx.brandt(G, n).table.tolist() == oracles.brandt_table_loops(G, n)
+    for S, T in ((fx.chain(3), fx.cyclic_group(4)), (fx.b2(), fx.i2()),
+                 (fx.s3_monoid(), s3_group())):
+        assert fx.direct_product(S, T).table.tolist() == \
+            oracles.direct_product_table_loops(S, T)
+    rng = random.Random(5)
+    for _ in range(10):
+        meet, _ = fx._random_semilattice(rng)
+        auts = fx._semilattice_automorphisms(meet)
+        G, action = cyclic_action(auts[rng.randrange(len(auts))])
+        assert fx.semidirect(meet, G, action).table.tolist() == \
+            oracles.semidirect_table_loops(meet, G, action)
+
+
+def test_eunitary_cover_table_matches_loops():
+    T, _, _, B2, theta = b2_cover()
+    G = theta.target
+    g0 = oracles.subgroup_generated_loops(
+        G, [theta(s) for s in range(len(B2)) if s != B2.zero])
+    pairs = sorted([(s, theta(s)) for s in range(len(B2)) if s != B2.zero] +
+                   [(B2.zero, g) for g in g0])
+    assert T.table.tolist() == oracles.cover_table_loops(B2, G, pairs)
 
 
 # -- functors, reductions, components and envelopes ------------------------------------
