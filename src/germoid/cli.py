@@ -3,7 +3,8 @@ construction, verification suites, and DOT export.
 
 Reports go to stdout as JSON (one object per line for ``verify``); the
 human summary goes to stderr.  Exit codes: 0 all checks pass, 1 at least
-one failure, 2 input/parse errors.
+one failure, 2 input/parse errors, including an input over the size limit
+or too large for memory.
 """
 
 from __future__ import annotations
@@ -174,6 +175,12 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except errors.SizeLimitExceeded as exc:
+        print(f"error: SizeLimitExceeded: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except errors.GermoidError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -33,6 +33,9 @@ from .semigroups import (
     SemigroupHom,
     first_occurrence_ids,
     is_ideal,
+    lights_test,
+    narrow,
+    transposed,
 )
 from .spectra import (
     enumerate_filters,
@@ -122,6 +125,12 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
     and be inverted by theta_{s*}; then theta_s theta_t = theta_st must hold
     for all pairs (s, t), and every point must lie in some idempotent's
     domain.  The first failure in that order is reported.
+
+    The pairs are checked for the generators t of S by
+    :func:`~germoid.semigroups.lights_test`, the row-gather kernel of
+    Light's test, on the maps in the narrowest integer type that holds
+    them and on their transpose; only when it fails does the scan over
+    all pairs run, for the witness.
     """
     action = SAction(S, point_labels, np.asarray(maps))
     n, m = len(S), action.n_points
@@ -143,12 +152,14 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
         raise errors.NotBijective(f"theta_{si} overshoots theta_{s}")
     # theta_s theta_t = theta_st: if it holds for every generator t it holds
     # for all t, since theta_s theta_tu = theta_st theta_u = theta_stu; only
-    # when a generator fails does the full scan, in slabs of s, run to find
-    # the first failing pair
+    # when a generator fails, or an entry below -1 would index a real point
+    # where lights_test expects its sentinel, does the full scan, in
+    # slabs of s, run to find the first failing pair
     defined = maps >= 0
-    inner = np.where(defined, maps, 0)
-    if not all(np.array_equal(np.where(defined[t], maps[:, inner[t]], -1),
-                              maps[S.table[:, t]]) for t in S.generators):
+    small = narrow(maps, -1, m - 1) if maps.min(initial=-1) >= -1 else None
+    if small is None or not lights_test(
+            S.table, small, S.generators, transposed(small)):
+        inner = np.where(defined, maps, 0)
         slab = max(1, CHUNK // max(n * m, 1))
         for lo in range(0, n, slab):
             comp = np.where(defined[None], maps[lo:lo + slab][:, inner], -1)

@@ -193,15 +193,25 @@ class SemilatticeHom:
 
 
 def semilattice_hom(E1: Semilattice, E2: Semilattice, mapping) -> SemilatticeHom:
+    """Validate a map of semilattices as meet preserving.
+
+    phi(e ^ f) = phi(e) ^ phi(f) is one comparison over E1 x E1; the first
+    failing (e, f) in row order raises.
+    """
     mapping = dict(mapping)
     for e in E1.elements:
         if e not in mapping or mapping[e] not in E2:
             raise errors.NotMeetPreserving(f"map undefined or out of range at {e}")
-    for e in E1.elements:
-        for f in E1.elements:
-            if mapping[E1.meet(e, f)] != E2.meet(mapping[e], mapping[f]):
-                raise errors.NotMeetPreserving(
-                    f"phi({e} ^ {f}) != phi({e}) ^ phi({f})")
+    ids = np.array(E1.elements, dtype=np.int64)
+    phi = np.array([mapping[e] for e in E1.elements], dtype=np.int64)
+    pos = np.array([E2.position(v) for v in phi.tolist()], dtype=np.int64)
+    order = np.argsort(ids)
+    at = order[np.searchsorted(ids, E1._meet, sorter=order)]   # of e ^ f
+    bad = phi[at] != E2._meet[pos[:, None], pos]
+    if bad.any():
+        e, f = ids[np.argwhere(bad)[0]]
+        raise errors.NotMeetPreserving(
+            f"phi({e} ^ {f}) != phi({e}) ^ phi({f})")
     return SemilatticeHom(E1, E2, mapping)
 
 

@@ -185,6 +185,36 @@ def first_nonassociative_triple(table):
     return None
 
 
+def lights_test_by_columns(table, gens):
+    """Light's test as the column gather it was before the row-gather
+    kernel: (xa)y = x(ay) for every generator a, in slabs of x."""
+    import numpy as np
+
+    table = np.asarray(table, dtype=np.int64)
+    n = len(table)
+    rows = max(1, (1 << 16) // n)
+    for a in gens:
+        for lo in range(0, n, rows):
+            lhs = table[table[lo:lo + rows, a]]         # lhs[x,y] = (xa)y
+            rhs = table[lo:lo + rows][:, table[a]]      # rhs[x,y] = x(ay)
+            if not np.array_equal(lhs, rhs):
+                return False
+    return True
+
+
+def saction_generators_hold(S, maps):
+    """theta_s theta_t = theta_st for all s and every generator t, as
+    ``validate_saction`` checked it before the shared kernel: one
+    column gather of all the maps per generator."""
+    import numpy as np
+
+    maps = np.asarray(maps, dtype=np.int64)
+    defined = maps >= 0
+    inner = np.where(defined, maps, 0)
+    return all(np.array_equal(np.where(defined[t], maps[:, inner[t]], -1),
+                              maps[S.table[:, t]]) for t in S.generators)
+
+
 def validate_groupoid_loops(g):
     """The groupoid axioms by exhaustive loops over arrow ids."""
     from germoid import errors
@@ -674,6 +704,47 @@ def semilattice_check_loops(elements, meet_table):
             if meet_table[pos[e]][pos[ef]] != ef:
                 return "InvalidParams", "table is not a meet semilattice"
     return "ok", ""
+
+
+def semilattice_hom_loops(E1, E2, mapping):
+    """Meet preservation by a loop of ``Semilattice.meet`` calls over
+    E1 x E1 in row order."""
+    from germoid import errors
+
+    mapping = dict(mapping)
+    for e in E1.elements:
+        if e not in mapping or mapping[e] not in E2:
+            raise errors.NotMeetPreserving(f"map undefined or out of range at {e}")
+    for e in E1.elements:
+        for f in E1.elements:
+            if mapping[E1.meet(e, f)] != E2.meet(mapping[e], mapping[f]):
+                raise errors.NotMeetPreserving(
+                    f"phi({e} ^ {f}) != phi({e}) ^ phi({f})")
+
+
+def partial_group_hom_loops(S, G, mapping):
+    """The partial homomorphism checks by a loop over all pairs (s, t)."""
+    from germoid import errors
+
+    mapping = list(mapping)
+    if len(mapping) != len(S) or mapping[S.zero] is not None:
+        raise errors.NotAHomomorphism(
+            "map must carry None exactly at the zero id")
+    for s in range(len(S)):
+        if s != S.zero and mapping[s] is None:
+            raise errors.NotAHomomorphism(f"undefined at non-zero element {s}")
+    for s in range(len(S)):
+        for t in range(len(S)):
+            if s == S.zero or t == S.zero:
+                continue
+            st = S.mul(s, t)
+            if st != S.zero and mapping[st] != G.mul(mapping[s], mapping[t]):
+                raise errors.NotAHomomorphism(
+                    f"phi({s}{t}) != phi({s})phi({t})")
+    for e in S.idempotents:
+        if e != S.zero and mapping[e] != G.identity:
+            raise errors.NotAHomomorphism(
+                f"non-zero idempotent {e} does not map to the identity")
 
 
 # -- scalar predicates, ideals and fixture tables, element by element -----------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from germoid import cli
 from germoid import fixtures as fx
 from germoid import groupoids as gpd
+from germoid import semigroups as sg
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +320,32 @@ def test_undecodable_or_too_deeply_nested_file_exits_2(tmp_path):
 def test_malformed_size_limit_exits_2(tmp_path, monkeypatch):
     monkeypatch.setenv("GERMOID_SIZE_LIMIT", "abc")
     assert verify_text(tmp_path / "ok.json", PRESET_TEXTS[0]) == 2
+
+
+def test_over_size_limit_exits_2_with_one_error_line(tmp_path, capsys,
+                                                    monkeypatch):
+    path = tmp_path / "chain16.json"
+    path.write_text(fx.chain(16).to_json())
+    monkeypatch.setenv("GERMOID_SIZE_LIMIT", "10")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: SizeLimitExceeded: size 16 exceeds limit 10; " \
+        "set GERMOID_SIZE_LIMIT to override\n"
+
+
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path, capsys,
+                                                  monkeypatch):
+    path = tmp_path / "chain16.json"
+    path.write_text(fx.chain(16).to_json())
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(sg, "lights_test", no_memory)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: " \
+        "Unable to allocate 8.00 GiB for an array\n"
 
 
 @settings(max_examples=200, deadline=None)

@@ -84,14 +84,32 @@ def mutated_table(data, S):
     return table
 
 
+def lights_test_on(table, gens):
+    """Light's test on a table, as ``validate_semigroup`` runs it."""
+    small = sg.narrow(np.asarray(table), -1, len(table) - 1)
+    return sg.lights_test(small, small, gens, sg.transposed(small))
+
+
 @EXAMPLES
 @given(data=st.data())
 def test_lights_test_decides_associativity(semigroups, data):
     S = data.draw(st.sampled_from(semigroups), label="S")
     table = mutated_table(data, S)
     gens = sg.greedy_generators(table)
-    assert sg.lights_test(table, gens) == \
-        (oracles.first_nonassociative_triple(table) is None)
+    verdict = lights_test_on(table, gens)
+    assert verdict == (oracles.first_nonassociative_triple(table) is None)
+    assert verdict == oracles.lights_test_by_columns(table, gens)
+
+
+@FEW
+@given(data=st.data())
+def test_lights_test_over_many_blocks_matches_the_column_gather(data):
+    # 272 elements: 272^2 entries exceed CHUNK, so 17 blocks of 16 rows
+    S = chain_by_cyclic(17, 16)
+    table = mutated_table(data, S)
+    gens = sg.greedy_generators(table)
+    assert lights_test_on(table, gens) == \
+        oracles.lights_test_by_columns(table, gens)
 
 
 @EXAMPLES
@@ -114,17 +132,53 @@ def test_validate_semigroup_on_a_large_table_matches_scan(data):
         outcome(oracles.validate_semigroup_scan, table, None)
 
 
+@FEW
+@given(data=st.data())
+def test_a_failure_only_in_the_last_block_and_generator_matches_scan(data):
+    # A chain of n > 256 ids under min: every id is a generator, the top
+    # n - 1 the last.  Setting (top)(top) = v < n - 2 breaks (x top) top =
+    # x (top top) exactly for the x above v, and only for t = top; with v
+    # at least one below the first id of the last block of 16 rows, those
+    # x all lie in that block, so lights_test meets its failure in its very
+    # last step.
+    n = data.draw(st.integers(258, 320).filter(lambda n: n % 16 != 1),
+                  label="n")
+    last_block = (n - 1) // 16 * 16
+    v = data.draw(st.integers(last_block - 1, n - 3), label="v")
+    table = np.minimum.outer(np.arange(n), np.arange(n))
+    table[n - 1, n - 1] = v
+    gens = sg.greedy_generators(table)
+    small = sg.narrow(table, -1, n - 1)
+    assert gens == list(range(n))
+    assert sg.lights_test(small, small, gens[:-1], sg.transposed(small))
+    lhs, rhs = table[table[:, n - 1]], table[:, table[n - 1]]
+    assert np.flatnonzero((lhs != rhs).any(axis=1)).min() >= last_block
+    names = [str(i) for i in range(n)]
+    assert outcome(sg.validate_semigroup, names, table, None) == \
+        outcome(oracles.validate_semigroup_scan, table, None) == \
+        ("NotAssociative", str(errors.NotAssociative(v + 1, n - 1, n - 1)))
+
+
+def closure_of(S, elements):
+    closure = set(elements)
+    while True:
+        new = {S.mul(a, b) for a in closure for b in closure} - closure
+        if not new:
+            return closure
+        closure |= new
+
+
 def test_greedy_generators_generate(semigroups):
+    # each id is a generator iff it is outside the closure of the earlier
+    # generators
     for S in semigroups:
         gens = sg.greedy_generators(S.table)
-        closure = set(gens)
-        while True:
-            new = {S.mul(a, b) for a in closure for b in closure} - closure
-            if not new:
-                break
-            closure |= new
-        assert closure == set(range(len(S)))
+        assert closure_of(S, gens) == set(range(len(S)))
         assert gens == sorted(gens)
+        for i, g in enumerate(gens):
+            below = closure_of(S, gens[:i])
+            assert g not in below
+            assert set(range(g)) <= below | set(gens[:i])
 
 
 def test_chain_needs_every_idempotent_as_generator():
@@ -161,6 +215,51 @@ def test_validate_saction_on_a_large_action_matches_scan(data):
     S = chain_by_cyclic(8, 16)
     action = germs.beta_action(S)
     maps = mutated_maps(data, action.maps)
+    assert outcome(germs.validate_saction, S, action.point_labels, maps) == \
+        outcome(oracles.validate_saction_scan, S, maps)
+
+
+def wagner_preston(S):
+    """The maps of the Wagner-Preston action of S on itself: theta_s is
+    y -> sy on the y with s*s y = y."""
+    ss = S.table[S.star, np.arange(len(S))]
+    return np.where(S.table[ss] == np.arange(len(S)), S.table, -1)
+
+
+@FEW
+@given(data=st.data())
+def test_validate_saction_over_many_blocks_matches_scan(data):
+    # 272 elements on 272 points: 17 blocks of 16 rows
+    S = chain_by_cyclic(17, 16)
+    maps = mutated_maps(data, wagner_preston(S))
+    assert outcome(germs.validate_saction, S, range(len(S)), maps) == \
+        outcome(oracles.validate_saction_scan, S, maps)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_lights_test_on_actions_matches_the_column_gather(actions, data):
+    action = data.draw(st.sampled_from(actions), label="action")
+    S = action.semigroup
+    maps = mutated_maps(data, action.maps)
+    small = sg.narrow(maps, -1, action.n_points - 1)
+    assert sg.lights_test(S.table, small, S.generators,
+                          sg.transposed(small)) == \
+        oracles.saction_generators_hold(S, maps)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_validate_saction_with_entries_below_minus_one_matches_scan(
+        actions, data):
+    # such an entry would index a real point where lights_test expects its
+    # sentinel row, so the full scan decides
+    action = data.draw(st.sampled_from(actions), label="action")
+    S = action.semigroup
+    maps = np.array(action.maps)
+    s = data.draw(st.integers(0, len(S) - 1), label="s")
+    x = data.draw(st.integers(0, action.n_points - 1), label="x")
+    maps[s, x] = data.draw(st.integers(-300, -2), label="value")
     assert outcome(germs.validate_saction, S, action.point_labels, maps) == \
         outcome(oracles.validate_saction_scan, S, maps)
 
@@ -761,6 +860,107 @@ def test_semigroup_hom_matches_loops(morphisms, data):
         mapping[s] = data.draw(st.integers(0, len(phi.target) - 1), label="t")
     assert outcome(sg.semigroup_hom, phi.source, phi.target, mapping) == \
         oracles.semigroup_hom_loops(phi.source, phi.target, mapping)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_semilattice_hom_matches_loops(semigroups, data):
+    # from E(S), its ids in any order, to E(T): e -> eg with T = S, or
+    # e -> g, both meet preserving, or any map; with at most one value
+    # changed to any idempotent of T
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    kind = data.draw(st.sampled_from(["meet", "constant", "any"]),
+                     label="kind")
+    T = S if kind == "meet" else \
+        data.draw(st.sampled_from(semigroups), label="T")
+    order = data.draw(st.permutations(S.idempotents), label="order")
+    E1 = sp.Semilattice(order, S.table[np.ix_(order, order)])
+    E2 = sp.idempotent_semilattice(T)
+    g = data.draw(st.sampled_from(E2.elements), label="g")
+    if kind == "any":
+        mapping = dict(zip(E1.elements, data.draw(st.lists(
+            st.sampled_from(E2.elements), min_size=len(E1), max_size=len(E1)),
+            label="values")))
+    else:
+        mapping = {e: S.mul(e, g) if kind == "meet" else g
+                   for e in E1.elements}
+    if data.draw(st.booleans(), label="mutate"):
+        e = data.draw(st.sampled_from(E1.elements), label="e")
+        mapping[e] = data.draw(st.sampled_from(E2.elements), label="value")
+    assert outcome(sp.semilattice_hom, E1, E2, mapping) == \
+        outcome(oracles.semilattice_hom_loops, E1, E2, mapping)
+
+
+def test_semilattice_hom_of_identities_and_restrictions_matches_loops(
+        morphisms):
+    for phi in morphisms:
+        E1 = sp.idempotent_semilattice(phi.source)
+        E2 = sp.idempotent_semilattice(phi.target)
+        for target, mapping in ((E1, {e: e for e in E1.elements}),
+                                (E2, {e: phi(e) for e in E1.elements})):
+            assert outcome(sp.semilattice_hom, E1, target, mapping) == \
+                outcome(oracles.semilattice_hom_loops, E1, target, mapping) \
+                == ("ok", "")
+
+
+def relabelled_table(S, p, validate, **kwargs):
+    """The table of S with element a renamed p[a], validated by
+    ``validate``."""
+    p = np.asarray(p)
+    table = np.empty_like(S.table)
+    table[np.ix_(p, p)] = p[S.table]
+    return validate([S.names[a] for a in np.argsort(p)], table, **kwargs)
+
+
+def relabelled_group(G, p):
+    return relabelled_table(G, p, sg.validate_group)
+
+
+def sigma_with_zero(S, p):
+    """sigma of S, into its group relabelled by p, with None at the zero
+    adjoined to S."""
+    sigma = sg.max_group_image(S)
+    return fx.adjoin_zero(S), relabelled_group(sigma.group, p), \
+        [p[sigma(s)] for s in range(len(S))] + [None]
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_partial_group_hom_matches_loops(semigroups, data):
+    # sigma extended by None at an adjoined zero, into its group with the
+    # ids permuted, with at most one value changed to a group id or None
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    k = len(sg.max_group_image(S).group)
+    S0, G, mapping = sigma_with_zero(
+        S, data.draw(st.permutations(range(k)), label="p"))
+    if data.draw(st.booleans(), label="mutate"):
+        s = data.draw(st.integers(0, len(S0) - 1), label="s")
+        mapping[s] = data.draw(st.none() | st.integers(0, k - 1),
+                               label="value")
+    assert outcome(sg.partial_group_hom, S0, G, mapping) == \
+        outcome(oracles.partial_group_hom_loops, S0, G, mapping)
+
+
+def test_partial_group_hom_in_row_blocks_matches_loops(semigroups,
+                                                       monkeypatch):
+    # S with a zero adjoined as id 0 and its other ids shuffled, in blocks
+    # of one row: the row of the zero is skipped, so the first failing
+    # pair lies in the second block; every value in turn moved to the
+    # next group id
+    rng = np.random.default_rng(3)
+    monkeypatch.setattr(sg, "CHUNK", 4)
+    for S in semigroups:
+        k = len(sg.max_group_image(S).group)
+        S0, G, base = sigma_with_zero(S, list(range(k))[::-1])
+        n = len(S0)
+        p = np.concatenate([1 + rng.permutation(n - 1), [0]])
+        S0 = relabelled_table(S0, p, sg.validate_semigroup, zero=0)
+        base = [base[q] for q in np.argsort(p)]
+        for s in range(1, n):
+            mapping = list(base)
+            mapping[s] = (mapping[s] + 1) % k
+            assert outcome(sg.partial_group_hom, S0, G, mapping) == \
+                outcome(oracles.partial_group_hom_loops, S0, G, mapping)
 
 
 @EXAMPLES
