@@ -78,9 +78,17 @@ def _digest(obj) -> str:
 
 
 def _timed(check, fixture, fn):
+    """The report of one check: its verdict, or a skip when it builds a
+    groupoid over the size limit or runs out of memory."""
     t0 = time.perf_counter()
     try:
         passed, sizes, witness, cert = fn()
+    except errors.SizeLimitExceeded as exc:
+        return _skip(check, fixture,
+                     f"{check} needs {exc.size} arrows, over the limit "
+                     f"{exc.limit}; set GERMOID_SIZE_LIMIT")
+    except MemoryError as exc:
+        return _skip(check, fixture, f"out of memory: {exc}")
     except errors.GermoidError as exc:
         return VerifyReport(check, fixture, False,
                             witness=f"{type(exc).__name__}: {exc}",

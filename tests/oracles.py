@@ -375,6 +375,40 @@ def validate_semigroup_scan(table, zero=None):
                 raise errors.ZeroNotAbsorbing(s)
 
 
+def semigroup_from_json_loads(text: str, name="S"):
+    """``semigroup_from_json`` as it read every file before the byte
+    kernel: ``json.loads`` and ``np.asarray`` of the nested list."""
+    import json
+
+    import numpy as np
+
+    from germoid import errors
+    from germoid.semigroups import holds_bool, validate_semigroup
+
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise errors.MalformedInput("a semigroup file holds one JSON object")
+    names = data.get("elements")
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise errors.MalformedInput('"elements" must be a list of names')
+    n = len(names)
+    not_square = errors.MalformedInput(
+        f'"table" must be a {n}x{n} array of integer element ids')
+    try:
+        table = np.asarray(data.get("table"))
+    except ValueError:                       # ragged nesting
+        raise not_square from None
+    if table.dtype.kind not in "iu" or table.shape != (n, n) or n == 0 or \
+            holds_bool(text, data["table"]):
+        raise not_square
+    if table.min() < 0 or table.max() >= n:
+        raise errors.MalformedInput('"table" entries must be ids in range')
+    zero = data.get("zero")
+    if zero is not None and (type(zero) is not int or not 0 <= zero < n):
+        raise errors.MalformedInput('"zero" must be null or an element id')
+    return validate_semigroup(names, table, zero, name=name)
+
+
 def validate_partial_action_loops(G, maps):
     """The partial group action checks by loops over group elements and
     points, in the order of ``validate_partial_action``."""

@@ -10,6 +10,7 @@ from germoid import cli
 from germoid import fixtures as fx
 from germoid import groupoids as gpd
 from germoid import semigroups as sg
+from germoid import verify
 
 
 def run_cli(capsys, *argv):
@@ -271,7 +272,7 @@ def verify_text(path, text):
     return verify_exit(path)
 
 
-@pytest.mark.parametrize("doc", [
+MALFORMED = [
     {"elements": ["a", "b"], "table": [[0, 1], [1]], "zero": None},
     {"elements": ["0", "1"], "table": [[0, 0], [0, 1]], "zero": True},
     {"elements": ["0", "1"], "table": [[0, 0], [0, 1]], "zero": "0"},
@@ -287,9 +288,18 @@ def verify_text(path, text):
     {"elements": [], "table": []},
     {"elements": [0], "table": [[0]]},
     {"table": [[0]]},
-])
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED)
 def test_malformed_semigroup_exits_2(tmp_path, doc):
     assert verify_text(tmp_path / "bad.json", json.dumps(doc)) == 2
+
+
+@pytest.mark.parametrize("doc", MALFORMED)
+def test_malformed_compact_semigroup_exits_2(tmp_path, doc):
+    text = json.dumps(doc, separators=(",", ":"))
+    assert verify_text(tmp_path / "bad.json", text) == 2
 
 
 def test_analyze_rejects_a_boolean_among_integers(tmp_path, capsys):
@@ -346,6 +356,45 @@ def test_out_of_memory_exits_2_with_one_error_line(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err == "error: out of memory: " \
         "Unable to allocate 8.00 GiB for an array\n"
+
+
+def verify_reports(capsys, path):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", str(path))
+    return code, {r["check"]: r for r in map(json.loads, out.splitlines())}
+
+
+def test_a_groupoid_over_the_size_limit_skips_its_check(tmp_path, capsys,
+                                                        monkeypatch):
+    # S3 has 3 elements; envelope and ks build groupoids of 6 arrows
+    path = tmp_path / "s3.json"
+    path.write_text(fx.PRESETS["s3"]().to_json())
+    _, unlimited = verify_reports(capsys, path)
+    monkeypatch.setenv("GERMOID_SIZE_LIMIT", "4")
+    code, reports = verify_reports(capsys, path)
+    assert code == 0 and reports.keys() == unlimited.keys()
+    for check in ("envelope", "ks"):
+        assert reports[check]["skipped"] and reports[check]["pass"]
+        assert reports[check]["reason"] == \
+            f"{check} needs 6 arrows, over the limit 4; set GERMOID_SIZE_LIMIT"
+    for check in set(reports) - {"envelope", "ks"}:
+        assert reports[check] == {**unlimited[check],
+                                  "wall_ms": reports[check]["wall_ms"]}
+
+
+def test_out_of_memory_in_a_check_skips_it_and_keeps_the_others(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s3.json"
+    path.write_text(fx.PRESETS["s3"]().to_json())
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(verify, "center_dimension", no_memory)
+    code, reports = verify_reports(capsys, path)
+    assert code == 0 and len(reports) == 6
+    assert reports["ks"]["skipped"] and reports["ks"]["reason"] == \
+        "out of memory: Unable to allocate 8.00 GiB for an array"
+    assert not any(r["skipped"] for c, r in reports.items() if c != "ks")
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ compositions and representation matrices.
 """
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -184,6 +185,186 @@ def test_greedy_generators_generate(semigroups):
 def test_chain_needs_every_idempotent_as_generator():
     S = chain_by_cyclic(4, 3)
     assert len(S.generators) == 4 + 1   # f1, f2, f3, the identity, one g
+
+
+# -- reading semigroup files: the byte kernel and json.loads ---------------------
+
+LAYOUTS = {"default": {}, "compact": {"separators": (",", ":")},
+           "indent": {"indent": 1}}
+
+
+def read_outcome(read, text):
+    """The names, zero and int64 table a reader gives, or the error type and
+    message it raises."""
+    try:
+        S = read(text)
+    except (errors.GermoidError, json.JSONDecodeError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+    return S.names, S.zero, S.table.dtype, S.table.tolist()
+
+
+def table_span(text):
+    """Start and end of the "table" value in ``text``."""
+    start = text.index('"table":') + len('"table":')
+    start += len(text[start:]) - len(text[start:].lstrip())
+    return start, json.JSONDecoder().raw_decode(text, start)[1]
+
+
+def mutated_text(data, doc, layout):
+    """``doc`` written in ``layout``, with at most one mutation of its table:
+    a digit turned into another character, another character turned into
+    one of those, a digit inserted anywhere, a leading 0, a 20-digit entry,
+    an entry or row dropped, an entry added, a boolean, or the key spelled
+    with an escape or given twice."""
+    table = doc["table"]
+    kind = data.draw(st.sampled_from(
+        ["none", "char", "separator", "insert-digit", "leading-zero", "long",
+         "drop-entry", "extra-entry", "drop-row", "true", "escaped-key",
+         "key-twice"]), label="kind")
+    i = data.draw(st.integers(0, len(table) - 1), label="row")
+    if kind == "drop-entry":
+        table[i].pop(data.draw(st.integers(0, len(table[i]) - 1), label="at"))
+    elif kind == "extra-entry":
+        table[i].append(data.draw(st.integers(0, len(table)), label="entry"))
+    elif kind == "drop-row":
+        table.pop(i)
+    elif kind == "true":
+        table[i][data.draw(st.integers(0, len(table[i]) - 1), label="at")] = True
+    text = json.dumps(doc, **LAYOUTS[layout])
+    start, end = table_span(text)
+    if kind == "separator":
+        others = [p for p in range(start, end) if not text[p].isdigit()]
+        p = data.draw(st.sampled_from(others), label="at")
+        insert = data.draw(st.sampled_from("[], -.e"), label="char")
+        text = text[:p] + insert + text[p + 1:]
+    elif kind == "insert-digit":
+        p = data.draw(st.integers(start, end), label="at")
+        text = text[:p] + data.draw(st.sampled_from("09"), label="d") + text[p:]
+    elif kind in ("char", "leading-zero", "long"):
+        digits = [p for p in range(start, end) if text[p].isdigit()]
+        p = data.draw(st.sampled_from(digits), label="digit")
+        if kind == "char":
+            insert = data.draw(st.sampled_from("-.e "), label="char")
+            text = text[:p] + insert + text[p + 1:]
+        else:
+            while text[p - 1].isdigit():
+                p -= 1
+            insert = "0" if kind == "leading-zero" else "1" * 20
+            text = text[:p] + insert + text[p + (kind == "long"):]
+    elif kind == "escaped-key":
+        text = text.replace('"table"', '"t\\u0061ble"')
+    elif kind == "key-twice":
+        m = data.draw(st.integers(1, 4), label="m")
+        other = json.dumps(data.draw(st.lists(
+            st.lists(st.integers(0, len(table)), min_size=m, max_size=m),
+            min_size=m, max_size=m), label="other"), **LAYOUTS[layout])
+        if data.draw(st.booleans(), label="first"):
+            text = f'{text[:1]}"table": {other}, {text[1:]}'
+        else:
+            text = f'{text[:end]}, "table": {other}{text[end:]}'
+    return text
+
+
+def random_doc(data, semigroups):
+    """A semigroup file as a dict: a fixture, or a random n x n table."""
+    if data.draw(st.booleans(), label="fixture"):
+        S = data.draw(st.sampled_from(semigroups), label="S")
+        return {"elements": list(S.names), "table": S.table.tolist(),
+                "zero": S.zero}
+    n = data.draw(st.integers(1, 6), label="n")
+    cell = st.integers(0, n - 1)
+    table = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                               min_size=n, max_size=n), label="table")
+    zero = data.draw(st.none() | cell, label="zero")
+    return {"elements": [f"s{i}" for i in range(n)], "table": table,
+            "zero": zero}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_semigroup_from_json_matches_json_loads(semigroups, data):
+    layout = data.draw(st.sampled_from(sorted(LAYOUTS)), label="layout")
+    text = mutated_text(data, random_doc(data, semigroups), layout)
+    assert read_outcome(sg.semigroup_from_json, text) == \
+        read_outcome(oracles.semigroup_from_json_loads, text)
+
+
+@FEW
+@given(data=st.data())
+def test_semigroup_from_json_over_many_blocks_matches_json_loads(data):
+    # 272 elements in about 330 kB: about twenty blocks of CHUNK / 4 bytes
+    S = chain_by_cyclic(17, 16)
+    doc = {"elements": list(S.names), "table": S.table.tolist(), "zero": None}
+    layout = data.draw(st.sampled_from(["default", "compact"]), label="layout")
+    text = mutated_text(data, doc, layout)
+    assert read_outcome(sg.semigroup_from_json, text) == \
+        read_outcome(oracles.semigroup_from_json_loads, text)
+
+
+@pytest.mark.parametrize("layout", ["default", "compact"])
+def test_every_one_character_edit_of_a_file_matches_json_loads(layout):
+    S = fx.PRESETS["b2"]()
+    text = json.dumps({"elements": list(S.names), "table": S.table.tolist(),
+                       "zero": S.zero}, **LAYOUTS[layout])
+    for p in range(len(text)):
+        edits = [text[:p] + text[p + 1:]]
+        for c in '0[], -.e}"':
+            edits += [text[:p] + c + text[p + 1:], text[:p] + c + text[p:]]
+        for edited in edits:
+            assert read_outcome(sg.semigroup_from_json, edited) == \
+                read_outcome(oracles.semigroup_from_json_loads, edited)
+
+
+@pytest.mark.parametrize("layout", ["default", "compact"])
+def test_a_bad_separator_between_any_two_rows_is_unsure(layout):
+    # 272 rows over about twenty blocks: some of these separators fall
+    # between two blocks
+    text = json.dumps(chain_by_cyclic(17, 16).table.tolist(),
+                      **LAYOUTS[layout])
+    sep = ", " if layout == "default" else ","
+    ends = [p + 1 for p in range(len(text) - 1) if text[p:p + 2] == "]" + sep[0]]
+    assert len(ends) == 271
+    for p in ends:
+        edited = text[:p] + "." * len(sep) + text[p + len(sep):]
+        assert sg.table_from_bytes(edited.encode()) is None
+
+
+def test_only_the_json_dumps_layouts_take_the_byte_path(semigroups):
+    for S in semigroups:
+        doc = {"elements": list(S.names), "table": S.table.tolist(),
+               "zero": S.zero}
+        for layout, options in LAYOUTS.items():
+            data = sg.read_object(json.dumps(doc, **options))
+            if layout == "indent":
+                assert data is None
+            else:
+                assert np.array_equal(data["table"], S.table)
+    # a name outside ASCII: escaped, the byte path; written as it is, not
+    doc["elements"][0] = "\u2205"
+    assert sg.read_object(json.dumps(doc)) is not None
+    text = json.dumps(doc, ensure_ascii=False)
+    assert sg.read_object(text) is None
+    assert read_outcome(sg.semigroup_from_json, text) == \
+        read_outcome(oracles.semigroup_from_json_loads, text)
+
+
+@pytest.mark.parametrize("layout", ["default", "compact"])
+def test_table_from_bytes_reads_what_json_loads_reads(layout):
+    rng = np.random.default_rng(7)
+    for rows, cols, digits in [(1, 1, 1), (3, 5, 2), (40, 40, 9), (5, 20000, 4)]:
+        table = rng.integers(0, 10 ** digits, size=(rows, cols))
+        text = json.dumps(table.tolist(), **LAYOUTS[layout])
+        got, end = sg.table_from_bytes((text + ', "zero": 0}').encode())
+        assert end == len(text) and got.dtype == np.int64
+        assert np.array_equal(got, np.asarray(json.loads(text)))
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "[[]]", "[[01]]", "[[1, -1]]", "[[1.0]]", "[[1e2]]", "[[1 ]]",
+    "[[1,  2]]", "[[1, 2],[3, 4]]", "[[1, 2],\n [3, 4]]", "[[1, 2], [3]]",
+    "[[1], [2], [3]]", "[[1234567890]]", '[["1"]]', "[[true]]", "[[1, 2]"])
+def test_table_from_bytes_is_unsure_of_every_other_text(text):
+    assert sg.table_from_bytes(text.encode()) is None
 
 
 # -- action validation ------------------------------------------------------------
@@ -364,6 +545,23 @@ def mutated_groupoid(data, g):
 @given(data=st.data())
 def test_validate_groupoid_matches_loops(groupoids, data):
     g = data.draw(st.sampled_from(groupoids), label="g")
+    h = mutated_groupoid(data, g)
+    assert outcome(gpd.validate_groupoid, h) == \
+        outcome(oracles.validate_groupoid_loops, h)
+
+
+@pytest.fixture(scope="module")
+def larger_groupoids(random_eunitary):
+    """Groupoids with over 40 arrows, so over CHUNK composable triples:
+    ``validate_groupoid`` runs Light's test on them."""
+    out = [germs.universal_groupoid(S) for S in random_eunitary]
+    return [g for g in out if 40 < g.n_arrows <= 64]
+
+
+@FEW
+@given(data=st.data())
+def test_validate_groupoid_by_generators_matches_loops(larger_groupoids, data):
+    g = data.draw(st.sampled_from(larger_groupoids), label="g")
     h = mutated_groupoid(data, g)
     assert outcome(gpd.validate_groupoid, h) == \
         outcome(oracles.validate_groupoid_loops, h)
