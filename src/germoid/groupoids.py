@@ -242,11 +242,12 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     ``generating_arrows``, and only the triples whose middle arrow is one
     of them are checked.  Only if one fails are all composable triples
     scanned, in lexicographic order, so the witness is the first failing
-    triple (a, b, c).  When n_arrows³ <= ``CHUNK`` / 4 (at most 25
-    arrows), that scan runs alone: on the groupoids of a ``verify --suite
-    all`` pass over the benchmark corpus it is then faster than the
-    generator search, and from about 24 arrows on slower, up to five
-    times at 32-39 arrows.
+    triple (a, b, c).  On at most 25 arrows that scan runs alone: it is a
+    measured crossover, not a memory bound.  Per call over the 470
+    groupoids of a ``verify --suite all`` pass on the benchmark corpus,
+    the scan took 41 µs against 64 for the generator search at 0-7
+    arrows, 111 against 125 at 16-23, 155 against 132 at 24-31 and 1,065
+    against 201 at 32-39.
     """
     n, n_units = g.n_arrows, g.n_units
     check_size(n)
@@ -300,7 +301,7 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
         raise errors.MissingInverse(_first(~good))
 
     a, b = g.defined_pairs                 # composable, by the endpoint law
-    if n ** 3 <= CHUNK // 4:
+    if n <= 25:                            # the crossover measured above
         bad = first_nonassociative_triple(g, a, b)
     else:
         bad = None

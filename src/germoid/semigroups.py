@@ -407,12 +407,14 @@ def table_from_bytes(buf: bytes, start: int = 0):
                 runs.sum() != len(d) - at.size or \
                 ((runs > 1) & (d[starts] == 0)).any():
             return None
-        # at most 9 digits: the values fit in int32
+        # at most 9 digits: the values fit in int32.  The products are taken
+        # in an explicit int32, since numpy 1.x keeps a uint8 array times a
+        # scalar in uint8, where 3 * 100 wraps
         values = d[ends - 1].astype(np.int32)
         for j in range(2, longest + 1):
             digit = d[ends - j]
             digit *= runs >= j
-            values += digit * np.int32(10 ** (j - 1))
+            values += np.multiply(digit, 10 ** (j - 1), dtype=np.int32)
         table[done:done + rows] = values
         done += rows
     return table, end + 2
