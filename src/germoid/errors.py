@@ -5,6 +5,8 @@ these; there are no partially valid states.  Each error carries a minimal
 witness (element / arrow ids) for reporting.
 """
 
+import math
+
 
 class GermoidError(Exception):
     """Base class for all structured errors of this package."""
@@ -103,8 +105,10 @@ class ActionNotByAutomorphisms(ValidationError):
 
 class SizeLimitExceeded(GermoidError):
     def __init__(self, size, limit):
+        # Python refuses to print an int of over 4300 digits in full
+        shown = size if size < 10 ** 100 else f"about 10^{int(math.log10(size))}"
         super().__init__(
-            f"size {size} exceeds limit {limit}; "
+            f"size {shown} exceeds limit {limit}; "
             "set GERMOID_SIZE_LIMIT to override")
         self.size = size
         self.limit = limit

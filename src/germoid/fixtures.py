@@ -15,6 +15,7 @@ from . import errors
 from .semigroups import (
     FiniteGroup,
     InvSemigroup,
+    check_size,
     is_e_unitary,
     validate_group,
     validate_semigroup,
@@ -64,9 +65,19 @@ def brandt(G: FiniteGroup, n: int, name=None) -> InvSemigroup:
 
 
 def symmetric_inverse(n: int, name=None) -> InvSemigroup:
-    """The symmetric inverse monoid of all partial bijections of {1..n}."""
+    """The symmetric inverse monoid of all partial bijections of {1..n}.
+
+    Its size, the sum over j of C(n, j)^2 j! partial bijections with j
+    points in their domain, is checked against the size limit before any
+    element is built.
+    """
     if n < 0:
         raise errors.InvalidParams("need n >= 0")
+    size, term = 0, 1
+    for j in range(n + 1):          # term = C(n, j)^2 j!
+        size += term
+        term = term * (n - j) ** 2 // (j + 1)
+    check_size(size)
     points = list(range(n))
     elems = []
     for k in range(n + 1):
@@ -229,7 +240,8 @@ def generate_fixture(kind: str, **params) -> InvSemigroup:
         if preset == "sd6":
             return sd6()
         if preset is not None:
-            raise errors.InvalidParams(f"unknown semidirect preset {preset!r}")
+            raise errors.MalformedInput(
+                f"gen semidirect --preset must be sd6, not {preset!r}")
         return semidirect(need("meet_table", "--preset"), params["group"],
                           params["action"], enames=params.get("enames"))
     if kind == "direct_product":
@@ -239,7 +251,9 @@ def generate_fixture(kind: str, **params) -> InvSemigroup:
     if kind == "preset":
         key = need("name", "--preset").lower()
         if key not in PRESETS:
-            raise errors.InvalidParams(f"unknown preset {key!r}")
+            raise errors.MalformedInput(
+                f"gen preset --preset must be one of {', '.join(PRESETS)}, "
+                f"not {key!r}")
         return PRESETS[key]()
     raise errors.InvalidParams(f"unknown fixture kind {kind!r}")
 

@@ -56,6 +56,7 @@ class SAction:
         self.point_labels = tuple(point_labels)
         self.maps = np.asarray(maps, dtype=np.int64)
         self.maps.setflags(write=False)
+        self._anchor = None         # memo of anchor_idempotents
 
     @property
     def n_points(self):
@@ -91,14 +92,18 @@ def anchor_idempotents(action: SAction) -> np.ndarray:
     domain of theta_e, or -1 when x lies in no such domain.
 
     Since theta_e theta_f = theta_ef, x lies in the domain of theta_{m_x}:
-    m_x is the least idempotent whose domain holds x.
+    m_x is the least idempotent whose domain holds x.  The read-only result
+    is memoized on the action.
     """
-    S = action.semigroup
-    m = np.full(action.n_points, -1, dtype=np.int64)
-    for e in S.idempotents:
-        inside = action.maps[e] >= 0
-        m = np.where(inside, np.where(m < 0, e, S.table[m, e]), m)
-    return m
+    if action._anchor is None:
+        S = action.semigroup
+        m = np.full(action.n_points, -1, dtype=np.int64)
+        for e in S.idempotents:
+            inside = action.maps[e] >= 0
+            m = np.where(inside, np.where(m < 0, e, S.table[m, e]), m)
+        m.setflags(write=False)
+        action._anchor = m
+    return action._anchor
 
 
 def inverse_defects(maps: np.ndarray, star: np.ndarray):
@@ -178,13 +183,18 @@ def beta_action(S: InvSemigroup, contracted=False) -> SAction:
     """The canonical action on the filter space: beta_s(x^) = (s x s*)^ on D(s*s).
 
     Pointwise this is phi |-> phi(s* _ s); on principal filters the two
-    agree, which the tests check against the semi-character oracle.
+    agree, which the tests check against the semi-character oracle.  The
+    action, validated once, is memoized on the semigroup, one per flag, and
+    its ``space`` is :func:`~germoid.spectra.enumerate_filters` of S.
     """
-    space = enumerate_filters(S, contracted=contracted)
-    action = validate_saction(S, [space.label(i) for i in range(len(space))],
-                              beta_maps(S, space))
-    action.space = space
-    return action
+    contracted = bool(contracted)
+    if contracted not in S._beta:
+        space = enumerate_filters(S, contracted=contracted)
+        action = validate_saction(
+            S, [space.label(i) for i in range(len(space))], beta_maps(S, space))
+        action.space = space
+        S._beta[contracted] = action
+    return S._beta[contracted]
 
 
 def beta_maps(S: InvSemigroup, space) -> np.ndarray:

@@ -119,20 +119,26 @@ def partial_trans_groupoid(theta: PartialGroupAction, name=None) -> FiniteGroupo
         G.names, theta.point_labels, name=name or f"{G.name}|X"))
 
 
-def theta_from_sigma(S: InvSemigroup, sigma: SigmaMap | None = None,
-                     _space=None) -> PartialGroupAction:
+def theta_from_sigma(S: InvSemigroup,
+                     sigma: SigmaMap | None = None) -> PartialGroupAction:
     """The partial action of the maximal group image on the filter space.
 
     theta(g) is the union of beta_s over the sigma-fiber of g; overlapping
     members of a fiber agree on the intersection of their domains (this is
-    where E-unitarity enters), which is verified during assembly.
+    where E-unitarity enters), which is verified during assembly.  Its
+    ``space`` is :func:`~germoid.spectra.enumerate_filters` of S.  For
+    sigma None or S's own :func:`max_group_image` the action, validated
+    once, is memoized on the semigroup.
     """
     if not is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
+    own = max_group_image(S)
     if sigma is None:
-        sigma = max_group_image(S)
+        sigma = own
+    if sigma is own and S._theta is not None:
+        return S._theta
     G = sigma.group
-    space = _space or enumerate_filters(S, contracted=False)
+    space = enumerate_filters(S, contracted=False)
     beta = beta_maps(S, space)
     s_of, x_of = np.nonzero(beta >= 0)
     g_of = np.asarray(sigma.classmap)[s_of]
@@ -148,6 +154,8 @@ def theta_from_sigma(S: InvSemigroup, sigma: SigmaMap | None = None,
         G, [space.label(i) for i in range(len(space))], maps)
     theta.space = space
     theta.sigma = sigma
+    if sigma is own:
+        S._theta = theta
     return theta
 
 
@@ -163,7 +171,7 @@ def verify_main1(S: InvSemigroup):
         raise errors.NotEUnitary(S.name)
     sigma = max_group_image(S)
     univ = universal_groupoid(S, contracted=False)
-    theta = theta_from_sigma(S, sigma, _space=univ.action.space)
+    theta = theta_from_sigma(S, sigma)
     trans = partial_trans_groupoid(theta, name=f"G({S.name})xE^")
 
     n, m = len(S), univ.n_units

@@ -63,6 +63,14 @@ class InvSemigroup:
         self._generators = None
         self._sigma = None
         self._e_unitary = None
+        # objects derived from S alone, each built and validated once, by
+        # spectra.idempotent_semilattice, spectra.enumerate_filters and
+        # germs.beta_action (these two keyed by the contracted flag), and
+        # partial_actions.theta_from_sigma
+        self._semilattice = None
+        self._filters = {}
+        self._beta = {}
+        self._theta = None
 
     def __len__(self):
         return len(self.names)
@@ -513,7 +521,9 @@ def validate_group(names, table, name="G") -> FiniteGroup:
     S = validate_semigroup(names, table, None, name=name)
     if len(S.idempotents) != 1:
         raise errors.NotAGroup(f"{len(S.idempotents)} idempotents, expected 1")
-    return FiniteGroup(names, S.table, S.star, S.idempotents[0], name=name)
+    G = FiniteGroup(names, S.table, S.star, S.idempotents[0], name=name)
+    G._generators = S._generators
+    return G
 
 
 def natural_leq(S: InvSemigroup, s: int, t: int) -> bool:

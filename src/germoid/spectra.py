@@ -82,10 +82,13 @@ class Semilattice:
 
 
 def idempotent_semilattice(S: InvSemigroup) -> Semilattice:
-    """E(S) with the induced meet; ids are S's element ids."""
-    E = S.idempotents
-    return Semilattice(E, S.table[np.ix_(E, E)],
-                       names=[S.names[e] for e in E], zero=S.zero)
+    """E(S) with the induced meet; ids are S's element ids.  The result is
+    memoized on the semigroup."""
+    if S._semilattice is None:
+        E = S.idempotents
+        S._semilattice = Semilattice(E, S.table[np.ix_(E, E)],
+                                     names=[S.names[e] for e in E], zero=S.zero)
+    return S._semilattice
 
 
 @dataclass(frozen=True)
@@ -130,13 +133,23 @@ class CharSpace:
 
 
 def enumerate_filters(E: Semilattice | InvSemigroup, contracted=False) -> CharSpace:
-    """All filters: one per element, minus the zero's when contracted."""
-    if isinstance(E, InvSemigroup):
-        E = idempotent_semilattice(E)
+    """All filters: one per element, minus the zero's when contracted.
+
+    The filter space of E(S) is memoized on the semigroup S, one per flag.
+    """
+    contracted = bool(contracted)
+    S = E if isinstance(E, InvSemigroup) else None
+    if S is not None:
+        if contracted in S._filters:
+            return S._filters[contracted]
+        E = idempotent_semilattice(S)
     if contracted and E.zero is None:
         raise errors.ContractedWithoutZero("contracted space needs a zero")
     mins = [e for e in E.elements if not (contracted and e == E.zero)]
-    return CharSpace(E, contracted, sorted(mins))
+    space = CharSpace(E, contracted, sorted(mins))
+    if S is not None:
+        S._filters[contracted] = space
+    return space
 
 
 def d_set(space: CharSpace, e: int) -> frozenset:

@@ -69,6 +69,24 @@ class TestGen:
         assert code == 2 and out == ""
         assert err == f"error: gen {kind} needs {option}\n"
 
+    @pytest.mark.parametrize("kind", ["preset", "semidirect"])
+    def test_unknown_preset_exits_2(self, capsys, kind):
+        code, out, err = run_cli(capsys, "gen", kind, "--preset", "nope")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: gen {kind} --preset must be ")
+        assert err.endswith("not 'nope'\n")
+
+    def test_symmetric_inverse_over_the_limit_exits_2_before_enumerating(
+            self, capsys, monkeypatch):
+        # |I_6| = sum of C(6, j)^2 j! = 13,327 elements, over 4096
+        monkeypatch.delenv("GERMOID_SIZE_LIMIT", raising=False)
+        monkeypatch.setattr(fx, "combinations", lambda *a: pytest.fail(
+            "elements enumerated past the size limit"))
+        code, out, err = run_cli(capsys, "gen", "symmetric-inverse", "--n", "6")
+        assert code == 2 and out == ""
+        assert err == ("error: SizeLimitExceeded: size 13327 exceeds limit "
+                       "4096; set GERMOID_SIZE_LIMIT to override\n")
+
 
 def test_consecutive_calls_keep_no_options(tmp_path, capsys):
     b2 = tmp_path / "b2.json"

@@ -1,0 +1,136 @@
+"""The objects derived from a semigroup alone are built and validated once
+per semigroup: its idempotent semilattice, its filter spaces, its beta
+actions, the partial action theta of its group image and the anchors of an
+action.  Groupoids are still built on every call."""
+
+import dataclasses
+import sys
+
+import numpy as np
+import pytest
+
+from germoid import cli, errors
+from germoid import fixtures as fx
+from germoid import germs
+from germoid import partial_actions as pa
+from germoid import semigroups as sg
+from germoid import spectra as sp
+
+
+def flags(S):
+    return (False, True) if S.zero is not None else (False,)
+
+
+def spy(monkeypatch, module, name):
+    """Wrap ``module.name`` wherever a germoid module binds it; returns the
+    list of (args, result) of every call."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("germoid.")]:
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_beta_action_is_built_once_per_flag(corpus):
+    for S in corpus.values():
+        actions = [germs.beta_action(S, flag) for flag in flags(S)]
+        assert [germs.beta_action(S, flag) for flag in flags(S)] == actions
+        assert len(set(map(id, actions))) == len(actions)
+
+
+def test_one_filter_space_serves_beta_and_theta(eunitary_corpus):
+    for S in eunitary_corpus.values():
+        space = sp.enumerate_filters(S)
+        assert pa.theta_from_sigma(S).space is space
+        assert germs.beta_action(S).space is space
+        assert germs.universal_groupoid(S).action.space is space
+        assert space.semilattice is sp.idempotent_semilattice(S)
+        if S.zero is not None:
+            assert germs.beta_action(S, True).space is \
+                sp.enumerate_filters(S, contracted=True)
+
+
+def test_theta_is_memoized_only_for_the_own_sigma():
+    S = fx.s4_monoid()
+    sigma = sg.max_group_image(S)
+    theta = pa.theta_from_sigma(S)
+    assert pa.theta_from_sigma(S, sigma) is theta
+    other = pa.theta_from_sigma(S, dataclasses.replace(sigma))
+    assert other is not theta and other.space is theta.space
+    assert np.array_equal(other.maps, theta.maps)
+    assert pa.theta_from_sigma(S) is theta
+
+
+def test_equal_tables_keep_separate_memos():
+    S, T = fx.sd6(), fx.sd6()
+    assert np.array_equal(S.table, T.table)
+    beta, theta = germs.beta_action(S), pa.theta_from_sigma(S)
+    assert germs.beta_action(T) is not beta
+    assert germs.beta_action(T).semigroup is T
+    assert pa.theta_from_sigma(T) is not theta
+    assert sp.enumerate_filters(T) is not sp.enumerate_filters(S)
+    assert germs.beta_action(S) is beta and pa.theta_from_sigma(S) is theta
+
+
+def test_memoized_maps_stay_read_only():
+    S = fx.adjoin_zero(fx.s4_monoid())
+    arrays = [sp.idempotent_semilattice(S)._meet,
+              pa.theta_from_sigma(fx.s4_monoid()).maps]
+    for flag in flags(S):
+        action = germs.beta_action(S, flag)
+        arrays += [action.maps, germs.anchor_idempotents(action)]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+
+
+def test_anchor_idempotents_is_memoized_on_the_action(corpus):
+    for S in corpus.values():
+        action = germs.beta_action(S)
+        anchor = germs.anchor_idempotents(action)
+        assert germs.anchor_idempotents(action) is anchor
+        restricted = action.restrict(range(action.n_points))
+        assert germs.anchor_idempotents(restricted) is not anchor
+        assert np.array_equal(germs.anchor_idempotents(restricted), anchor)
+
+
+def test_failures_are_not_memoized():
+    B2, chain2 = fx.b2(), fx.chain2()   # not E-unitary; no zero
+    for _ in range(2):
+        with pytest.raises(errors.NotEUnitary):
+            pa.theta_from_sigma(B2)
+        with pytest.raises(errors.ContractedWithoutZero):
+            sp.enumerate_filters(chain2, contracted=True)
+
+
+def test_group_image_keeps_the_generators_of_its_validation(monkeypatch):
+    G = sg.max_group_image(fx.direct_product(fx.chain(3), fx.cyclic_group(6))).group
+    expect = tuple(sg.greedy_generators(G.table))
+    monkeypatch.setattr(sg, "greedy_generators", lambda table: pytest.fail(
+        "the generators of a validated group are computed again"))
+    assert G.generators == expect
+
+
+def test_verify_all_validates_each_beta_once(tmp_path, monkeypatch):
+    # CHAIN8 x Z16 has no zero: beta is built for it and, by the ks suite,
+    # for its group image Z16, with the plain flag only
+    S = fx.direct_product(fx.chain(8), fx.cyclic_group(16))
+    path = tmp_path / "CHAIN8xZ16.json"
+    path.write_text(S.to_json())
+    sactions = spy(monkeypatch, germs, "validate_saction")
+    groupoids = spy(monkeypatch, germs, "validate_groupoid")
+    assert cli.main(["verify", "--suite", "all", str(path)]) == 0
+    # a beta action carries its filter space; saction_from_gspace's do not
+    betas = [(id(action.semigroup), action.space.contracted)
+             for _, action in sactions if hasattr(action, "space")]
+    assert len(betas) == len(set(betas)) == 2
+    assert {len(action.semigroup) for _, action in sactions
+            if hasattr(action, "space")} == {128, 16}
+    assert len(groupoids) == 12

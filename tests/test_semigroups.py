@@ -364,6 +364,21 @@ class TestGenerateFixture:
         assert len(fx.generate_fixture("symmetric_inverse", n=2)) == 7
         assert len(fx.symmetric_inverse(3)) == 34
 
+    def test_symmetric_inverse_size_is_checked_exactly(self, monkeypatch):
+        # |I_4| = 1 + 16 + 72 + 96 + 24 = 209
+        monkeypatch.setenv("GERMOID_SIZE_LIMIT", "209")
+        assert len(fx.symmetric_inverse(4)) == 209
+        monkeypatch.setenv("GERMOID_SIZE_LIMIT", "208")
+        with pytest.raises(errors.SizeLimitExceeded) as info:
+            fx.symmetric_inverse(4)
+        assert info.value.size == 209
+
+    def test_size_limit_message_of_a_huge_size(self):
+        # the size of I_2000 has 5773 digits, more than Python prints
+        with pytest.raises(errors.SizeLimitExceeded,
+                           match=r"^size about 10\^5772 exceeds limit 4096;"):
+            fx.symmetric_inverse(2000)
+
     def test_sd6_preset(self):
         S = fx.generate_fixture("semidirect", preset="sd6")
         assert len(S) == 6 and sg.is_e_unitary(S)
