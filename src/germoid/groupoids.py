@@ -227,12 +227,60 @@ def first_nonassociative_triple(g: FiniteGroupoid, a, b):
     return None
 
 
+def endpoint_law_holds(g: FiniteGroupoid) -> bool:
+    """Whether ab is defined exactly when dom a = ran b, and then has
+    dom(ab) = dom b and ran(ab) = ran a.
+
+    Checked on the defined pairs alone, in blocks of ``CHUNK``: each is
+    composable with the right endpoints, and there are as many as
+    composable pairs, the sum over units u of |dom^-1(u)| |ran^-1(u)|.
+    Needs the endpoints and the table entries in range.
+    """
+    a, b = g.defined_pairs
+    dom, ran, table = g.dom, g.ran, g.comp_table
+    composable = np.bincount(dom, minlength=g.n_units) @ \
+        np.bincount(ran, minlength=g.n_units)
+    if len(a) != composable:
+        return False
+    for lo in range(0, len(a), CHUNK):
+        pa, pb = a[lo:lo + CHUNK], b[lo:lo + CHUNK]
+        ab = table[pa, pb]
+        if ((dom[pa] != ran[pb]) | (dom[ab] != dom[pb]) |
+                (ran[ab] != ran[pa])).any():
+            return False
+    return True
+
+
+def scan_endpoint_law(g: FiniteGroupoid) -> None:
+    """Raise ``DomainMismatch`` at the first pair (a, b) in row order where
+    ab is defined but dom a != ran b or the reverse, or ab has the wrong
+    endpoints; row blocks hold at most ``CHUNK`` pairs."""
+    n, dom, ran, table = g.n_arrows, g.dom, g.ran, g.comp_table
+    rows = max(1, CHUNK // max(n, 1))
+    for lo in range(0, n, rows):
+        t = table[lo:lo + rows]
+        defined = t >= 0
+        wrong = defined != (dom[lo:lo + rows, None] == ran[None, :])
+        c = np.where(defined, t, 0)
+        ends = defined & ((dom[c] != dom[None, :]) |
+                          (ran[c] != ran[lo:lo + rows, None]))
+        if wrong.any() or ends.any():
+            a, b = divmod(_first(wrong | ends), n)
+            if wrong[a, b]:
+                raise errors.DomainMismatch(
+                    f"composition of {a + lo}, {b} defined on the wrong domain")
+            raise errors.DomainMismatch(
+                f"composite {a + lo}{b} has the wrong endpoints")
+
+
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     """Exhaustive check of the groupoid axioms; raises on any failure.
 
     Works on the dense composition table.  Every check but associativity
     scans in the same order as the plain loops over arrow ids, so the
-    witness is the first failure in that order.
+    witness is the first failure in that order.  The endpoint law is
+    checked on the defined pairs, by :func:`endpoint_law_holds`; only if
+    it fails does :func:`scan_endpoint_law` scan every pair for the witness.
 
     Associativity uses Light's test, as ``validate_semigroup`` does.  Let
     M be the arrows b with (ab)c = a(bc) for all composable a and c.  Once
@@ -265,21 +313,8 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
         raise _outside(*divmod(_first((table < -1) | (table >= n)), n))
     ids = np.arange(n)
 
-    rows = max(1, CHUNK // max(n, 1))
-    for lo in range(0, n, rows):
-        t = table[lo:lo + rows]
-        defined = t >= 0
-        wrong = defined != (dom[lo:lo + rows, None] == ran[None, :])
-        c = np.where(defined, t, 0)
-        ends = defined & ((dom[c] != dom[None, :]) |
-                          (ran[c] != ran[lo:lo + rows, None]))
-        if wrong.any() or ends.any():
-            a, b = divmod(_first(wrong | ends), n)
-            if wrong[a, b]:
-                raise errors.DomainMismatch(
-                    f"composition of {a + lo}, {b} defined on the wrong domain")
-            raise errors.DomainMismatch(
-                f"composite {a + lo}{b} has the wrong endpoints")
+    if not endpoint_law_holds(g):
+        scan_endpoint_law(g)
 
     units = np.arange(n_units)
     has_id = (identity >= 0) & (identity < n)

@@ -45,7 +45,7 @@ from .semigroups import (
     is_locally_idempotent_pure,
     max_group_image,
 )
-from .spectra import check_ks_condition, enumerate_filters
+from .spectra import KSCertificates, check_ks_condition, enumerate_filters
 
 
 class PartialGroupAction:
@@ -128,7 +128,8 @@ def theta_from_sigma(S: InvSemigroup,
     where E-unitarity enters), which is verified during assembly.  Its
     ``space`` is :func:`~germoid.spectra.enumerate_filters` of S.  For
     sigma None or S's own :func:`max_group_image` the action, validated
-    once, is memoized on the semigroup.
+    once, is memoized on the semigroup.  The maps beta_s are read from the
+    memoized :func:`~germoid.germs.beta_action` of S when it was built.
     """
     if not is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
@@ -139,7 +140,7 @@ def theta_from_sigma(S: InvSemigroup,
         return S._theta
     G = sigma.group
     space = enumerate_filters(S, contracted=False)
-    beta = beta_maps(S, space)
+    beta = S._beta[False].maps if False in S._beta else beta_maps(S, space)
     s_of, x_of = np.nonzero(beta >= 0)
     g_of = np.asarray(sigma.classmap)[s_of]
     maps = np.full((len(G), len(space)), -1, dtype=np.int64)
@@ -276,7 +277,7 @@ class KSPipelineResult:
     phi: SemigroupHom
     source: FiniteGroupoid        # (possibly reduced) universal groupoid of S
     induced: GroupoidFunctor      # source -> G(T)
-    ks_certificates: dict
+    ks_certificates: KSCertificates
     space_labels: tuple           # points of the enveloping T-space X
     taction: "object"             # SAction of T on X
     target: GermGroupoid          # germ groupoid T x X
@@ -289,16 +290,18 @@ class KSPipelineResult:
         return self.report["weak_equivalence"]
 
     def to_json(self) -> str:
+        """``json.dumps`` of sizes, conditions, certificates and pass, with
+        sorted keys; the certificates write their own text, which comes
+        first in that order."""
         import json
 
-        certs = {f"{e},{f},{t}": list(map(int, c.generators))
-                 for (e, f, t), c in sorted(self.ks_certificates.items())}
-        return json.dumps({
+        rest = json.dumps({
             "sizes": self.sizes,
             "conditions": self.report,
-            "certificates": certs,
             "pass": self.ok,
         }, sort_keys=True)
+        return '{"certificates": ' + self.ks_certificates.to_json() + ", " + \
+            rest[1:]
 
 
 def ks_pipeline(phi: SemigroupHom, contract_to=None) -> KSPipelineResult:

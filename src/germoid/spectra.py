@@ -6,15 +6,17 @@ subset) definition survives only inside the brute-force test oracles.
 
 Topological content (continuity, clopen-ness, closure) is trivially true at
 this scale; what the operations return instead are the combinatorial
-certificates: generating antichains of downsets, computed over the cover
-edges of the natural order.  Set-based posets and downset scans live only
-in the test oracles.
+certificates: generating antichains of downsets, computed from the
+maximal elements of each preimage.  Set-based posets and downset scans live
+only in the test oracles.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,30 +251,15 @@ def hat_map(phi: SemilatticeHom, source_space: CharSpace | None = None,
     return source_space, target_space, mapping
 
 
-def cover_edges(S: InvSemigroup):
-    """The Hasse diagram of the natural order of S, as the arrays ``(s, c)``
-    of the pairs where c covers s, ordered by c and then by s*s.
-
-    For s <= c the map x -> x*x is an order isomorphism from [s, c] onto
-    [s*s, c*c] (Lawson, *Inverse Semigroups*, 1998, ch. 1), so c covers s
-    iff s = c f for a lower cover f of c*c in E(S).  The covers of E(S) are
-    its strict order minus the square of the strict order.
-    """
-    E = np.asarray(S.idempotents)
-    ids = np.arange(len(S))
-    lt = S.table[np.ix_(E, E)] == E[:, None]         # [a, b]: e_a <= e_b
-    np.fill_diagonal(lt, False)
-    between = lt.astype(np.int64) @ lt.astype(np.int64)
-    lower = (lt & (between == 0)).T                  # [b, a]: e_b covers e_a
-    # E is in increasing id order, so searchsorted finds the place of c*c
-    c, a = np.nonzero(lower[np.searchsorted(E, S.table[S.star, ids])])
-    return S.table[c, E[a]], c
-
-
-def _first_escape(S: InvSemigroup, pre, in_e, in_f):
+def _first_escape(S: InvSemigroup, pre):
     """The ``NotADownset`` a scan of the corners eSf in order meets first:
     in the least corner holding one, the least t and then the least x in
-    the preimage of t with some y <= x outside it, and the least such y."""
+    the preimage of t with some y <= x outside it, and the least such y.
+    s is in eSf iff ss* <= e and s*s <= f."""
+    E, ids = np.asarray(S.idempotents), np.arange(len(S))
+    rr, dd = S.table[ids, S.star], S.table[S.star, ids]          # ss*, s*s
+    in_e = S.table[np.ix_(E, rr)] == rr                          # [i, s]
+    in_f = S.table[np.ix_(E, dd)] == dd                          # [j, s]
     leq = S.leq_matrix()
     bad = pre.T & ((~pre).T.astype(np.int64) @ leq > 0)   # [t, x]
     hit = bad.any(axis=0)
@@ -283,53 +270,151 @@ def _first_escape(S: InvSemigroup, pre, in_e, in_f):
     return errors.NotADownset(int(x), int(y))
 
 
-def check_ks_condition(phi: SemigroupHom) -> dict:
+class KSCertificates(Mapping):
+    """The KS certificates of a map S -> T, as a read-only mapping
+    ``(e, f, t) -> DownsetCertificate``.
+
+    They are kept as arrays: the corners (e, f, t) run over E(S) x E(S) x
+    T in that order, and the generators of corner c are
+    ``gens[starts[c]:starts[c + 1]]``, in increasing order.  A
+    :class:`DownsetCertificate` is built only when a corner is read.
+    """
+
+    def __init__(self, semigroup: InvSemigroup, n_targets: int, starts, gens):
+        self.semigroup = semigroup
+        self.n_targets = n_targets
+        self.starts, self.gens = starts, gens
+        starts.setflags(write=False)
+        gens.setflags(write=False)
+        self._place = {e: i for i, e in enumerate(semigroup.idempotents)}
+
+    def __len__(self):
+        return len(self.starts) - 1
+
+    def __iter__(self):
+        E = self.semigroup.idempotents
+        return itertools.product(E, E, range(self.n_targets))
+
+    def __getitem__(self, key):
+        nt = self.n_targets
+        try:
+            e, f, t = key
+            c = (self._place[e] * len(self._place) + self._place[f]) * nt + \
+                operator.index(t)
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if not 0 <= t < nt:
+            raise KeyError(key)
+        a, b = self.starts[c:c + 2].tolist()
+        return DownsetCertificate(tuple(self.gens[a:b].tolist()), self.semigroup)
+
+    def to_json(self) -> str:
+        """``json.dumps({"e,f,t": [generators, ...]}, sort_keys=True)``,
+        written from the arrays in blocks of at most ``CHUNK`` words.
+
+        The keys sort as strings, and ',' sorts below every digit, so the
+        key "e,f,t" sorts as the tuple (str(e), str(f), str(t)): the order
+        of the corners is one permutation of E(S) taken twice and one of T.
+        Each word of the text is an id in decimal or a piece of punctuation;
+        the text is the bytes of its words, gathered from one buffer.
+        """
+        S, nt = self.semigroup, self.n_targets
+        E = np.asarray(S.idempotents, dtype=np.int64)
+        k = len(E)
+        by_e = np.array(sorted(range(k), key=lambda i: str(E[i])), dtype=np.int64)
+        by_t = np.array(sorted(range(nt), key=str), dtype=np.int64)
+        corners = ((by_e[:, None, None] * k + by_e[None, :, None]) * nt +
+                   by_t).ravel()
+        ids = max(len(S), nt)           # word v < ids is v in decimal
+        words = [str(v) for v in range(ids)] + ['"', ', "', ",", '": [', ", ", "]"]
+        quote, new, comma, colon, sep, close = range(ids, ids + 6)
+        data = np.frombuffer("".join(words).encode(), dtype=np.uint8)
+        length = np.array([len(w) for w in words], dtype=np.int64)
+        first = np.cumsum(length) - length
+        count = np.diff(self.starts)
+        # an entry is ', "' ('"' for the first) e ',' f ',' t '": [', the
+        # generators with ', ' between them, and ']'
+        step = max(1, CHUNK // (7 + 2 * max(int(count.max(initial=0)), 1)))
+        chunks = []
+        for lo in range(0, len(corners), step):
+            c = corners[lo:lo + step]
+            m = count[c]
+            size = 7 + np.maximum(2 * m, 1)
+            at = np.cumsum(size) - size
+            word = np.full(int(size.sum()), sep, dtype=np.int64)
+            i, rest = np.divmod(c, k * nt)
+            head = np.empty((len(c), 7), dtype=np.int64)
+            head[:] = (new, 0, comma, 0, comma, 0, colon)
+            head[:, 1], head[:, 3], head[:, 5] = E[i], E[rest // nt], rest % nt
+            word[at[:, None] + np.arange(7)] = head
+            within = np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m, m)
+            word[np.repeat(at + 7, m) + 2 * within] = \
+                self.gens[np.repeat(self.starts[c], m) + within]
+            word[at + size - 1] = close
+            if lo == 0:
+                word[0] = quote
+            n_bytes = length[word]
+            end = np.cumsum(n_bytes)
+            chunks.append(data[np.repeat(first[word] - end + n_bytes, n_bytes) +
+                               np.arange(end[-1])].tobytes())
+        return "{" + b"".join(chunks).decode() + "}"
+
+
+def check_ks_condition(phi: SemigroupHom) -> KSCertificates:
     """Certificates for the coherence of every corner map eSf -> T: for
     each pair of idempotents e, f of the source and each t in the target,
     the generating antichain of ``{s in eSf : phi(s) <= t}``, keyed
     ``(e, f, t)``.
 
-    One batched pass over the cover edges (s, c) of S, with no loop over
-    corners: s is in eSf iff ss* <= e and s*s <= f.  The preimages
-    ``pre[s, t]`` (phi(s) <= t) must be downsets, so pre[c, t] implies
-    pre[s, t] on every edge, or ``NotADownset`` names what a scan of the
-    corners in order would.  Corner and preimage are downsets, so the
-    generators are the members with no upper cover in both.  Row blocks of
-    idempotents e hold at most ``CHUNK`` entries.
+    The elements below s are the s e for e in E(S).  So the preimages
+    ``pre[s, t]`` (phi(s) <= t) are downsets iff phi(s e) <= phi(s) for
+    every s and e, and if not, ``NotADownset`` names what a scan of the
+    corners in order would.  The same products s e != s mark the members
+    of each preimage that are not maximal; the rest are Gen_t, the maximal
+    members of the preimage of t.  For idempotents e, f, e s f is the
+    greatest element of eSf below s (Lawson, *Inverse Semigroups*, 1998,
+    ch. 1): a member s of eSf below g in Gen_t lies below e g f, and
+    e g f <= g lies in the preimage.  So the generators of the corner are
+    the maximal elements of ``{e g f : g in Gen_t}``, and only candidates
+    with the same t are compared.  Blocks hold at most ``CHUNK`` products.
     """
     S, T = phi.source, phi.target
     n, nt, k = len(S), len(T), len(S.idempotents)
     E, ids = np.asarray(S.idempotents), np.arange(n)
-    pre = T.leq_matrix()[np.asarray(phi.map, dtype=np.int64)]   # [s, t]
-    rr, dd = S.table[ids, S.star], S.table[S.star, ids]          # ss*, s*s
-    in_e = S.table[np.ix_(E, rr)] == rr                          # [i, s]
-    in_f = S.table[np.ix_(E, dd)] == dd                          # [j, s]
-    low, up = cover_edges(S)
-    if (pre[up] & ~pre[low]).any():
-        raise _first_escape(S, pre, in_e, in_f)
-    # the members (s, t) of the preimages, by t and then s, and for each
-    # edge with c in the preimage of t the member (s, t) it sits above
-    mt, ms = np.nonzero(pre.T)
-    q, qt = np.nonzero(pre[up])
-    below = np.searchsorted(mt * n + ms, qt * n + low[q])
-    order = np.argsort(below, kind="stable")
-    below, above = below[order], up[q][order]
-    starts = np.flatnonzero(np.diff(below, prepend=-1))
-    ep, fp, ea, fa = in_e[:, ms], in_f[:, ms], in_e[:, above], in_f[:, above]
-    rows = max(1, CHUNK // max(k * (len(ms) + len(above)), 1))
-    keys, gens = [], []
+    image = np.asarray(phi.map, dtype=np.int64)
+    leq_t = T.leq_matrix()
+    pre = leq_t[image]                                   # [s, t]
+    dominated = np.zeros((n, nt), dtype=bool)            # [s, t]: s < a member
+    rows = max(1, CHUNK // (k * nt))
+    for lo in range(0, n, rows):
+        below = S.table[lo:lo + rows][:, E]              # [s, e]: s e
+        if not leq_t[image[below], image[lo:lo + rows, None]].all():
+            raise _first_escape(S, pre)
+        u, e = np.nonzero(below != ids[lo:lo + rows, None])
+        v, t = np.nonzero(pre[u + lo])
+        dominated[below[u[v], e[v]], t] = True
+    gt, gs = np.nonzero((pre & ~dominated).T)            # Gen_t, by t then s
+    size = np.bincount(gt, minlength=nt)
+    place = np.arange(len(gt)) - (np.cumsum(size) - size)[gt]
+    most = int(size.max(initial=0))
+    dd = S.table[S.star, ids]                            # s*s
+    keys = []
+    rows = max(1, CHUNK // max(k * len(gs), 1))
     for lo in range(0, k, rows):
-        member = ep[lo:lo + rows, None] & fp[None]               # [i, j, m]
-        if len(above):
-            covered = np.logical_or.reduceat(
-                ea[lo:lo + rows, None] & fa[None], starts, axis=2)
-            member[..., below[starts]] &= ~covered
-        i, j, m = np.nonzero(member)
-        keys.append(((i + lo) * k + j) * nt + mt[m])
-        gens.append(ms[m])
-    gens = np.concatenate(gens).tolist()
-    ends = np.cumsum(np.bincount(np.concatenate(keys), minlength=k * k * nt))
-    spans = zip([0] + ends[:-1].tolist(), ends.tolist())
-    corners = itertools.product(S.idempotents, S.idempotents, range(nt))
-    return {key: DownsetCertificate(tuple(gens[a:b]), S)
-            for key, (a, b) in zip(corners, spans)}
+        eg = S.table[E[lo:lo + rows, None], gs]
+        cand = S.table[eg[:, None, :], E[None, :, None]]   # [i, j, g]: e g f
+        keep = np.ones(cand.shape, dtype=bool)
+        for d in range(1, most):       # each candidate against the d-th next
+            g = np.flatnonzero(size[gt] > d)
+            h = g - place[g] + (place[g] + d) % size[gt[g]]
+            x, y = cand[..., g], cand[..., h]
+            keep[..., g] &= (x == y) | (S.table[y, dd[x]] != x)   # not x < y
+        i, j, g = np.nonzero(keep)
+        keys.append((((i + lo) * k + j) * nt + gt[g]) * n + cand[i, j, g])
+    keys = np.concatenate(keys)
+    if most > 1:                       # a corner may repeat or reorder gens
+        keys = np.unique(keys)
+    corner, gens = np.divmod(keys, n)
+    starts = np.zeros(k * k * nt + 1, dtype=np.int64)
+    np.cumsum(np.bincount(corner, minlength=k * k * nt), out=starts[1:])
+    return KSCertificates(S, nt, starts, gens)

@@ -711,6 +711,96 @@ def cover_edges_by_leq(S):
                                           for h in range(n)))
 
 
+def cover_edges(S):
+    """The Hasse diagram of the natural order of S, as the arrays ``(s, c)``
+    of the pairs where c covers s, ordered by c and then by s*s.
+
+    For s <= c the map x -> x*x is an order isomorphism from [s, c] onto
+    [s*s, c*c] (Lawson, *Inverse Semigroups*, 1998, ch. 1), so c covers s
+    iff s = c f for a lower cover f of c*c in E(S).  The covers of E(S) are
+    its strict order minus the square of the strict order.
+    """
+    import numpy as np
+
+    E = np.asarray(S.idempotents)
+    ids = np.arange(len(S))
+    lt = S.table[np.ix_(E, E)] == E[:, None]         # [a, b]: e_a <= e_b
+    np.fill_diagonal(lt, False)
+    between = lt.astype(np.int64) @ lt.astype(np.int64)
+    lower = (lt & (between == 0)).T                  # [b, a]: e_b covers e_a
+    # E is in increasing id order, so searchsorted finds the place of c*c
+    c, a = np.nonzero(lower[np.searchsorted(E, S.table[S.star, ids])])
+    return S.table[c, E[a]], c
+
+
+def check_ks_condition_by_cover_edges(phi):
+    """The KS certificates in one batched pass over the cover edges (s, c)
+    of S: s is in eSf iff ss* <= e and s*s <= f.  The preimages
+    ``pre[s, t]`` must be downsets, so pre[c, t] implies pre[s, t] on every
+    edge, or ``NotADownset`` names the least corner, t, member and element
+    below it.  Corner and preimage are downsets, so the generators are the
+    members with no upper cover in both."""
+    import itertools
+
+    import numpy as np
+
+    from germoid import errors
+    from germoid.semigroups import CHUNK
+
+    S, T = phi.source, phi.target
+    n, nt, k = len(S), len(T), len(S.idempotents)
+    E, ids = np.asarray(S.idempotents), np.arange(n)
+    pre = T.leq_matrix()[np.asarray(phi.map, dtype=np.int64)]   # [s, t]
+    rr, dd = S.table[ids, S.star], S.table[S.star, ids]          # ss*, s*s
+    in_e = S.table[np.ix_(E, rr)] == rr                          # [i, s]
+    in_f = S.table[np.ix_(E, dd)] == dd                          # [j, s]
+    low, up = cover_edges(S)
+    if (pre[up] & ~pre[low]).any():
+        leq = S.leq_matrix()
+        bad = pre.T & ((~pre).T.astype(np.int64) @ leq > 0)      # [t, x]
+        hit = bad.any(axis=0)
+        i = np.flatnonzero(in_e[:, hit].any(axis=1))[0]
+        j = np.flatnonzero((in_f[:, hit] & in_e[i, hit]).any(axis=1))[0]
+        t, x = np.argwhere(bad & in_e[i] & in_f[j])[0]
+        y = np.flatnonzero(leq[:, x] & ~pre[:, t])[0]
+        raise errors.NotADownset(int(x), int(y))
+    # the members (s, t) of the preimages, by t and then s, and for each
+    # edge with c in the preimage of t the member (s, t) it sits above
+    mt, ms = np.nonzero(pre.T)
+    q, qt = np.nonzero(pre[up])
+    below = np.searchsorted(mt * n + ms, qt * n + low[q])
+    order = np.argsort(below, kind="stable")
+    below, above = below[order], up[q][order]
+    starts = np.flatnonzero(np.diff(below, prepend=-1))
+    ep, fp, ea, fa = in_e[:, ms], in_f[:, ms], in_e[:, above], in_f[:, above]
+    rows = max(1, CHUNK // max(k * (len(ms) + len(above)), 1))
+    keys, gens = [], []
+    for lo in range(0, k, rows):
+        member = ep[lo:lo + rows, None] & fp[None]               # [i, j, m]
+        if len(above):
+            covered = np.logical_or.reduceat(
+                ea[lo:lo + rows, None] & fa[None], starts, axis=2)
+            member[..., below[starts]] &= ~covered
+        i, j, m = np.nonzero(member)
+        keys.append(((i + lo) * k + j) * nt + mt[m])
+        gens.append(ms[m])
+    gens = np.concatenate(gens).tolist()
+    ends = np.cumsum(np.bincount(np.concatenate(keys), minlength=k * k * nt))
+    spans = zip([0] + ends[:-1].tolist(), ends.tolist())
+    corners = itertools.product(S.idempotents, S.idempotents, range(nt))
+    return {key: tuple(gens[a:b]) for key, (a, b) in zip(corners, spans)}
+
+
+def ks_certificates_json(certs):
+    """The text ``KSPipelineResult.to_json`` gave the certificates: one
+    ``json.dumps`` of a dict keyed "e,f,t"."""
+    import json
+
+    return json.dumps({f"{e},{f},{t}": list(map(int, c.generators))
+                       for (e, f, t), c in sorted(certs.items())},
+                      sort_keys=True)
+
+
 def is_locally_idempotent_pure_loops(phi):
     """phi restricted to each local monoid eSe is idempotent pure."""
     S, T = phi.source, phi.target

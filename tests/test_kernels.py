@@ -557,6 +557,31 @@ def test_validate_groupoid_matches_loops(groupoids, data):
         outcome(oracles.validate_groupoid_loops, h)
 
 
+@EXAMPLES
+@given(data=st.data())
+def test_endpoint_law_on_the_defined_pairs_matches_the_row_scan(groupoids, data):
+    # a mutation keeps the endpoints and table entries in range; where the
+    # law fails, validate_groupoid names the row scan's witness
+    g = data.draw(st.sampled_from(groupoids), label="g")
+    h = mutated_groupoid(data, g)
+    scan = outcome(gpd.scan_endpoint_law, h)
+    assert gpd.endpoint_law_holds(h) == (scan == ("ok", ""))
+    if scan != ("ok", ""):
+        assert outcome(gpd.validate_groupoid, h) == scan
+
+
+def test_endpoint_law_counts_the_composable_pairs():
+    # every defined pair is composable with the right endpoints, but one
+    # composable pair is missing: only the count sees it
+    g = gpd.pair_groupoid(3)
+    comp = dict(g.comp)
+    del comp[(8, 8)]
+    h = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, comp, g.inv, g.identity)
+    assert gpd.endpoint_law_holds(g) and not gpd.endpoint_law_holds(h)
+    assert outcome(gpd.validate_groupoid, h) == outcome(gpd.scan_endpoint_law, h) \
+        == ("DomainMismatch", "composition of 8, 8 defined on the wrong domain")
+
+
 @pytest.fixture(scope="module")
 def larger_groupoids(random_eunitary):
     """Groupoids with over 25 arrows: ``validate_groupoid`` runs Light's
@@ -929,6 +954,70 @@ def test_check_ks_condition_matches_the_corner_scan(morphisms):
         assert as_pairs(certs) == expect
 
 
+def test_check_ks_condition_matches_the_cover_edge_kernel(morphisms):
+    # the mapping reads as the dict the cover-edge kernel built: length,
+    # key order, items and single reads
+    for phi in morphisms:
+        certs = sp.check_ks_condition(phi)
+        expect = oracles.check_ks_condition_by_cover_edges(phi)
+        assert len(certs) == len(expect)
+        assert list(certs) == list(expect)
+        assert [(key, c.generators) for key, c in certs.items()] == \
+            list(expect.items())
+        assert all(certs[key].generators == gens for key, gens in expect.items())
+        assert certs == {key: sp.DownsetCertificate(gens, phi.source)
+                         for key, gens in expect.items()}
+
+
+def test_ks_certificates_text_is_the_json_dumps_of_the_dict(morphisms):
+    for phi in morphisms:
+        certs = sp.check_ks_condition(phi)
+        assert certs.to_json() == oracles.ks_certificates_json(certs)
+
+
+def test_ks_certificates_text_sorts_keys_as_strings():
+    # ids of one, two and three digits, so "1,..." < "10,..." < "2,...";
+    # corners with two generators, and the gens of a corner sorted by id
+    S = chain_by_cyclic(12, 11)
+    certs = sp.check_ks_condition(sg.hom_from_sigma(sg.max_group_image(S)))
+    assert len(S) == 132
+    assert certs.to_json() == oracles.ks_certificates_json(certs)
+    table = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
+    M = sg.validate_semigroup(["1", "e1", "e2", "b"], table)
+    certs = sp.check_ks_condition(sg.semigroup_hom(M, fx.chain2(), [0, 1, 1, 1]))
+    assert certs[(0, 0, 1)].generators == (1, 2)
+    assert certs.to_json() == oracles.ks_certificates_json(certs)
+
+
+def test_ks_certificates_are_a_read_only_mapping(morphisms):
+    phi = morphisms[0]
+    certs = sp.check_ks_condition(phi)
+    e = phi.source.idempotents[0]
+    assert (e, e, 0) in certs and certs.get((e, e, 0)) is not None
+    missing = [(e, e, len(phi.target)), (e, e, -1), (-1, e, 0), (e, e),
+               (e, e, "0"), "x"]
+    for key in missing:
+        assert key not in certs
+        with pytest.raises(KeyError):
+            certs[key]
+    with pytest.raises(TypeError):
+        certs[(e, e, 0)] = None
+    with pytest.raises(ValueError):
+        certs.gens[...] = 0
+    with pytest.raises(ValueError):
+        certs.starts[...] = 0
+
+
+def test_ks_pipeline_json_is_the_json_dumps_of_its_parts(corpus):
+    for name in ("S3", "S4", "SD6"):
+        res = pa.ks_pipeline(sg.hom_from_sigma(sg.max_group_image(corpus[name])))
+        certs = {f"{e},{f},{t}": list(c.generators)
+                 for (e, f, t), c in res.ks_certificates.items()}
+        assert res.to_json() == json.dumps({
+            "sizes": res.sizes, "conditions": res.report,
+            "certificates": certs, "pass": res.ok}, sort_keys=True)
+
+
 @EXAMPLES
 @given(data=st.data())
 def test_check_ks_condition_of_an_arbitrary_map_matches_sets(semigroups, data):
@@ -951,14 +1040,20 @@ def test_check_ks_condition_of_an_arbitrary_map_matches_sets(semigroups, data):
 def test_check_ks_condition_of_a_mutated_hom_matches_the_corner_scan(
         morphisms, data):
     # one changed entry of a homomorphism: the first corner holding an
-    # escape may come late in the scan
+    # escape may come late in the scan; where none escapes, the
+    # certificates are those of the cover-edge kernel
     phi = data.draw(st.sampled_from(morphisms), label="phi")
     mapping = list(phi.map)
     s = data.draw(st.integers(0, len(mapping) - 1), label="s")
     mapping[s] = data.draw(st.integers(0, len(phi.target) - 1), label="t")
     phi = sg.SemigroupHom(phi.source, phi.target, tuple(mapping))
-    assert outcome(sp.check_ks_condition, phi) == \
-        outcome(oracles.check_ks_condition_by_corners, phi)
+    result = outcome(sp.check_ks_condition, phi)
+    assert result == outcome(oracles.check_ks_condition_by_corners, phi)
+    assert result == outcome(oracles.check_ks_condition_by_cover_edges, phi)
+    if result[0] == "ok":
+        assert {key: c.generators
+                for key, c in sp.check_ks_condition(phi).items()} == \
+            oracles.check_ks_condition_by_cover_edges(phi)
 
 
 def relabelled_semigroup(S, p):
@@ -970,9 +1065,22 @@ def relabelled_semigroup(S, p):
         names, table, None if S.zero is None else int(p[S.zero]))
 
 
+@FEW
+@given(data=st.data())
+def test_check_ks_condition_of_a_relabelled_semigroup(semigroups, data):
+    # the idempotents are not the least ids, nor in any order of the table
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    p = np.array(data.draw(st.permutations(range(len(S))), label="p"))
+    phi = sg.hom_from_sigma(sg.max_group_image(relabelled_semigroup(S, p)))
+    certs = sp.check_ks_condition(phi)
+    assert {key: c.generators for key, c in certs.items()} == \
+        oracles.check_ks_condition_by_cover_edges(phi)
+    assert certs.to_json() == oracles.ks_certificates_json(certs)
+
+
 def test_cover_edges_match_the_order(semigroups, random_eunitary):
     for S in semigroups + random_eunitary[12:]:
-        low, up = sp.cover_edges(S)
+        low, up = oracles.cover_edges(S)
         assert sorted(zip(low.tolist(), up.tolist())) == \
             oracles.cover_edges_by_leq(S)
 
@@ -983,7 +1091,7 @@ def test_cover_edges_of_a_relabelled_semigroup_match_the_order(semigroups, data)
     S = data.draw(st.sampled_from(semigroups), label="S")
     p = np.array(data.draw(st.permutations(range(len(S))), label="p"))
     S = relabelled_semigroup(S, p)
-    low, up = sp.cover_edges(S)
+    low, up = oracles.cover_edges(S)
     assert sorted(zip(low.tolist(), up.tolist())) == oracles.cover_edges_by_leq(S)
 
 

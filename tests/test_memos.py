@@ -134,3 +134,14 @@ def test_verify_all_validates_each_beta_once(tmp_path, monkeypatch):
     assert {len(action.semigroup) for _, action in sactions
             if hasattr(action, "space")} == {128, 16}
     assert len(groupoids) == 12
+
+
+def test_theta_reads_the_maps_of_the_memoized_beta(tmp_path, monkeypatch):
+    # beta_maps runs once per semigroup: for CHAIN8 x Z16 in beta_action,
+    # which theta_from_sigma then reads, and for its group image Z16
+    S = fx.direct_product(fx.chain(8), fx.cyclic_group(16))
+    path = tmp_path / "CHAIN8xZ16.json"
+    path.write_text(S.to_json())
+    maps = spy(monkeypatch, germs, "beta_maps")
+    assert cli.main(["verify", "--suite", "all", str(path)]) == 0
+    assert sorted(len(args[0]) for args, _ in maps) == [16, 128]

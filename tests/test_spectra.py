@@ -304,8 +304,8 @@ class TestKSCondition:
 
     def test_512_elements_keep_the_ks_digest_and_stay_small(self):
         # CHAIN32 x Z16: the ks report's certificate digest is the one the
-        # per-corner kernel gave, and the certificates take 5.9 MiB to build
-        # (24 MiB with the per-corner products)
+        # per-corner kernel gave, and the certificates take 1.2 MiB to build
+        # (5.9 MiB over the cover edges, 24 MiB with the per-corner products)
         S = fx.direct_product(fx.chain(32), fx.cyclic_group(16))
         (report,) = verify.suite_ks(S)
         assert report.passed
@@ -319,3 +319,10 @@ class TestKSCondition:
             tracemalloc.stop()
         assert len(certs) == 32 * 32 * 16
         assert peak < 12 << 20, peak
+
+    def test_1024_elements_keep_the_ks_digest(self):
+        # CHAIN64 x Z16: the digest of the cover-edge kernel's certificates
+        S = fx.direct_product(fx.chain(64), fx.cyclic_group(16))
+        (report,) = verify.suite_ks(S)
+        assert report.passed
+        assert report.certificate_digest == "f652510e0eea2d88"
