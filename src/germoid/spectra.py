@@ -360,6 +360,27 @@ class KSCertificates(Mapping):
         return "{" + b"".join(chunks).decode() + "}"
 
 
+def _maximal_in_groups(S: InvSemigroup, group, x, dd):
+    """Mask of the x that lie below no other x of their group.  ``group``
+    is sorted, the x of a group are distinct and ``dd[s]`` is s*s, so y
+    lies below another x iff y = x y*y.  Each x is compared with the d-th
+    next of its group, cyclically, for each d below the group's size.
+    With the groups taken largest first, the members of the groups larger
+    than d are a prefix, so the work is the sum of the squared sizes."""
+    start = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    size = np.diff(np.r_[start, len(x)])
+    width = np.repeat(size, size)
+    place = np.arange(len(x)) - np.repeat(start, size)
+    order = np.argsort(-width, kind="stable")
+    wider = -width[order]                              # ascending
+    keep = np.ones(len(x), dtype=bool)
+    for d in range(1, int(size.max(initial=1))):
+        g = order[:np.searchsorted(wider, -d)]         # groups larger than d
+        y, other = x[g], x[g - place[g] + (place[g] + d) % width[g]]
+        keep[g] &= S.table[other, dd[y]] != y
+    return keep
+
+
 def check_ks_condition(phi: SemigroupHom) -> KSCertificates:
     """Certificates for the coherence of every corner map eSf -> T: for
     each pair of idempotents e, f of the source and each t in the target,
@@ -375,8 +396,10 @@ def check_ks_condition(phi: SemigroupHom) -> KSCertificates:
     greatest element of eSf below s (Lawson, *Inverse Semigroups*, 1998,
     ch. 1): a member s of eSf below g in Gen_t lies below e g f, and
     e g f <= g lies in the preimage.  So the generators of the corner are
-    the maximal elements of ``{e g f : g in Gen_t}``, and only candidates
-    with the same t are compared.  Blocks hold at most ``CHUNK`` products.
+    the maximal elements of ``{e g f : g in Gen_t}``.  The candidates are
+    deduplicated, first as e g per (e, t) and then per corner, before the
+    distinct ones of a corner are compared pairwise.  Blocks hold at most
+    ``CHUNK`` products.
     """
     S, T = phi.source, phi.target
     n, nt, k = len(S), len(T), len(S.idempotents)
@@ -394,27 +417,30 @@ def check_ks_condition(phi: SemigroupHom) -> KSCertificates:
         v, t = np.nonzero(pre[u + lo])
         dominated[below[u[v], e[v]], t] = True
     gt, gs = np.nonzero((pre & ~dominated).T)            # Gen_t, by t then s
-    size = np.bincount(gt, minlength=nt)
-    place = np.arange(len(gt)) - (np.cumsum(size) - size)[gt]
-    most = int(size.max(initial=0))
+    most = int(np.bincount(gt, minlength=nt).max(initial=0))
     dd = S.table[S.star, ids]                            # s*s
-    keys = []
+    corners, gens = [], []
     rows = max(1, CHUNK // max(k * len(gs), 1))
     for lo in range(0, k, rows):
-        eg = S.table[E[lo:lo + rows, None], gs]
-        cand = S.table[eg[:, None, :], E[None, :, None]]   # [i, j, g]: e g f
-        keep = np.ones(cand.shape, dtype=bool)
-        for d in range(1, most):       # each candidate against the d-th next
-            g = np.flatnonzero(size[gt] > d)
-            h = g - place[g] + (place[g] + d) % size[gt[g]]
-            x, y = cand[..., g], cand[..., h]
-            keep[..., g] &= (x == y) | (S.table[y, dd[x]] != x)   # not x < y
-        i, j, g = np.nonzero(keep)
-        keys.append((((i + lo) * k + j) * nt + gt[g]) * n + cand[i, j, g])
-    keys = np.concatenate(keys)
-    if most > 1:                       # a corner may repeat or reorder gens
-        keys = np.unique(keys)
-    corner, gens = np.divmod(keys, n)
+        i = np.arange(lo, min(lo + rows, k))
+        eg = S.table[E[i, None], gs]                          # [i, g]
+        if most == 1:       # one candidate a corner, already in order
+            corners.append(((i[:, None, None] * k + np.arange(k)[:, None]) * nt +
+                            gt).ravel())
+            gens.append(S.table[eg[:, None, :], E[:, None]].ravel())
+            continue
+        # the distinct e g per (e, t), then the distinct e g f per corner,
+        # keyed (corner, e g f) and so sorted as the result
+        it, x = np.divmod(np.unique((i[:, None] * nt + gt) * n + eg), n)
+        i, t = np.divmod(it, nt)
+        corner, cand = np.divmod(np.unique(
+            ((i[:, None] * k + np.arange(k)) * nt + t[:, None]) * n +
+            S.table[x[:, None], E]), n)
+        keep = _maximal_in_groups(S, corner, cand, dd)
+        corners.append(corner[keep])
+        gens.append(cand[keep])
+    gens = np.concatenate(gens)
     starts = np.zeros(k * k * nt + 1, dtype=np.int64)
-    np.cumsum(np.bincount(corner, minlength=k * k * nt), out=starts[1:])
+    np.cumsum(np.bincount(np.concatenate(corners), minlength=k * k * nt),
+              out=starts[1:])
     return KSCertificates(S, nt, starts, gens)

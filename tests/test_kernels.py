@@ -969,6 +969,29 @@ def test_check_ks_condition_matches_the_cover_edge_kernel(morphisms):
                          for key, gens in expect.items()}
 
 
+def test_check_ks_condition_of_a_brandt_semigroup_dedups_before_comparing(
+        monkeypatch):
+    # B(1, n) to the trivial group: every nonzero element is maximal, so
+    # one t has n^2 generators, but a corner (e_ii, e_jj) holds only the
+    # distinct candidates 0 and e_ij, and the pairwise step compares those
+    widest = []
+    maximal = sp._maximal_in_groups
+
+    def spy(S, group, x, dd):
+        widest.append(int(np.unique(group, return_counts=True)[1].max()))
+        return maximal(S, group, x, dd)
+
+    monkeypatch.setattr(sp, "_maximal_in_groups", spy)
+    for n in (1, 3, 8, 16):
+        phi = sg.hom_from_sigma(sg.max_group_image(fx.brandt(fx.cyclic_group(1), n)))
+        assert len(phi.target) == 1
+        certs = sp.check_ks_condition(phi)
+        assert {key: c.generators for key, c in certs.items()} == \
+            oracles.check_ks_condition_by_cover_edges(phi)
+        assert certs.to_json() == oracles.ks_certificates_json(certs)
+    assert widest and max(widest) == 2
+
+
 def test_ks_certificates_text_is_the_json_dumps_of_the_dict(morphisms):
     for phi in morphisms:
         certs = sp.check_ks_condition(phi)
