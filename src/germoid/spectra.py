@@ -424,7 +424,7 @@ def check_ks_condition(phi: SemigroupHom) -> KSCertificates:
     for lo in range(0, k, rows):
         i = np.arange(lo, min(lo + rows, k))
         eg = S.table[E[i, None], gs]                          # [i, g]
-        if most == 1:       # one candidate a corner, already in order
+        if most == 1:       # one candidate per corner, already in order
             corners.append(((i[:, None, None] * k + np.arange(k)[:, None]) * nt +
                             gt).ravel())
             gens.append(S.table[eg[:, None, :], E[:, None]].ravel())
