@@ -271,13 +271,6 @@ class GermGroupoid(FiniteGroupoid):
                 f"({s.flat[i]},{x.flat[i]}) is not in the germ set")
         return int(arrows) if arrows.ndim == 0 else arrows
 
-    def to_json_dict(self) -> dict:
-        data = super().to_json_dict()
-        for arrow in data["arrows"]:
-            s, x = self.germ_reps[arrow["id"]]
-            arrow["germ"] = [int(s), int(x)]
-        return data
-
 
 def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     """The groupoid of germs of an action.

@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
 import numpy as np
 
 from . import errors
-from .semigroups import CHUNK, check_size, holds_bool
+from .semigroups import CHUNK, check_size, holds_bool, json_rows
 
 
 class FiniteGroupoid:
@@ -28,6 +29,8 @@ class FiniteGroupoid:
     table ``comp_table``, or given by hand as a mapping {(a, b): ab} that
     the table is made from on first use; ``comp`` is a read-only dict.
     """
+
+    germ_reps = None        # per arrow its germ (s, x), in groupoids of germs
 
     def __init__(self, unit_labels, dom, ran, comp, inv, identity,
                  arrow_labels=None, name="G"):
@@ -112,18 +115,35 @@ class FiniteGroupoid:
         a, b = self.defined_pairs
         return np.column_stack((a, b, self.comp_table[a, b])).tolist()
 
-    def to_json_dict(self) -> dict:
-        ends = zip(self.dom.tolist(), self.ran.tolist(), self.arrow_labels)
-        return {
-            "units": list(self.unit_labels),
-            "arrows": [{"id": i, "dom": d, "ran": r, "label": label}
-                       for i, (d, r, label) in enumerate(ends)],
-            "comp": self.comp_triples(),
-            "inv": list(map(list, enumerate(self.inv.tolist()))),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """``json.dumps`` with sorted keys of the units, the arrows
+        ``{"dom", "germ", "id", "label", "ran"}``, the ``[a, b, ab]``
+        triples of the composable pairs in order and the ``[a, inverse]``
+        pairs, each array written by :func:`~germoid.semigroups.json_rows`.
+        Only groupoids of germs have the key ``"germ"``, ``[s, x]``."""
+        n, ids = self.n_arrows, np.arange(self.n_arrows)
+        if self.germ_reps is None:
+            joints = ['{"dom": ', ', "id": ', ', "label": ', ', "ran": ', "}"]
+            arrows = (self.dom, ids, ids, self.ran)
+        else:
+            joints = ['{"dom": ', ', "germ": [', ", ", '], "id": ',
+                      ', "label": ', ', "ran": ', "}"]
+            s, x = np.array(self.germ_reps, dtype=np.int64).reshape(n, 2).T
+            arrows = (self.dom, s, x, ids, ids, self.ran)
+        arrows = np.column_stack(arrows)
+        numbers = int(arrows.max(initial=0)) + 1
+        arrows[:, -2] += numbers            # label a is word numbers + a
+        labels = [encode_basestring_ascii(v) if isinstance(v, str) else
+                  json.dumps(v, sort_keys=True) for v in self.arrow_labels]
+        a, b = self.defined_pairs
+        comp = np.column_stack((a, b, self.comp_table[a, b]))
+        units = json.dumps(list(self.unit_labels), sort_keys=True)
+        return b"".join([
+            b'{"arrows": ', *json_rows(joints, arrows, numbers, labels),
+            b', "comp": ', *json_rows(["[", ", ", ", ", "]"], comp, n),
+            b', "inv": ', *json_rows(["[", ", ", "]"],
+                                     np.column_stack((ids, self.inv)), n),
+            b', "units": ', units.encode(), b"}"]).decode()
 
     def to_dot(self) -> str:
         lines = [f'digraph "{self.name}" {{']

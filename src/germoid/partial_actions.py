@@ -6,6 +6,7 @@ the universal groupoid with the partial transformation groupoid, enveloping
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,18 +291,20 @@ class KSPipelineResult:
         return self.report["weak_equivalence"]
 
     def to_json(self) -> str:
-        """``json.dumps`` of sizes, conditions, certificates and pass, with
-        sorted keys; the certificates write their own text, which comes
-        first in that order."""
-        import json
+        return b"".join(self.json_chunks()).decode()
 
+    def json_chunks(self):
+        """``json.dumps`` of sizes, conditions, certificates and pass, with
+        sorted keys, as ASCII byte blocks; the certificates write their own
+        text, which comes first in that order."""
         rest = json.dumps({
             "sizes": self.sizes,
             "conditions": self.report,
             "pass": self.ok,
         }, sort_keys=True)
-        return '{"certificates": ' + self.ks_certificates.to_json() + ", " + \
-            rest[1:]
+        yield b'{"certificates": '
+        yield from self.ks_certificates.json_chunks()
+        yield b", " + rest[1:].encode()
 
 
 def ks_pipeline(phi: SemigroupHom, contract_to=None) -> KSPipelineResult:

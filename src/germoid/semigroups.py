@@ -120,12 +120,14 @@ class InvSemigroup:
         return self._leq
 
     def to_json(self) -> str:
-        data = {
-            "elements": list(self.names),
-            "table": self.table.tolist(),
-            "zero": self.zero,
-        }
-        return json.dumps(data, sort_keys=True)
+        """``json.dumps`` of the elements, table and zero, with sorted keys;
+        the table is written by :func:`json_rows`."""
+        n = len(self)
+        return b"".join([
+            b'{"elements": ', json.dumps(list(self.names)).encode(),
+            b', "table": ', *json_rows(["["] + [", "] * (n - 1) + ["]"],
+                                       self.table, n),
+            b', "zero": ', json.dumps(self.zero).encode(), b"}"]).decode()
 
 
 class FiniteGroup(InvSemigroup):
@@ -426,6 +428,62 @@ def table_from_bytes(buf: bytes, start: int = 0):
         table[done:done + rows] = values
         done += rows
     return table, end + 2
+
+
+def write_words(blocks, numbers: int, texts=()):
+    """Yield the ASCII bytes of each nonempty int array of words in
+    ``blocks``: word v < ``numbers`` is v in decimal, and word ``numbers``
+    + j is ``texts[j]``, which must be ASCII.
+
+    The bytes of every word follow one another in one buffer, so a block's
+    text is one gather of it, at the start of each word plus the offset
+    within it.  The callers give blocks of at most about ``CHUNK`` // 8
+    words, which keeps that index small: in blocks of ``CHUNK`` words the
+    8,192 ``comp`` triples of a 512-arrow groupoid took 2.2 ms instead of
+    0.9 ms, most of it in fresh pages.
+    """
+    words = [*map(str, range(numbers)), *texts]
+    length = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    first = np.cumsum(length) - length
+    data = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    for word in blocks:
+        n_bytes = length[word]
+        end = np.cumsum(n_bytes)
+        yield data[np.repeat(first[word] - end + n_bytes, n_bytes) +
+                   np.arange(end[-1])].tobytes()
+
+
+def json_rows(joints, cells, numbers: int, texts=()):
+    """Yield, in blocks, the text ``json.dumps`` writes for a list of rows:
+    ``[row, row, ...]``, or ``[]``.
+
+    Row i is ``joints[0]``, then each ``cells[i, j]`` followed by
+    ``joints[j + 1]``; a cell is a word of :func:`write_words`, v in
+    decimal for v < ``numbers`` and ``texts[v - numbers]`` above.  So a
+    row ``[a, b]`` has the joints ``"[", ", ", "]"`` and an object row
+    has its keys in its joints.
+    """
+    rows, k = cells.shape
+    if not rows:
+        yield b"[]"
+        return
+    # the joints, the separator between rows, and the closing bracket
+    glue = numbers + len(texts) + np.arange(k + 3)
+    step = max(1, CHUNK // 8 // (2 * k + 2))
+
+    def blocks():
+        for lo in range(0, rows, step):
+            c = cells[lo:lo + step]
+            word = np.empty((len(c), 2 * k + 2), dtype=np.int64)
+            word[:, 0:-1:2] = glue[:k + 1]
+            word[:, 1:-1:2] = c
+            word[:, -1] = glue[k + 1]
+            if lo + step >= rows:
+                word[-1, -1] = glue[-1]
+            yield word.ravel()
+
+    yield b"["
+    yield from write_words(blocks(), numbers, [*texts, *joints, ", ", "]"])
 
 
 # JSON whitespace, as the json module skips it

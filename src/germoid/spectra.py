@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .semigroups import CHUNK, InvSemigroup, SemigroupHom
+from .semigroups import CHUNK, InvSemigroup, SemigroupHom, write_words
 
 
 class Semilattice:
@@ -309,55 +309,58 @@ class KSCertificates(Mapping):
         return DownsetCertificate(tuple(self.gens[a:b].tolist()), self.semigroup)
 
     def to_json(self) -> str:
-        """``json.dumps({"e,f,t": [generators, ...]}, sort_keys=True)``,
-        written from the arrays in blocks of at most ``CHUNK`` words.
+        """``json.dumps({"e,f,t": [generators, ...]}, sort_keys=True)``."""
+        return b"".join(self.json_chunks()).decode()
+
+    def json_chunks(self):
+        """The text of :meth:`to_json` as ASCII byte blocks of
+        :func:`~germoid.semigroups.write_words`, at most ``CHUNK`` // 8
+        words each.
 
         The keys sort as strings, and ',' sorts below every digit, so the
         key "e,f,t" sorts as the tuple (str(e), str(f), str(t)): the order
         of the corners is one permutation of E(S) taken twice and one of T.
-        Each word of the text is an id in decimal or a piece of punctuation;
-        the text is the bytes of its words, gathered from one buffer.
         """
-        S, nt = self.semigroup, self.n_targets
+        S, nt, starts = self.semigroup, self.n_targets, self.starts
         E = np.asarray(S.idempotents, dtype=np.int64)
         k = len(E)
-        by_e = np.array(sorted(range(k), key=lambda i: str(E[i])), dtype=np.int64)
+        decimal = list(map(str, S.idempotents))
+        by_e = np.array(sorted(range(k), key=decimal.__getitem__), dtype=np.int64)
         by_t = np.array(sorted(range(nt), key=str), dtype=np.int64)
         corners = ((by_e[:, None, None] * k + by_e[None, :, None]) * nt +
                    by_t).ravel()
         ids = max(len(S), nt)           # word v < ids is v in decimal
-        words = [str(v) for v in range(ids)] + ['"', ', "', ",", '": [', ", ", "]"]
-        quote, new, comma, colon, sep, close = range(ids, ids + 6)
-        data = np.frombuffer("".join(words).encode(), dtype=np.uint8)
-        length = np.array([len(w) for w in words], dtype=np.int64)
-        first = np.cumsum(length) - length
-        count = np.diff(self.starts)
-        # an entry is ', "' ('"' for the first) e ',' f ',' t '": [', the
-        # generators with ', ' between them, and ']'
-        step = max(1, CHUNK // (7 + 2 * max(int(count.max(initial=0)), 1)))
-        chunks = []
-        for lo in range(0, len(corners), step):
-            c = corners[lo:lo + step]
-            m = count[c]
-            size = 7 + np.maximum(2 * m, 1)
-            at = np.cumsum(size) - size
-            word = np.full(int(size.sum()), sep, dtype=np.int64)
-            i, rest = np.divmod(c, k * nt)
-            head = np.empty((len(c), 7), dtype=np.int64)
-            head[:] = (new, 0, comma, 0, comma, 0, colon)
-            head[:, 1], head[:, 3], head[:, 5] = E[i], E[rest // nt], rest % nt
-            word[at[:, None] + np.arange(7)] = head
-            within = np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m, m)
-            word[np.repeat(at + 7, m) + 2 * within] = \
-                self.gens[np.repeat(self.starts[c], m) + within]
-            word[at + size - 1] = close
-            if lo == 0:
-                word[0] = quote
-            n_bytes = length[word]
-            end = np.cumsum(n_bytes)
-            chunks.append(data[np.repeat(first[word] - end + n_bytes, n_bytes) +
-                               np.arange(end[-1])].tobytes())
-        return "{" + b"".join(chunks).decode() + "}"
+        first, new, comma, colon, sep, close, last, empty = range(ids, ids + 8)
+        count = np.diff(starts)
+        # an entry is ', "' e ',' f ',' t '": [', the generators with ', '
+        # between them, and ']'; the text opens with '{"' and closes with
+        # ']}'; S has an idempotent and T an element, so there is a corner.
+        # The entries of a block are padded with empty words to the most
+        # generators of a corner in it.
+        step = max(1, CHUNK // 8 // (7 + 2 * max(int(count.max(initial=0)), 1)))
+
+        def blocks():
+            for lo in range(0, len(corners), step):
+                c = corners[lo:lo + step]
+                m = count[c]
+                slot = np.arange(max(int(m.max()), 1)) < m[:, None]
+                word = np.full((len(c), 7 + 2 * slot.shape[1]), empty,
+                               dtype=np.int64)
+                word[:, :7] = new, 0, comma, 0, comma, 0, colon
+                i, rest = np.divmod(c, k * nt)
+                word[:, 1], word[:, 3], word[:, 5] = E[i], E[rest // nt], rest % nt
+                word[:, 7:-1:2][slot] = self.gens[
+                    (starts[c, None] + np.arange(slot.shape[1]))[slot]]
+                word[:, 8:-1:2][slot[:, 1:]] = sep
+                word[:, -1] = close
+                if lo == 0:
+                    word[0, 0] = first
+                if lo + step >= len(corners):
+                    word[-1, -1] = last
+                yield word.ravel()
+
+        return write_words(blocks(), ids,
+                           ['{"', ', "', ",", '": [', ", ", "]", "]}", ""])
 
 
 def _maximal_in_groups(S: InvSemigroup, group, x, dd):

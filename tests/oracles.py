@@ -801,6 +801,41 @@ def ks_certificates_json(certs):
                       sort_keys=True)
 
 
+def groupoid_json(g):
+    """The text ``FiniteGroupoid.to_json`` gave: one ``json.dumps`` of a
+    dict, where a groupoid of germs adds ``"germ"`` to each arrow."""
+    import json
+
+    from germoid.germs import GermGroupoid
+
+    ends = zip(g.dom.tolist(), g.ran.tolist(), g.arrow_labels)
+    data = {
+        "units": list(g.unit_labels),
+        "arrows": [{"id": i, "dom": d, "ran": r, "label": label}
+                   for i, (d, r, label) in enumerate(ends)],
+        "comp": g.comp_triples(),
+        "inv": list(map(list, enumerate(g.inv.tolist()))),
+    }
+    if isinstance(g, GermGroupoid):
+        for arrow in data["arrows"]:
+            s, x = g.germ_reps[arrow["id"]]
+            arrow["germ"] = [int(s), int(x)]
+    return json.dumps(data, sort_keys=True)
+
+
+def semigroup_json(S):
+    """The text ``InvSemigroup.to_json`` gave: one ``json.dumps`` of a
+    dict."""
+    import json
+
+    data = {
+        "elements": list(S.names),
+        "table": S.table.tolist(),
+        "zero": S.zero,
+    }
+    return json.dumps(data, sort_keys=True)
+
+
 def is_locally_idempotent_pure_loops(phi):
     """phi restricted to each local monoid eSe is idempotent pure."""
     S, T = phi.source, phi.target

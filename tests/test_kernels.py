@@ -26,6 +26,7 @@ from germoid import matrixrep as mr
 from germoid import partial_actions as pa
 from germoid import semigroups as sg
 from germoid import spectra as sp
+from germoid import verify
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 FEW = settings(max_examples=12, deadline=None)
@@ -996,6 +997,17 @@ def test_ks_certificates_text_is_the_json_dumps_of_the_dict(morphisms):
     for phi in morphisms:
         certs = sp.check_ks_condition(phi)
         assert certs.to_json() == oracles.ks_certificates_json(certs)
+
+
+def test_the_ks_digest_hashed_by_blocks_is_the_digest_of_the_text(morphisms):
+    for phi in morphisms:
+        certs = sp.check_ks_condition(phi)
+        assert verify._digest_chunks(certs.json_chunks()) == \
+            verify._digest(certs.to_json())
+        if sg.is_locally_idempotent_pure(phi):
+            res = pa.ks_pipeline(phi)
+            assert verify._digest_chunks(res.json_chunks()) == \
+                verify._digest(res.to_json())
 
 
 def test_ks_certificates_text_sorts_keys_as_strings():
