@@ -78,22 +78,23 @@ def symmetric_inverse(n: int, name=None) -> InvSemigroup:
         size += term
         term = term * (n - j) ** 2 // (j + 1)
     check_size(size)
-    points = list(range(n))
     elems = []
     for k in range(n + 1):
-        for dom in combinations(points, k):
-            for img in permutations(points, k):
+        for dom in combinations(range(n), k):
+            for img in permutations(range(n), k):
                 elems.append(tuple(zip(dom, img)))
     elems.sort(key=lambda e: (len(e), e))
-    index = {e: x for x, e in enumerate(elems)}
-    m = len(elems)
-    table = np.zeros((m, m), dtype=np.int64)
-    for a, f in enumerate(elems):
-        fd = dict(f)
-        for b, g in enumerate(elems):
-            gd = dict(g)
-            comp = tuple(sorted((x, fd[gd[x]]) for x in gd if gd[x] in fd))
-            table[a, b] = index[comp]
+    # an element's key has its images, n where undefined, as digits in base
+    # n + 1; the key of a after b sums a(b(x)) weight[x] over the points x
+    image = np.array([[d.get(x, n) for x in range(n + 1)] for d in map(dict, elems)])
+    weight = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weighted = image[:, :, None] * weight
+    product = np.zeros((len(elems), len(elems)), dtype=np.int64)
+    for x in range(n):
+        product += weighted[:, image[:, x], x]
+    element = np.empty((n + 1) ** n, dtype=np.int64)
+    element[image[:, :n] @ weight] = np.arange(len(elems))
+    table = element[product]
 
     def label(e):
         if not e:

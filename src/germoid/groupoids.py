@@ -70,7 +70,7 @@ class FiniteGroupoid:
     @functools.cached_property
     def defined_pairs(self) -> tuple:
         """The pairs (a, b) where the table is defined, in lexicographic
-        order, as two arrays."""
+        order, as two arrays; ``validate_groupoid`` sets them."""
         return np.nonzero(self.comp_table >= 0)
 
     @property
@@ -169,20 +169,22 @@ def _outside(a, b):
         f"composition of {a}, {b} names an arrow outside the groupoid")
 
 
-def arrows_at(units, ends, n_units):
-    """The arrows a with ``ends[a]`` equal to each of ``units``, in id
-    order, flattened; ``ends`` is ``ran`` or ``dom``.
+def end_index(ends, n_units):
+    """The arrows by one end, ``ran`` or ``dom``: their ids sorted stably by
+    ``ends``, and per unit how many there are and where they start."""
+    order = np.argsort(ends, kind="stable")
+    count = np.bincount(ends, minlength=n_units)
+    return order, count, np.cumsum(count) - count
 
-    Returns ``(counts, arrows)``: ``counts[i]`` arrows have ``units[i]`` as
-    that end, and they follow one another in ``arrows``.
-    """
-    by_end = np.argsort(ends, kind="stable")
-    per_unit = np.bincount(ends, minlength=n_units)
-    start = np.cumsum(per_unit) - per_unit
-    counts = per_unit[units]
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                                  counts)
-    return counts, by_end[np.repeat(start[units], counts) + offsets]
+
+def arrows_at(units, index):
+    """The arrows whose end in the :func:`end_index` ``index`` is each of
+    ``units``, in id order, flattened, and ``counts``: ``counts[i]`` of them
+    have the end ``units[i]``.  Returns ``(counts, arrows)``."""
+    order, count, start = index
+    counts = count[units]
+    shift = np.repeat(start[units] - np.cumsum(counts) + counts, counts)
+    return counts, order[np.arange(len(shift)) + shift]
 
 
 def compose_by_label(n_units, labels, dom, ran, product, arrow_at) -> np.ndarray:
@@ -194,51 +196,59 @@ def compose_by_label(n_units, labels, dom, ran, product, arrow_at) -> np.ndarray
     ``comp_table`` of a :class:`FiniteGroupoid`.
     """
     labels, dom, ran = (np.asarray(v, dtype=np.int64) for v in (labels, dom, ran))
-    counts, b = arrows_at(dom, ran, n_units)
+    counts, b = arrows_at(dom, end_index(ran, n_units))
     a = np.repeat(np.arange(len(dom)), counts)
     table = np.full((len(dom), len(dom)), -1, dtype=np.int32)
     table[a, b] = arrow_at[product[labels[a], labels[b]], dom[b]]
     return table
 
 
-def generating_arrows(g: FiniteGroupoid) -> np.ndarray:
+def generating_arrows(g: FiniteGroupoid, by_ran) -> np.ndarray:
     """A mask of arrows that generate g, together with its identities,
-    under composition.
+    under composition, given ``by_ran``, the :func:`end_index` of ``ran``.
 
-    Starting from the identities, the arrows reached so far are closed
-    under composition by repeated squaring, so in O(log order) rounds, and
-    then the least unreached arrow of each hom-set (ran, dom) joins as a
-    generator, until every arrow is reached.  A cyclic group needs one
-    generator.  Needs what ``validate_groupoid`` checks before
-    associativity, not associativity itself.
+    The least (dom, id) over the arrows into unit u gives its base, the
+    least unit of u's component, and the least arrow from there to u: that
+    arrow and its inverse are generators where u is not its own base.  At
+    all bases at once, the least loop not yet reached joins, and the loops
+    reached are closed under composition by repeated squaring.  Needs what
+    ``validate_groupoid`` checks before associativity.
     """
+    order, _, start = by_ran
+    n, dom, ran = g.n_arrows, g.dom, g.ran
+    base, tree = np.divmod(np.minimum.reduceat(dom[order] * n + order, start), n)
+    tree = tree[base != np.arange(g.n_units)]
+    gens = np.zeros(n, dtype=bool)
+    gens[tree] = gens[g.inv[tree]] = True
+    at_base = (dom == ran) & (base[dom] == dom)
+    loops = np.flatnonzero(at_base)
     a, b = g.defined_pairs
+    both = at_base[a] & at_base[b]                  # loops at one base
+    a, b = a[both], b[both]
     ab = g.comp_table[a, b]
-    hom = g.ran * g.n_units + g.dom
-    reached = np.zeros(g.n_arrows, dtype=bool)
+    reached = np.zeros(n, dtype=bool)
     reached[g.identity] = True
-    gens = np.zeros(g.n_arrows, dtype=bool)
     while True:
-        left = np.flatnonzero(~reached)
+        left = loops[~reached[loops]]
         if not left.size:
             return gens
-        least = left[np.unique(hom[left], return_index=True)[1]]
+        least = left[np.unique(dom[left], return_index=True)[1]]
         gens[least] = reached[least] = True
         size = 0
         while size != (size := np.count_nonzero(reached)):     # until stable
             reached[ab[reached[a] & reached[b]]] = True
 
 
-def first_nonassociative_triple(g: FiniteGroupoid, a, b):
+def first_nonassociative_triple(g: FiniteGroupoid, by_ran, a, b):
     """The first (a, b, c) with (ab)c != a(bc), or None: each composable
     pair (a[i], b[i]) in turn is extended by the arrows c ending at dom(b),
-    in increasing order."""
-    table, dom, ran, n_units = g.comp_table, g.dom, g.ran, g.n_units
-    per_pair = np.bincount(ran, minlength=n_units)[dom[b]]
+    in increasing order, read off ``by_ran``, the index of ``ran``."""
+    table, dom = g.comp_table, g.dom
+    per_pair = by_ran[1][dom[b]]
     step = max(1, CHUNK // max(int(per_pair.max(initial=1)), 1))
     for lo in range(0, len(a), step):
         pa, pb = a[lo:lo + step], b[lo:lo + step]
-        counts, tc = arrows_at(dom[pb], ran, n_units)
+        counts, tc = arrows_at(dom[pb], by_ran)
         ta, tb = np.repeat(pa, counts), np.repeat(pb, counts)
         bad = table[table[ta, tb], tc] != table[ta, table[tb, tc]]
         if bad.any():
@@ -247,26 +257,18 @@ def first_nonassociative_triple(g: FiniteGroupoid, a, b):
     return None
 
 
-def endpoint_law_holds(g: FiniteGroupoid) -> bool:
-    """Whether ab is defined exactly when dom a = ran b, and then has
-    dom(ab) = dom b and ran(ab) = ran a.
-
-    Checked on the defined pairs alone, in blocks of ``CHUNK``: each is
-    composable with the right endpoints, and there are as many as
-    composable pairs, the sum over units u of |dom^-1(u)| |ran^-1(u)|.
-    Needs the endpoints and the table entries in range.
-    """
-    a, b = g.defined_pairs
-    dom, ran, table = g.dom, g.ran, g.comp_table
-    composable = np.bincount(dom, minlength=g.n_units) @ \
-        np.bincount(ran, minlength=g.n_units)
-    if len(a) != composable:
+def endpoint_law_holds(g: FiniteGroupoid, a, b) -> bool:
+    """Whether ab is defined exactly on the composable pairs (a, b), with
+    dom(ab) = dom b and ran(ab) = ran a: the table has as many defined
+    entries, and each pair, in blocks of ``CHUNK``, is defined with the
+    right endpoints.  Needs the endpoints and table entries in range."""
+    table, dom, ran = g.comp_table, g.dom, g.ran
+    if np.count_nonzero(table >= 0) != len(a):
         return False
     for lo in range(0, len(a), CHUNK):
         pa, pb = a[lo:lo + CHUNK], b[lo:lo + CHUNK]
         ab = table[pa, pb]
-        if ((dom[pa] != ran[pb]) | (dom[ab] != dom[pb]) |
-                (ran[ab] != ran[pa])).any():
+        if ((ab < 0) | (dom[ab] != dom[pb]) | (ran[ab] != ran[pa])).any():
             return False
     return True
 
@@ -296,11 +298,13 @@ def scan_endpoint_law(g: FiniteGroupoid) -> None:
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     """Exhaustive check of the groupoid axioms; raises on any failure.
 
-    Works on the dense composition table.  Every check but associativity
-    scans in the same order as the plain loops over arrow ids, so the
-    witness is the first failure in that order.  The endpoint law is
-    checked on the defined pairs, by :func:`endpoint_law_holds`; only if
-    it fails does :func:`scan_endpoint_law` scan every pair for the witness.
+    Works on the dense composition table and one :func:`end_index` of
+    ``ran``.  Every check but associativity scans in the same order as the
+    plain loops over arrow ids, so the witness is the first failure in that
+    order.  The endpoint law is checked on the composable pairs, read off
+    the index, by :func:`endpoint_law_holds`, and then they are kept as
+    ``defined_pairs``; only if it fails does :func:`scan_endpoint_law`
+    scan every pair for the witness.
 
     Associativity uses Light's test, as ``validate_semigroup`` does.  Let
     M be the arrows b with (ab)c = a(bc) for all composable a and c.  Once
@@ -308,14 +312,12 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     (a(xy))c = ((ax)y)c = (ax)(yc) = a(x(yc)) = a((xy)c).  The identity law
     puts every identity in M.  So the table is associative iff M holds the
     ``generating_arrows``, and only the triples whose middle arrow is one
-    of them are checked.  Only if one fails are all composable triples
-    scanned, in lexicographic order, so the witness is the first failing
-    triple (a, b, c).  On at most 25 arrows that scan runs alone: it is a
-    measured crossover, not a memory bound.  Per call over the 470
-    groupoids of a ``verify --suite all`` pass on the benchmark corpus,
-    the scan took 41 µs against 64 for the generator search at 0-7
-    arrows, 111 against 125 at 16-23, 155 against 132 at 24-31 and 1,065
-    against 201 at 32-39.
+    of them are checked.  They suffice: for a: u -> v and the tree arrows
+    t_u, t_v from the base x, the loop h = t_v^-1 (a t_u) at x is in M,
+    t_v h = a t_u as t_v^-1 is in M, and (t_v h) t_u^-1 = a as t_u is.
+    Only if a triple fails are all composable triples scanned, in
+    lexicographic order, for the first failing one.  On at most 25 arrows
+    that scan runs alone: a crossover measured on the benchmark corpus.
     """
     n, n_units = g.n_arrows, g.n_units
     check_size(n)
@@ -333,7 +335,12 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
         raise _outside(*divmod(_first((table < -1) | (table >= n)), n))
     ids = np.arange(n)
 
-    if not endpoint_law_holds(g):
+    by_ran = end_index(ran, n_units)
+    counts, b = arrows_at(dom, by_ran)          # the composable pairs (a, b)
+    a = np.repeat(ids, counts)
+    if endpoint_law_holds(g, a, b):
+        g.defined_pairs = a, b
+    else:
         scan_endpoint_law(g)
 
     units = np.arange(n_units)
@@ -355,14 +362,12 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     if not good.all():
         raise errors.MissingInverse(_first(~good))
 
-    a, b = g.defined_pairs                 # composable, by the endpoint law
-    if n <= 25:                            # the crossover measured above
-        bad = first_nonassociative_triple(g, a, b)
-    else:
-        bad = None
-        middle = generating_arrows(g)[b]
-        if first_nonassociative_triple(g, a[middle], b[middle]) is not None:
-            bad = first_nonassociative_triple(g, a, b)
+    bad = None
+    if n > 25:                             # the crossover measured above
+        middle = generating_arrows(g, by_ran)[b]
+        bad = first_nonassociative_triple(g, by_ran, a[middle], b[middle])
+    if n <= 25 or bad is not None:
+        bad = first_nonassociative_triple(g, by_ran, a, b)
     if bad is not None:
         raise errors.CompositionNotAssociative(*bad)
     g.validated = True
@@ -502,12 +507,10 @@ def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
     """Validate dom/ran/composition/identity preservation, each on all
     arrows, units or composable pairs at once; the witness is the first
     failing arrow, unit, or pair (a, b) in lexicographic order."""
-    unit_map = tuple(int(x) for x in unit_map)
-    arrow_map = tuple(int(x) for x in arrow_map)
-    if len(unit_map) != src.n_units or len(arrow_map) != src.n_arrows:
-        raise errors.NotAFunctor("maps must cover all units and arrows")
     um = np.array(unit_map, dtype=np.int64)
     f = np.array(arrow_map, dtype=np.int64)
+    if len(um) != src.n_units or len(f) != src.n_arrows:
+        raise errors.NotAFunctor("maps must cover all units and arrows")
     ok = (f >= 0) & (f < tgt.n_arrows)
     bad = ~ok
     bad[ok] = (tgt.dom[f[ok]] != um[src.dom[ok]]) | (tgt.ran[f[ok]] != um[src.ran[ok]])
@@ -520,14 +523,14 @@ def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
     if lost.any():
         raise errors.NotAFunctor(f"identity at unit {_first(lost)} not preserved")
     table = src.comp_table
-    a, b = np.nonzero(table >= 0)                            # lexicographic
+    a, b = src.defined_pairs                                 # lexicographic
     for lo in range(0, len(a), CHUNK):
         pa, pb = a[lo:lo + CHUNK], b[lo:lo + CHUNK]
         bad = tgt.comp_table[f[pa], f[pb]] != f[table[pa, pb]]
         if bad.any():
             i = _first(bad)
             raise errors.NotAFunctor(f"composition {pa[i]}{pb[i]} not preserved")
-    return GroupoidFunctor(src, tgt, unit_map, arrow_map)
+    return GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
 
 
 def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
@@ -657,7 +660,7 @@ def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
             raise errors.InvalidAction(f"arrow {a} defined on the wrong points")
         raise errors.InvalidAction(
             f"anchor not equivariant at arrow {a}, point {x}")
-    a, b = np.nonzero(h.comp_table >= 0)                     # lexicographic
+    a, b = h.defined_pairs                                   # lexicographic
     step = max(1, CHUNK // max(m, 1))
     for lo in range(0, len(a), step):
         pa, pb = a[lo:lo + step], b[lo:lo + step]
@@ -764,7 +767,7 @@ def enveloping_action_of_functor(F: GroupoidFunctor):
     pair_id = np.full((h.n_arrows, g.n_units), -1, dtype=np.int64)
     pair_id[pa, pe] = np.arange(len(pa))
     # (a, e) ~ (k, ran x) with k = a F(x)^{-1}, for the arrows x from e
-    counts, x = arrows_at(pe, g.dom, g.n_units)
+    counts, x = arrows_at(pe, end_index(g.dom, g.n_units))
     p = np.repeat(np.arange(len(pa)), counts)
     k = table[pa[p], h.inv[f[x]]]
     ok = k >= 0

@@ -22,6 +22,7 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
     arrows_at,
+    end_index,
     validate_groupoid,
 )
 from .partial_actions import PartialGroupAction, theta_from_sigma
@@ -214,10 +215,11 @@ def center_dimension(alg: ConvolutionAlgebra) -> int:
     table = g.comp_table
     iso = np.flatnonzero(g.dom == g.ran)
     label = np.empty(len(iso), dtype=np.int64)
+    by_dom = end_index(g.dom, g.n_units)
     step = max(1, CHUNK // max(g.n_arrows, 1))
     for lo in range(0, len(iso), step):
         a = iso[lo:lo + step]
-        counts, x = arrows_at(g.dom[a], g.dom, g.n_units)
+        counts, x = arrows_at(g.dom[a], by_dom)
         conj = table[table[x, np.repeat(a, counts)], g.inv[x]]
         starts = np.cumsum(counts) - counts
         label[lo:lo + step] = np.minimum.reduceat(conj, starts)

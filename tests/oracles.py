@@ -258,6 +258,124 @@ def validate_groupoid_loops(g):
     return g
 
 
+# The groupoid validation kernels before the arrows-by-range index: the
+# triple scan sorted the arrows by ``ran`` again for every block, the
+# endpoint law read the defined pairs off ``np.nonzero``, and Light's test
+# took one generator per hom-set.
+
+def arrows_at(units, ends, n_units):
+    """The arrows a with ``ends[a]`` equal to each of ``units``, in id
+    order, flattened; ``ends`` is ``ran`` or ``dom``.
+
+    Returns ``(counts, arrows)``: ``counts[i]`` arrows have ``units[i]`` as
+    that end, and they follow one another in ``arrows``.
+    """
+    import numpy as np
+
+    by_end = np.argsort(ends, kind="stable")
+    per_unit = np.bincount(ends, minlength=n_units)
+    start = np.cumsum(per_unit) - per_unit
+    counts = per_unit[units]
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+    return counts, by_end[np.repeat(start[units], counts) + offsets]
+
+
+def generating_arrows(g):
+    """A mask of arrows that generate g, together with its identities,
+    under composition.
+
+    Starting from the identities, the arrows reached so far are closed
+    under composition by repeated squaring, so in O(log order) rounds, and
+    then the least unreached arrow of each hom-set (ran, dom) joins as a
+    generator, until every arrow is reached.  A cyclic group needs one
+    generator.  Needs what ``validate_groupoid`` checks before
+    associativity, not associativity itself.
+    """
+    import numpy as np
+
+    a, b = g.defined_pairs
+    ab = g.comp_table[a, b]
+    hom = g.ran * g.n_units + g.dom
+    reached = np.zeros(g.n_arrows, dtype=bool)
+    reached[g.identity] = True
+    gens = np.zeros(g.n_arrows, dtype=bool)
+    while True:
+        left = np.flatnonzero(~reached)
+        if not left.size:
+            return gens
+        least = left[np.unique(hom[left], return_index=True)[1]]
+        gens[least] = reached[least] = True
+        size = 0
+        while size != (size := np.count_nonzero(reached)):     # until stable
+            reached[ab[reached[a] & reached[b]]] = True
+
+
+def first_nonassociative_groupoid_triple(g, a, b):
+    """The first (a, b, c) with (ab)c != a(bc), or None: each composable
+    pair (a[i], b[i]) in turn is extended by the arrows c ending at dom(b),
+    in increasing order."""
+    import numpy as np
+
+    from germoid.semigroups import CHUNK
+
+    table, dom, ran, n_units = g.comp_table, g.dom, g.ran, g.n_units
+    per_pair = np.bincount(ran, minlength=n_units)[dom[b]]
+    step = max(1, CHUNK // max(int(per_pair.max(initial=1)), 1))
+    for lo in range(0, len(a), step):
+        pa, pb = a[lo:lo + step], b[lo:lo + step]
+        counts, tc = arrows_at(dom[pb], ran, n_units)
+        ta, tb = np.repeat(pa, counts), np.repeat(pb, counts)
+        bad = table[table[ta, tb], tc] != table[ta, table[tb, tc]]
+        if bad.any():
+            i = int(np.flatnonzero(bad.ravel())[0])
+            return int(ta[i]), int(tb[i]), int(tc[i])
+    return None
+
+
+def endpoint_law_holds(g):
+    """Whether ab is defined exactly when dom a = ran b, and then has
+    dom(ab) = dom b and ran(ab) = ran a.
+
+    Checked on the defined pairs alone, in blocks of ``CHUNK``: each is
+    composable with the right endpoints, and there are as many as
+    composable pairs, the sum over units u of |dom^-1(u)| |ran^-1(u)|.
+    Needs the endpoints and the table entries in range.
+    """
+    import numpy as np
+
+    from germoid.semigroups import CHUNK
+
+    a, b = np.nonzero(g.comp_table >= 0)
+    dom, ran, table = g.dom, g.ran, g.comp_table
+    composable = np.bincount(dom, minlength=g.n_units) @ \
+        np.bincount(ran, minlength=g.n_units)
+    if len(a) != composable:
+        return False
+    for lo in range(0, len(a), CHUNK):
+        pa, pb = a[lo:lo + CHUNK], b[lo:lo + CHUNK]
+        ab = table[pa, pb]
+        if ((dom[pa] != ran[pb]) | (dom[ab] != dom[pb]) |
+                (ran[ab] != ran[pa])).any():
+            return False
+    return True
+
+
+def associativity_by_hom_sets(g):
+    """The associativity step of ``validate_groupoid`` before the spanning
+    tree: Light's test over one generator per hom-set, on more than 25
+    arrows, then the full scan for the witness.  Returns the first failing
+    triple or None.  Needs what ``validate_groupoid`` checks before
+    associativity."""
+    a, b = g.defined_pairs
+    if g.n_arrows <= 25:
+        return first_nonassociative_groupoid_triple(g, a, b)
+    middle = generating_arrows(g)[b]
+    if first_nonassociative_groupoid_triple(g, a[middle], b[middle]) is None:
+        return None
+    return first_nonassociative_groupoid_triple(g, a, b)
+
+
 def composition_closure(g, seeds):
     """The arrows reached from ``seeds`` by composing, as a set: each
     arrow, when it joins, is composed on both sides with every arrow
@@ -1005,6 +1123,39 @@ def direct_product_table_loops(S, T):
     index = {p: x for x, p in enumerate(elems)}
     return [[index[(S.mul(s, u), T.mul(t, v))] for u, v in elems]
             for s, t in elems]
+
+
+def symmetric_inverse_loops(n):
+    """The names and table of the symmetric inverse monoid I_n as
+    ``fixtures.symmetric_inverse`` built them: each product composes two
+    dicts."""
+    from itertools import combinations, permutations
+
+    import numpy as np
+
+    points = list(range(n))
+    elems = []
+    for k in range(n + 1):
+        for dom in combinations(points, k):
+            for img in permutations(points, k):
+                elems.append(tuple(zip(dom, img)))
+    elems.sort(key=lambda e: (len(e), e))
+    index = {e: x for x, e in enumerate(elems)}
+    m = len(elems)
+    table = np.zeros((m, m), dtype=np.int64)
+    for a, f in enumerate(elems):
+        fd = dict(f)
+        for b, g in enumerate(elems):
+            gd = dict(g)
+            comp = tuple(sorted((x, fd[gd[x]]) for x in gd if gd[x] in fd))
+            table[a, b] = index[comp]
+
+    def label(e):
+        if not e:
+            return "0"
+        return "[" + ",".join(f"{x + 1}->{y + 1}" for x, y in e) + "]"
+
+    return [label(e) for e in elems], table
 
 
 def brandt_table_loops(G, n):
