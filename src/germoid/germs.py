@@ -20,7 +20,6 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
     GroupoidSpaceAction,
-    compose_by_label,
     groupoid_functor,
     reduction,
     semidirect_product,
@@ -303,7 +302,6 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     arrow_at[s_of, x_of] = arrow_of_pair
     label, dom = s_of[firsts], x_of[firsts]
     ran = maps[label, dom]
-    comp = compose_by_label(m, label, dom, ran, S.table, arrow_at)
     inv = arrow_at[S.star[label], ran]
     # [e, x] = [m_x, x] for every idempotent e whose domain holds x
     identity = arrow_at[anchor, np.arange(m)]
@@ -311,8 +309,9 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     labels = [f"[{S.names[s]},{action.point_labels[x]}]" for s, x in reps]
     g = GermGroupoid(
         action, reps, arrow_at,
-        unit_labels=action.point_labels, dom=dom, ran=ran, comp=comp,
-        inv=inv, identity=identity, arrow_labels=labels,
+        unit_labels=action.point_labels, dom=dom, ran=ran, inv=inv,
+        comp=lambda a, b: arrow_at[S.table[label[a], label[b]], dom[b]],
+        identity=identity, arrow_labels=labels,
         name=name or f"{S.name}|germs")
     return validate_groupoid(g)
 

@@ -240,7 +240,7 @@ def validate_groupoid_loops(g):
                 raise errors.MissingIdentity(u)
     for a in range(n):
         ai = int(g.inv[a])
-        if g.dom[ai] != g.ran[a] or g.ran[ai] != g.dom[a] or \
+        if not 0 <= ai < n or g.dom[ai] != g.ran[a] or g.ran[ai] != g.dom[a] or \
                 g.compose(ai, a) != g.identity[g.dom[a]] or \
                 g.compose(a, ai) != g.identity[g.ran[a]]:
             raise errors.MissingInverse(a)
@@ -549,8 +549,8 @@ def validate_partial_action_loops(G, maps):
             raise errors.NotBijective(f"theta({g}) is not injective")
         gi = G.inv(g)
         for x in range(m):
-            y = theta(g, x)
-            if y is not None and theta(gi, y) != x:
+            y = theta(g, x)          # an image outside the points is never undone
+            if y is not None and (y >= m or theta(gi, y) != x):
                 raise errors.InverseMismatch(g)
         if sorted(vals) != sorted(
                 x for x in range(m) if theta(gi, x) is not None):
@@ -569,9 +569,19 @@ def validate_partial_action_loops(G, maps):
 
 def validate_space_action_loops(action):
     """The groupoid space action checks by loops over arrows and points."""
+    import numpy as np
+
     from germoid import errors
 
     h = action.groupoid
+    if np.shape(action.act) != (h.n_arrows, action.n_points) or \
+            len(action.anchor) != action.n_points:
+        raise errors.InvalidParams("need an image per arrow and point")
+    for a in range(h.n_arrows):
+        for x in range(action.n_points):
+            if action.act[a, x] >= action.n_points:
+                raise errors.InvalidAction(
+                    f"arrow {a} sends point {x} outside the points")
     for x in range(action.n_points):
         if not 0 <= action.anchor[x] < h.n_units:
             raise errors.InvalidAction(f"anchor of point {x} out of range")

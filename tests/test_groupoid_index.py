@@ -1,6 +1,7 @@
 """Groupoid validation from one arrows-by-range index: the spanning-tree
 generators of Light's test, the composable pairs kept as ``defined_pairs``,
-and the kernels they replaced (``oracles.generating_arrows``,
+the generators a validated groupoid keeps for the space-action and functor
+checks, and the kernels they replaced (``oracles.generating_arrows``,
 ``oracles.endpoint_law_holds``, ``oracles.associativity_by_hom_sets``)."""
 
 import random
@@ -134,6 +135,123 @@ def test_a_broken_product_gives_the_oracles_witness(associative, data):
     bad = oracles.associativity_by_hom_sets(h)
     assert expect == (("ok", "") if bad is None else (
         "CompositionNotAssociative", str(errors.CompositionNotAssociative(*bad))))
+
+
+def copy_of(g):
+    """g as a new groupoid built by hand, not yet validated."""
+    return gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, g.comp_table,
+                              g.inv, g.identity)
+
+
+def test_validation_records_the_generators(built):
+    for g in built + [gpd.FiniteGroupoid([], [], [], {}, [], [])]:
+        h = copy_of(g)
+        assert h.generators is None
+        gpd.validate_groupoid(h)
+        expect = tree_generators(h) if h.n_arrows > 25 else \
+            np.ones(h.n_arrows, dtype=bool)
+        assert np.array_equal(h.generators, expect)
+        assert not h.generators.flags.writeable
+
+
+def test_a_failing_validation_records_no_generators(associative):
+    for g in associative[:10]:
+        a, b = rewritable(g)
+        ab = g.comp_table[a[0], b[0]]
+        other = np.flatnonzero((g.dom == g.dom[ab]) & (g.ran == g.ran[ab]) &
+                               (np.arange(g.n_arrows) != ab))[0]
+        table = np.array(g.comp_table)
+        table[a[0], b[0]] = other
+        h = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, table, g.inv,
+                               g.identity)
+        with pytest.raises(errors.CompositionNotAssociative):
+            gpd.validate_groupoid(h)
+        assert h.generators is None and not h.validated
+
+
+def unit_action(g):
+    """g acting on its units: a sends dom a to ran a."""
+    act = np.full((g.n_arrows, g.n_units), -1)
+    act[np.arange(g.n_arrows), g.dom] = g.ran
+    return gpd.GroupoidSpaceAction(g, g.unit_labels, range(g.n_units), act)
+
+
+def spied(monkeypatch):
+    """The ``generators`` that each call of ``first_failing_pair`` gets."""
+    seen, scan = [], gpd.first_failing_pair
+
+    def spy(g, bad, width=1, generators=None):
+        seen.append(generators)
+        return scan(g, bad, width, generators)
+    monkeypatch.setattr(gpd, "first_failing_pair", spy)
+    return seen
+
+
+def test_a_reduction_has_no_generators_and_its_checks_scan_every_pair(
+        built, monkeypatch):
+    big = [g for g in built if g.n_arrows > 25 and g.n_units > 2]
+    assert big
+    seen = spied(monkeypatch)
+    for g in big[:6]:
+        red = gpd.reduction(g, range(0, g.n_units, 2))
+        assert red.generators is None
+        seen.clear()
+        gpd.validate_space_action(unit_action(red))
+        gpd.inclusion_of_reduction(red, g)
+        assert seen == [None, None]
+        gpd.validate_space_action(unit_action(g))
+        gpd.identity_functor(g)
+        assert seen[2] is g.generators and seen[3] is g.generators
+
+
+def test_the_pair_scan_sees_only_generator_pairs_unless_one_fails(built):
+    for g in [g for g in built if g.n_arrows > 25][:6]:
+        a, b = g.defined_pairs
+        middle = g.generators[b]
+        seen = []
+
+        def none_fail(pa, pb):
+            seen.append(len(pa))
+            return np.zeros(len(pa), dtype=bool)
+        assert gpd.first_failing_pair(g, none_fail, 1, g.generators) is None
+        assert sum(seen) == np.count_nonzero(middle) < len(a)
+        seen.clear()
+        assert gpd.first_failing_pair(g, none_fail) is None
+        assert sum(seen) == len(a)
+        # failures at every pair from the j-th on: the generator pairs alone
+        # see none past the last of them; otherwise all pairs are scanned,
+        # and the first failing one is named even when b is no generator
+        key, last = a * g.n_arrows + b, np.flatnonzero(middle)[-1]
+
+        def from_pair(j):
+            return lambda pa, pb: pa * g.n_arrows + pb >= key[j]
+        if last + 1 < len(a):
+            assert gpd.first_failing_pair(g, from_pair(last + 1), 1,
+                                          g.generators) is None
+        j = np.flatnonzero(~middle[:last])[0]
+        assert gpd.first_failing_pair(g, from_pair(j), 1, g.generators) == \
+            (int(a[j]), int(b[j]), 0)
+
+
+@pytest.mark.parametrize("preset", ["b2", "s3", "i2"])
+def test_an_image_outside_the_points_is_an_invalid_action(preset):
+    from germoid import germs
+    ga, g = germs.gspace_from_saction(germs.beta_action(fx.PRESETS[preset]()))
+    is_id = np.zeros(g.n_arrows, dtype=bool)
+    is_id[g.identity] = True
+    a, x = np.argwhere((ga.act >= 0) & ~is_id[:, None])[0]
+    act = np.array(ga.act)
+    act[a, x] = ga.n_points
+    bad = gpd.GroupoidSpaceAction(g, ga.point_labels, ga.anchor, act)
+    expect = ("InvalidAction",
+              f"arrow {a} sends point {x} outside the points")
+    assert outcome(gpd.validate_space_action, bad) == expect
+    assert outcome(oracles.validate_space_action_loops, bad) == expect
+    for shape in (act[:-1], act[:, :-1], act.ravel()):
+        wrong = gpd.GroupoidSpaceAction(g, ga.point_labels, ga.anchor, shape)
+        expect = ("InvalidParams", "need an image per arrow and point")
+        assert outcome(gpd.validate_space_action, wrong) == expect
+        assert outcome(oracles.validate_space_action_loops, wrong) == expect
 
 
 def test_functor_maps_are_tuples_of_python_ints():

@@ -377,13 +377,17 @@ def test_table_from_bytes_is_unsure_of_every_other_text(text):
 
 # -- action validation ------------------------------------------------------------
 
-def mutated_maps(data, maps):
+def mutated_maps(data, maps, outside=True):
+    """maps with at most one entry changed to -1, a point, or, with
+    ``outside``, m, which names no point: a validation must reject it as
+    its loops do."""
     maps = np.array(maps)
     if data.draw(st.booleans(), label="mutate"):
         n, m = maps.shape
         s = data.draw(st.integers(0, n - 1), label="s")
         x = data.draw(st.integers(0, m - 1), label="x")
-        maps[s, x] = data.draw(st.integers(-1, m - 1), label="value")
+        maps[s, x] = data.draw(st.integers(-1, m if outside else m - 1),
+                               label="value")
     return maps
 
 
@@ -430,7 +434,9 @@ def test_validate_saction_over_many_blocks_matches_scan(data):
 def test_lights_test_on_actions_matches_the_column_gather(actions, data):
     action = data.draw(st.sampled_from(actions), label="action")
     S = action.semigroup
-    maps = mutated_maps(data, action.maps)
+    # the kernel's input is narrowed to -1..m-1, which validate_saction
+    # checks first
+    maps = mutated_maps(data, action.maps, outside=False)
     small = sg.narrow(maps, -1, action.n_points - 1)
     assert sg.lights_test(S.table, small, S.generators,
                           sg.transposed(small)) == \
@@ -539,9 +545,10 @@ def mutated_groupoid(data, g):
     elif kind == "add":
         comp[(data.draw(arrow), data.draw(arrow))] = data.draw(arrow)
     elif kind == "inv":
-        inv[data.draw(arrow)] = data.draw(arrow)
+        # -1 and n name no arrow: a missing inverse, not a wrapped index
+        inv[data.draw(arrow)] = data.draw(st.integers(-1, n))
     elif kind == "identity":
-        identity[data.draw(unit)] = data.draw(arrow)
+        identity[data.draw(unit)] = data.draw(st.integers(-1, n))
     elif kind == "dom":
         dom[data.draw(arrow)] = data.draw(unit)
     elif kind == "ran":
@@ -558,10 +565,11 @@ def test_validate_groupoid_matches_loops(groupoids, data):
         outcome(oracles.validate_groupoid_loops, h)
 
 
-def composable_pairs(g):
-    """The pairs (a, b) with dom a = ran b, in lexicographic order."""
-    counts, b = gpd.arrows_at(g.dom, gpd.end_index(g.ran, g.n_units))
-    return np.repeat(np.arange(g.n_arrows), counts), b
+def assert_composable_pairs(g):
+    """g finds the pairs (a, b) with dom a = ran b in lexicographic order."""
+    a, b = g.composable_pairs
+    expect = np.nonzero(g.dom[:, None] == g.ran[None, :])
+    assert np.array_equal(a, expect[0]) and np.array_equal(b, expect[1])
 
 
 @EXAMPLES
@@ -572,7 +580,8 @@ def test_endpoint_law_on_the_defined_pairs_matches_the_row_scan(groupoids, data)
     g = data.draw(st.sampled_from(groupoids), label="g")
     h = mutated_groupoid(data, g)
     scan = outcome(gpd.scan_endpoint_law, h)
-    assert gpd.endpoint_law_holds(h, *composable_pairs(h)) == \
+    assert_composable_pairs(h)
+    assert gpd.endpoint_law_holds(h) == \
         oracles.endpoint_law_holds(h) == (scan == ("ok", ""))
     if scan != ("ok", ""):
         assert outcome(gpd.validate_groupoid, h) == scan
@@ -585,8 +594,7 @@ def test_endpoint_law_counts_the_composable_pairs():
     comp = dict(g.comp)
     del comp[(8, 8)]
     h = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, comp, g.inv, g.identity)
-    assert gpd.endpoint_law_holds(g, *composable_pairs(g))
-    assert not gpd.endpoint_law_holds(h, *composable_pairs(h))
+    assert gpd.endpoint_law_holds(g) and not gpd.endpoint_law_holds(h)
     assert oracles.endpoint_law_holds(g) and not oracles.endpoint_law_holds(h)
     assert outcome(gpd.validate_groupoid, h) == outcome(gpd.scan_endpoint_law, h) \
         == ("DomainMismatch", "composition of 8, 8 defined on the wrong domain")
@@ -740,6 +748,17 @@ def test_a_cyclic_fibre_needs_one_generator():
     assert np.count_nonzero(tree_generators(one)) == 1
     bundle = germs.universal_groupoid(chain_by_cyclic(4, 16))
     assert np.count_nonzero(tree_generators(bundle)) == 4
+
+
+def test_a_unit_without_arrows_is_a_missing_identity():
+    # no arrow starts or ends at the new unit, so only the endpoints of its
+    # identity show that it has none
+    g = gpd.pair_groupoid(3)
+    h = gpd.FiniteGroupoid(g.unit_labels + ("x3",), g.dom, g.ran, g.comp_table,
+                           g.inv, list(g.identity) + [g.identity[1]])
+    expect = ("MissingIdentity", str(errors.MissingIdentity(3)))
+    assert outcome(gpd.validate_groupoid, h) == expect
+    assert outcome(oracles.validate_groupoid_loops, h) == expect
 
 
 def test_out_of_range_composition_is_a_structured_error():
@@ -1435,12 +1454,29 @@ def with_table(g, table):
                               g.identity)
 
 
+def hom_set_moves(F):
+    """The pairs (a, h): a not an identity, h another arrow with the ends
+    of F(a).  Sending a to h keeps every endpoint and identity, so only
+    composition can fail."""
+    src, tgt = F.source, F.target
+    is_id = np.zeros(src.n_arrows, dtype=bool)
+    is_id[src.identity] = True
+    return [(a, h) for a in np.flatnonzero(~is_id).tolist()
+            for h in np.flatnonzero((tgt.dom == tgt.dom[F(a)]) &
+                                    (tgt.ran == tgt.ran[F(a)])).tolist()
+            if h != F(a)]
+
+
 def mutated_functor(data, F):
     src, tgt = F.source, F.target
     unit_map, arrow_map = list(F.unit_map), list(F.arrow_map)
     kind = data.draw(st.sampled_from(
-        ["none", "unit", "arrow", "source table", "target table"]), label="kind")
-    if kind == "unit":
+        ["none", "unit", "arrow", "hom-set", "source table", "target table"]),
+        label="kind")
+    if kind == "hom-set" and hom_set_moves(F):
+        a, h = data.draw(st.sampled_from(hom_set_moves(F)), label="move")
+        arrow_map[a] = h
+    elif kind == "unit":
         unit_map[data.draw(st.integers(0, src.n_units - 1))] = \
             data.draw(st.integers(-1, tgt.n_units), label="unit")
     elif kind == "arrow":
@@ -1466,6 +1502,33 @@ def test_groupoid_functor_matches_loops(functors, data):
     args = mutated_functor(data, F)
     assert outcome(gpd.groupoid_functor, *args) == \
         outcome(oracles.groupoid_functor_loops, *args)
+
+
+def larger_functors(functors):
+    """Functors between validated groupoids whose source has more than 25
+    arrows: their composition check starts at the source's generators."""
+    return [F for F in functors if F.source.n_arrows > 25 and
+            F.source.generators is not None and F.target.generators is not None]
+
+
+def test_the_functor_corpus_takes_the_generator_path(functors):
+    assert len(larger_functors(functors)) >= 5
+    assert any(hom_set_moves(F) for F in larger_functors(functors))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_a_functor_moved_within_a_hom_set_matches_loops(functors, data):
+    # endpoints and identities kept: only composition can fail, and on the
+    # larger groupoids only after the generators were checked first
+    F = data.draw(st.sampled_from(larger_functors(functors)), label="F")
+    a, h = data.draw(st.sampled_from(hom_set_moves(F)), label="move")
+    arrow_map = list(F.arrow_map)
+    arrow_map[a] = h
+    args = (F.source, F.target, F.unit_map, arrow_map)
+    expect = outcome(oracles.groupoid_functor_loops, *args)
+    assert outcome(gpd.groupoid_functor, *args) == expect
+    assert expect == ("ok", "") or expect[1].startswith("composition ")
 
 
 def test_groupoid_functor_reports_a_lost_identity(functors):
@@ -1578,7 +1641,9 @@ def small_thetas(envelope_sources):
 def test_enveloping_group_action_of_a_mutated_action_matches_loops(
         small_thetas, data):
     theta = data.draw(st.sampled_from(small_thetas), label="theta")
-    maps = mutated_maps(data, theta.maps)
+    # the envelope of an image outside the points is not yet rejected: see
+    # the open items of ROADMAP.md
+    maps = mutated_maps(data, theta.maps, outside=False)
     bad = pa.PartialGroupAction(theta.group, theta.point_labels, maps)
     result = outcome(pa.enveloping_group_action, bad)
     assert result == outcome(oracles.enveloping_group_action_loops, bad)
