@@ -9,6 +9,8 @@ and that is checked exhaustively.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import json
 from dataclasses import dataclass
@@ -75,7 +77,10 @@ class FiniteGroupoid:
         ``by_ran``, the kept :func:`end_index` of ``ran``; endpoints in range."""
         self.by_ran = end_index(self.ran, self.n_units)
         counts, b = arrows_at(self.dom, self.by_ran)
-        return np.repeat(np.arange(self.n_arrows), counts), b
+        a = np.repeat(np.arange(self.n_arrows), counts)
+        for arr in (a, b, *self.by_ran):        # a twin shares them
+            arr.setflags(write=False)
+        return a, b
 
     @functools.cached_property
     def pair_products(self) -> np.ndarray:
@@ -128,11 +133,6 @@ class FiniteGroupoid:
         """Multiset (sorted tuple) of isotropy group orders, one per unit."""
         loops = self.dom[self.dom == self.ran]
         return tuple(sorted(np.bincount(loops, minlength=self.n_units).tolist()))
-
-    def comp_triples(self) -> list:
-        """[a, b, ab] for every composable pair, in lexicographic order."""
-        a, b = self.defined_pairs
-        return np.column_stack((a, b, self.comp_table[a, b])).tolist()
 
     def to_json(self) -> str:
         """``json.dumps`` with sorted keys of the units, the arrows
@@ -329,6 +329,32 @@ def check_laws(g: FiniteGroupoid) -> None:
         raise errors.MissingInverse(_first(~good))
 
 
+# the scope of validated_once: validated groupoids by their arrays, or None
+_twins = contextvars.ContextVar("validated_twins", default=None)
+
+
+@contextlib.contextmanager
+def validated_once():
+    """A scope in which :func:`validate_groupoid` checks each distinct
+    groupoid once; the outer scope, or none, is restored on exit."""
+    token = _twins.set({})
+    try:
+        yield
+    finally:
+        _twins.reset(token)
+
+
+def same_composition(g: FiniteGroupoid, twin: FiniteGroupoid) -> bool:
+    """Whether g composes exactly as ``twin``, a validated groupoid with the
+    same ``dom`` and ``ran``, so with the same composable pairs: its
+    ``defined_pairs``, off which the twin's table is -1.  A product rule is
+    compared there, without filling g's table."""
+    if g._comp_table is None and callable(g._comp):
+        a, b = twin.defined_pairs
+        return np.array_equal(g._comp(a, b), twin.comp_table[a, b])
+    return np.array_equal(g.comp_table, twin.comp_table)
+
+
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     """Exhaustive check of the groupoid axioms; raises on any failure.
 
@@ -347,12 +373,30 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     for the first failing one.  On at most 25 arrows every arrow is a
     middle one: a crossover measured on the benchmark corpus.  A groupoid
     that passes keeps its middle arrows as the mask ``generators``.
+
+    Inside a :func:`validated_once` scope, a twin of a groupoid validated
+    there, equal in its units, ``dom``, ``ran``, ``inv`` and ``identity``
+    and in :func:`same_composition`, passes with the twin's read-only
+    table, pairs and generators; any other groupoid is checked in full,
+    and enters the scope if it passes.
     """
     n, n_units = g.n_arrows, g.n_units
     check_size(n)
     if len(g.ran) != n or len(g.inv) != n or len(g.identity) != n_units:
         raise errors.InvalidParams(
             "need one ran and inv entry per arrow and one identity per unit")
+    twins = _twins.get()
+    if twins is not None:
+        key = (n_units, g.dom.tobytes(), g.ran.tobytes(), g.inv.tobytes(),
+               g.identity.tobytes())
+        twin = twins.get(key)
+        if twin is not None and same_composition(g, twin):
+            g._comp_table, g.by_ran = twin.comp_table, twin.by_ran
+            if callable(g._comp):
+                g._comp = None                      # as once the table is filled
+            g.composable_pairs = g.defined_pairs = twin.defined_pairs
+            g.generators, g.validated = twin.generators, True
+            return g
     check_laws(g)
     g.defined_pairs = g.composable_pairs
     # c runs over row dom b of into: the arrows into a unit, padded with -1
@@ -373,6 +417,8 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     gens.setflags(write=False)
     g.generators, g.validated = gens, True
     vars(g).pop("pair_products", None)         # the table holds them
+    if twins is not None:
+        twins.setdefault(key, g)
     return g
 
 
@@ -624,6 +670,7 @@ class GroupoidSpaceAction:
         self.anchor = tuple(int(p) for p in anchor)
         self.act = np.asarray(act, dtype=np.int64)
         self.act.setflags(write=False)
+        self.validated = False     # set once validate_space_action passes
 
     @property
     def n_points(self):
@@ -672,6 +719,7 @@ def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
         (act[pa[:, None], act[pb]] != act[comp[pa, pb]]), m, h.generators)
     if bad is not None:
         raise errors.InvalidAction("action not functorial at ({},{},{})".format(*bad))
+    action.validated = True
     return action
 
 
@@ -707,8 +755,10 @@ def action_groupoid(maps, product, inverse, unit_label, label_names,
 
 
 def semidirect_product(action: GroupoidSpaceAction, name=None) -> FiniteGroupoid:
-    """H x X with d(h, x) = x, r(h, x) = hx and (g, hy)(h, y) = (gh, y)."""
-    validate_space_action(action)
+    """H x X with d(h, x) = x, r(h, x) = hx and (g, hy)(h, y) = (gh, y);
+    an action that has not passed :func:`validate_space_action` is checked."""
+    if not action.validated:
+        validate_space_action(action)
     h = action.groupoid
     anchor = np.asarray(action.anchor, dtype=np.int64)
     return validate_groupoid(action_groupoid(

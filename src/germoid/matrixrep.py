@@ -31,6 +31,7 @@ from .semigroups import (
     InvSemigroup,
     SigmaMap,
     is_e_unitary,
+    json_rows,
     max_group_image,
 )
 from .spectra import d_set, enumerate_filters
@@ -178,12 +179,20 @@ class ConvolutionAlgebra:
         self.labels = groupoid.arrow_labels
 
     def to_json(self) -> str:
-        return json.dumps({
-            "dim": self.dim,
-            "basis": list(self.labels),
-            "mult": self.groupoid.comp_triples(),
-            "inv": list(self.inv),
-        }, sort_keys=True)
+        """``json.dumps`` with sorted keys of the basis labels, the
+        dimension, the inverses and the ``[a, b, ab]`` triples of the
+        product, the integer arrays written by
+        :func:`~germoid.semigroups.json_rows`."""
+        g, n = self.groupoid, self.dim
+        a, b = g.defined_pairs
+        mult = np.column_stack((a, b, g.comp_table[a, b]))
+        return b"".join([
+            b'{"basis": ', json.dumps(list(self.labels), sort_keys=True).encode(),
+            b', "dim": ', str(n).encode(),
+            b', "inv": ', *json_rows(["", ""], np.array(self.inv, dtype=np.int64)
+                                     .reshape(n, 1), n),
+            b', "mult": ', *json_rows(["[", ", ", ", ", "]"], mult, n),
+            b"}"]).decode()
 
 
 def convolution_algebra(g: FiniteGroupoid) -> ConvolutionAlgebra:

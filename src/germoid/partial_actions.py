@@ -227,10 +227,15 @@ def enveloping_group_action(theta: PartialGroupAction) -> EnvelopeResult:
     action is g'[g, x] = [g'g, x].  The embedding x -> [1, x] restricts the
     global action back to theta, and the inclusion of transformation
     groupoids is a weak equivalence (checked, returned in the report).
+    An image outside the points raises ``InvalidAction`` at the first
+    (g, x) in row order.
     """
     G = theta.group
     n, m = len(G), theta.n_points
     maps = theta.maps
+    if (maps >= m).any():
+        g, x = np.argwhere(maps >= m)[0]
+        raise errors.InvalidAction(f"theta({g}) sends point {x} outside the points")
     # (g, x) is item g m + x, and (g, x) ~ (h, y) when y = theta(h^{-1} g)(x)
     ids = np.arange(n)
     to = maps[G.table[G.star[None, :], ids[:, None]]]           # [g, h, x]

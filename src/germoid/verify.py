@@ -21,6 +21,7 @@ from .germs import (
     verify_equiv_roundtrip,
     verify_reduction_iso,
 )
+from .groupoids import validated_once
 from .matrixrep import (
     center_dimension,
     convolution_algebra,
@@ -243,8 +244,9 @@ def run_suite(suite: str, fixtures) -> list:
         raise errors.InvalidParams(f"unknown suite {suite!r}")
     reports = []
     for S in fixtures:
-        for name in names:
-            reports.extend(table[name](S))
+        with validated_once():          # its suites share its groupoids' checks
+            for name in names:
+                reports.extend(table[name](S))
     reports.sort(key=lambda r: (r.fixture, r.check))
     return reports
 

@@ -929,6 +929,25 @@ def ks_certificates_json(certs):
                       sort_keys=True)
 
 
+def comp_triples(g):
+    """[a, b, ab] for every composable pair, in lexicographic order."""
+    a, b = g.defined_pairs
+    return [[x, y, int(g.comp_table[x, y])] for x, y in zip(a.tolist(), b.tolist())]
+
+
+def convolution_algebra_json(alg):
+    """The text ``ConvolutionAlgebra.to_json`` gave: one ``json.dumps`` of
+    a dict."""
+    import json
+
+    return json.dumps({
+        "dim": alg.dim,
+        "basis": list(alg.labels),
+        "mult": comp_triples(alg.groupoid),
+        "inv": list(alg.inv),
+    }, sort_keys=True)
+
+
 def groupoid_json(g):
     """The text ``FiniteGroupoid.to_json`` gave: one ``json.dumps`` of a
     dict, where a groupoid of germs adds ``"germ"`` to each arrow."""
@@ -941,7 +960,7 @@ def groupoid_json(g):
         "units": list(g.unit_labels),
         "arrows": [{"id": i, "dom": d, "ran": r, "label": label}
                    for i, (d, r, label) in enumerate(ends)],
-        "comp": g.comp_triples(),
+        "comp": comp_triples(g),
         "inv": list(map(list, enumerate(g.inv.tolist()))),
     }
     if isinstance(g, GermGroupoid):
@@ -1326,6 +1345,10 @@ def enveloping_group_action_loops(theta):
 
     G = theta.group
     pairs = [(g, x) for g in range(len(G)) for x in range(theta.n_points)]
+    for g, x in pairs:
+        if theta.maps[g, x] >= theta.n_points:
+            raise errors.InvalidAction(
+                f"theta({g}) sends point {x} outside the points")
 
     def related():
         for g, x in pairs:

@@ -1641,9 +1641,7 @@ def small_thetas(envelope_sources):
 def test_enveloping_group_action_of_a_mutated_action_matches_loops(
         small_thetas, data):
     theta = data.draw(st.sampled_from(small_thetas), label="theta")
-    # the envelope of an image outside the points is not yet rejected: see
-    # the open items of ROADMAP.md
-    maps = mutated_maps(data, theta.maps, outside=False)
+    maps = mutated_maps(data, theta.maps)
     bad = pa.PartialGroupAction(theta.group, theta.point_labels, maps)
     result = outcome(pa.enveloping_group_action, bad)
     assert result == outcome(oracles.enveloping_group_action_loops, bad)
@@ -1652,6 +1650,19 @@ def test_enveloping_group_action_of_a_mutated_action_matches_loops(
             oracles.enveloping_group_action_loops(bad)
         assert envelope_outputs(pa.enveloping_group_action(bad)) == \
             (classes, glob.tolist(), embedding, inclusion, report)
+
+
+def test_enveloping_group_action_of_an_image_outside_the_points_names_it(
+        small_thetas):
+    for theta in small_thetas:
+        n, m = theta.maps.shape
+        maps = np.array(theta.maps)
+        maps[n - 1, m - 1] = maps[n // 2, 0] = m
+        bad = pa.PartialGroupAction(theta.group, theta.point_labels, maps)
+        expect = ("InvalidAction",
+                  f"theta({n // 2}) sends point 0 outside the points")
+        assert outcome(pa.enveloping_group_action, bad) == expect
+        assert outcome(oracles.enveloping_group_action_loops, bad) == expect
 
 
 def test_enveloping_group_action_of_a_nonabelian_restriction_matches_loops():

@@ -307,3 +307,12 @@ class TestExports:
         alg = mr.convolution_algebra(gpd.pair_groupoid(2))
         assert alg.to_json() == mr.convolution_algebra(
             gpd.pair_groupoid(2)).to_json()
+
+    @pytest.mark.parametrize("build", [
+        lambda: gpd.pair_groupoid(2),
+        lambda: germs.universal_groupoid(fx.b2()),
+        lambda: germs.universal_groupoid(fx.s3_monoid()),
+    ], ids=["pair2", "b2", "s3"])
+    def test_algebra_json_matches_json_dumps(self, build):
+        alg = mr.convolution_algebra(build())
+        assert alg.to_json() == oracles.convolution_algebra_json(alg)
