@@ -43,10 +43,10 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
     GroupoidSpaceAction,
-    cocycle_faithfulness_map,
     enveloping_action_of_functor,
     functor_report,
     groupoid_functor,
+    is_faithful,
     reduction,
     semidirect_product,
     validate_groupoid,

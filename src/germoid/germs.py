@@ -310,7 +310,7 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     g = GermGroupoid(
         action, reps, arrow_at,
         unit_labels=action.point_labels, dom=dom, ran=ran, inv=inv,
-        comp=lambda a, b: arrow_at[S.table[label[a], label[b]], dom[b]],
+        products=lambda a, b: arrow_at[S.table[label[a], label[b]], dom[b]],
         identity=identity, arrow_labels=labels,
         name=name or f"{S.name}|germs")
     return validate_groupoid(g)

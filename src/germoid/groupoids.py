@@ -26,16 +26,20 @@ from .semigroups import CHUNK, check_size, holds_bool, json_rows
 class FiniteGroupoid:
     """Arrows over a finite unit set with partial composition and inversion.
 
-    Composition ``compose(a, b)`` is defined iff ``dom(a) == ran(b)`` and
-    then ``dom(ab) = dom(b)``, ``ran(ab) = ran(a)``.  It is stored as the
-    table ``comp_table``, made on first use from a mapping {(a, b): ab} or
-    a builder's rule (a, b) -> ab on the :attr:`composable_pairs`.
+    ab is defined iff ``dom(a) == ran(b)`` and then ``dom(ab) = dom(b)``,
+    ``ran(ab) = ran(a)``.  The composition is stored once, as ``products``:
+    ab at each of the ``composable_pairs`` (a, b), the pairs dom a = ran b
+    in lexicographic order, given as that array or as a builder's rule
+    (a, b) -> ab on the pairs.  With ``by_ran``, the :func:`end_index` of
+    ``ran``, and ``offsets`` = (row_start, rank), (a, b) is composable pair
+    row_start[a] + rank[b], rank b being the place of b among the arrows
+    into ran b; :meth:`product` reads ab at any pairs.
     """
 
     germ_reps = None        # per arrow its germ (s, x), in groupoids of germs
     generators = None       # Light's middle arrows, once validate_groupoid passes
 
-    def __init__(self, unit_labels, dom, ran, comp, inv, identity,
+    def __init__(self, unit_labels, dom, ran, products, inv, identity,
                  arrow_labels=None, name="G"):
         self.unit_labels = tuple(unit_labels)
         self.dom = np.asarray(dom, dtype=np.int64)
@@ -46,12 +50,7 @@ class FiniteGroupoid:
             f"a{i}" for i in range(len(self.dom)))
         self.name = name
         self.validated = False     # set once validate_groupoid passes
-        if isinstance(comp, np.ndarray):
-            self._comp_table, self._comp = np.asarray(comp, dtype=np.int32), None
-            self._comp_table.setflags(write=False)
-        else:
-            self._comp_table = None
-            self._comp = comp if callable(comp) else MappingProxyType(dict(comp))
+        self._products = products
         for arr in (self.dom, self.ran, self.inv, self.identity):
             arr.setflags(write=False)
 
@@ -67,67 +66,51 @@ class FiniteGroupoid:
         return (f"FiniteGroupoid({self.name}, units={self.n_units}, "
                 f"arrows={self.n_arrows})")
 
-    def compose(self, a: int, b: int):
-        """ab if dom(a) = ran(b), else None."""
-        return self.comp.get((a, b))
-
     @functools.cached_property
-    def composable_pairs(self) -> tuple:
-        """The pairs (a, b), dom a = ran b, in lexicographic order, read off
-        ``by_ran``, the kept :func:`end_index` of ``ran``; endpoints in range."""
-        self.by_ran = end_index(self.ran, self.n_units)
-        counts, b = arrows_at(self.dom, self.by_ran)
+    def _index(self) -> tuple:
+        """``by_ran``, ``composable_pairs`` and ``offsets``, read-only, as a
+        twin shares them; endpoints in range."""
+        by_ran = order, count, start = end_index(self.ran, self.n_units)
+        counts, b = arrows_at(self.dom, by_ran)
         a = np.repeat(np.arange(self.n_arrows), counts)
-        for arr in (a, b, *self.by_ran):        # a twin shares them
+        rank = np.empty(self.n_arrows, dtype=np.int64)
+        rank[order] = np.arange(self.n_arrows) - np.repeat(start, count)
+        offsets = np.cumsum(counts) - counts, rank
+        for arr in (*by_ran, a, b, *offsets):
             arr.setflags(write=False)
-        return a, b
+        return by_ran, (a, b), offsets
+
+    by_ran = property(lambda self: self._index[0])
+    composable_pairs = property(lambda self: self._index[1])
+    offsets = property(lambda self: self._index[2])
 
     @functools.cached_property
-    def pair_products(self) -> np.ndarray:
-        """ab at each of the :attr:`composable_pairs` (a, b), or -1."""
-        a, b = self.composable_pairs
-        return self.comp_table[a, b]
+    def products(self) -> np.ndarray:
+        """ab at each of the :attr:`composable_pairs` (a, b), read-only
+        int32, or -1 where the input gave none."""
+        products, self._products = self._products, None
+        if callable(products):
+            products = products(*self.composable_pairs)
+        products = np.array(products, dtype=np.int32)
+        if products.shape != self.composable_pairs[0].shape:
+            raise errors.InvalidParams("need one product per composable pair")
+        products.setflags(write=False)
+        return products
 
-    @functools.cached_property
-    def defined_pairs(self) -> tuple:
-        """The pairs (a, b) where the table is defined, in lexicographic order."""
-        return np.nonzero(self.comp_table >= 0)
+    def product(self, a, b) -> np.ndarray:
+        """ab for arrays of arrow ids a and b where dom a = ran b, else -1."""
+        row_start, rank = self.offsets
+        ok = self.dom[a] == self.ran[b]
+        if not len(self.products):                  # then no pair composes
+            return np.full(ok.shape, -1, dtype=np.int32)
+        return np.where(ok, self.products.take(row_start[a] + rank[b], mode="clip"), -1)
 
     @property
     def comp(self):
-        """The composition as a read-only dict {(a, b): ab}."""
-        if not isinstance(self._comp, MappingProxyType):
-            a, b = self.defined_pairs
-            self._comp = MappingProxyType(dict(zip(
-                zip(a.tolist(), b.tolist()), self._comp_table[a, b].tolist())))
-        return self._comp
-
-    @property
-    def comp_table(self) -> np.ndarray:
-        """The dense composition table: ab at [a, b], or -1 where undefined.
-
-        Made on first use from a product rule, or from a ``comp`` mapping,
-        which raises DomainMismatch, at its first entry in its own order, if
-        a key or value is not an arrow id.
-        """
-        if self._comp_table is None:
-            n = self.n_arrows
-            table = np.full((n, n), -1, dtype=np.int32)
-            if callable(self._comp):                    # a product rule
-                a, b = self.composable_pairs
-                self.pair_products, self._comp = self._comp(a, b), None
-                table[a, b] = self.pair_products
-            elif self._comp:
-                keys = np.array(list(self._comp), dtype=np.int64)
-                values = np.array(list(self._comp.values()), dtype=np.int64)
-                outside = ((keys < 0) | (keys >= n)).any(axis=1) | \
-                    (values < 0) | (values >= n)
-                if outside.any():
-                    raise _outside(*keys[_first(outside)])
-                table[keys[:, 0], keys[:, 1]] = values
-            table.setflags(write=False)
-            self._comp_table = table
-        return self._comp_table
+        # {(a, b): ab}, kept only for the pair counter of perfbench/tracing.py
+        a, b = self.composable_pairs
+        return MappingProxyType(dict(zip(zip(a.tolist(), b.tolist()),
+                                         self.products.tolist())))
 
     def isotropy_orders(self):
         """Multiset (sorted tuple) of isotropy group orders, one per unit."""
@@ -154,8 +137,7 @@ class FiniteGroupoid:
         arrows[:, -2] += numbers            # label a is word numbers + a
         labels = [encode_basestring_ascii(v) if isinstance(v, str) else
                   json.dumps(v, sort_keys=True) for v in self.arrow_labels]
-        a, b = self.defined_pairs
-        comp = np.column_stack((a, b, self.comp_table[a, b]))
+        comp = np.column_stack((*self.composable_pairs, self.products))
         units = json.dumps(list(self.unit_labels), sort_keys=True)
         return b"".join([
             b'{"arrows": ', *json_rows(joints, arrows, numbers, labels),
@@ -181,11 +163,6 @@ class FiniteGroupoid:
 def _first(mask) -> int:
     """Flat index of the first True entry of ``mask`` (row-major)."""
     return int(np.flatnonzero(mask.ravel())[0])
-
-
-def _outside(a, b):
-    return errors.DomainMismatch(
-        f"composition of {a}, {b} names an arrow outside the groupoid")
 
 
 def end_index(ends, n_units):
@@ -225,7 +202,7 @@ def generating_arrows(g: FiniteGroupoid, by_ran) -> np.ndarray:
     loops = np.flatnonzero(at_base)
     a, b = g.composable_pairs
     both = at_base[a] & at_base[b]                  # loops at one base
-    a, b, ab = a[both], b[both], g.pair_products[both]
+    a, b, ab = a[both], b[both], g.products[both]
     reached = np.zeros(n, dtype=bool)
     reached[g.identity] = True
     while True:
@@ -241,90 +218,95 @@ def generating_arrows(g: FiniteGroupoid, by_ran) -> np.ndarray:
 
 def first_failing_pair(g: FiniteGroupoid, bad, width=1, generators=None):
     """The first (a, b, j) over the composable pairs (a, b) of g, in order,
-    with ``bad(pa, pb)[i, j]`` true at (pa[i], pb[i]) = (a, b), or None;
-    ``bad`` gives ``width`` entries a pair, or a flat mask for one, in
-    blocks of ``CHUNK``.  Given a mask of ``generators``, the pairs whose b
-    is one are scanned first, and all only if one fails."""
-    def scan(a, b):
+    with ``bad(pa, pb, pab)[i, j]`` true at (pa[i], pb[i]) = (a, b), where
+    pab holds their products, or None; ``bad`` gives ``width`` entries a
+    pair, or a flat mask for one, in blocks of ``CHUNK``.  Given a mask of
+    ``generators``, the pairs whose b is one are scanned first, and all only
+    if one fails."""
+    def scan(a, b, ab):
         for lo in range(0, len(a), step):
             pa, pb = a[lo:lo + step], b[lo:lo + step]
-            mask = bad(pa, pb)
+            mask = bad(pa, pb, ab[lo:lo + step])
             if mask.any():
                 i, j = divmod(_first(mask), width)
                 return int(pa[i]), int(pb[i]), j
         return None
-    (a, b), step = g.defined_pairs, max(1, CHUNK // max(width, 1))
-    if generators is not None and scan(a[generators[b]], b[generators[b]]) is None:
-        return None
-    return scan(a, b)
+    (a, b), ab, step = g.composable_pairs, g.products, max(1, CHUNK // max(width, 1))
+    if generators is not None:
+        middle = generators[b]
+        if scan(a[middle], b[middle], ab[middle]) is None:
+            return None
+    return scan(a, b, ab)
 
 
-def endpoint_law_holds(g: FiniteGroupoid) -> bool:
-    """Whether ab is defined, with dom b and ran a, exactly on the
-    composable pairs (a, b); needs the endpoints and entries in range."""
-    (a, b), ab, dom, ran = g.composable_pairs, g.pair_products, g.dom, g.ran
-    return np.count_nonzero(g.comp_table >= 0) == len(a) and \
-        not ((ab < 0) | (dom[ab] != dom[b]) | (ran[ab] != ran[a])).any()
+def endpoint_failures(g: FiniteGroupoid) -> np.ndarray:
+    """The mask of the composable pairs (a, b) whose product is missing or
+    lacks the endpoints dom b and ran a; needs the products in range."""
+    (a, b), ab = g.composable_pairs, g.products
+    return (ab < 0) | (g.dom[ab] != g.dom[b]) | (g.ran[ab] != g.ran[a])
 
 
-def scan_endpoint_law(g: FiniteGroupoid) -> None:
-    """Raise ``DomainMismatch`` at the first pair (a, b) in row order where
-    ab is defined but dom a != ran b or the reverse, or ab has the wrong
-    endpoints; row blocks hold at most ``CHUNK`` pairs."""
-    n, dom, ran, table = g.n_arrows, g.dom, g.ran, g.comp_table
-    rows = max(1, CHUNK // max(n, 1))
-    for lo in range(0, n, rows):
-        t = table[lo:lo + rows]
-        defined = t >= 0
-        wrong = defined != (dom[lo:lo + rows, None] == ran[None, :])
-        c = np.where(defined, t, 0)
-        ends = defined & ((dom[c] != dom[None, :]) |
-                          (ran[c] != ran[lo:lo + rows, None]))
-        if wrong.any() or ends.any():
-            a, b = divmod(_first(wrong | ends), n)
-            raise errors.DomainMismatch(
-                f"composition of {a + lo}, {b} defined on the wrong domain"
-                if wrong[a, b] else f"composite {a + lo}{b} has the wrong endpoints")
+def check_endpoint_law(g: FiniteGroupoid, stray=()) -> None:
+    """Raise ``DomainMismatch`` at the first pair (a, b) in row order that
+    breaks the endpoint law: one of the ``stray`` keys a n + b, products
+    given where a pair does not compose, or a composable pair whose product
+    is missing (both "on the wrong domain") or has the wrong endpoints."""
+    (a, b), n, bad = g.composable_pairs, g.n_arrows, endpoint_failures(g)
+    keys = np.concatenate((np.asarray(stray, dtype=np.int64), a[bad] * n + b[bad]))
+    if len(keys):
+        a, b = divmod(int(keys.min()), n)
+        raise errors.DomainMismatch(
+            f"composition of {a}, {b} defined on the wrong domain"
+            if g.product(a, b) < 0 else f"composite {a}{b} has the wrong endpoints")
 
 
 def check_laws(g: FiniteGroupoid) -> None:
     """The ranges, then the endpoint, identity and inverse laws, as one
     conjunction of whole-array tests; only if it fails does the order of
-    the plain loops name the first failure: an endpoint or entry out of
-    range, :func:`scan_endpoint_law`, an identity, an inverse."""
+    the plain loops name the first failure: an endpoint or product out of
+    range, the first composable pair that breaks the endpoint law, an
+    identity, an inverse."""
     n, n_units, units = g.n_arrows, g.n_units, np.arange(g.n_units)
     dom, ran, inv, identity, ids = g.dom, g.ran, g.inv, g.identity, np.arange(n)
     if all(v.min(initial=0) >= 0 and v.max(initial=-1) < top for v, top in
            ((dom, n_units), (ran, n_units), (inv, n), (identity, n))):
-        table, one, back = g.comp_table, identity[dom], identity[ran]
-        if table.min(initial=-1) >= -1 and table.max(initial=-1) < n and \
-                endpoint_law_holds(g) and \
+        ab, one, back = g.products, identity[dom], identity[ran]
+        (row_start, rank) = g.offsets
+        # once the ends agree, a 1_dom(a) = a, 1_ran(a) a = a, a^-1 a =
+        # 1_dom(a) and a a^-1 = 1_ran(a) are read off their pairs
+        if ab.min(initial=-1) >= -1 and ab.max(initial=-1) < n and \
+                not endpoint_failures(g).any() and \
                 ((dom[identity] == units) & (ran[identity] == units)).all() and \
-                ((table[ids, one] == ids) & (table[back, ids] == ids) &
-                 (dom[inv] == ran) & (ran[inv] == dom) &
-                 (table[inv, ids] == one) & (table[ids, inv] == back)).all():
+                ((dom[inv] == ran) & (ran[inv] == dom)).all() and \
+                np.array_equal(ab[np.concatenate((
+                    row_start + rank[one], row_start[back] + rank,
+                    row_start[inv] + rank, row_start + rank[inv]))],
+                    np.concatenate((ids, ids, one, back))):
             return
     for outside in ((dom < 0) | (dom >= n_units), (ran < 0) | (ran >= n_units)):
         if outside.any():
             raise errors.UnknownUnit(
                 f"arrow {_first(outside)} has an endpoint outside the units")
-    table = g.comp_table
-    if n and (table.min() < -1 or table.max() >= n):
-        raise _outside(*divmod(_first((table < -1) | (table >= n)), n))
-    scan_endpoint_law(g)
+    (a, b), ab = g.composable_pairs, g.products
+    outside = (ab < -1) | (ab >= n)
+    if outside.any():
+        i = _first(outside)
+        raise errors.DomainMismatch(f"composition of {a[i]}, {b[i]} names an "
+                                    "arrow outside the groupoid")
+    check_endpoint_law(g)
     has_id = (identity >= 0) & (identity < n)
     ident = np.where(has_id, identity, 0)
     has_id &= (dom[ident] == units) & (ran[ident] == units)
     bad_unit = ~has_id
-    right = has_id[dom] & (table[ids, ident[dom]] != ids)    # a 1_dom(a) != a
-    left = has_id[ran] & (table[ident[ran], ids] != ids)     # 1_ran(a) a != a
+    right = has_id[dom] & (g.product(ids, ident[dom]) != ids)    # a 1_dom(a) != a
+    left = has_id[ran] & (g.product(ident[ran], ids) != ids)     # 1_ran(a) a != a
     bad_unit[dom[right]] = bad_unit[ran[left]] = True
     if bad_unit.any():
         raise errors.MissingIdentity(_first(bad_unit))
     has_inv = (inv >= 0) & (inv < n)
     ai = np.where(has_inv, inv, 0)
     good = has_inv & (dom[ai] == ran) & (ran[ai] == dom) & \
-        (table[ai, ids] == identity[dom]) & (table[ids, ai] == identity[ran])
+        (g.product(ai, ids) == identity[dom]) & (g.product(ids, ai) == identity[ran])
     if not good.all():
         raise errors.MissingInverse(_first(~good))
 
@@ -344,27 +326,15 @@ def validated_once():
         _twins.reset(token)
 
 
-def same_composition(g: FiniteGroupoid, twin: FiniteGroupoid) -> bool:
-    """Whether g composes exactly as ``twin``, a validated groupoid with the
-    same ``dom`` and ``ran``, so with the same composable pairs: its
-    ``defined_pairs``, off which the twin's table is -1.  A product rule is
-    compared there, without filling g's table."""
-    if g._comp_table is None and callable(g._comp):
-        a, b = twin.defined_pairs
-        return np.array_equal(g._comp(a, b), twin.comp_table[a, b])
-    return np.array_equal(g.comp_table, twin.comp_table)
-
-
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     """Exhaustive check of the groupoid axioms; raises on any failure.
 
-    The laws before associativity are :func:`check_laws`; then the
-    composable pairs are kept as ``defined_pairs``.  Associativity uses
-    Light's test, as ``validate_semigroup`` does.  Let M be the arrows b
-    with (ab)c = a(bc) for all composable a and c.  Once the endpoint law
+    The laws before associativity are :func:`check_laws`.  Associativity
+    uses Light's test, as ``validate_semigroup`` does.  Let M be the arrows
+    b with (ab)c = a(bc) for all composable a and c.  Once the endpoint law
     holds, M is closed under composition: for x, y in M, (a(xy))c =
     ((ax)y)c = (ax)(yc) = a(x(yc)) = a((xy)c).  The identity law puts every
-    identity in M.  So the table is associative iff M holds the
+    identity in M.  So the composition is associative iff M holds the
     ``generating_arrows``, and only the triples whose middle arrow is one
     of them are checked.  They suffice: for a: u -> v and the tree arrows
     t_u, t_v from the base x, the loop h = t_v^-1 (a t_u) at x is in M,
@@ -375,10 +345,10 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     that passes keeps its middle arrows as the mask ``generators``.
 
     Inside a :func:`validated_once` scope, a twin of a groupoid validated
-    there, equal in its units, ``dom``, ``ran``, ``inv`` and ``identity``
-    and in :func:`same_composition`, passes with the twin's read-only
-    table, pairs and generators; any other groupoid is checked in full,
-    and enters the scope if it passes.
+    there, equal in its units, ``dom``, ``ran``, ``inv`` and ``identity``,
+    so in its composable pairs, and in its ``products``, passes with the
+    twin's read-only pairs, products and generators; any other groupoid is
+    checked in full, and enters the scope if it passes.
     """
     n, n_units = g.n_arrows, g.n_units
     check_size(n)
@@ -390,42 +360,45 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
         key = (n_units, g.dom.tobytes(), g.ran.tobytes(), g.inv.tobytes(),
                g.identity.tobytes())
         twin = twins.get(key)
-        if twin is not None and same_composition(g, twin):
-            g._comp_table, g.by_ran = twin.comp_table, twin.by_ran
-            if callable(g._comp):
-                g._comp = None                      # as once the table is filled
-            g.composable_pairs = g.defined_pairs = twin.defined_pairs
-            g.generators, g.validated = twin.generators, True
-            return g
+        if twin is not None:
+            g._index = twin._index              # the same dom and ran
+            if np.array_equal(g.products, twin.products):
+                g.products, g.generators, g.validated = \
+                    twin.products, twin.generators, True
+                return g
     check_laws(g)
-    g.defined_pairs = g.composable_pairs
-    # c runs over row dom b of into: the arrows into a unit, padded with -1
+    # for a pair (a, b) the c run over the arrows into dom b: the j-th has
+    # rank j, so bc and (ab)c are the pairs row_start[b] + j and
+    # row_start[ab] + j.  Where fewer arrows than the most end at dom b,
+    # slot repeats the last j, whose triple comes first in the row.
     order, count, start = g.by_ran
-    into = np.full((n_units, int(count.max(initial=0))), -1, dtype=np.int64)
-    into[g.ran[order], np.arange(n) - start[g.ran[order]]] = order
-    flat = g.comp_table.ravel()
+    row_start, rank = g.offsets
+    products = g.products
+    slot = np.minimum(np.arange(int(count.max(initial=0))), count[:, None] - 1)
 
-    def nonassociative(a, b):
-        c, ab = into[g.dom[b]], flat[a * n + b].astype(np.int64)
-        bc = flat[b[:, None] * n + c]
-        return (c >= 0) & (flat[ab[:, None] * n + c] != flat[a[:, None] * n + bc])
+    def nonassociative(a, b, ab):
+        j = slot[g.dom[b]]
+        bc = products[row_start[b][:, None] + j]
+        return products[row_start[ab][:, None] + j] != \
+            products[row_start[a][:, None] + rank[bc]]
     gens = generating_arrows(g, g.by_ran) if n > 25 else np.ones(n, dtype=bool)
-    bad = first_failing_pair(g, nonassociative, into.shape[1], gens)
+    bad = first_failing_pair(g, nonassociative, slot.shape[1], gens)
     if bad is not None:
         a, b, j = bad
-        raise errors.CompositionNotAssociative(a, b, int(into[g.dom[b], j]))
+        raise errors.CompositionNotAssociative(
+            a, b, int(order[start[g.dom[b]] + j]))
     gens.setflags(write=False)
     g.generators, g.validated = gens, True
-    vars(g).pop("pair_products", None)         # the table holds them
     if twins is not None:
         twins.setdefault(key, g)
     return g
 
 
 def groupoid_from_group(G, name=None) -> FiniteGroupoid:
-    """A group as a one-unit groupoid."""
+    """A group as a one-unit groupoid: every pair composes, so the pairs in
+    lexicographic order are the entries of its table in row order."""
     n = len(G)
-    g = FiniteGroupoid(["pt"], [0] * n, [0] * n, G.table, G.star,
+    g = FiniteGroupoid(["pt"], [0] * n, [0] * n, G.table.ravel(), G.star,
                        [G.identity], arrow_labels=G.names,
                        name=name or G.name)
     return validate_groupoid(g)
@@ -489,21 +462,27 @@ def groupoid_from_json(text: str, name="G") -> FiniteGroupoid:
     check_size(n)
     comp = _id_rows(text, data.get("comp"), (n, n, n),
                     '"comp" must hold [a, b, ab] triples of arrow ids')
-    table = np.full((n, n), -1, dtype=np.int32)
-    last = _last(comp[:, 0] * n + comp[:, 1])
-    table[comp[last, 0], comp[last, 1]] = comp[last, 2]
     pairs = _id_rows(text, data.get("inv"), (n, n),
                      '"inv" must hold [a, inverse] pairs of arrow ids')
     inv = np.zeros(n, dtype=np.int64)
     last = _last(pairs[:, 0])
     inv[pairs[last, 0]] = pairs[last, 1]
-    ids = np.arange(n)
-    loops = np.flatnonzero((dom == ran) & (table[ids, ids] == ids))
+    key = comp[:, 0] * n + comp[:, 1]
+    last = _last(key)                   # one triple a pair, in row order
+    key, (a, b, ab) = key[last], comp[last].T
+    loops = a[(a == b) & (b == ab) & (dom[a] == ran[a])]
     identity = np.full(k, -1, dtype=np.int64)
     np.maximum.at(identity, dom[loops], loops)
+    composable = dom[a] == ran[b]
+
+    def placed(pa, pb):                 # the composable triples at their pairs
+        products = np.full(len(pa), -1, dtype=np.int32)
+        products[np.searchsorted(pa * n + pb, key[composable])] = ab[composable]
+        return products
     labels = [arrows[j].get("label", f"a{i}") for i, j in enumerate(order.tolist())]
-    g = FiniteGroupoid(units, dom, ran, table, inv, identity,
+    g = FiniteGroupoid(units, dom, ran, placed, inv, identity,
                        arrow_labels=labels, name=name)
+    check_endpoint_law(g, key[~composable])     # no triple where none composes
     return validate_groupoid(g)
 
 
@@ -523,7 +502,7 @@ def reduction(g: FiniteGroupoid, unit_subset, name=None) -> FiniteGroupoid:
     red = FiniteGroupoid(
         [g.unit_labels[u] for u in units.tolist()],
         unew[g.dom[arrows]], unew[g.ran[arrows]],
-        anew[g.comp_table[np.ix_(arrows, arrows)]],
+        lambda a, b: anew[g.product(arrows[a], arrows[b])],
         anew[g.inv[arrows]], anew[g.identity[units]],
         arrow_labels=[g.arrow_labels[a] for a in arrows.tolist()],
         name=name or f"{g.name}|")
@@ -548,10 +527,10 @@ class GroupoidFunctor:
 def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
                      unit_map, arrow_map) -> GroupoidFunctor:
     """Validate dom/ran/composition/identity preservation, each on all
-    arrows, units or composable pairs at once; the witness is the first
-    failing arrow, unit, or pair (a, b) in lexicographic order.  When both
-    groupoids carry ``generators``, F(ab) = F(a)F(b) is checked by
-    :func:`first_failing_pair` first for b among the source's.  That
+    arrows, units or composable pairs with a product at once; the witness
+    is the first failing arrow, unit, or pair (a, b) in lexicographic
+    order.  When both groupoids carry ``generators``, F(ab) = F(a)F(b) is
+    checked by :func:`first_failing_pair` first for b among the source's.  That
     suffices: after the endpoint and identity checks, the b for which it
     holds for all a include the identities, and, as both are associative,
     are closed under composition: F(a(bb')) = F((ab)b') = F(ab)F(b') =
@@ -572,9 +551,13 @@ def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
     lost = f[src.identity] != tgt.identity[um]
     if lost.any():
         raise errors.NotAFunctor(f"identity at unit {_first(lost)} not preserved")
-    table, target = src.comp_table, tgt.comp_table
-    bad = first_failing_pair(src, lambda a, b: target[f[a], f[b]] != f[table[a, b]], 1,
-                             None if tgt.generators is None else src.generators)
+    # F(a)F(b) is defined, as F keeps the endpoints: F(a) F(b) is the target
+    # pair row_start[F(a)] + rank[F(b)]
+    row_start, rank = tgt.offsets
+    start, place, products = row_start[f], rank[f], tgt.products
+    bad = first_failing_pair(
+        src, lambda a, b, ab: (ab >= 0) & (products[start[a] + place[b]] != f[ab]), 1,
+        None if tgt.generators is None else src.generators)
     if bad is not None:
         raise errors.NotAFunctor(f"composition {bad[0]}{bad[1]} not preserved")
     return GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
@@ -606,11 +589,16 @@ def inclusion_of_reduction(red: FiniteGroupoid, g: FiniteGroupoid) -> GroupoidFu
     return groupoid_functor(red, g, red.parent_units, red.parent_arrows)
 
 
-def cocycle_faithfulness_map(F: GroupoidFunctor):
-    """Materialize psi(g) = (ran g, dom g, F(g)) and report injectivity."""
+def comparison_map(F: GroupoidFunctor) -> np.ndarray:
+    """psi(g) = (ran g, dom g, F(g)) of every arrow g, as one integer."""
     src = F.source
-    triples = list(zip(src.ran.tolist(), src.dom.tolist(), F.arrow_map))
-    return triples, len(set(triples)) == src.n_arrows
+    f = np.array(F.arrow_map, dtype=np.int64)
+    return (src.ran * src.n_units + src.dom) * F.target.n_arrows + f
+
+
+def is_faithful(F: GroupoidFunctor) -> bool:
+    """Whether F is injective on each hom-set: psi is injective."""
+    return len(np.unique(comparison_map(F))) == F.source.n_arrows
 
 
 def functor_report(F: GroupoidFunctor) -> dict:
@@ -624,8 +612,7 @@ def functor_report(F: GroupoidFunctor) -> dict:
     src, tgt = F.source, F.target
     um = np.array(F.unit_map, dtype=np.int64)
     f = np.array(F.arrow_map, dtype=np.int64)
-    psi = (src.ran * src.n_units + src.dom) * tgt.n_arrows + f
-    faithful = len(np.unique(psi)) == src.n_arrows
+    psi = comparison_map(F)
     inside = (tgt.dom[f] == um[src.dom]) & (tgt.ran[f] == um[src.ran])
     homs = np.bincount(tgt.dom * tgt.n_units + tgt.ran,
                        minlength=tgt.n_units ** 2).reshape(tgt.n_units, tgt.n_units)
@@ -634,7 +621,7 @@ def functor_report(F: GroupoidFunctor) -> dict:
     image[um] = True
     reached = np.zeros(tgt.n_units, dtype=bool)
     reached[tgt.dom[image[tgt.ran]]] = True
-    faithful, full, ess = bool(faithful), bool(full), bool(reached.all())
+    faithful, full, ess = is_faithful(F), bool(full), bool(reached.all())
     ff = faithful and full
     return {
         "faithful": faithful,
@@ -713,10 +700,9 @@ def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
             raise errors.InvalidAction(f"arrow {a} defined on the wrong points")
         raise errors.InvalidAction(
             f"anchor not equivariant at arrow {a}, point {x}")
-    comp = h.comp_table
     bad = first_failing_pair(
-        h, lambda pa, pb: (act[pb] >= 0) &
-        (act[pa[:, None], act[pb]] != act[comp[pa, pb]]), m, h.generators)
+        h, lambda pa, pb, pab: (act[pb] >= 0) &
+        (act[pa[:, None], act[pb]] != act[pab]), m, h.generators)
     if bad is not None:
         raise errors.InvalidAction("action not functorial at ({},{},{})".format(*bad))
     action.validated = True
@@ -728,11 +714,12 @@ def action_groupoid(maps, product, inverse, unit_label, label_names,
     """The groupoid of pairs (label, x) with maps[label, x] >= 0.
 
     (l, x) goes from x to maps[l, x]; (k, maps[l, x])(l, x) = (kl, x) with
-    kl = product[k, l]; the inverse of (l, x) is (inverse[l], maps[l, x]);
-    the identity at x is (unit_label[x], x).  Arrows are numbered in
-    lexicographic order of (label, x).  The result, not yet validated,
-    carries ``arrow_pairs``, the (label, x) of each arrow as rows of an
-    array, and ``arrow_at``, the arrow id of each (label, x) or -1.
+    kl = product(k, l) for arrays of labels; the inverse of (l, x) is
+    (inverse[l], maps[l, x]); the identity at x is (unit_label[x], x).
+    Arrows are numbered in lexicographic order of (label, x).  The result,
+    not yet validated, carries ``arrow_pairs``, the (label, x) of each
+    arrow as rows of an array, and ``arrow_at``, the arrow id of each
+    (label, x) or -1.
     """
     m = len(point_labels)
     label, dom = np.nonzero(maps >= 0)
@@ -741,7 +728,7 @@ def action_groupoid(maps, product, inverse, unit_label, label_names,
     ran = maps[label, dom]
     g = FiniteGroupoid(
         point_labels, dom, ran,
-        lambda a, b: arrow_at[product[label[a], label[b]], dom[b]],
+        lambda a, b: arrow_at[product(label[a], label[b]), dom[b]],
         arrow_at[np.asarray(inverse)[label], ran],
         arrow_at[unit_label, np.arange(m)],
         arrow_labels=[f"({label_names[a]},{point_labels[x]})"
@@ -761,9 +748,13 @@ def semidirect_product(action: GroupoidSpaceAction, name=None) -> FiniteGroupoid
         validate_space_action(action)
     h = action.groupoid
     anchor = np.asarray(action.anchor, dtype=np.int64)
+    # g h is asked for only where (g, hy) and (h, y) are arrows, so where
+    # dom g = p(hy) = ran h: the pair row_start[g] + rank[h]
+    (row_start, rank), products = h.offsets, h.products
     return validate_groupoid(action_groupoid(
-        action.act, h.comp_table, h.inv, h.identity[anchor], h.arrow_labels,
-        action.point_labels, name=name or f"{h.name}|X"))
+        action.act, lambda k, l: products[row_start[k] + rank[l]], h.inv,
+        h.identity[anchor], h.arrow_labels, action.point_labels,
+        name=name or f"{h.name}|X"))
 
 
 def semidirect_projection(sd: FiniteGroupoid, h: FiniteGroupoid) -> GroupoidFunctor:
@@ -806,29 +797,27 @@ def enveloping_action_of_functor(F: GroupoidFunctor):
     weak equivalence.  Returns (action, alpha, semidirect, classes).
     """
     g, h = F.source, F.target
-    _, injective = cocycle_faithfulness_map(F)
-    if not injective:
+    if not is_faithful(F):
         raise errors.NotFaithful(
             "enveloping action needs a faithful functor")
     um = np.array(F.unit_map, dtype=np.int64)
     f = np.array(F.arrow_map, dtype=np.int64)
-    table = h.comp_table
     # the pairs (a, e) with dom a = F(e), numbered in lexicographic order
     pa, pe = np.nonzero(h.dom[:, None] == um[None, :])
     pair_id = np.full((h.n_arrows, g.n_units), -1, dtype=np.int64)
     pair_id[pa, pe] = np.arange(len(pa))
-    # (a, e) ~ (k, ran x) with k = a F(x)^{-1}, for the arrows x from e
+    # (a, e) ~ (k, ran x) with k = a F(x)^{-1}, for the arrows x from e:
+    # F(x)^{-1} ends at F(e) = dom a, so k is defined
     counts, x = arrows_at(pe, end_index(g.dom, g.n_units))
     p = np.repeat(np.arange(len(pa)), counts)
-    k = table[pa[p], h.inv[f[x]]]
-    ok = k >= 0
-    classes, index = connected_components(
-        len(pa), p[ok], pair_id[k[ok], g.ran[x[ok]]])
+    row_start, rank = h.offsets
+    k = h.products[row_start[pa[p]] + rank[h.inv[f[x]]]]
+    classes, index = connected_components(len(pa), p, pair_id[k, g.ran[x]])
     reps = np.array([c[0] for c in classes], dtype=np.int64)
     ra, re = pa[reps], pe[reps]
     labels = [f"[{h.arrow_labels[a]},{g.unit_labels[e]}]"
               for a, e in zip(ra.tolist(), re.tolist())]
-    ba = table[:, ra]                              # b a for each rep (a, e)
+    ba = h.product(np.arange(h.n_arrows)[:, None], ra)     # b a for each rep (a, e)
     act = np.where(ba >= 0, index[pair_id[ba, re]], -1)
     action = validate_space_action(
         GroupoidSpaceAction(h, labels, h.ran[ra], act))

@@ -184,8 +184,7 @@ class ConvolutionAlgebra:
         product, the integer arrays written by
         :func:`~germoid.semigroups.json_rows`."""
         g, n = self.groupoid, self.dim
-        a, b = g.defined_pairs
-        mult = np.column_stack((a, b, g.comp_table[a, b]))
+        mult = np.column_stack((*g.composable_pairs, g.products))
         return b"".join([
             b'{"basis": ', json.dumps(list(self.labels), sort_keys=True).encode(),
             b', "dim": ', str(n).encode(),
@@ -221,15 +220,17 @@ def center_dimension(alg: ConvolutionAlgebra) -> int:
     algebra is involved, so the count is exact.
     """
     g = alg.groupoid
-    table = g.comp_table
     iso = np.flatnonzero(g.dom == g.ran)
     label = np.empty(len(iso), dtype=np.int64)
     by_dom = end_index(g.dom, g.n_units)
+    (row_start, rank), products = g.offsets, g.products
     step = max(1, CHUNK // max(g.n_arrows, 1))
     for lo in range(0, len(iso), step):
         a = iso[lo:lo + step]
         counts, x = arrows_at(g.dom[a], by_dom)
-        conj = table[table[x, np.repeat(a, counts)], g.inv[x]]
+        # x a and (x a) x^-1 are defined: each is the pair row_start + rank
+        xa = products[row_start[x] + rank[np.repeat(a, counts)]]
+        conj = products[row_start[xa] + rank[g.inv[x]]]
         starts = np.cumsum(counts) - counts
         label[lo:lo + step] = np.minimum.reduceat(conj, starts)
     return len(np.unique(label))
@@ -237,22 +238,27 @@ def center_dimension(alg: ConvolutionAlgebra) -> int:
 
 def algebra_map_from_functor(F: GroupoidFunctor):
     """The basis relabeling of a bijective functor, checked to be an algebra
-    isomorphism (structure constants and involution transported)."""
+    isomorphism (structure constants and involution transported).
+
+    Row a fails where F(a)F(b) != F(ab), or F(a) has more arrows composable
+    after it than a (as F is injective, a b with only F(a)F(b) defined); the
+    first row that fails, or whose inverse is lost, names the error."""
     src, tgt = F.source, F.target
     if sorted(F.arrow_map) != list(range(tgt.n_arrows)) or \
             sorted(F.unit_map) != list(range(tgt.n_units)):
         raise errors.NotBijective("functor must be bijective on units and arrows")
-    for a in range(src.n_arrows):
-        for b in range(src.n_arrows):
-            c = src.compose(a, b)
-            fc = tgt.compose(F(a), F(b))
-            if (c is None) != (fc is None) or (c is not None and F(c) != fc):
-                raise errors.NotAFunctor("structure constants not transported")
-        if F(int(src.inv[a])) != int(tgt.inv[F(a)]):
-            raise errors.NotAFunctor("involution not preserved")
+    f = np.array(F.arrow_map, dtype=np.int64)
+    (a, b), ab = src.composable_pairs, src.products
+    moved = (ab < 0) | (tgt.product(f[a], f[b]) != f[ab])
+    fails = (np.bincount(a[moved], minlength=src.n_arrows) > 0) | \
+        (src.by_ran[1][src.dom] != tgt.by_ran[1][tgt.dom[f]])
+    lost = f[src.inv] != tgt.inv[f]
+    if (fails | lost).any():
+        raise errors.NotAFunctor(
+            "structure constants not transported" if fails[np.argmax(fails | lost)]
+            else "involution not preserved")
     mat = np.zeros((tgt.n_arrows, src.n_arrows), dtype=np.int64)
-    for a in range(src.n_arrows):
-        mat[F(a), a] = 1
+    mat[f, np.arange(src.n_arrows)] = 1
     return mat
 
 

@@ -16,11 +16,11 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
     action_groupoid,
-    cocycle_faithfulness_map,
     connected_components,
     enveloping_action_of_functor,
     functor_report,
     groupoid_functor,
+    is_faithful,
     reduction,
     semidirect_projection,
     validate_groupoid,
@@ -116,8 +116,9 @@ def partial_trans_groupoid(theta: PartialGroupAction, name=None) -> FiniteGroupo
     """G x X with arrows (g, x) for x in X_{g^{-1}}, (g, x)(h, y) = (gh, y)."""
     G = theta.group
     return validate_groupoid(action_groupoid(
-        theta.maps, G.table, G.star, np.full(theta.n_points, G.identity),
-        G.names, theta.point_labels, name=name or f"{G.name}|X"))
+        theta.maps, lambda g, h: G.table[g, h], G.star,
+        np.full(theta.n_points, G.identity), G.names, theta.point_labels,
+        name=name or f"{G.name}|X"))
 
 
 def theta_from_sigma(S: InvSemigroup,
@@ -337,8 +338,7 @@ def ks_pipeline(phi: SemigroupHom, contract_to=None) -> KSPipelineResult:
             [F.arrow_map[a] for a in red.parent_arrows])
         source = red
 
-    _, injective = cocycle_faithfulness_map(F)
-    if not injective:
+    if not is_faithful(F):
         raise errors.FaithfulnessFailed(
             "induced cocycle of a locally idempotent pure morphism must be faithful")
 

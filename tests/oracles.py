@@ -215,14 +215,75 @@ def saction_generators_hold(S, maps):
                               maps[S.table[:, t]]) for t in S.generators)
 
 
+def comp_table(g):
+    """The dense composition table of g: ab at [a, b], or -1.  The pairs
+    with dom a = ran b, found by a loop over every (a, b) in row order,
+    take ``g.products`` in turn."""
+    import numpy as np
+
+    n, dom, ran = g.n_arrows, g.dom.tolist(), g.ran.tolist()
+    table = np.full((n, n), -1, dtype=np.int32)
+    products = iter(g.products.tolist())
+    for a in range(n):
+        for b in range(n):
+            if dom[a] == ran[b]:
+                table[a, b] = next(products)
+    assert next(products, None) is None, "more products than composable pairs"
+    return table
+
+
+def composer(g):
+    """compose(a, b): ab read off :func:`comp_table`, or None."""
+    table = comp_table(g).tolist()
+
+    def compose(a, b):
+        c = table[a][b]
+        return None if c < 0 else c
+    return compose
+
+
+def rule_of(comp):
+    """A product rule that reads ab off the dict ``comp``, or -1."""
+    import numpy as np
+
+    return lambda a, b: np.array(
+        [comp.get(pair, -1) for pair in zip(a.tolist(), b.tolist())], dtype=np.int64)
+
+
+def scan_endpoint_law(dom, ran, table):
+    """Raise ``DomainMismatch`` at the first pair (a, b) in row order where
+    ab is defined but dom a != ran b or the reverse, or ab has the wrong
+    endpoints; row blocks hold at most ``CHUNK`` pairs.  ``table`` is
+    dense, -1 where undefined, with entries in range."""
+    import numpy as np
+
+    from germoid import errors
+    from germoid.semigroups import CHUNK
+
+    n, dom, ran = len(table), np.asarray(dom), np.asarray(ran)
+    rows = max(1, CHUNK // max(n, 1))
+    for lo in range(0, n, rows):
+        t = table[lo:lo + rows]
+        defined = t >= 0
+        wrong = defined != (dom[lo:lo + rows, None] == ran[None, :])
+        c = np.where(defined, t, 0)
+        ends = defined & ((dom[c] != dom[None, :]) |
+                          (ran[c] != ran[lo:lo + rows, None]))
+        if wrong.any() or ends.any():
+            a, b = divmod(int(np.flatnonzero((wrong | ends).ravel())[0]), n)
+            raise errors.DomainMismatch(
+                f"composition of {a + lo}, {b} defined on the wrong domain"
+                if wrong[a, b] else f"composite {a + lo}{b} has the wrong endpoints")
+
+
 def validate_groupoid_loops(g):
     """The groupoid axioms by exhaustive loops over arrow ids."""
     from germoid import errors
 
-    n = g.n_arrows
+    n, compose = g.n_arrows, composer(g)
     for a in range(n):
         for b in range(n):
-            c = g.compose(a, b)
+            c = compose(a, b)
             if (g.dom[a] == g.ran[b]) != (c is not None):
                 raise errors.DomainMismatch(
                     f"composition of {a}, {b} defined on the wrong domain")
@@ -234,26 +295,26 @@ def validate_groupoid_loops(g):
         if not (0 <= i < n) or g.dom[i] != u or g.ran[i] != u:
             raise errors.MissingIdentity(u)
         for a in range(n):
-            if g.dom[a] == u and g.compose(a, i) != a:
+            if g.dom[a] == u and compose(a, i) != a:
                 raise errors.MissingIdentity(u)
-            if g.ran[a] == u and g.compose(i, a) != a:
+            if g.ran[a] == u and compose(i, a) != a:
                 raise errors.MissingIdentity(u)
     for a in range(n):
         ai = int(g.inv[a])
         if not 0 <= ai < n or g.dom[ai] != g.ran[a] or g.ran[ai] != g.dom[a] or \
-                g.compose(ai, a) != g.identity[g.dom[a]] or \
-                g.compose(a, ai) != g.identity[g.ran[a]]:
+                compose(ai, a) != g.identity[g.dom[a]] or \
+                compose(a, ai) != g.identity[g.ran[a]]:
             raise errors.MissingInverse(a)
     for a in range(n):
         for b in range(n):
-            ab = g.compose(a, b)
+            ab = compose(a, b)
             if ab is None:
                 continue
             for c in range(n):
-                bc = g.compose(b, c)
+                bc = compose(b, c)
                 if bc is None:
                     continue
-                if g.compose(ab, c) != g.compose(a, bc):
+                if compose(ab, c) != compose(a, bc):
                     raise errors.CompositionNotAssociative(a, b, c)
     return g
 
@@ -294,8 +355,9 @@ def generating_arrows(g):
     """
     import numpy as np
 
-    a, b = g.defined_pairs
-    ab = g.comp_table[a, b]
+    table = comp_table(g)
+    a, b = np.nonzero(table >= 0)
+    ab = table[a, b]
     hom = g.ran * g.n_units + g.dom
     reached = np.zeros(g.n_arrows, dtype=bool)
     reached[g.identity] = True
@@ -319,7 +381,7 @@ def first_nonassociative_groupoid_triple(g, a, b):
 
     from germoid.semigroups import CHUNK
 
-    table, dom, ran, n_units = g.comp_table, g.dom, g.ran, g.n_units
+    table, dom, ran, n_units = comp_table(g), g.dom, g.ran, g.n_units
     per_pair = np.bincount(ran, minlength=n_units)[dom[b]]
     step = max(1, CHUNK // max(int(per_pair.max(initial=1)), 1))
     for lo in range(0, len(a), step):
@@ -346,8 +408,9 @@ def endpoint_law_holds(g):
 
     from germoid.semigroups import CHUNK
 
-    a, b = np.nonzero(g.comp_table >= 0)
-    dom, ran, table = g.dom, g.ran, g.comp_table
+    table = comp_table(g)
+    a, b = np.nonzero(table >= 0)
+    dom, ran = g.dom, g.ran
     composable = np.bincount(dom, minlength=g.n_units) @ \
         np.bincount(ran, minlength=g.n_units)
     if len(a) != composable:
@@ -367,7 +430,9 @@ def associativity_by_hom_sets(g):
     arrows, then the full scan for the witness.  Returns the first failing
     triple or None.  Needs what ``validate_groupoid`` checks before
     associativity."""
-    a, b = g.defined_pairs
+    import numpy as np
+
+    a, b = np.nonzero(comp_table(g) >= 0)
     if g.n_arrows <= 25:
         return first_nonassociative_groupoid_triple(g, a, b)
     middle = generating_arrows(g)[b]
@@ -380,12 +445,12 @@ def composition_closure(g, seeds):
     """The arrows reached from ``seeds`` by composing, as a set: each
     arrow, when it joins, is composed on both sides with every arrow
     already in."""
-    inside = set(seeds)
+    inside, compose = set(seeds), composer(g)
     todo = list(inside)
     while todo:
         x = todo.pop()
         for y in list(inside):
-            for z in (g.compose(x, y), g.compose(y, x)):
+            for z in (compose(x, y), compose(y, x)):
                 if z is not None and z not in inside:
                     inside.add(z)
                     todo.append(z)
@@ -597,9 +662,10 @@ def validate_space_action_loops(action):
             if y is not None and action.anchor[y] != h.ran[a]:
                 raise errors.InvalidAction(
                     f"anchor not equivariant at arrow {a}, point {x}")
+    compose = composer(h)
     for a in range(h.n_arrows):
         for b in range(h.n_arrows):
-            ab = h.compose(a, b)
+            ab = compose(a, b)
             if ab is None:
                 continue
             for x in range(action.n_points):
@@ -711,9 +777,9 @@ def product_matrix(alg, a):
     """Left multiplication by basis element a, as a dim x dim matrix."""
     import numpy as np
 
-    mat = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+    mat, compose = np.zeros((alg.dim, alg.dim), dtype=np.int64), composer(alg.groupoid)
     for b in range(alg.dim):
-        c = alg.groupoid.compose(a, b)
+        c = compose(a, b)
         if c is not None:
             mat[c, b] = 1
     return mat
@@ -726,11 +792,11 @@ def center_dimension_svd(alg, tol=1e-10):
 
     if alg.dim == 0:
         return 0
-    rows = []
+    rows, compose = [], composer(alg.groupoid)
     for a in range(alg.dim):
         ra = np.zeros((alg.dim, alg.dim), dtype=np.int64)
         for b in range(alg.dim):
-            c = alg.groupoid.compose(b, a)
+            c = compose(b, a)
             if c is not None:
                 ra[c, b] = 1
         rows.append(product_matrix(alg, a) - ra)
@@ -931,8 +997,9 @@ def ks_certificates_json(certs):
 
 def comp_triples(g):
     """[a, b, ab] for every composable pair, in lexicographic order."""
-    a, b = g.defined_pairs
-    return [[x, y, int(g.comp_table[x, y])] for x, y in zip(a.tolist(), b.tolist())]
+    table = comp_table(g)
+    return [[a, b, int(table[a, b])] for a in range(g.n_arrows)
+            for b in range(g.n_arrows) if table[a, b] >= 0]
 
 
 def convolution_algebra_json(alg):
@@ -1232,8 +1299,8 @@ def isotropy_orders_loops(g):
 
 
 def groupoid_functor_loops(src, tgt, unit_map, arrow_map):
-    """The functor laws arrow by arrow, unit by unit, then over the ``comp``
-    dict in lexicographic order of (a, b); returns the maps as tuples."""
+    """The functor laws arrow by arrow, unit by unit, then over the defined
+    entries of :func:`comp_table` in row order; returns the maps as tuples."""
     from germoid import errors
 
     unit_map = tuple(int(x) for x in unit_map)
@@ -1250,9 +1317,12 @@ def groupoid_functor_loops(src, tgt, unit_map, arrow_map):
     for u in range(src.n_units):
         if arrow_map[src.identity[u]] != tgt.identity[unit_map[u]]:
             raise errors.NotAFunctor(f"identity at unit {u} not preserved")
-    for (a, b), c in sorted(src.comp.items()):
-        if tgt.compose(arrow_map[a], arrow_map[b]) != arrow_map[c]:
-            raise errors.NotAFunctor(f"composition {a}{b} not preserved")
+    table, compose = comp_table(src), composer(tgt)
+    for a in range(src.n_arrows):
+        for b in range(src.n_arrows):
+            c = int(table[a, b])
+            if c >= 0 and compose(arrow_map[a], arrow_map[b]) != arrow_map[c]:
+                raise errors.NotAFunctor(f"composition {a}{b} not preserved")
     return unit_map, arrow_map
 
 
@@ -1278,6 +1348,39 @@ def functor_report_sets(F):
             "weak_equivalence": faithful and full and ess}
 
 
+def cocycle_faithfulness_map(F):
+    """Materialize psi(g) = (ran g, dom g, F(g)) and report injectivity."""
+    src = F.source
+    triples = list(zip(src.ran.tolist(), src.dom.tolist(), F.arrow_map))
+    return triples, len(set(triples)) == src.n_arrows
+
+
+def algebra_map_from_functor_loops(F):
+    """The basis relabeling of a bijective functor, checked pair by pair
+    over all (a, b), then the involution at a, arrow by arrow."""
+    import numpy as np
+
+    from germoid import errors
+
+    src, tgt = F.source, F.target
+    if sorted(F.arrow_map) != list(range(tgt.n_arrows)) or \
+            sorted(F.unit_map) != list(range(tgt.n_units)):
+        raise errors.NotBijective("functor must be bijective on units and arrows")
+    src_compose, tgt_compose = composer(src), composer(tgt)
+    for a in range(src.n_arrows):
+        for b in range(src.n_arrows):
+            c = src_compose(a, b)
+            fc = tgt_compose(F(a), F(b))
+            if (c is None) != (fc is None) or (c is not None and F(c) != fc):
+                raise errors.NotAFunctor("structure constants not transported")
+        if F(int(src.inv[a])) != int(tgt.inv[F(a)]):
+            raise errors.NotAFunctor("involution not preserved")
+    mat = np.zeros((tgt.n_arrows, src.n_arrows), dtype=np.int64)
+    for a in range(src.n_arrows):
+        mat[F(a), a] = 1
+    return mat
+
+
 def reduction_dict(g, unit_subset):
     """The full subgroupoid on a unit subset, re-indexed through dicts."""
     from germoid import errors
@@ -1292,13 +1395,14 @@ def reduction_dict(g, unit_subset):
     arrows = [a for a in range(g.n_arrows)
               if g.dom[a] in uset and g.ran[a] in uset]
     anew = {a: i for i, a in enumerate(arrows)}
-    comp = {(anew[a], anew[b]): anew[c]
-            for (a, b), c in g.comp.items() if a in anew and b in anew}
+    table = comp_table(g)
+    comp = {(anew[a], anew[b]): anew[int(table[a, b])]
+            for a in arrows for b in arrows if table[a, b] >= 0}
     red = FiniteGroupoid(
         [g.unit_labels[u] for u in units],
         [unew[int(g.dom[a])] for a in arrows],
         [unew[int(g.ran[a])] for a in arrows],
-        comp,
+        rule_of(comp),
         [anew[int(g.inv[a])] for a in arrows],
         [anew[int(g.identity[u])] for u in units],
         arrow_labels=[g.arrow_labels[a] for a in arrows])
@@ -1407,6 +1511,7 @@ def enveloping_action_of_functor_loops(F):
     )
 
     g, h = F.source, F.target
+    compose = composer(h)
     pairs = [(a, e) for a in range(h.n_arrows) for e in range(g.n_units)
              if h.dom[a] == F.unit_map[e]]
 
@@ -1416,7 +1521,7 @@ def enveloping_action_of_functor_loops(F):
                 if g.dom[arr] != e:
                     continue
                 # (a, e) ~ (k, f) when F(arr) = k^{-1} a, i.e. k = a F(arr)^{-1}
-                k = h.compose(a, int(h.inv[F(arr)]))
+                k = compose(a, int(h.inv[F(arr)]))
                 if k is not None:
                     yield (a, e), (k, int(g.ran[arr]))
 
@@ -1428,7 +1533,7 @@ def enveloping_action_of_functor_loops(F):
     for b in range(h.n_arrows):
         for i, (a, e) in enumerate(reps):
             if h.dom[b] == h.ran[a]:
-                act[b, i] = class_index[(h.compose(b, a), e)]
+                act[b, i] = class_index[(compose(b, a), e)]
     action = validate_space_action(GroupoidSpaceAction(h, labels, anchor, act))
     sd = semidirect_product(action)
     index = {tuple(p): a for a, p in enumerate(sd.arrow_pairs.tolist())}
@@ -1505,6 +1610,8 @@ def find_isomorphism(g, h, arrow_limit=64):
         return [a for a in range(k.n_arrows)
                 if k.dom[a] == u and k.ran[a] == v]
 
+    g_compose, h_compose = composer(g), composer(h)
+
     def try_units(unit_map):
         amap = [-1] * g.n_arrows
         used = [False] * h.n_arrows
@@ -1516,21 +1623,21 @@ def find_isomorphism(g, h, arrow_limit=64):
             # as the composite of two arrows mapped earlier
             mapped = [x for x in range(g.n_arrows) if amap[x] >= 0]
             for x in mapped:
-                c = g.compose(a, x)
+                c = g_compose(a, x)
                 if c is not None and amap[c] >= 0:
-                    if h.compose(b, amap[x]) != amap[c]:
+                    if h_compose(b, amap[x]) != amap[c]:
                         return False
-                c = g.compose(x, a)
+                c = g_compose(x, a)
                 if c is not None and amap[c] >= 0:
-                    if h.compose(amap[x], b) != amap[c]:
+                    if h_compose(amap[x], b) != amap[c]:
                         return False
-            c = g.compose(a, a)
-            if c is not None and amap[c] >= 0 and h.compose(b, b) != amap[c]:
+            c = g_compose(a, a)
+            if c is not None and amap[c] >= 0 and h_compose(b, b) != amap[c]:
                 return False
             for x in mapped:
                 for y in mapped:
-                    if g.compose(x, y) == a and \
-                            h.compose(amap[x], amap[y]) != b:
+                    if g_compose(x, y) == a and \
+                            h_compose(amap[x], amap[y]) != b:
                         return False
             return True
 

@@ -280,8 +280,9 @@ def test_criterion_7_order_and_invariance_properties(named_eunitary, random_corp
     for phi in morphisms:
         if not sg.is_locally_idempotent_pure(phi):
             continue
-        _, inj = gpd.cocycle_faithfulness_map(germs.induced_functor(phi))
-        assert inj
+        F = germs.induced_functor(phi)
+        _, inj = oracles.cocycle_faithfulness_map(F)
+        assert inj and gpd.is_faithful(F)
         faithful_checked += 1
 
     # the perp of every proper ideal is invariant under beta

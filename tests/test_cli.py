@@ -539,6 +539,69 @@ def test_export_dot_keeps_the_last_of_repeated_entries(tmp_path):
     assert export_exit(tmp_path / "early.json", json.dumps(doc)) == 2
 
 
+def export_dot(path, doc):
+    """Exit code, stdout and stderr of ``export-dot`` on a file holding
+    ``doc``, with the path in stderr written as PATH."""
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["export-dot", str(path)])
+    return code, out.getvalue(), err.getvalue().replace(str(path), "PATH")
+
+
+def pair3_comp(*edits, drop=(), extra=()):
+    """PAIR3's triples with (index, value) ``edits`` to their products, the
+    triples at indices ``drop`` left out and ``extra`` ones appended."""
+    comp = json.loads(PAIR3)["comp"]
+    for i, value in edits:
+        comp[i][2] = value
+    return [t for i, t in enumerate(comp) if i not in drop] + list(extra)
+
+
+# arrow (i <- j) of PAIR3 is 3 i + j: (a, b) composes iff a % 3 == b // 3;
+# triple 3 a + b % 3 is the pair (a, b); each witness is the first pair in
+# row order that breaks the endpoint law
+@pytest.mark.parametrize("comp, witness", [
+    (pair3_comp(extra=[[1, 0, 1]]),                   # (1, 0) does not compose
+     "composition of 1, 0 defined on the wrong domain"),
+    (pair3_comp(drop=[14]),                           # no triple at (4, 5)
+     "composition of 4, 5 defined on the wrong domain"),
+    (pair3_comp((14, 0)),                             # (4, 5) -> (0<-0)
+     "composite 45 has the wrong endpoints"),
+    (pair3_comp(extra=[[4, 5, 5], [4, 5, 0]]),        # the last one counts
+     "composite 45 has the wrong endpoints"),
+    (pair3_comp((14, 0), extra=[[1, 0, 1]]),          # the pair comes later
+     "composition of 1, 0 defined on the wrong domain"),
+    (pair3_comp(drop=[0], extra=[[1, 0, 1]]),         # the pair comes first
+     "composition of 0, 0 defined on the wrong domain"),
+    (pair3_comp(extra=[[8, 0, 1], [2, 1, 8]]),        # two that do not compose
+     "composition of 2, 1 defined on the wrong domain"),
+])
+def test_a_bad_groupoid_file_names_the_first_pair_in_row_order(
+        tmp_path, comp, witness):
+    assert export_dot(tmp_path / "bad.json", pair3_with(comp=comp)) == \
+        (2, "", f"error: invalid groupoid in PATH: {witness}\n")
+
+
+def test_a_pair_given_twice_keeps_its_last_value(tmp_path):
+    # the digraph is named after the file, so each lives in its own folder
+    def dot(folder, comp):
+        (tmp_path / folder).mkdir()
+        return export_dot(tmp_path / folder / "g.json", pair3_with(comp=comp))
+    good = dot("good", pair3_comp())
+    assert good[0] == 0 and good[2] == ""
+    assert dot("late", [[4, 5, 0]] + pair3_comp()) == good
+    assert dot("early", pair3_comp(extra=[[4, 5, 0], [4, 5, 5]])) == good
+
+
+@pytest.mark.parametrize("value", [9, -1])
+def test_a_product_outside_the_arrows_is_malformed(tmp_path, value):
+    assert export_dot(tmp_path / "bad.json",
+                      pair3_with(comp=pair3_comp((14, value)))) == \
+        (2, "", 'error: invalid groupoid in PATH: "comp" must hold '
+                '[a, b, ab] triples of arrow ids\n')
+
+
 def test_undecodable_groupoid_file_exits_2(tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe not text")

@@ -138,7 +138,7 @@ class TestGermGroupoid:
                         for (t, y) in g.germ_classes[j]:
                             if action(t, y) == x:
                                 results.add(g.germ(S.mul(s, t), y))
-                    assert results == {g.compose(i, j)}
+                    assert results == {int(g.product(i, j))}
 
     def test_inverse_matches_formula_and_is_involutive(self, corpus):
         for name in ("S4", "SD6", "B2"):
@@ -400,8 +400,8 @@ class TestInducedFunctor:
         phi = sg.hom_from_sigma(sg.max_group_image(S3))
         F = germs.induced_functor(phi)
         assert F.target.n_arrows == 2
-        _, inj = gpd.cocycle_faithfulness_map(F)
-        assert inj
+        _, inj = oracles.cocycle_faithfulness_map(F)
+        assert inj and gpd.is_faithful(F)
 
     def test_composite_functoriality(self, corpus):
         S4 = corpus["S4"]
@@ -436,8 +436,9 @@ class TestInducedFunctor:
         for phi in morphisms:
             if not sg.is_locally_idempotent_pure(phi):
                 continue
-            _, inj = gpd.cocycle_faithfulness_map(germs.induced_functor(phi))
-            assert inj
+            F = germs.induced_functor(phi)
+            _, inj = oracles.cocycle_faithfulness_map(F)
+            assert inj and gpd.is_faithful(F)
 
 
 class TestBlockImageCertificates:

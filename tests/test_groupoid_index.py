@@ -1,5 +1,5 @@
 """Groupoid validation from one arrows-by-range index: the spanning-tree
-generators of Light's test, the composable pairs kept as ``defined_pairs``,
+generators of Light's test, the composable pairs and their products,
 the generators a validated groupoid keeps for the space-action and functor
 checks, and the kernels they replaced (``oracles.generating_arrows``,
 ``oracles.endpoint_law_holds``, ``oracles.associativity_by_hom_sets``)."""
@@ -18,7 +18,7 @@ from germoid import groupoids as gpd
 from germoid.verify import groupoid_variant
 from test_golden import FIXTURES, GOLDEN
 from test_json_text import variants
-from test_kernels import outcome, tree_generators
+from test_kernels import outcome, tree_generators, with_table
 
 
 def reductions(g, rng, k=3):
@@ -84,15 +84,16 @@ def test_tree_generators_are_tree_arrows_and_base_loops(built):
 
 
 def test_validation_keeps_the_defined_pairs(built):
-    for g in built + [gpd.FiniteGroupoid([], [], [], {}, [], [])]:
-        h = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, g.comp_table,
-                               g.inv, g.identity)
+    for g in built + [gpd.FiniteGroupoid([], [], [], [], [], [])]:
+        h = copy_of(g)
         gpd.validate_groupoid(h)
-        assert "defined_pairs" in vars(h)
-        a, b = h.defined_pairs
-        expect = np.nonzero(g.comp_table >= 0)
+        assert h.composable_pairs is h.composable_pairs and "products" in vars(h)
+        a, b = h.composable_pairs
+        table = oracles.comp_table(g)
+        expect = np.nonzero(table >= 0)
         assert np.array_equal(a, expect[0]) and np.array_equal(b, expect[1])
         assert a.dtype == expect[0].dtype and b.dtype == expect[1].dtype
+        assert np.array_equal(h.products, table[a, b])
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +106,7 @@ def associative(built):
 def rewritable(g):
     """The pairs (a, b) whose product can be changed to another arrow with
     the same ends while the endpoint, identity and inverse laws hold."""
-    a, b = g.defined_pairs
-    ab = g.comp_table[a, b]
+    (a, b), ab = g.composable_pairs, g.products
     hom = np.bincount(g.ran * g.n_units + g.dom, minlength=g.n_units ** 2)
     is_id = np.zeros(g.n_arrows, dtype=bool)
     is_id[g.identity] = True
@@ -123,13 +123,12 @@ def test_a_broken_product_gives_the_oracles_witness(associative, data):
     g = data.draw(st.sampled_from(associative), label="g")
     a, b = rewritable(g)
     i = data.draw(st.integers(0, len(a) - 1), label="pair")
-    ab = g.comp_table[a[i], b[i]]
+    ab = g.product(a[i], b[i])
     others = np.flatnonzero((g.dom == g.dom[ab]) & (g.ran == g.ran[ab]) &
                             (np.arange(g.n_arrows) != ab))
-    table = np.array(g.comp_table)
+    table = oracles.comp_table(g)
     table[a[i], b[i]] = data.draw(st.sampled_from(others.tolist()), label="c")
-    h = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, table, g.inv,
-                           g.identity)
+    h = with_table(g, table)
     expect = outcome(oracles.validate_groupoid_loops, h)
     assert outcome(gpd.validate_groupoid, h) == expect
     bad = oracles.associativity_by_hom_sets(h)
@@ -139,12 +138,12 @@ def test_a_broken_product_gives_the_oracles_witness(associative, data):
 
 def copy_of(g):
     """g as a new groupoid built by hand, not yet validated."""
-    return gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, g.comp_table,
+    return gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, g.products,
                               g.inv, g.identity)
 
 
 def test_validation_records_the_generators(built):
-    for g in built + [gpd.FiniteGroupoid([], [], [], {}, [], [])]:
+    for g in built + [gpd.FiniteGroupoid([], [], [], [], [], [])]:
         h = copy_of(g)
         assert h.generators is None
         gpd.validate_groupoid(h)
@@ -157,13 +156,12 @@ def test_validation_records_the_generators(built):
 def test_a_failing_validation_records_no_generators(associative):
     for g in associative[:10]:
         a, b = rewritable(g)
-        ab = g.comp_table[a[0], b[0]]
+        ab = g.product(a[0], b[0])
         other = np.flatnonzero((g.dom == g.dom[ab]) & (g.ran == g.ran[ab]) &
                                (np.arange(g.n_arrows) != ab))[0]
-        table = np.array(g.comp_table)
+        table = oracles.comp_table(g)
         table[a[0], b[0]] = other
-        h = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, table, g.inv,
-                               g.identity)
+        h = with_table(g, table)
         with pytest.raises(errors.CompositionNotAssociative):
             gpd.validate_groupoid(h)
         assert h.generators is None and not h.validated
@@ -206,11 +204,11 @@ def test_a_reduction_has_no_generators_and_its_checks_scan_every_pair(
 
 def test_the_pair_scan_sees_only_generator_pairs_unless_one_fails(built):
     for g in [g for g in built if g.n_arrows > 25][:6]:
-        a, b = g.defined_pairs
+        a, b = g.composable_pairs
         middle = g.generators[b]
         seen = []
 
-        def none_fail(pa, pb):
+        def none_fail(pa, pb, pab):
             seen.append(len(pa))
             return np.zeros(len(pa), dtype=bool)
         assert gpd.first_failing_pair(g, none_fail, 1, g.generators) is None
@@ -224,7 +222,7 @@ def test_the_pair_scan_sees_only_generator_pairs_unless_one_fails(built):
         key, last = a * g.n_arrows + b, np.flatnonzero(middle)[-1]
 
         def from_pair(j):
-            return lambda pa, pb: pa * g.n_arrows + pb >= key[j]
+            return lambda pa, pb, pab: pa * g.n_arrows + pb >= key[j]
         if last + 1 < len(a):
             assert gpd.first_failing_pair(g, from_pair(last + 1), 1,
                                           g.generators) is None

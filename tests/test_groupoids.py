@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,22 +38,22 @@ class TestValidateGroupoid:
     def test_missing_inverse_detected(self):
         g = gpd.pair_groupoid(2)
         bad = gpd.FiniteGroupoid(
-            g.unit_labels, g.dom, g.ran, g.comp,
+            g.unit_labels, g.dom, g.ran, g.products,
             [0 if a == g.inv[a] else a for a in range(4)],  # break inverses
             g.identity)
         with pytest.raises(errors.MissingInverse):
             gpd.validate_groupoid(bad)
 
     def test_domain_mismatch_detected(self):
+        # a triple at a pair that does not compose: only a groupoid file
+        # can give one
         g = gpd.pair_groupoid(2)
-        comp = dict(g.comp)
         a = next(a for a in range(4) if g.dom[a] != g.ran[a])
         b = next(b for b in range(4) if g.dom[a] != g.ran[b])
-        comp[(a, b)] = a
-        bad = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, comp,
-                                 g.inv, g.identity)
+        data = json.loads(g.to_json())
+        data["comp"].append([a, b, a])
         with pytest.raises(errors.DomainMismatch):
-            gpd.validate_groupoid(bad)
+            gpd.groupoid_from_json(json.dumps(data))
 
     def test_json_roundtrip(self):
         g = gpd.pair_groupoid(3)
@@ -237,7 +239,9 @@ class TestIsomorphism:
         g = universal_groupoid(fx.sd6())
         aperm = [3, 0, 5, 1, 4, 2]
         uperm = [2, 0, 1]
-        comp = {(aperm[a], aperm[b]): aperm[c] for (a, b), c in g.comp.items()}
+        (a, b), ab = g.composable_pairs, g.products
+        comp = {(aperm[x], aperm[y]): aperm[c]
+                for x, y, c in zip(a.tolist(), b.tolist(), ab.tolist())}
         dom = [0] * g.n_arrows
         ran = [0] * g.n_arrows
         inv = [0] * g.n_arrows
@@ -249,7 +253,7 @@ class TestIsomorphism:
         for u in range(g.n_units):
             identity[uperm[u]] = aperm[g.identity[u]]
         shuffled = gpd.validate_groupoid(gpd.FiniteGroupoid(
-            ["x", "y", "z"], dom, ran, comp, inv, identity))
+            ["x", "y", "z"], dom, ran, oracles.rule_of(comp), inv, identity))
         F = oracles.find_isomorphism(g, shuffled)
         assert F is not None and gpd.verify_isomorphism(F)
 
@@ -257,15 +261,16 @@ class TestIsomorphism:
 class TestCocycleFaithfulness:
     def test_identity_injective(self):
         g = gpd.pair_groupoid(2)
-        _, inj = gpd.cocycle_faithfulness_map(gpd.identity_functor(g))
-        assert inj
+        F = gpd.identity_functor(g)
+        _, inj = oracles.cocycle_faithfulness_map(F)
+        assert inj and gpd.is_faithful(F)
 
     def test_constant_from_pair_groupoid_not_injective_with_isotropy(self):
         g = z2_groupoid()
         t = gpd.groupoid_from_group(fx.cyclic_group(1))
         F = gpd.groupoid_functor(g, t, [0], [0, 0])
-        _, inj = gpd.cocycle_faithfulness_map(F)
-        assert not inj
+        _, inj = oracles.cocycle_faithfulness_map(F)
+        assert not inj and not gpd.is_faithful(F)
 
 
 class TestEnvelopingActionOfFunctor:

@@ -69,11 +69,11 @@ def test_ids_of_one_to_three_digits_match_json_dumps():
     assert len(S) == 132
     assert_texts_match(S)
     g = germs.universal_groupoid(S)
-    assert len(g.defined_pairs[0]) > 1024
+    assert len(g.products) > 1024
 
 
 def test_groupoids_without_composable_pairs_match_json_dumps():
-    empty = gpd.FiniteGroupoid([], [], [], {}, [], [])
+    empty = gpd.FiniteGroupoid([], [], [], [], [], [])
     assert empty.to_json() == oracles.groupoid_json(empty) == \
         '{"arrows": [], "comp": [], "inv": [], "units": []}'
     none = gpd.reduction(gpd.pair_groupoid(3), [])
@@ -117,7 +117,7 @@ def test_element_names_are_escaped_as_json_dumps_escapes_them(data):
         h = gpd.groupoid_from_json(text)
         assert (h.unit_labels, h.arrow_labels) == (g.unit_labels, g.arrow_labels)
         assert (h.dom == g.dom).all() and (h.ran == g.ran).all()
-        assert (h.comp_table == g.comp_table).all() and (h.inv == g.inv).all()
+        assert (h.products == g.products).all() and (h.inv == g.inv).all()
 
 
 def test_write_words_gathers_numbers_and_texts():

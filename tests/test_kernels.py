@@ -526,9 +526,18 @@ def test_germ_classes_of_an_enveloping_action():
 
 # -- groupoid validation ------------------------------------------------------------
 
+def composition_dict(g):
+    """{(a, b): ab} over the defined entries of the oracle table."""
+    table = oracles.comp_table(g)
+    a, b = np.nonzero(table >= 0)
+    return dict(zip(zip(a.tolist(), b.tolist()), table[a, b].tolist()))
+
+
 def mutated_groupoid(data, g):
+    # the products are read off the mutated dict at the composable pairs
+    # of the mutated ends: an added pair that does not compose is dropped
     n, k = g.n_arrows, g.n_units
-    comp = dict(g.comp)
+    comp = composition_dict(g)
     dom, ran = list(g.dom), list(g.ran)
     inv, identity = list(g.inv), list(g.identity)
     arrow = st.integers(0, n - 1)
@@ -553,7 +562,8 @@ def mutated_groupoid(data, g):
         dom[data.draw(arrow)] = data.draw(unit)
     elif kind == "ran":
         ran[data.draw(arrow)] = data.draw(unit)
-    return gpd.FiniteGroupoid(g.unit_labels, dom, ran, comp, inv, identity)
+    return gpd.FiniteGroupoid(g.unit_labels, dom, ran, oracles.rule_of(comp),
+                              inv, identity)
 
 
 @EXAMPLES
@@ -579,9 +589,9 @@ def test_endpoint_law_on_the_defined_pairs_matches_the_row_scan(groupoids, data)
     # law fails, validate_groupoid names the row scan's witness
     g = data.draw(st.sampled_from(groupoids), label="g")
     h = mutated_groupoid(data, g)
-    scan = outcome(gpd.scan_endpoint_law, h)
+    scan = outcome(oracles.scan_endpoint_law, h.dom, h.ran, oracles.comp_table(h))
     assert_composable_pairs(h)
-    assert gpd.endpoint_law_holds(h) == \
+    assert (not gpd.endpoint_failures(h).any()) == \
         oracles.endpoint_law_holds(h) == (scan == ("ok", ""))
     if scan != ("ok", ""):
         assert outcome(gpd.validate_groupoid, h) == scan
@@ -591,13 +601,112 @@ def test_endpoint_law_counts_the_composable_pairs():
     # every defined pair is composable with the right endpoints, but one
     # composable pair is missing: only the count sees it
     g = gpd.pair_groupoid(3)
-    comp = dict(g.comp)
+    comp = composition_dict(g)
     del comp[(8, 8)]
-    h = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, comp, g.inv, g.identity)
-    assert gpd.endpoint_law_holds(g) and not gpd.endpoint_law_holds(h)
+    h = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, oracles.rule_of(comp),
+                           g.inv, g.identity)
+    assert not gpd.endpoint_failures(g).any() and gpd.endpoint_failures(h).any()
     assert oracles.endpoint_law_holds(g) and not oracles.endpoint_law_holds(h)
-    assert outcome(gpd.validate_groupoid, h) == outcome(gpd.scan_endpoint_law, h) \
+    assert outcome(gpd.validate_groupoid, h) == \
+        outcome(oracles.scan_endpoint_law, h.dom, h.ran, oracles.comp_table(h)) \
         == ("DomainMismatch", "composition of 8, 8 defined on the wrong domain")
+
+
+def triple_table(n, triples):
+    """The dense table of ``[a, b, ab]`` triples; a pair given twice keeps
+    its last value."""
+    table = np.full((n, n), -1, dtype=np.int64)
+    for a, b, ab in triples:
+        table[a, b] = ab
+    return table
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_a_groupoid_file_gives_the_row_scan_witness(groupoids, data):
+    # triples added off the composable pairs, dropped, changed, repeated
+    # and shuffled: the file's witness is the row scan's of the table the
+    # triples make, and past the endpoint law the loops' on that table
+    g = data.draw(st.sampled_from(groupoids), label="g")
+    doc = json.loads(g.to_json())
+    comp, n = doc["comp"], g.n_arrows
+    arrow = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        kind = data.draw(st.sampled_from(
+            ["add", "drop", "value", "repeat", "shuffle"]), label="kind")
+        i = data.draw(st.integers(0, len(comp) - 1), label="i") if comp else None
+        if kind == "add":
+            comp.append([data.draw(arrow), data.draw(arrow), data.draw(arrow)])
+        elif kind == "drop" and comp:
+            comp.pop(i)
+        elif kind == "value" and comp:
+            comp[i][2] = data.draw(arrow, label="value")
+        elif kind == "repeat" and comp:
+            comp.append(comp[i][:2] + [data.draw(arrow, label="value")])
+        elif kind == "shuffle":
+            doc["comp"] = comp = [comp[j] for j in data.draw(
+                st.permutations(range(len(comp))), label="order")]
+    table = triple_table(n, comp)
+    expect = outcome(oracles.scan_endpoint_law, g.dom, g.ran, table)
+    if expect == ("ok", ""):
+        ids = np.arange(n)
+        loops = ids[(g.dom == g.ran) & (table[ids, ids] == ids)]
+        identity = np.full(g.n_units, -1)
+        np.maximum.at(identity, g.dom[loops], loops)
+        expect = outcome(oracles.validate_groupoid_loops, gpd.FiniteGroupoid(
+            g.unit_labels, g.dom, g.ran, lambda a, b: table[a, b], g.inv,
+            identity))
+    assert outcome(gpd.groupoid_from_json, json.dumps(doc)) == expect
+
+
+@pytest.fixture(scope="module")
+def product_groupoids(corpus):
+    """The universal, contracted and tight groupoids of the presets, Z61, a
+    reduction, twins adopted inside a ``validated_once`` scope, and a
+    groupoid with no arrows."""
+    out = [germs.universal_groupoid(S) for S in corpus.values()]
+    with_zero = [S for S in corpus.values() if S.zero is not None]
+    out += [germs.universal_groupoid(S, contracted=True) for S in with_zero]
+    out += [germs.tight_groupoid(S) for S in with_zero]
+    out += [gpd.groupoid_from_group(fx.cyclic_group(61)),
+            gpd.reduction(germs.universal_groupoid(corpus["I2"]), [0, 2, 3])]
+    with gpd.validated_once():
+        for g in out[:3]:
+            first, twin = (gpd.validate_groupoid(gpd.FiniteGroupoid(
+                g.unit_labels, g.dom, g.ran, np.array(g.products), g.inv,
+                g.identity)) for _ in range(2))
+            assert twin.products is first.products
+            out.append(twin)
+    return out + [gpd.FiniteGroupoid([], [], [], [], [], [])]
+
+
+def test_product_on_every_pair_is_the_oracle_table(product_groupoids):
+    for g in product_groupoids:
+        ids = np.arange(g.n_arrows)
+        assert np.array_equal(g.product(ids[:, None], ids[None, :]),
+                              oracles.comp_table(g))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_product_at_random_pairs_matches_the_oracle_table(product_groupoids, data):
+    # most probes do not compose where there are several units
+    g = data.draw(st.sampled_from(product_groupoids[:-1]), label="g")
+    arrow = st.integers(0, g.n_arrows - 1)
+    x = np.array(data.draw(st.lists(arrow, max_size=50), label="x"), dtype=np.int64)
+    y = np.array(data.draw(st.lists(arrow, min_size=len(x), max_size=len(x)),
+                           label="y"), dtype=np.int64)
+    ab = g.product(x, y)
+    assert ab.dtype == np.int32 and ab.shape == x.shape
+    assert np.array_equal(ab, oracles.comp_table(g)[x, y])
+    assert np.array_equal(ab >= 0, g.dom[x] == g.ran[y])
+
+
+def test_product_of_no_arrows_is_empty():
+    g = gpd.FiniteGroupoid([], [], [], [], [], [])
+    none = np.zeros(0, dtype=np.int64)
+    assert g.product(none, none).shape == (0,)
+    assert gpd.validate_groupoid(g).products.shape == (0,)
 
 
 @pytest.fixture(scope="module")
@@ -628,7 +737,8 @@ LOOP = [[0, 1, 2, 3, 4],
 
 def test_non_associative_composition_witness():
     comp = {(a, b): LOOP[a][b] for a in range(5) for b in range(5)}
-    g = gpd.FiniteGroupoid(["pt"], [0] * 5, [0] * 5, comp, range(5), [0])
+    g = gpd.FiniteGroupoid(["pt"], [0] * 5, [0] * 5, oracles.rule_of(comp),
+                           range(5), [0])
     expect = ("CompositionNotAssociative", "(a1 a1) a2 != a1 (a1 a2)")
     assert outcome(gpd.validate_groupoid, g) == expect
     assert outcome(oracles.validate_groupoid_loops, g) == expect
@@ -647,7 +757,7 @@ def bundle_of(fibres):
     for s, t in zip(start, fibres):
         table[s:s + len(t), s:s + len(t)] = s + t
     return gpd.FiniteGroupoid([f"u{u}" for u in range(len(fibres))], units,
-                              units, table, inv, start)
+                              units, lambda a, b: table[a, b], inv, start)
 
 
 def transitive_with(fibre, k):
@@ -662,7 +772,8 @@ def transitive_with(fibre, k):
     a, b = np.nonzero(j[:, None] == i[None, :])
     table[a, b] = ids[i[a], fibre[g[a], g[b]], j[b]]
     inv = ids[j, (fibre == 0).argmax(axis=1)[g], i]
-    return gpd.FiniteGroupoid([f"u{u}" for u in range(k)], j, i, table, inv,
+    return gpd.FiniteGroupoid([f"u{u}" for u in range(k)], j, i,
+                              lambda a, b: table[a, b], inv,
                               ids[np.arange(k), 0, np.arange(k)])
 
 
@@ -670,11 +781,12 @@ def relabelled(g, p):
     """g with arrow a renamed p[a]."""
     p = np.asarray(p)
     q = np.argsort(p)
-    a, b = g.defined_pairs
-    table = np.full_like(g.comp_table, -1)
-    table[p[a], p[b]] = p[g.comp_table[a, b]]
-    return gpd.FiniteGroupoid(g.unit_labels, g.dom[q], g.ran[q], table,
-                              p[g.inv[q]], p[g.identity])
+    a, b = g.composable_pairs
+    table = np.full((g.n_arrows, g.n_arrows), -1)
+    table[p[a], p[b]] = p[g.products]
+    return gpd.FiniteGroupoid(g.unit_labels, g.dom[q], g.ran[q],
+                              lambda a, b: table[a, b], p[g.inv[q]],
+                              p[g.identity])
 
 
 def cyclic(m):
@@ -754,7 +866,7 @@ def test_a_unit_without_arrows_is_a_missing_identity():
     # no arrow starts or ends at the new unit, so only the endpoints of its
     # identity show that it has none
     g = gpd.pair_groupoid(3)
-    h = gpd.FiniteGroupoid(g.unit_labels + ("x3",), g.dom, g.ran, g.comp_table,
+    h = gpd.FiniteGroupoid(g.unit_labels + ("x3",), g.dom, g.ran, g.products,
                            g.inv, list(g.identity) + [g.identity[1]])
     expect = ("MissingIdentity", str(errors.MissingIdentity(3)))
     assert outcome(gpd.validate_groupoid, h) == expect
@@ -763,20 +875,20 @@ def test_a_unit_without_arrows_is_a_missing_identity():
 
 def test_out_of_range_composition_is_a_structured_error():
     g = gpd.pair_groupoid(2)
-    comp = dict(g.comp)
+    comp = composition_dict(g)
     comp[(0, 0)] = 7
-    bad = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, comp, g.inv,
-                             g.identity)
+    bad = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, oracles.rule_of(comp),
+                             g.inv, g.identity)
     with pytest.raises(errors.DomainMismatch):
         gpd.validate_groupoid(bad)
 
 
 def test_out_of_range_table_entry_is_a_structured_error():
     g = gpd.pair_groupoid(2)
-    table = np.array(g.comp_table)
+    table = oracles.comp_table(g)
     table[1, 2] = 4
-    bad = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, table, g.inv,
-                             g.identity)
+    bad = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran,
+                             lambda a, b: table[a, b], g.inv, g.identity)
     expect = ("DomainMismatch",
               "composition of 1, 2 names an arrow outside the groupoid")
     assert outcome(gpd.validate_groupoid, bad) == expect
@@ -786,7 +898,7 @@ def test_endpoint_outside_units_is_a_structured_error():
     g = gpd.pair_groupoid(2)
     dom = list(g.dom)
     dom[1] = 5
-    bad = gpd.FiniteGroupoid(g.unit_labels, dom, g.ran, g.comp, g.inv,
+    bad = gpd.FiniteGroupoid(g.unit_labels, dom, g.ran, g.products, g.inv,
                              g.identity)
     with pytest.raises(errors.UnknownUnit):
         gpd.validate_groupoid(bad)
@@ -944,10 +1056,10 @@ def test_center_of_a_nonabelian_group_counts_classes():
 
 def test_convolution_algebra_rejects_a_non_groupoid():
     g = gpd.pair_groupoid(2)
-    comp = dict(g.comp)
+    comp = composition_dict(g)
     comp[(0, 0)] = 1
-    bad = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, comp, g.inv,
-                             g.identity)
+    bad = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, oracles.rule_of(comp),
+                             g.inv, g.identity)
     with pytest.raises(errors.DomainMismatch):
         mr.convolution_algebra(bad)
 
@@ -1450,8 +1562,9 @@ def functors(envelope_sources):
 
 
 def with_table(g, table):
-    return gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, table, g.inv,
-                              g.identity)
+    """g with the products read off a dense ``table``."""
+    return gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran,
+                              lambda a, b: table[a, b], g.inv, g.identity)
 
 
 def hom_set_moves(F):
@@ -1484,7 +1597,7 @@ def mutated_functor(data, F):
             data.draw(st.integers(-1, tgt.n_arrows), label="arrow")
     elif kind.endswith("table"):
         g = src if kind == "source table" else tgt
-        table = np.array(g.comp_table)
+        table = oracles.comp_table(g)
         a = data.draw(st.integers(0, g.n_arrows - 1), label="a")
         b = data.draw(st.integers(0, g.n_arrows - 1), label="b")
         table[a, b] = data.draw(st.integers(-1, g.n_arrows - 1), label="ab")
@@ -1551,6 +1664,56 @@ def test_groupoid_functor_reports_a_lost_identity(functors):
     assert cases > 50
 
 
+def swapped_images(data, F):
+    """F's maps with two arrow images swapped, within one hom-set of the
+    target or anywhere, or a source or target table changed at one pair."""
+    src, tgt, unit_map, arrow_map = mutated_functor(data, F) if \
+        data.draw(st.booleans(), label="mutate") else \
+        (F.source, F.target, list(F.unit_map), list(F.arrow_map))
+    if data.draw(st.booleans(), label="swap") and src.n_arrows > 1:
+        moves = hom_set_moves(F)
+        if moves and data.draw(st.booleans(), label="in a hom-set"):
+            a, h = data.draw(st.sampled_from(moves), label="move")
+            b = arrow_map.index(h) if h in arrow_map else a
+        else:
+            a, b = data.draw(st.lists(st.integers(0, src.n_arrows - 1), min_size=2,
+                                      max_size=2, unique=True), label="pair")
+        arrow_map[a], arrow_map[b] = arrow_map[b], arrow_map[a]
+    return gpd.GroupoidFunctor(src, tgt, tuple(unit_map), tuple(arrow_map))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_algebra_map_from_functor_matches_loops(functors, data):
+    F = swapped_images(data, data.draw(st.sampled_from(functors), label="F"))
+    expect = outcome(oracles.algebra_map_from_functor_loops, F)
+    assert outcome(mr.algebra_map_from_functor, F) == expect
+    if expect == ("ok", ""):
+        assert np.array_equal(mr.algebra_map_from_functor(F),
+                              oracles.algebra_map_from_functor_loops(F))
+
+
+def test_algebra_maps_of_the_isomorphisms_match_loops(functors):
+    bijective = [F for F in functors if F.source.n_arrows == F.target.n_arrows
+                 and len(set(F.arrow_map)) == F.source.n_arrows
+                 and len(set(F.unit_map)) == F.source.n_units
+                 and F.source.n_units == F.target.n_units]
+    assert len(bijective) > 20
+    lost = 0
+    for F in bijective:
+        assert np.array_equal(mr.algebra_map_from_functor(F),
+                              oracles.algebra_map_from_functor_loops(F))
+        # a target whose inverses are rolled by one keeps every product
+        tgt = F.target
+        rolled = gpd.GroupoidFunctor(F.source, gpd.FiniteGroupoid(
+            tgt.unit_labels, tgt.dom, tgt.ran, tgt.products,
+            np.roll(tgt.inv, 1), tgt.identity), F.unit_map, F.arrow_map)
+        expect = outcome(oracles.algebra_map_from_functor_loops, rolled)
+        assert outcome(mr.algebra_map_from_functor, rolled) == expect
+        lost += expect == ("NotAFunctor", "involution not preserved")
+    assert lost > 10
+
+
 def test_functor_report_matches_sets(functors):
     for F in functors:
         assert gpd.functor_report(F) == oracles.functor_report_sets(F)
@@ -1571,10 +1734,12 @@ def test_functor_report_of_arbitrary_maps_matches_sets(functors, data):
             data.draw(st.integers(0, tgt.n_arrows - 1))
     G = gpd.GroupoidFunctor(src, tgt, tuple(unit_map), tuple(arrow_map))
     assert gpd.functor_report(G) == oracles.functor_report_sets(G)
+    assert gpd.is_faithful(G) == oracles.cocycle_faithfulness_map(G)[1]
 
 
 def groupoid_fields(g):
-    return (g.unit_labels, g.dom.tolist(), g.ran.tolist(), sorted(g.comp.items()),
+    return (g.unit_labels, g.dom.tolist(), g.ran.tolist(),
+            oracles.comp_table(g).tolist(),
             g.inv.tolist(), g.identity.tolist(), g.arrow_labels,
             g.parent_units, g.parent_arrows)
 
@@ -1682,7 +1847,7 @@ def test_enveloping_group_action_of_a_nonabelian_restriction_matches_loops():
 
 
 def test_enveloping_action_of_functor_matches_loops(functors):
-    faithful = [F for F in functors if gpd.cocycle_faithfulness_map(F)[1]]
+    faithful = [F for F in functors if oracles.cocycle_faithfulness_map(F)[1]]
     assert len(faithful) > 20
     for F in faithful:
         action, alpha, _, classes = gpd.enveloping_action_of_functor(F)

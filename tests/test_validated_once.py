@@ -1,6 +1,6 @@
 """Each distinct groupoid validated once per ``validated_once`` scope: a twin
-equal in every array and in its composition adopts the checks, table, pairs
-and generators of the groupoid validated first; anything else is validated
+equal in every array and in its composition adopts the checks, pairs,
+products and generators of the groupoid validated first; anything else is validated
 in full, with the witness it gets outside a scope.  Also: a space action
 that passed ``validate_space_action`` is not checked again by
 ``semidirect_product``."""
@@ -10,13 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from germoid import cli, errors, germs
 from germoid import fixtures as fx
 from germoid import groupoids as gpd
 from germoid import matrixrep as mr
 from germoid import partial_actions as pa
 from test_groupoid_index import copy_of, unit_action
-from test_kernels import outcome
+from test_kernels import composition_dict, outcome
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +52,23 @@ def by_rule(g, table):
 
 def mutants(g):
     """(name, builder) of groupoids that differ from g in one entry."""
-    a, b = (int(v[-1]) for v in g.defined_pairs)
-    ab = g.comp_table[a, b]
+    a, b = (int(v[-1]) for v in g.composable_pairs)
+    ab = g.products[-1]
     ids = np.arange(g.n_arrows)
     other = int(np.flatnonzero((g.dom == g.dom[ab]) & (g.ran == g.ran[ab]) &
                                (ids != ab))[0])
     out = []
     for name, value in (("hom-set", other), ("undefined", -1),
                         ("arrow", np.flatnonzero(g.dom != g.dom[ab])[0])):
-        table = np.array(g.comp_table)
+        products = np.array(g.products)
+        products[-1] = value
+        table = oracles.comp_table(g)
         table[a, b] = value
-        out.append((f"table-{name}", lambda t=table: gpd.FiniteGroupoid(
-            g.unit_labels, g.dom, g.ran, t, g.inv, g.identity)))
+        out.append((f"products-{name}", lambda p=products: gpd.FiniteGroupoid(
+            g.unit_labels, g.dom, g.ran, p, g.inv, g.identity)))
         out.append((f"rule-{name}", lambda t=table: by_rule(g, t)))
     loop = np.flatnonzero((g.dom == g.ran) & ~np.isin(ids, g.identity))[0]
+    table = oracles.comp_table(g)       # read at the pairs of the new ends
     for field in ("dom", "ran", "inv", "identity"):
         arrays = {k: np.array(getattr(g, k)) for k in ("dom", "ran", "inv", "identity")}
         if field == "identity":
@@ -73,30 +77,32 @@ def mutants(g):
             arrays[field][0] = (arrays[field][0] + 1) % (
                 g.n_arrows if field == "inv" else g.n_units)
         out.append((field, lambda v=arrays: gpd.FiniteGroupoid(
-            g.unit_labels, v["dom"], v["ran"], g.comp_table, v["inv"],
-            v["identity"])))
+            g.unit_labels, v["dom"], v["ran"], lambda a, b: table[a, b],
+            v["inv"], v["identity"])))
     return out
 
 
-def test_a_twin_skips_the_laws_and_shares_the_table_pairs_and_generators(
+def test_a_twin_skips_the_laws_and_shares_the_products_pairs_and_generators(
         g, full):
-    table = g.comp_table
+    table = oracles.comp_table(g)
     with gpd.validated_once():
         first = gpd.validate_groupoid(copy_of(g))
         assert full == [first]
         for twin in (copy_of(g), by_rule(g, table),
-                     gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, g.comp,
+                     gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran,
+                                        oracles.rule_of(composition_dict(g)),
                                         g.inv, g.identity)):
             assert gpd.validate_groupoid(twin).validated
-            assert twin.comp_table is first.comp_table
-            assert twin.composable_pairs is first.defined_pairs
-            assert twin.defined_pairs is first.defined_pairs
+            assert twin.products is first.products
+            assert twin.composable_pairs is first.composable_pairs
+            assert twin.offsets is first.offsets
             assert twin.by_ran is first.by_ran
             assert twin.generators is first.generators
-            assert dict(twin.comp) == dict(g.comp)
+            assert np.array_equal(oracles.comp_table(twin), table)
         assert full == [first]
     assert first.generators.sum() < g.n_arrows
-    assert not any(v.flags.writeable for v in (*first.defined_pairs, *first.by_ran))
+    assert not any(v.flags.writeable for v in (
+        *first.composable_pairs, *first.by_ran, first.products))
 
 
 def test_a_rule_twin_fills_no_table_of_its_own():
@@ -105,15 +111,15 @@ def test_a_rule_twin_fills_no_table_of_its_own():
     n = g.n_arrows
     with gpd.validated_once():
         first = gpd.validate_groupoid(copy_of(g))
-        twin = by_rule(g, g.comp_table)
+        twin = by_rule(g, oracles.comp_table(g))
         tracemalloc.start()
         try:
             gpd.validate_groupoid(twin)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert twin.comp_table is first.comp_table
-    assert peak < n * n        # a quarter of the int32 table
+    assert twin.products is first.products
+    assert peak < n * n        # a quarter of an int32 table
 
 
 def test_the_builders_of_one_fixture_make_twins(S, full):
@@ -124,7 +130,7 @@ def test_the_builders_of_one_fixture_make_twins(S, full):
                   gpd.semidirect_product(
                       germs.gspace_from_saction(germs.beta_action(S))[0])]
     assert full == [universal]
-    assert all(h.comp_table is universal.comp_table for h in others)
+    assert all(h.products is universal.products for h in others)
 
 
 @pytest.mark.parametrize("case", range(10))
