@@ -271,7 +271,7 @@ def check_laws(g: FiniteGroupoid) -> None:
     if all(v.min(initial=0) >= 0 and v.max(initial=-1) < top for v, top in
            ((dom, n_units), (ran, n_units), (inv, n), (identity, n))):
         ab, one, back = g.products, identity[dom], identity[ran]
-        (row_start, rank) = g.offsets
+        row_start, rank = g.offsets
         # once the ends agree, a 1_dom(a) = a, 1_ran(a) a = a, a^-1 a =
         # 1_dom(a) and a a^-1 = 1_ran(a) are read off their pairs
         if ab.min(initial=-1) >= -1 and ab.max(initial=-1) < n and \
@@ -598,7 +598,8 @@ def comparison_map(F: GroupoidFunctor) -> np.ndarray:
 
 def is_faithful(F: GroupoidFunctor) -> bool:
     """Whether F is injective on each hom-set: psi is injective."""
-    return len(np.unique(comparison_map(F))) == F.source.n_arrows
+    psi = np.sort(comparison_map(F))
+    return bool((psi[1:] != psi[:-1]).all())
 
 
 def functor_report(F: GroupoidFunctor) -> dict:

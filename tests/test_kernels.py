@@ -585,8 +585,8 @@ def assert_composable_pairs(g):
 @EXAMPLES
 @given(data=st.data())
 def test_endpoint_law_on_the_defined_pairs_matches_the_row_scan(groupoids, data):
-    # a mutation keeps the endpoints and table entries in range; where the
-    # law fails, validate_groupoid names the row scan's witness
+    # a mutation keeps the endpoints and products in range; where the law
+    # fails, validate_groupoid names the row scan's witness
     g = data.draw(st.sampled_from(groupoids), label="g")
     h = mutated_groupoid(data, g)
     scan = outcome(oracles.scan_endpoint_law, h.dom, h.ran, oracles.comp_table(h))
@@ -598,8 +598,8 @@ def test_endpoint_law_on_the_defined_pairs_matches_the_row_scan(groupoids, data)
 
 
 def test_endpoint_law_counts_the_composable_pairs():
-    # every defined pair is composable with the right endpoints, but one
-    # composable pair is missing: only the count sees it
+    # every product given has the right endpoints, but one composable pair
+    # has none
     g = gpd.pair_groupoid(3)
     comp = composition_dict(g)
     del comp[(8, 8)]
