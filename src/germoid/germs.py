@@ -22,6 +22,8 @@ from .groupoids import (
     GroupoidSpaceAction,
     groupoid_functor,
     reduction,
+    scope_enter,
+    scope_twins,
     semidirect_product,
     validate_groupoid,
     validate_space_action,
@@ -56,6 +58,7 @@ class SAction:
         self.maps = np.asarray(maps, dtype=np.int64)
         self.maps.setflags(write=False)
         self._anchor = None         # memo of anchor_idempotents
+        self._germs = None          # memo of germ_groupoid's arrays
 
     @property
     def n_points(self):
@@ -91,15 +94,25 @@ def anchor_idempotents(action: SAction) -> np.ndarray:
     domain of theta_e, or -1 when x lies in no such domain.
 
     Since theta_e theta_f = theta_ef, x lies in the domain of theta_{m_x}:
-    m_x is the least idempotent whose domain holds x.  The read-only result
-    is memoized on the action.
+    m_x is the least idempotent whose domain holds x.  The rows
+    ``where(x in dom theta_e, e, -1)`` are multiplied pairwise, halves
+    against halves, with -1 as the empty product; idempotents commute, so
+    any order gives the same product.  Points go in blocks of ``CHUNK``
+    entries.  The read-only result is memoized on the action.
     """
     if action._anchor is None:
-        S = action.semigroup
+        S, maps = action.semigroup, action.maps
+        E = np.asarray(S.idempotents, dtype=np.int64)
         m = np.full(action.n_points, -1, dtype=np.int64)
-        for e in S.idempotents:
-            inside = action.maps[e] >= 0
-            m = np.where(inside, np.where(m < 0, e, S.table[m, e]), m)
+        step = max(1, CHUNK // max(len(E), 1))
+        for lo in range(0, len(m), step):
+            rows = np.where(maps[E, lo:lo + step] >= 0, E[:, None], -1)
+            while len(rows) > 1:
+                half = len(rows) // 2
+                a, b = rows[:half], rows[half:2 * half]
+                ab = np.where(a < 0, b, np.where(b < 0, a, S.table[a, b]))
+                rows = np.concatenate((ab, rows[2 * half:]))
+            m[lo:lo + step] = rows[0] if len(rows) else -1
         m.setflags(write=False)
         action._anchor = m
     return action._anchor
@@ -135,10 +148,17 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
     Light's test, on the maps in the narrowest integer type that holds
     them and on their transpose; only when it fails does the scan over
     all pairs run, for the witness.
+
+    Inside a :func:`~germoid.groupoids.validated_once` scope, maps exactly
+    equal to those of an action of the same S that passed there give a new
+    action unchecked.
     """
     action = SAction(S, point_labels, np.asarray(maps))
     n, m = len(S), action.n_points
     maps = action.maps
+    key = ("saction", id(S), maps.shape, m)
+    if any(np.array_equal(maps, t.maps) for t in scope_twins(key)):
+        return action
     if maps.shape != (n, m):
         raise errors.InvalidParams("need one partial map per semigroup element")
     out_of_range = (maps >= m).any(axis=1)
@@ -175,6 +195,7 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
     covered = defined[list(S.idempotents)].any(axis=0)
     if not covered.all():
         raise errors.DomainsDontCover(int(np.flatnonzero(~covered)[0]))
+    scope_enter(key, action)
     return action
 
 
@@ -289,7 +310,26 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     needs only theta_e theta_f = theta_ef, which :func:`validate_saction`
     establishes.  So the class of (s, x) is keyed by (s m_x, x), at
     O(|S| |X|) cost.
+
+    The arrays derived from the action (germ representatives, ``arrow_at``,
+    ``dom``, ``ran``, ``inv``, ``identity``, the labels and, once a build
+    passes, the products) are memoized on it.  Each call builds its own
+    groupoid under its own name from them and validates it: inside a
+    :func:`~germoid.groupoids.validated_once` scope where one has passed,
+    that is the twin check.
     """
+    if action._germs is None:
+        action._germs = _germ_arrays(action)
+    S = action.semigroup
+    g = validate_groupoid(GermGroupoid(action, name=name or f"{S.name}|germs",
+                                       **action._germs))
+    action._germs["products"] = g.products
+    return g
+
+
+def _germ_arrays(action: SAction) -> dict:
+    """The keyword arguments of :class:`GermGroupoid` for the germs of an
+    action, bar the name; ``products`` is the rule (a, b) -> ab."""
     S = action.semigroup
     n, m = len(S), action.n_points
     maps = action.maps
@@ -302,18 +342,16 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     arrow_at[s_of, x_of] = arrow_of_pair
     label, dom = s_of[firsts], x_of[firsts]
     ran = maps[label, dom]
-    inv = arrow_at[S.star[label], ran]
-    # [e, x] = [m_x, x] for every idempotent e whose domain holds x
-    identity = arrow_at[anchor, np.arange(m)]
-    reps = list(zip(label.tolist(), dom.tolist()))
-    labels = [f"[{S.names[s]},{action.point_labels[x]}]" for s, x in reps]
-    g = GermGroupoid(
-        action, reps, arrow_at,
-        unit_labels=action.point_labels, dom=dom, ran=ran, inv=inv,
+    reps = tuple(zip(label.tolist(), dom.tolist()))
+    return dict(
+        reps=reps, arrow_at=arrow_at,
+        unit_labels=action.point_labels, dom=dom, ran=ran,
+        inv=arrow_at[S.star[label], ran],
         products=lambda a, b: arrow_at[S.table[label[a], label[b]], dom[b]],
-        identity=identity, arrow_labels=labels,
-        name=name or f"{S.name}|germs")
-    return validate_groupoid(g)
+        # [e, x] = [m_x, x] for every idempotent e whose domain holds x
+        identity=arrow_at[anchor, np.arange(m)],
+        arrow_labels=tuple(f"[{S.names[s]},{action.point_labels[x]}]"
+                           for s, x in reps))
 
 
 def universal_groupoid(S: InvSemigroup, contracted=False) -> GermGroupoid:

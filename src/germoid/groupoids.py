@@ -311,19 +311,45 @@ def check_laws(g: FiniteGroupoid) -> None:
         raise errors.MissingInverse(_first(~good))
 
 
-# the scope of validated_once: validated groupoids by their arrays, or None
+# the scope of validated_once: per key, the objects that passed there, or None
 _twins = contextvars.ContextVar("validated_twins", default=None)
 
 
 @contextlib.contextmanager
 def validated_once():
-    """A scope in which :func:`validate_groupoid` checks each distinct
-    groupoid once; the outer scope, or none, is restored on exit."""
+    """A scope in which each distinct input of :func:`validate_groupoid`,
+    :func:`validate_space_action`, :func:`groupoid_functor`,
+    ``germs.validate_saction`` and ``partial_actions.validate_partial_action``
+    is checked once; the outer scope, or none, is restored on exit.
+
+    An input is keyed by the ``id`` of the validated objects it reads, a
+    semigroup, a group or a groupoid's ``products`` (which only twins
+    share), and by the shapes of its own arrays.  The scope holds every
+    object that passed, so no such id is reused while it is open.  A later
+    input under the same key is a twin when its arrays are exactly equal
+    (``np.array_equal``) to one that passed; it skips the checks.  Nothing
+    that fails enters the scope."""
     token = _twins.set({})
     try:
         yield
     finally:
         _twins.reset(token)
+
+
+def scope_twins(key) -> list:
+    """What passed under ``key`` in the current :func:`validated_once`
+    scope, in order; empty outside one or for the key None."""
+    twins = _twins.get()
+    return [] if twins is None or key is None else twins.get(key, [])
+
+
+def scope_enter(key, entry) -> None:
+    """Record ``entry``, which passed its checks, under ``key`` in the
+    current :func:`validated_once` scope, if there is one and the key is
+    not None."""
+    twins = _twins.get()
+    if twins is not None and key is not None:
+        twins.setdefault(key, []).append(entry)
 
 
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
@@ -355,12 +381,11 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     if len(g.ran) != n or len(g.inv) != n or len(g.identity) != n_units:
         raise errors.InvalidParams(
             "need one ran and inv entry per arrow and one identity per unit")
-    twins = _twins.get()
-    if twins is not None:
+    key = None
+    if _twins.get() is not None:
         key = (n_units, g.dom.tobytes(), g.ran.tobytes(), g.inv.tobytes(),
                g.identity.tobytes())
-        twin = twins.get(key)
-        if twin is not None:
+        for twin in scope_twins(key):
             g._index = twin._index              # the same dom and ran
             if np.array_equal(g.products, twin.products):
                 g.products, g.generators, g.validated = \
@@ -389,8 +414,7 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
             a, b, int(order[start[g.dom[b]] + j]))
     gens.setflags(write=False)
     g.generators, g.validated = gens, True
-    if twins is not None:
-        twins.setdefault(key, g)
+    scope_enter(key, g)
     return g
 
 
@@ -535,11 +559,20 @@ def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
     holds for all a include the identities, and, as both are associative,
     are closed under composition: F(a(bb')) = F((ab)b') = F(ab)F(b') =
     (F(a)F(b))F(b') = F(a)F(bb').
+
+    Inside a :func:`validated_once` scope, maps exactly equal to those of a
+    functor that passed there between the same groupoids or their twins
+    (keyed by their ``products``) give a new functor unchecked.
     """
     um = np.array(unit_map, dtype=np.int64)
     f = np.array(arrow_map, dtype=np.int64)
     if len(um) != src.n_units or len(f) != src.n_arrows:
         raise errors.NotAFunctor("maps must cover all units and arrows")
+    key = ("functor", id(src.products), id(tgt.products), um.shape, f.shape) \
+        if src.validated and tgt.validated else None
+    if any(np.array_equal(um, u) and np.array_equal(f, a)
+           for u, a, _ in scope_twins(key)):
+        return GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
     ok = (f >= 0) & (f < tgt.n_arrows)
     bad = ~ok
     bad[ok] = (tgt.dom[f[ok]] != um[src.dom[ok]]) | (tgt.ran[f[ok]] != um[src.ran[ok]])
@@ -560,7 +593,9 @@ def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
         None if tgt.generators is None else src.generators)
     if bad is not None:
         raise errors.NotAFunctor(f"composition {bad[0]}{bad[1]} not preserved")
-    return GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
+    F = GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
+    scope_enter(key, (um, f, F))
+    return F
 
 
 def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
@@ -677,9 +712,20 @@ def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
     ``generators``.  That suffices: the groupoid passed validation, and
     the b for which it holds for all a and x include the identities once
     the identity check passes, and are closed under composition:
-    (a(bb'))x = ((ab)b')x = (ab)(b'x) = a(b(b'x)) = a((bb')x)."""
+    (a(bb'))x = ((ab)b')x = (ab)(b'x) = a(b(b'x)) = a((bb')x).
+
+    Inside a :func:`validated_once` scope, an action of a validated
+    groupoid whose ``act`` and anchor are exactly equal to those of an
+    action of it or of a twin (keyed by the ``products``) that passed there
+    is marked validated unchecked."""
     h, m = action.groupoid, action.n_points
     anchor = np.asarray(action.anchor, dtype=np.int64)
+    key = ("space", id(h.products), action.act.shape, anchor.shape) \
+        if h.validated else None
+    if any(np.array_equal(action.act, t.act) and np.array_equal(anchor, t.anchor)
+           for t in scope_twins(key)):
+        action.validated = True
+        return action
     act = np.maximum(action.act, -1)
     if act.shape != (h.n_arrows, m) or anchor.shape != (m,):
         raise errors.InvalidParams("need an image per arrow and point")
@@ -707,6 +753,7 @@ def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
     if bad is not None:
         raise errors.InvalidAction("action not functorial at ({},{},{})".format(*bad))
     action.validated = True
+    scope_enter(key, action)
     return action
 
 

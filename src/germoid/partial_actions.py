@@ -22,6 +22,8 @@ from .groupoids import (
     groupoid_functor,
     is_faithful,
     reduction,
+    scope_enter,
+    scope_twins,
     semidirect_projection,
     validate_groupoid,
     verify_isomorphism,
@@ -82,11 +84,17 @@ def validate_partial_action(G: FiniteGroup, point_labels, maps) -> PartialGroupA
     prehomomorphism law theta(g) theta(h) <= theta(gh).
 
     Each law is checked for all group elements at once, in slabs of g for
-    the last one; the witness is the first failure in id order.
+    the last one; the witness is the first failure in id order.  Inside a
+    :func:`~germoid.groupoids.validated_once` scope, maps exactly equal to
+    those of a partial action of the same G that passed there give a new
+    action unchecked.
     """
     theta = PartialGroupAction(G, point_labels, np.asarray(maps))
     m = theta.n_points
     maps = theta.maps
+    key = ("partial", id(G), maps.shape, m)
+    if any(np.array_equal(maps, t.maps) for t in scope_twins(key)):
+        return theta
     points = np.arange(m)
     if (maps[G.identity] != points).any():
         raise errors.IdentityNotTotal("theta(1) must be the identity of X")
@@ -109,6 +117,7 @@ def validate_partial_action(G: FiniteGroup, point_labels, maps) -> PartialGroupA
         if bad.any():
             g, h = np.argwhere(bad)[0]
             raise errors.NotDualPrehom(int(g) + lo, int(h))
+    scope_enter(key, theta)
     return theta
 
 

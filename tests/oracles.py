@@ -500,6 +500,20 @@ def validate_saction_scan(S, maps):
         raise errors.DomainsDontCover(int(np.flatnonzero(~covered)[0]))
 
 
+def anchor_idempotents_loop(action):
+    """m_x, the product of the idempotents e with x in dom theta_e, or -1,
+    multiplied in id order by one pass over E(S); the loop that
+    ``germs.anchor_idempotents`` replaced."""
+    import numpy as np
+
+    S = action.semigroup
+    m = np.full(action.n_points, -1, dtype=np.int64)
+    for e in S.idempotents:
+        inside = action.maps[e] >= 0
+        m = np.where(inside, np.where(m < 0, e, S.table[m, e]), m)
+    return m
+
+
 def germ_classes_by_order(S, action):
     """Germ classes from the natural order: (s, x) ~ (t, x) iff some u below
     s and t has x in dom theta_{u*u}, one matrix product per s.  Returns the

@@ -506,6 +506,33 @@ def test_validate_space_action_matches_loops(space_actions, data):
         outcome(oracles.validate_space_action_loops, bad)
 
 
+@EXAMPLES
+@given(data=st.data())
+def test_anchor_idempotents_matches_the_loop(actions, data):
+    # any maps of the right shape: the product of a set of idempotents does
+    # not depend on the order, so the action need not be valid
+    action = data.draw(st.sampled_from(actions), label="action")
+    maps = mutated_maps(data, action.maps)
+    if data.draw(st.booleans(), label="a point in no domain"):
+        maps[:, data.draw(st.integers(0, action.n_points - 1), label="x")] = -1
+    mutant = germs.SAction(action.semigroup, action.point_labels, maps)
+    got = germs.anchor_idempotents(mutant)
+    assert np.array_equal(got, oracles.anchor_idempotents_loop(mutant))
+    assert not got.flags.writeable
+
+
+@FEW
+@given(data=st.data())
+def test_anchor_idempotents_over_many_blocks_matches_the_loop(data):
+    # 300 idempotents by 300 points: blocks of 218 points
+    S = fx.chain(300)
+    maps = mutated_maps(data, wagner_preston(S))
+    maps[:, data.draw(st.integers(0, len(S) - 1), label="x")] = -1
+    action = germs.SAction(S, range(len(S)), maps)
+    assert np.array_equal(germs.anchor_idempotents(action),
+                          oracles.anchor_idempotents_loop(action))
+
+
 # -- germ classes -------------------------------------------------------------------
 
 def test_germ_classes_match_order_relation(actions):

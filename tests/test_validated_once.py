@@ -1,10 +1,13 @@
-"""Each distinct groupoid validated once per ``validated_once`` scope: a twin
-equal in every array and in its composition adopts the checks, pairs,
-products and generators of the groupoid validated first; anything else is validated
-in full, with the witness it gets outside a scope.  Also: a space action
-that passed ``validate_space_action`` is not checked again by
-``semidirect_product``."""
+"""Each distinct input validated once per ``validated_once`` scope: a twin
+groupoid equal in every array and in its composition adopts the checks,
+pairs, products and generators of the groupoid validated first; an S-action,
+partial group action, space action or functor exactly equal to one that
+passed skips its checks; anything else is validated in full, with the
+witness it gets outside a scope.  Also: a space action that passed
+``validate_space_action`` is not checked again by ``semidirect_product``,
+and ``germ_groupoid`` derives the germs of an action once."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from germoid import fixtures as fx
 from germoid import groupoids as gpd
 from germoid import matrixrep as mr
 from germoid import partial_actions as pa
+from germoid import semigroups as sg
 from test_groupoid_index import copy_of, unit_action
 from test_kernels import composition_dict, outcome
 
@@ -228,3 +232,252 @@ def test_semidirect_product_of_an_invalid_action_raises_its_witness(g):
         action = made()
         assert outcome(gpd.semidirect_product, action) == expect
         assert not action.validated
+
+
+# -- S-actions, partial group actions, space actions and functors ------------------
+
+def kinds(S, g):
+    """Per kind: (module and name of a helper only its full check calls, the
+    array of a passing input, the validation of that input with the array
+    replaced)."""
+    beta, theta = germs.beta_action(S), pa.theta_from_sigma(S)
+    ga = germs.gspace_from_saction(beta)[0]
+    return {
+        "saction": ((germs, "inverse_defects"), beta.maps, lambda maps:
+                    germs.validate_saction(S, beta.point_labels, maps)),
+        "partial": ((pa, "inverse_defects"), theta.maps, lambda maps:
+                    pa.validate_partial_action(theta.group, theta.point_labels, maps)),
+        "space": ((gpd, "first_failing_pair"), ga.act, lambda act:
+                  gpd.validate_space_action(gpd.GroupoidSpaceAction(
+                      ga.groupoid, ga.point_labels, ga.anchor, act))),
+        "functor": ((gpd, "first_failing_pair"), np.arange(g.n_arrows), lambda f:
+                    gpd.groupoid_functor(g, g, range(g.n_units), f)),
+    }
+
+
+KINDS = ("saction", "partial", "space", "functor")
+
+
+def spy_on(monkeypatch, target):
+    """The calls of the helper ``target`` from here on, as a list."""
+    (mod, name), seen = target, []
+    helper = getattr(mod, name)
+
+    def spy(*args, **kw):
+        seen.append(args)
+        return helper(*args, **kw)
+    monkeypatch.setattr(mod, name, spy)
+    return seen
+
+
+def one_entry_off(array):
+    """Copies of ``array`` that differ from it in one entry: the middle
+    nonnegative entry set to -1, to the next value, and to one past the
+    largest."""
+    flat = np.flatnonzero(np.asarray(array).ravel() >= 0)
+    i = np.unravel_index(flat[len(flat) // 2], np.shape(array))
+    top = int(np.max(array)) + 1
+    out = []
+    for value in (-1, (int(array[i]) + 1) % top, top):
+        copy = np.array(array)
+        copy[i] = value
+        out.append(copy)
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_equal_input_skips_the_checks(S, g, kind, monkeypatch):
+    target, array, validate = kinds(S, g)[kind]
+    full = spy_on(monkeypatch, target)
+    with gpd.validated_once():
+        first = validate(np.array(array))
+        assert len(full) == 1
+        twin = validate(np.array(array))
+        assert len(full) == 1
+    assert twin is not first
+    if kind == "space":
+        assert twin.validated
+    elif kind == "functor":
+        assert twin.arrow_map == first.arrow_map and twin.unit_map == first.unit_map
+    else:
+        assert np.array_equal(twin.maps, first.maps)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_equal_input_over_equal_but_other_objects_is_checked_in_full(
+        S, g, kind, monkeypatch):
+    # keys hold the identity of S, G or the groupoids' products, not their
+    # contents: the copies were validated outside the scope
+    S2 = fx.direct_product(fx.chain(8), fx.cyclic_group(4))
+    g2 = gpd.validate_groupoid(copy_of(g))
+    target, array, validate = kinds(S, g)[kind]
+    _, other_array, validate_other = kinds(S2, g2)[kind]
+    assert np.array_equal(array, other_array)
+    full = spy_on(monkeypatch, target)
+    with gpd.validated_once():
+        validate(np.array(array))
+        validate_other(np.array(array))
+    assert len(full) == 2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_twin_is_taken_outside_a_scope(S, g, kind, monkeypatch):
+    target, array, validate = kinds(S, g)[kind]
+    full = spy_on(monkeypatch, target)
+    validate(np.array(array))
+    validate(np.array(array))
+    assert len(full) == 2
+    with gpd.validated_once():
+        validate(np.array(array))
+    validate(np.array(array))                   # the scope is gone
+    assert len(full) == 4
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_input_one_entry_off_is_checked_in_full(S, g, kind):
+    _, array, validate = kinds(S, g)[kind]
+    copies = one_entry_off(array)
+    expect = [outcome(validate, copy) for copy in copies]
+    assert all(e[0] != "ok" for e in expect), expect
+    with gpd.validated_once():
+        validate(np.array(array))
+        assert [outcome(validate, copy) for copy in copies] == expect
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_failing_input_enters_no_scope(S, g, kind):
+    _, array, validate = kinds(S, g)[kind]
+    bad = one_entry_off(array)[0]
+    expect = outcome(validate, bad)
+    with gpd.validated_once():
+        # entered, the second call would be taken for a twin and pass
+        assert outcome(validate, bad) == outcome(validate, bad) == expect
+
+
+def test_a_space_action_with_another_anchor_is_checked_in_full(S, g):
+    ga = germs.gspace_from_saction(germs.beta_action(S))[0]
+    anchor = list(ga.anchor)
+    anchor[0] = (anchor[0] + 1) % ga.groupoid.n_units
+    made = lambda a: gpd.GroupoidSpaceAction(ga.groupoid, ga.point_labels, a, ga.act)
+    expect = outcome(gpd.validate_space_action, made(anchor))
+    assert expect[0] == "InvalidAction"
+    with gpd.validated_once():
+        gpd.validate_space_action(made(ga.anchor))
+        assert outcome(gpd.validate_space_action, made(anchor)) == expect
+
+
+def test_a_functor_with_another_unit_map_is_checked_in_full(g):
+    units = np.arange(g.n_units)
+    units[0] = 1
+    expect = outcome(gpd.groupoid_functor, g, g, units, range(g.n_arrows))
+    assert expect[0] == "NotAFunctor"
+    with gpd.validated_once():
+        gpd.identity_functor(g)
+        assert outcome(gpd.groupoid_functor, g, g, units, range(g.n_arrows)) \
+            == expect
+
+
+def test_a_functor_between_twins_is_a_twin(g, monkeypatch):
+    with gpd.validated_once():
+        one = gpd.validate_groupoid(copy_of(g))
+        other = gpd.validate_groupoid(copy_of(g))
+        assert other.products is one.products
+        full = spy_on(monkeypatch, (gpd, "first_failing_pair"))
+        first = gpd.identity_functor(one)
+        F = gpd.groupoid_functor(other, one, range(g.n_units), range(g.n_arrows))
+        assert len(full) == 1 and F.source is other and F is not first
+    assert F.arrow_map == first.arrow_map
+
+
+# -- one germ build per action --------------------------------------------------------
+
+def test_a_germ_memo_hit_is_a_new_groupoid_with_the_same_arrays(S, monkeypatch):
+    beta = germs.beta_action(S)
+    action = germs.SAction(S, beta.point_labels, beta.maps)     # no memo yet
+    built = spy_on(monkeypatch, (germs, "_germ_arrays"))
+    full = spy_on(monkeypatch, (gpd, "check_laws"))
+    first = germs.germ_groupoid(action, name="first")
+    again = germs.germ_groupoid(action, name="again")
+    assert len(built) == 1 and len(full) == 2      # outside a scope: full
+    assert again is not first and (first.name, again.name) == ("first", "again")
+    assert again.validated and again.action is action
+    for field in ("dom", "ran", "inv", "identity", "arrow_at"):
+        assert getattr(again, field) is getattr(first, field), field
+        assert not getattr(again, field).flags.writeable
+    assert again.germ_reps is first.germ_reps
+    assert again.arrow_labels is first.arrow_labels
+    assert np.array_equal(again.products, first.products)
+    assert not again.products.flags.writeable
+    with gpd.validated_once():
+        inside = germs.germ_groupoid(action)
+        twin = germs.germ_groupoid(action, name="twin")
+    assert len(built) == 1 and len(full) == 3
+    assert twin.products is inside.products and twin.name == "twin"
+    assert inside.name == f"{S.name}|germs"
+
+
+def test_a_failing_germ_build_memoizes_no_products(S):
+    beta = germs.beta_action(S)
+    maps = np.array(beta.maps)
+    e = next(s for s in S.idempotents if (maps[s] >= 0).sum() > 1)
+    x, y = np.flatnonzero(maps[e] >= 0)[:2]
+    maps[e, x] = y              # theta_e is no longer the identity on its domain
+    action = germs.SAction(S, beta.point_labels, maps)
+    expect = outcome(germs.germ_groupoid, action)
+    assert expect[0] != "ok"
+    assert outcome(germs.germ_groupoid, action) == expect
+    assert callable(action._germs["products"])
+
+
+# -- a planted defect, end to end -------------------------------------------------------
+
+def test_verify_fails_a_roundtrip_action_one_image_off(tmp_path, capsys,
+                                                       monkeypatch):
+    S = fx.brandt(fx.cyclic_group(4), 4)
+    path = tmp_path / "bz4x4.json"
+    path.write_text(S.to_json())
+    back = germs.saction_from_gspace
+
+    def moved(gaction):
+        action = back(gaction)
+        maps = np.array(action.maps)
+        s, x = np.argwhere(maps >= 0)[-1]
+        maps[s, x] = (maps[s, x] + 1) % action.n_points
+        return germs.validate_saction(action.semigroup, action.point_labels, maps)
+    monkeypatch.setattr(germs, "saction_from_gspace", moved)
+    assert cli.main(["verify", "--suite", "all", str(path)]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    failed = [r for r in reports if not r["pass"]]
+    assert sorted(r["check"] for r in failed) == ["equiv[contracted]", "equiv[plain]"]
+    assert all(r["witness"].split(":")[0] in ("NotBijective", "NotAHomomorphism")
+               for r in failed), failed
+
+
+def test_copies_that_break_only_composition_are_checked_in_full(S, g):
+    # one arrow of the functor moved within its hom-set, and one hx of an
+    # enveloping space (several points over a unit) moved within its fiber:
+    # the endpoints and anchors still agree, so only the pair scans fail
+    a = next(a for a in range(g.n_arrows) if a not in set(g.identity.tolist()))
+    f = np.arange(g.n_arrows)
+    f[a] = next(b for b in range(g.n_arrows)
+                if b != a and (g.dom[b], g.ran[b]) == (g.dom[a], g.ran[a]))
+    ga = gpd.enveloping_action_of_functor(germs.induced_functor(
+        sg.hom_from_sigma(sg.max_group_image(S))))[0]
+    act = np.array(ga.act)
+    h, x = next((h, x) for h, x in np.argwhere(act >= 0)
+                if h not in set(ga.groupoid.identity.tolist()))
+    act[h, x] = next(y for y in range(ga.n_points) if y != act[h, x] and
+                     ga.anchor[y] == ga.anchor[act[h, x]])
+    cases = [
+        (lambda f: gpd.groupoid_functor(g, g, range(g.n_units), f),
+         np.arange(g.n_arrows), f, "NotAFunctor: composition"),
+        (lambda act: gpd.validate_space_action(gpd.GroupoidSpaceAction(
+            ga.groupoid, ga.point_labels, ga.anchor, act)),
+         ga.act, act, "InvalidAction: action not functorial"),
+    ]
+    for validate, good, bad, witness in cases:
+        expect = outcome(validate, bad)
+        assert ": ".join(expect).startswith(witness)
+        with gpd.validated_once():
+            validate(np.array(good))
+            assert outcome(validate, bad) == expect
