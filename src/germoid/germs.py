@@ -32,6 +32,7 @@ from .semigroups import (
     CHUNK,
     InvSemigroup,
     SemigroupHom,
+    first_failing_product,
     first_occurrence_ids,
     is_ideal,
     lights_test,
@@ -146,18 +147,23 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
     The pairs are checked for the generators t of S by
     :func:`~germoid.semigroups.lights_test`, the row-gather kernel of
     Light's test, on the maps in the narrowest integer type that holds
-    them and on their transpose; only when it fails does the scan over
-    all pairs run, for the witness.
+    them and on their transpose.  Only when it fails, or when an entry lies
+    below -1, does :func:`~germoid.semigroups.first_failing_product` scan
+    all pairs for the first (s, t) at which the two sides differ.
 
     Inside a :func:`~germoid.groupoids.validated_once` scope, maps exactly
     equal to those of an action of the same S that passed there give a new
-    action unchecked.
+    action unchecked.  It shares the passing action's memo of
+    :func:`anchor_idempotents`, which depends only on S and the maps.
     """
     action = SAction(S, point_labels, np.asarray(maps))
     n, m = len(S), action.n_points
     maps = action.maps
     key = ("saction", id(S), maps.shape, m)
-    if any(np.array_equal(maps, t.maps) for t in scope_twins(key)):
+    twin = next((t for t in scope_twins(key) if np.array_equal(maps, t.maps)),
+                None)
+    if twin is not None:
+        action._anchor = twin._anchor       # a function of S and the maps
         return action
     if maps.shape != (n, m):
         raise errors.InvalidParams("need one partial map per semigroup element")
@@ -177,22 +183,15 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
     # theta_s theta_t = theta_st: if it holds for every generator t it holds
     # for all t, since theta_s theta_tu = theta_st theta_u = theta_stu; only
     # when a generator fails, or an entry below -1 would index a real point
-    # where lights_test expects its sentinel, does the full scan, in
-    # slabs of s, run to find the first failing pair
-    defined = maps >= 0
+    # where lights_test expects its sentinel, are all pairs scanned
     small = narrow(maps, -1, m - 1) if maps.min(initial=-1) >= -1 else None
     if small is None or not lights_test(
             S.table, small, S.generators, transposed(small)):
-        inner = np.where(defined, maps, 0)
-        slab = max(1, CHUNK // max(n * m, 1))
-        for lo in range(0, n, slab):
-            comp = np.where(defined[None], maps[lo:lo + slab][:, inner], -1)
-            bad = (comp != maps[S.table[lo:lo + slab]]).any(axis=2)
-            if bad.any():
-                s, t = np.argwhere(bad)[0]
-                raise errors.NotAHomomorphism(
-                    f"theta_{int(s) + lo} theta_{int(t)} != theta_{{s t}}")
-    covered = defined[list(S.idempotents)].any(axis=0)
+        bad = first_failing_product(S.table, maps, np.not_equal)
+        if bad is not None:
+            raise errors.NotAHomomorphism(
+                f"theta_{bad[0]} theta_{bad[1]} != theta_{{s t}}")
+    covered = (maps[list(S.idempotents)] >= 0).any(axis=0)
     if not covered.all():
         raise errors.DomainsDontCover(int(np.flatnonzero(~covered)[0]))
     scope_enter(key, action)
@@ -253,14 +252,21 @@ def restrict_maps(maps: np.ndarray, subset, check_invariant=True):
 
 
 class GermGroupoid(FiniteGroupoid):
-    """A groupoid of germs: arrow ``arrow_at[s, x]`` is the germ [s, x]."""
+    """A groupoid of germs: arrow ``arrow_at[s, x]`` is the germ [s, x],
+    and row a of ``arrow_pairs`` is (s, x) for the least such pair."""
 
-    def __init__(self, action: SAction, reps, arrow_at, **kw):
+    def __init__(self, action: SAction, arrow_pairs, arrow_at, **kw):
         self.action = action
-        self.germ_reps = tuple(reps)
+        self.arrow_pairs = arrow_pairs
         self.arrow_at = arrow_at
-        self.arrow_at.setflags(write=False)
+        for arr in (arrow_pairs, arrow_at):
+            arr.setflags(write=False)
         super().__init__(**kw)
+
+    @property
+    def germ_reps(self) -> tuple:
+        """Per arrow its germ (s, x): the rows of ``arrow_pairs``."""
+        return tuple(map(tuple, self.arrow_pairs.tolist()))
 
     @functools.cached_property
     def germ_of(self) -> dict:
@@ -311,7 +317,7 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     establishes.  So the class of (s, x) is keyed by (s m_x, x), at
     O(|S| |X|) cost.
 
-    The arrays derived from the action (germ representatives, ``arrow_at``,
+    The arrays derived from the action (``arrow_pairs``, ``arrow_at``,
     ``dom``, ``ran``, ``inv``, ``identity``, the labels and, once a build
     passes, the products) are memoized on it.  Each call builds its own
     groupoid under its own name from them and validates it: inside a
@@ -342,16 +348,15 @@ def _germ_arrays(action: SAction) -> dict:
     arrow_at[s_of, x_of] = arrow_of_pair
     label, dom = s_of[firsts], x_of[firsts]
     ran = maps[label, dom]
-    reps = tuple(zip(label.tolist(), dom.tolist()))
     return dict(
-        reps=reps, arrow_at=arrow_at,
+        arrow_pairs=np.column_stack((label, dom)), arrow_at=arrow_at,
         unit_labels=action.point_labels, dom=dom, ran=ran,
         inv=arrow_at[S.star[label], ran],
         products=lambda a, b: arrow_at[S.table[label[a], label[b]], dom[b]],
         # [e, x] = [m_x, x] for every idempotent e whose domain holds x
         identity=arrow_at[anchor, np.arange(m)],
         arrow_labels=tuple(f"[{S.names[s]},{action.point_labels[x]}]"
-                           for s, x in reps))
+                           for s, x in zip(label.tolist(), dom.tolist())))
 
 
 def universal_groupoid(S: InvSemigroup, contracted=False) -> GermGroupoid:
@@ -377,11 +382,10 @@ def tight_groupoid(S: InvSemigroup) -> GermGroupoid:
     tight = tight_spectrum(universal.action.space)
     g = germ_groupoid(universal.action.restrict(tight), name=f"Gt({S.name})")
     red = reduction(universal, tight)
-    ends = list(zip(g.dom.tolist(), g.ran.tolist()))
-    red_ends = list(zip(red.dom.tolist(), red.ran.tolist()))
-    if ends != red_ends:
-        first = next((a for a, (p, q) in enumerate(zip(ends, red_ends))
-                      if p != q), min(len(ends), len(red_ends)))
+    k = min(g.n_arrows, red.n_arrows)
+    differ = (g.dom[:k] != red.dom[:k]) | (g.ran[:k] != red.ran[:k])
+    if differ.any() or g.n_arrows != red.n_arrows:
+        first = int(np.argmax(differ)) if differ.any() else k
         raise errors.InvariantViolation(
             "tight groupoid must match the reduction to tight units", first)
     return g
@@ -426,9 +430,10 @@ def verify_reduction_iso(S: InvSemigroup, I):
     # unit of red = filter m^ of S with m not in I; in Q it is qmap(m)^
     unit_map = [quot.action.space.index_of(qmap(space.mins[x]))
                 for x in red.parent_units]
-    unit_of = dict(zip(red.parent_units, unit_map))
-    arrow_map = [quot.germ(qmap(s), unit_of[x])
-                 for s, x in (big.germ_reps[a] for a in red.parent_arrows)]
+    unit_of = np.zeros(big.n_units, dtype=np.int64)
+    unit_of[list(red.parent_units)] = unit_map
+    s, x = big.arrow_pairs[list(red.parent_arrows)].T
+    arrow_map = quot.germ(np.asarray(qmap.map, dtype=np.int64)[s], unit_of[x])
     functor = groupoid_functor(red, quot, unit_map, arrow_map)
     from .groupoids import verify_isomorphism
     return verify_isomorphism(functor), functor
@@ -454,7 +459,7 @@ def gspace_from_saction(action: SAction, contracted=None):
         raise errors.NotAFilter(f"{{e : x{x} in X_e}} is not a filter")
     anchor = [space.index_of(int(m)) for m in m_of]
     # germ representatives through p(x) act alike; use s
-    rep_s, rep_x = np.array(g.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    rep_s, rep_x = g.arrow_pairs.T
     through = rep_x[:, None] == np.array(anchor, dtype=np.int64)[None, :]
     act = np.where(through, action.maps[rep_s], -1)
     if (through & (act < 0)).any():
@@ -502,7 +507,7 @@ def verify_equiv_roundtrip(action: SAction):
         return False, None
     germ = germ_groupoid(action)
     sd = semidirect_product(ga)
-    s, x = np.array(germ.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    s, x = germ.arrow_pairs.T
     arrow_map = sd.arrow_at[g.germ(s, np.asarray(ga.anchor)[x]), x]
     functor = groupoid_functor(germ, sd, range(action.n_points), arrow_map)
     ok = verify_isomorphism(functor)
@@ -523,6 +528,6 @@ def induced_functor(phi: SemigroupHom) -> GroupoidFunctor:
     gt = universal_groupoid(phi.target, contracted=False)
     ehom = restrict_to_idempotents(phi)
     _, _, umap = hat_map(ehom, gs.action.space, gt.action.space)
-    s, x = np.array(gs.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    s, x = gs.arrow_pairs.T
     arrow_map = gt.germ(np.asarray(phi.map)[s], np.asarray(umap)[x])
     return groupoid_functor(gs, gt, umap, arrow_map)

@@ -124,13 +124,13 @@ class FiniteGroupoid:
         pairs, each array written by :func:`~germoid.semigroups.json_rows`.
         Only groupoids of germs have the key ``"germ"``, ``[s, x]``."""
         n, ids = self.n_arrows, np.arange(self.n_arrows)
-        if self.germ_reps is None:
+        if type(self).germ_reps is None:        # not a groupoid of germs
             joints = ['{"dom": ', ', "id": ', ', "label": ', ', "ran": ', "}"]
             arrows = (self.dom, ids, ids, self.ran)
         else:
             joints = ['{"dom": ', ', "germ": [', ", ", '], "id": ',
                       ', "label": ', ', "ran": ', "}"]
-            s, x = np.array(self.germ_reps, dtype=np.int64).reshape(n, 2).T
+            s, x = self.arrow_pairs.T
             arrows = (self.dom, s, x, ids, ids, self.ran)
         arrows = np.column_stack(arrows)
         numbers = int(arrows.max(initial=0)) + 1

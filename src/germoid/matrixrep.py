@@ -7,8 +7,8 @@ The operators L_s, A_s and U send each basis vector to a basis vector or to
 0, so they are stored as index arrays: entry t is the index of the image of
 basis vector t, or -1 where it goes to 0.  No floating point remains: the
 intertwining identity is checked by index gathers, the center dimension is a
-count of isotropy conjugacy classes, and the one rank test is an integer
-elimination.
+count of isotropy conjugacy classes, and the rank of the Gelfand indicator
+matrix is read off the natural order of the idempotents.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .semigroups import (
     json_rows,
     max_group_image,
 )
-from .spectra import d_set, enumerate_filters
+from .spectra import enumerate_filters
 
 
 def left_regular_rep(S: InvSemigroup) -> np.ndarray:
@@ -262,25 +262,6 @@ def algebra_map_from_functor(F: GroupoidFunctor):
     return mat
 
 
-def integer_rank(mat) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination on
-    Python integers: every division is exact, so no tolerance is needed."""
-    rows = [[int(x) for x in row] for row in np.asarray(mat)]
-    rank, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            rows[r] = [(top[c] * x - rows[r][c] * y) // prev
-                       for x, y in zip(rows[r], top)]
-        prev = top[c]
-        rank += 1
-    return rank
-
-
 def gelfand_check(S: InvSemigroup) -> bool:
     """The finite Gelfand picture for the idempotent semilattice.
 
@@ -288,42 +269,34 @@ def gelfand_check(S: InvSemigroup) -> bool:
     the regular representation of the semilattice must be simultaneously
     diagonal with diagonal entries matching those indicators under the
     principal-filter bijection.
+
+    The filters of E are its principal ones, one per idempotent f with
+    minimum f, and filter f lies in D(e) iff f e = f.  So the indicator
+    matrix is one comparison of the meet table, ind[e, f] = [f e = f], and
+    multiplicativity, ind[e] ind[e'] = ind[e e'], is one comparison, in
+    blocks of pairs (e, e') of at most ``CHUNK`` entries.  The rank needs no
+    elimination.  Write f <= e for f e = f.  This relation is reflexive,
+    as each f is idempotent, and antisymmetric, as the meet table
+    commutes, which :func:`~germoid.spectra.enumerate_filters` checks.
+    Multiplicativity at (g, f) with g <= f gives D(g) = D(gf) = D(g) n
+    D(f), so h <= g implies h <= f: the relation is transitive, a partial
+    order, and ind is its matrix.  Listed along a linear extension that
+    matrix is unitriangular, so its rank is |E|.  Nor does the regular
+    representation need a test: it sends basis vector f to e f, so it is
+    diagonal with entry [e f = f] at f, which is ind[e, f] = [f e = f] as
+    the meet table commutes.  The loop with the elimination and the
+    diagonal comparison is ``tests/oracles.py``'s cross-check.
     """
-    E = S.idempotents
-    space = enumerate_filters(S, contracted=False)
+    # one filter per idempotent, listed by its minimum in id order
+    E = np.asarray(enumerate_filters(S, contracted=False).mins, dtype=np.int64)
     k = len(E)
-    if len(space) != k:
-        return False
-    ind = np.zeros((k, k), dtype=np.int64)
-    dsets = {}
-    for i, e in enumerate(E):
-        dsets[e] = d_set(space, e)
-        for f in dsets[e]:
-            ind[i, f] = 1
-    for i, e in enumerate(E):
-        for j, f in enumerate(E):
-            if set(dsets[e] & dsets[f]) != set(d_set(space, S.mul(e, f))):
-                return False
-            prod = ind[i] * ind[j]
-            ef = S.mul(e, f)
-            target = np.zeros(k, dtype=np.int64)
-            for x in d_set(space, ef):
-                target[x] = 1
-            if not np.array_equal(prod, target):
-                return False
-    if integer_rank(ind) != k:
-        return False
-    # the semilattice regular representation, conjugated by the bijection
-    # t -> t^, is diagonal with the indicator entries
-    pos = {e: i for i, e in enumerate(E)}
-    for e in E:
-        mat = np.zeros((k, k), dtype=np.int64)
-        for f in E:
-            if S.mul(e, f) == f:
-                mat[pos[f], pos[f]] = 1
-        diag = np.zeros((k, k), dtype=np.int64)
-        for j, f in enumerate(E):
-            diag[j, j] = ind[pos[e], space.index_of(f)]
-        if not np.array_equal(mat, diag):
+    meet = S.table[np.ix_(E, E)]
+    ind = meet.T == E                       # ind[i, j] = [e_j e_i = e_j]
+    step = max(1, CHUNK // max(k, 1))
+    for lo in range(0, k * k, step):
+        i, j = np.divmod(np.arange(lo, min(lo + step, k * k)), k)
+        # per pair (e_i, e_j), filter x lies in D(e_i) n D(e_j) and D(e_i e_j)
+        both = ind[i] & ind[j]
+        if not np.array_equal(both, S.table[E, meet[i, j][:, None]] == E):
             return False
     return True

@@ -39,11 +39,11 @@ from .germs import (
     universal_groupoid,
 )
 from .semigroups import (
-    CHUNK,
     FiniteGroup,
     InvSemigroup,
     SemigroupHom,
     SigmaMap,
+    first_failing_product,
     is_e_unitary,
     is_locally_idempotent_pure,
     max_group_image,
@@ -83,8 +83,10 @@ def validate_partial_action(G: FiniteGroup, point_labels, maps) -> PartialGroupA
     """Check theta(1) total, theta(g^{-1}) = theta(g)^{-1}, and the dual
     prehomomorphism law theta(g) theta(h) <= theta(gh).
 
-    Each law is checked for all group elements at once, in slabs of g for
-    the last one; the witness is the first failure in id order.  Inside a
+    Each law is checked for all group elements at once, the last one by
+    :func:`~germoid.semigroups.first_failing_product`, which fails a pair
+    (g, h) where theta(g) theta(h) is defined at a point and differs there
+    from theta(gh); the witness is the first failure in id order.  Inside a
     :func:`~germoid.groupoids.validated_once` scope, maps exactly equal to
     those of a partial action of the same G that passed there give a new
     action unchecked.
@@ -107,16 +109,10 @@ def validate_partial_action(G: FiniteGroup, point_labels, maps) -> PartialGroupA
             raise errors.NotBijective(f"theta({g}) is not injective")
         raise errors.InverseMismatch(g)
     # theta(g) theta(h) at [g, h, x], where both are defined, against theta(gh)
-    defined = maps >= 0
-    inner = np.where(defined, maps, 0)
-    slab = max(1, CHUNK // max(len(G) * m, 1))
-    for lo in range(0, len(G), slab):
-        both = maps[lo:lo + slab][:, inner]
-        bad = (defined[None] & (both >= 0) &
-               (maps[G.table[lo:lo + slab]] != both)).any(axis=2)
-        if bad.any():
-            g, h = np.argwhere(bad)[0]
-            raise errors.NotDualPrehom(int(g) + lo, int(h))
+    bad = first_failing_product(
+        G.table, maps, lambda comp, direct: (comp >= 0) & (comp != direct))
+    if bad is not None:
+        raise errors.NotDualPrehom(bad[0], bad[1])
     scope_enter(key, theta)
     return theta
 
@@ -188,7 +184,7 @@ def verify_main1(S: InvSemigroup):
 
     n, m = len(S), univ.n_units
     classmap = np.asarray(sigma.classmap, dtype=np.int64)
-    s, x = np.array(univ.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    s, x = univ.arrow_pairs.T
     Phi = groupoid_functor(univ, trans, range(m), trans.arrow_at[classmap[s], x])
 
     # per (g, x), the least s with sigma(s) = g and x in dom beta_{s*s}
@@ -356,7 +352,7 @@ def ks_pipeline(phi: SemigroupHom, contract_to=None) -> KSPipelineResult:
     target = germ_groupoid(taction, name=f"{phi.target.name}|envX")
     # identify T x X (germs) with G(T) x X (semidirect): [t, x] -> ([t, p(x)], x)
     gt = F.target
-    t, x = np.array(target.germ_reps, dtype=np.int64).reshape(-1, 2).T
+    t, x = target.arrow_pairs.T
     amap = sd.arrow_at[gt.germ(t, np.asarray(gaction.anchor)[x]), x]
     ident = groupoid_functor(target, sd, range(target.n_units), amap)
     if not verify_isomorphism(ident):

@@ -838,6 +838,83 @@ class Poset:
 SetCertificate = namedtuple("SetCertificate", "generators downset")
 
 
+def integer_rank(mat) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination on
+    Python integers: every division is exact, so no tolerance is needed."""
+    import numpy as np
+
+    rows = [[int(x) for x in row] for row in np.asarray(mat)]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            rows[r] = [(top[c] * x - rows[r][c] * y) // prev
+                       for x, y in zip(rows[r], top)]
+        prev = top[c]
+        rank += 1
+    return rank
+
+
+def gelfand_indicator(S):
+    """The matrix ind[i, j] = [filter j lies in D(e_i)] over E(S), by
+    ``d_set``."""
+    import numpy as np
+
+    from germoid.spectra import d_set, enumerate_filters
+
+    E = S.idempotents
+    space = enumerate_filters(S, contracted=False)
+    ind = np.zeros((len(E), len(space)), dtype=np.int64)
+    for i, e in enumerate(E):
+        for f in d_set(space, e):
+            ind[i, f] = 1
+    return ind
+
+
+def gelfand_check_loops(S):
+    """``matrixrep.gelfand_check`` as a loop over pairs of idempotents with
+    ``d_set`` and a Bareiss rank of the indicator matrix, the loop it
+    replaced."""
+    import numpy as np
+
+    from germoid.spectra import d_set, enumerate_filters
+
+    E = S.idempotents
+    space = enumerate_filters(S, contracted=False)
+    k = len(E)
+    if len(space) != k:
+        return False
+    ind = gelfand_indicator(S)
+    dsets = {e: d_set(space, e) for e in E}
+    for i, e in enumerate(E):
+        for j, f in enumerate(E):
+            if set(dsets[e] & dsets[f]) != set(d_set(space, S.mul(e, f))):
+                return False
+            target = np.zeros(k, dtype=np.int64)
+            for x in d_set(space, S.mul(e, f)):
+                target[x] = 1
+            if not np.array_equal(ind[i] * ind[j], target):
+                return False
+    if integer_rank(ind) != k:
+        return False
+    pos = {e: i for i, e in enumerate(E)}
+    for e in E:
+        mat = np.zeros((k, k), dtype=np.int64)
+        for f in E:
+            if S.mul(e, f) == f:
+                mat[pos[f], pos[f]] = 1
+        diag = np.zeros((k, k), dtype=np.int64)
+        for j, f in enumerate(E):
+            diag[j, j] = ind[pos[e], space.index_of(f)]
+        if not np.array_equal(mat, diag):
+            return False
+    return True
+
+
 def downset_generators(P, X):
     """Minimal generating antichain of a downset: its maximal elements."""
     from germoid import errors

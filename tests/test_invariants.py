@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,24 @@ def test_tight_groupoid_cross_check(monkeypatch):
     with pytest.raises(errors.InvariantViolation) as info:
         germs.tight_groupoid(fx.b2())
     assert info.value.witness == 1      # arrow 1 is the first that differs
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
+def test_tight_groupoid_cross_check_of_a_prefix(monkeypatch, extra):
+    # the reduction agrees with the tight groupoid on every arrow both have
+    # but has one arrow fewer or one more: the witness is the shorter length
+    n = germs.tight_groupoid(fx.b2()).n_arrows
+    real = gpd.reduction
+
+    def reduction(g, units, name=None):
+        red = real(g, units, name=name)
+        k = red.n_arrows + extra
+        return types.SimpleNamespace(dom=np.resize(red.dom, k),
+                                     ran=np.resize(red.ran, k), n_arrows=k)
+    monkeypatch.setattr(germs, "reduction", reduction)
+    with pytest.raises(errors.InvariantViolation) as info:
+        germs.tight_groupoid(fx.b2())
+    assert info.value.witness == min(n, n + extra)
 
 
 def test_tight_cross_check_fails_the_command(monkeypatch, tmp_path, capsys):

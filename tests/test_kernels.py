@@ -161,6 +161,22 @@ def test_a_failure_only_in_the_last_block_and_generator_matches_scan(data):
         ("NotAssociative", str(errors.NotAssociative(v + 1, n - 1, n - 1)))
 
 
+@pytest.mark.parametrize("n, m", [(5, 3), (272, 272), (300, 1)])
+def test_first_failing_product_visits_every_triple_in_blocks_of_chunk(n, m):
+    # at 272 x 272 one s spans more than CHUNK entries, so the t are split
+    table = np.minimum.outer(np.arange(n), np.arange(n))
+    maps = np.random.default_rng(n).integers(-1, m, size=(n, m))
+    sizes = []
+
+    def never(comp, direct):
+        assert comp.shape == direct.shape
+        sizes.append(comp.size)
+        return np.zeros(comp.shape, dtype=bool)
+    assert sg.first_failing_product(table, maps, never) is None
+    assert sum(sizes) == n * n * m
+    assert max(sizes) <= sg.CHUNK
+
+
 def closure_of(S, elements):
     closure = set(elements)
     while True:
@@ -1035,6 +1051,70 @@ def test_check_intertwining_needs_an_isometry():
     a = np.full((1, 1), -1)
     assert not mr.intertwines(u, l, a)
     assert not oracles.check_intertwining_dense(*dense_inputs(u, l, a))
+
+
+def gelfand_outcome(check, S):
+    """The verdict of ``check(S)``, or the error type and message it raises."""
+    verdicts = []
+    return outcome(lambda: verdicts.append(check(S))), verdicts
+
+
+def test_gelfand_check_matches_loops(corpus, random_eunitary):
+    for S in list(corpus.values()) + random_eunitary:
+        assert mr.gelfand_check(S) == oracles.gelfand_check_loops(S) is True
+
+
+def test_gelfand_indicator_has_full_bareiss_rank(corpus):
+    # the rank the docstring of gelfand_check derives from the order
+    for S in corpus.values():
+        ind = oracles.gelfand_indicator(S)
+        assert oracles.integer_rank(ind) == len(S.idempotents) == len(ind)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_gelfand_check_of_a_mutated_idempotent_table_matches_loops(
+        semigroups, data):
+    # the raw constructor takes the table unchecked; setting e f and f e
+    # together keeps the meet table commutative, so the check can get past
+    # the semilattice's to multiplicativity and the order
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    E = S.idempotents
+    e = data.draw(st.sampled_from(E), label="e")
+    f = data.draw(st.sampled_from(E), label="f")
+    value = data.draw(st.sampled_from(E) | st.integers(0, len(S) - 1),
+                      label="value")
+    table = np.array(S.table)
+    table[e, f] = value
+    if data.draw(st.booleans(), label="both"):
+        table[f, e] = value
+    T = sg.InvSemigroup(S.names, table, S.zero, np.array(S.star))
+    assert gelfand_outcome(mr.gelfand_check, T) == \
+        gelfand_outcome(oracles.gelfand_check_loops, T)
+
+
+def commutative_bands(k):
+    """Every table on k idempotents that passes ``Semilattice``: commutative,
+    with e (e f) = e f, associative or not."""
+    pairs = list(itertools.combinations(range(k), 2))
+    for values in itertools.product(range(k), repeat=len(pairs)):
+        table = np.diag(np.arange(k))
+        for (e, f), v in zip(pairs, values):
+            table[e, f] = table[f, e] = v
+        if (table[np.arange(k)[:, None], table] == table).all():
+            yield table
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gelfand_check_of_a_nonassociative_meet_matches_loops(k):
+    seen = set()
+    for table in commutative_bands(k):
+        T = sg.InvSemigroup([str(e) for e in range(k)], table, None,
+                            np.arange(k))
+        got = gelfand_outcome(mr.gelfand_check, T)
+        assert got == gelfand_outcome(oracles.gelfand_check_loops, T), table
+        seen.add(oracles.first_nonassociative_triple(table) is None)
+    assert seen == {True, False}
 
 
 # -- centers ------------------------------------------------------------------------------

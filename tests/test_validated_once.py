@@ -5,7 +5,9 @@ partial group action, space action or functor exactly equal to one that
 passed skips its checks; anything else is validated in full, with the
 witness it gets outside a scope.  Also: a space action that passed
 ``validate_space_action`` is not checked again by ``semidirect_product``,
-and ``germ_groupoid`` derives the germs of an action once."""
+and ``germ_groupoid`` derives the germs of an action once; a twin S-action
+shares the anchors of the one that passed, so a verify run computes them
+once per semigroup and maps."""
 
 import json
 import tracemalloc
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from germoid import cli, errors, germs
+from germoid import cli, errors, germs, verify
 from germoid import fixtures as fx
 from germoid import groupoids as gpd
 from germoid import matrixrep as mr
@@ -401,10 +403,9 @@ def test_a_germ_memo_hit_is_a_new_groupoid_with_the_same_arrays(S, monkeypatch):
     assert len(built) == 1 and len(full) == 2      # outside a scope: full
     assert again is not first and (first.name, again.name) == ("first", "again")
     assert again.validated and again.action is action
-    for field in ("dom", "ran", "inv", "identity", "arrow_at"):
+    for field in ("dom", "ran", "inv", "identity", "arrow_at", "arrow_pairs"):
         assert getattr(again, field) is getattr(first, field), field
         assert not getattr(again, field).flags.writeable
-    assert again.germ_reps is first.germ_reps
     assert again.arrow_labels is first.arrow_labels
     assert np.array_equal(again.products, first.products)
     assert not again.products.flags.writeable
@@ -427,6 +428,55 @@ def test_a_failing_germ_build_memoizes_no_products(S):
     assert expect[0] != "ok"
     assert outcome(germs.germ_groupoid, action) == expect
     assert callable(action._germs["products"])
+
+
+# -- one anchor reduction per (S, maps) --------------------------------------------------
+
+def anchor_reductions(monkeypatch):
+    """The (S, maps bytes) of each action whose anchors get computed, not
+    read from its memo, from here on."""
+    real, computed = germs.anchor_idempotents, []
+
+    def spy(action):
+        if action._anchor is None:
+            computed.append((action.semigroup, action.maps.tobytes()))
+        return real(action)
+    monkeypatch.setattr(germs, "anchor_idempotents", spy)
+    return computed
+
+
+def test_a_twin_saction_shares_the_anchors(S, monkeypatch):
+    beta = germs.beta_action(S)
+    computed = anchor_reductions(monkeypatch)
+    with gpd.validated_once():
+        first = germs.validate_saction(S, beta.point_labels, np.array(beta.maps))
+        anchor = germs.anchor_idempotents(first)
+        twin = germs.validate_saction(S, beta.point_labels, np.array(beta.maps))
+        assert twin is not first and twin._anchor is anchor
+        assert germs.anchor_idempotents(twin) is anchor
+    assert len(computed) == 1
+    # outside a scope an equal action is checked in full and keeps its own memo
+    other = germs.validate_saction(S, beta.point_labels, np.array(beta.maps))
+    assert other._anchor is None
+
+
+def test_verify_reduces_the_anchors_once_per_action(monkeypatch):
+    # the verify_mid pair of the benchmark: its two equiv checks meet the
+    # action beta again, as the S-action underlying its groupoid space
+    fixtures = [sg.validate_semigroup(T.names, T.table, T.zero, name=T.name)
+                for T in (fx.direct_product(fx.chain(8), fx.cyclic_group(16)),
+                          fx.brandt(fx.cyclic_group(4), 4))]
+    computed = anchor_reductions(monkeypatch)
+    assert all(r.passed for r in verify.run_suite("all", fixtures))
+    assert len(computed) == len({(id(T), m) for T, m in computed}) == 5
+
+
+def test_verify_of_the_corpus_reduces_no_anchors_twice(corpus, monkeypatch):
+    fixtures = [sg.validate_semigroup(T.names, T.table, T.zero, name=T.name)
+                for T in corpus.values()]
+    computed = anchor_reductions(monkeypatch)
+    assert all(r.passed for r in verify.run_suite("all", fixtures))
+    assert len(computed) == len({(id(T), m) for T, m in computed})
 
 
 # -- a planted defect, end to end -------------------------------------------------------
