@@ -27,12 +27,14 @@ def _load(path: str):
 
 
 def _read(path: str, parse, kind: str):
+    """``parse`` of the file's bytes, of which it holds the only reference,
+    so it can free them.  A parser decodes them only where it needs text,
+    as ``Path.read_text()`` does: a file that does not decode cannot be
+    read, as before."""
     try:
-        text = Path(path).read_text()
+        return parse(Path(path).read_bytes(), name=Path(path).stem)
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")
-    try:
-        return parse(text, name=Path(path).stem)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise SystemExit2(f"cannot parse {path}: {exc}")
     except errors.ValidationError as exc:

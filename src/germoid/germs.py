@@ -139,17 +139,18 @@ def inverse_defects(maps: np.ndarray, star: np.ndarray):
 def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
     """Validate a family of partial maps as an inverse semigroup action.
 
-    Row by row in id order, theta_s must map into the points, be injective
-    and be inverted by theta_{s*}; then theta_s theta_t = theta_st must hold
-    for all pairs (s, t), and every point must lie in some idempotent's
-    domain.  The first failure in that order is reported.
+    Row by row in id order, theta_s must map into the points, every entry
+    a point or -1 where undefined, be injective and be inverted by
+    theta_{s*}; then theta_s theta_t = theta_st must hold for all pairs
+    (s, t), and every point must lie in some idempotent's domain.  The
+    first failure in that order is reported.
 
     The pairs are checked for the generators t of S by
     :func:`~germoid.semigroups.lights_test`, the row-gather kernel of
     Light's test, on the maps in the narrowest integer type that holds
-    them and on their transpose.  Only when it fails, or when an entry lies
-    below -1, does :func:`~germoid.semigroups.first_failing_product` scan
-    all pairs for the first (s, t) at which the two sides differ.
+    them and on their transpose.  Only when it fails does
+    :func:`~germoid.semigroups.first_failing_product` scan all pairs for
+    the first (s, t) at which the two sides differ.
 
     Inside a :func:`~germoid.groupoids.validated_once` scope, maps exactly
     equal to those of an action of the same S that passed there give a new
@@ -167,7 +168,7 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
         return action
     if maps.shape != (n, m):
         raise errors.InvalidParams("need one partial map per semigroup element")
-    out_of_range = (maps >= m).any(axis=1)
+    out_of_range = ((maps >= m) | (maps < -1)).any(axis=1)
     repeated, not_inverted, overshoots = inverse_defects(maps, S.star)
     failing = out_of_range | repeated | not_inverted | overshoots
     if failing.any():
@@ -182,11 +183,9 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
         raise errors.NotBijective(f"theta_{si} overshoots theta_{s}")
     # theta_s theta_t = theta_st: if it holds for every generator t it holds
     # for all t, since theta_s theta_tu = theta_st theta_u = theta_stu; only
-    # when a generator fails, or an entry below -1 would index a real point
-    # where lights_test expects its sentinel, are all pairs scanned
-    small = narrow(maps, -1, m - 1) if maps.min(initial=-1) >= -1 else None
-    if small is None or not lights_test(
-            S.table, small, S.generators, transposed(small)):
+    # when a generator fails are all pairs scanned
+    small = narrow(maps, -1, m - 1)
+    if not lights_test(S.table, small, S.generators, transposed(small)):
         bad = first_failing_product(S.table, maps, np.not_equal)
         if bad is not None:
             raise errors.NotAHomomorphism(

@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import errors
-from .semigroups import CHUNK, check_size, holds_bool, json_rows
+from .semigroups import CHUNK, check_size, file_text, holds_bool, json_rows
 
 
 class FiniteGroupoid:
@@ -462,10 +462,13 @@ def _last(keys):
     return len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
 
 
-def groupoid_from_json(text: str, name="G") -> FiniteGroupoid:
-    """Parse the document ``FiniteGroupoid.to_json`` writes.  Its schema
-    is checked on whole arrays, raising ``MalformedInput``, before the
-    groupoid axioms."""
+def groupoid_from_json(text: str | bytes, name="G") -> FiniteGroupoid:
+    """Parse the document ``FiniteGroupoid.to_json`` writes, from a file's
+    bytes, decoded by :func:`~germoid.semigroups.file_text`, or from its
+    text.  Its schema is checked on whole arrays, raising
+    ``MalformedInput``, before the groupoid axioms."""
+    if isinstance(text, bytes):
+        text = file_text(text)
     data = json.loads(text)
     if not isinstance(data, dict):
         raise errors.MalformedInput("a groupoid file holds one JSON object")

@@ -80,8 +80,9 @@ class PartialGroupAction:
 
 
 def validate_partial_action(G: FiniteGroup, point_labels, maps) -> PartialGroupAction:
-    """Check theta(1) total, theta(g^{-1}) = theta(g)^{-1}, and the dual
-    prehomomorphism law theta(g) theta(h) <= theta(gh).
+    """Check one partial map per group element on the points, theta(1)
+    total, theta(g^{-1}) = theta(g)^{-1}, and the dual prehomomorphism law
+    theta(g) theta(h) <= theta(gh).
 
     Each law is checked for all group elements at once, the last one by
     :func:`~germoid.semigroups.first_failing_product`, which fails a pair
@@ -97,6 +98,8 @@ def validate_partial_action(G: FiniteGroup, point_labels, maps) -> PartialGroupA
     key = ("partial", id(G), maps.shape, m)
     if any(np.array_equal(maps, t.maps) for t in scope_twins(key)):
         return theta
+    if maps.shape != (len(G), m):
+        raise errors.InvalidParams("need one partial map per semigroup element")
     points = np.arange(m)
     if (maps[G.identity] != points).any():
         raise errors.IdentityNotTotal("theta(1) must be the identity of X")

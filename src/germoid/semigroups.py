@@ -9,6 +9,7 @@ immutable after construction and every operation here is a pure function.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 import re
@@ -207,25 +208,47 @@ def first_failing_product(table, maps, bad):
     return None
 
 
-def greedy_generators(table):
-    """Generators of the magma of ``table``: in id order, every element not
-    yet in the closure of the earlier generators under the table product."""
+def greedy_generators(table, tt=None):
+    """Generators of the magma of ``table``: every candidate not yet in the
+    closure of the earlier generators under the table product.
+
+    The candidates come in an order that does not depend on the labels:
+    ascending count of occurrences in the table, non-idempotents before
+    idempotents among equal counts, then ids.  Rare products are seldom
+    reached from others, so they come first, and an idempotent is usually
+    some s s* of a non-idempotent.  This needs 4 generators of I4 instead of
+    the 33 of id order, 5 of I5 instead of 68, and 103 over the 38
+    ``verify_corpus`` fixtures instead of 140; :func:`lights_test` costs
+    O(|gens| n^2).  The counts are taken in row blocks of ``CHUNK``
+    entries, so a narrow table is not cast to an n^2 intp copy.
+
+    The closure grows by frontiers: each pair is multiplied when the later
+    of its two elements enters, as the frontier rows of the table and of
+    ``tt``, its transpose (``table.T`` when None), taken at the closure.
+    The gathers stay in the table's type, and the search ends once the
+    closure is everything.
+    """
     n = len(table)
+    tt = table.T if tt is None else tt
+    rows = max(1, CHUNK // n)
+    counts = sum(np.bincount(table[lo:lo + rows].ravel(), minlength=n)
+                 for lo in range(0, n, rows))
+    order = np.lexsort((np.arange(n), table.diagonal() == np.arange(n), counts))
     inside = np.zeros(n, dtype=bool)
     gens = []
-    for a in range(n):
+    for a in order.tolist():
         if inside[a]:
             continue
         gens.append(a)
         inside[a] = True
         frontier = np.array([a])
-        # each pair is multiplied when the later of its two elements enters;
-        # broadcast indices, as np.ix_ costs more than small gathers
         while frontier.size:
             closure = inside.nonzero()[0]
+            if len(closure) == n:
+                return gens
             before = inside.copy()
-            inside[table[frontier[:, None], closure]] = True
-            inside[table[closure[:, None], frontier]] = True
+            inside[table[frontier].take(closure, axis=1)] = True
+            inside[tt[frontier].take(closure, axis=1)] = True
             frontier = (inside & ~before).nonzero()[0]
     return gens
 
@@ -318,7 +341,7 @@ def validate_semigroup(names, table, zero=None, name="S") -> InvSemigroup:
 
     small = narrow(table, -1, n - 1)
     tt = transposed(small)
-    gens = tuple(greedy_generators(small))
+    gens = tuple(greedy_generators(small, tt))
     if not lights_test(small, small, gens, tt):
         bad = first_failing_product(small, small, np.not_equal)
         if bad is not None:
@@ -372,12 +395,15 @@ def table_from_bytes(buf: bytes, start: int = 0):
     and ``end`` the index just past the array.
 
     Rows are found by their closing bracket and read in blocks of about
-    ``CHUNK`` / 4 bytes, cut at row ends.  The int64 index of a block's
-    separators, one entry at most per byte, then stays within about
-    2 ``CHUNK`` bytes, 128 KiB, the size from which glibc's allocator maps
-    fresh pages.  With ``CHUNK``-byte blocks such maps raised the peak RSS
-    of repeated ``verify`` runs at 128 elements by about 0.5 MB over
-    ``json.loads``; with blocks a quarter of that size, by 0.1-0.2 MB.  In a
+    ``CHUNK`` bytes, cut at row ends, since the cost of a block, more than
+    that of a byte, sets the time: the 1.3 MB table of CHAIN32xZ16 took
+    7.3 ms in these blocks and 10.3 ms in blocks a quarter of the size.
+    The int64 index of a block's separators, one entry at most per byte,
+    can pass the 128 KiB from which glibc's allocator maps fresh pages, but
+    the peak RSS barely moves: in one process, at a fixed 150 ``build_ladder``
+    and 120 ``verify_mid`` op runs, it read 41.7-42.0 and 37.5-37.6 MB with
+    these blocks, against 42.1-42.2 and 37.2-37.3 MB with the quarter
+    blocks (three runs each, 2-vCPU x86-64 host).  In a
     block, the separators are the bytes b with b - 48 at least 10 as a
     byte, and the digits are the rest.  Row by row, the separators must
     spell ``[`` and ``]`` around k - 1 entry separators, and the digits
@@ -394,7 +420,7 @@ def table_from_bytes(buf: bytes, start: int = 0):
     step = len(sep)
     blocks, lo, rows, total = [], start + 1, 1, 1   # (start, stop, rows) each
     while buf[end + 1:end + 2] != b"]":
-        if end + 1 - lo >= CHUNK // 4:
+        if end + 1 - lo >= CHUNK:
             blocks.append((lo, end + 1, rows))
             lo, rows = end + 1 + step, 0
         end = buf.find(b"]", end + 1)
@@ -502,20 +528,45 @@ def json_rows(joints, cells, numbers: int, texts=()):
 
 # JSON whitespace, as the json module skips it
 _SPACE = re.compile(r"[ \t\n\r]*")
+# a "table" key, with the colon and the whitespace around it
+_TABLE_KEY = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*')
 
 
-def read_object(text: str):
-    """The top-level JSON object of ``text`` as ``json.loads`` gives it,
-    but with the ``"table"`` value as the int64 array of
-    :func:`table_from_bytes`; None when that kernel is unsure, the text is
-    not ASCII or it is not one object.  Every other value is read by
-    ``raw_decode``."""
+def file_text(buf: bytes) -> str:
+    """The str ``Path.read_text()`` gives for a file of the bytes ``buf``:
+    decoded in the default text encoding, with universal newlines, and so
+    with the same ``UnicodeDecodeError``, at the same position."""
+    with io.TextIOWrapper(io.BytesIO(buf), encoding=io.text_encoding(None)) as f:
+        return f.read()
+
+
+def read_object(buf: bytes | str):
+    """The top-level JSON object of the file bytes ``buf`` as ``json.loads``
+    gives it from :func:`file_text`, but with the ``"table"`` value as the
+    int64 array that :func:`table_from_bytes` reads from ``buf`` itself;
+    None when ``buf`` is not ASCII, that kernel is unsure, or the first
+    ``"table":`` of ``buf`` is not the one key of the object's table.  A
+    str is read as its UTF-8 bytes.
+
+    Only the text around the table is decoded, as two strings: the members
+    up to the table's key, then the rest.  ``raw_decode`` reads every other
+    value.  In ASCII, characters are bytes; and universal newlines change
+    only carriage returns, which JSON allows only as whitespace between
+    tokens, so they change nothing that is read.
+    """
+    if isinstance(buf, str):
+        buf = buf.encode()
+    found = buf.isascii() and _TABLE_KEY.search(buf)
+    read = found and table_from_bytes(buf, found.end())
+    if not read:
+        return None
+    head, tail = buf[:found.end()].decode(), buf[read[1]:].decode()
     decode = json.JSONDecoder().raw_decode
     space = _SPACE.match
-    i = space(text).end()
+    data = {}
+    text, i = head, space(head).end()
     if text[i:i + 1] != "{":
         return None
-    data = {}
     i = space(text, i + 1).end()
     while text[i:i + 1] == '"':
         key, i = json.decoder.scanstring(text, i + 1)
@@ -524,15 +575,13 @@ def read_object(text: str):
             return None
         i = space(text, i + 1).end()
         if key == "table":
-            # an ASCII text has its character indices as byte indices
-            read = text.isascii() and table_from_bytes(text.encode(), i)
-            if not read:
+            if text is not head or i != len(head):
                 return None
-            data[key], i = read
+            data[key], text, i = read[0], tail, 0
         else:
             data[key], i = decode(text, i)
         i = space(text, i).end()
-        if text[i:i + 1] == "}":
+        if text[i:i + 1] == "}":    # only in tail: head ends in its "table":
             return data if space(text, i + 1).end() == len(text) else None
         if text[i:i + 1] != ",":
             return None
@@ -540,9 +589,9 @@ def read_object(text: str):
     return None
 
 
-def semigroup_from_json(text: str, name="S") -> InvSemigroup:
+def semigroup_from_json(text: str | bytes, name="S") -> InvSemigroup:
     """Parse and validate ``{"elements": [names], "table": [[ids]], "zero":
-    id or null}``.
+    id or null}`` from a file's bytes, or from its text.
 
     The schema is checked before the algebra, on the whole table at once:
     it must convert to a square integer array with entries in range, so a
@@ -551,16 +600,21 @@ def semigroup_from_json(text: str, name="S") -> InvSemigroup:
 
     A table in an ASCII file, written as ``json.dumps`` writes it with the
     default or the compact ``(",", ":")`` separators and no indent, is read
-    straight from its bytes by :func:`table_from_bytes`, through
-    :func:`read_object`.  Any other layout, an indent for one, and anything
-    that kernel is unsure of, is read by ``json.loads`` instead, so the
-    result, and every error, is the same on every layout.
+    straight from the bytes by :func:`table_from_bytes`, through
+    :func:`read_object`, and the file is never decoded whole.  Any other
+    layout, an indent for one, and anything that kernel is unsure of, is
+    read by ``json.loads`` from the text :func:`file_text` decodes, which
+    raises what ``Path.read_text()`` raised; so the result, and every error,
+    is the same on every layout.  Only the names, the table and the zero
+    outlive the parse.
     """
     try:
         data = read_object(text)
     except Exception:   # json.loads then reads the text, or raises, as before
         data = None
     if data is None:
+        if isinstance(text, bytes):
+            text = file_text(text)
         data = json.loads(text)
     if not isinstance(data, dict):
         raise errors.MalformedInput("a semigroup file holds one JSON object")
@@ -583,6 +637,9 @@ def semigroup_from_json(text: str, name="S") -> InvSemigroup:
     zero = data.get("zero")
     if zero is not None and (type(zero) is not int or not 0 <= zero < n):
         raise errors.MalformedInput('"zero" must be null or an element id')
+    # the file and its parse are not needed by the algebra: a caller that
+    # keeps no reference of its own frees them before the validation
+    del text, data, rows
     return validate_semigroup(names, table, zero, name=name)
 
 

@@ -202,6 +202,29 @@ def lights_test_by_columns(table, gens):
     return True
 
 
+def greedy_generators_loop(table, order):
+    """The generators ``greedy_generators`` picks, with its candidates
+    taken in ``order``: a candidate is a generator iff it lies outside the
+    closure of the earlier generators.  The closure grows one element at a
+    time, each multiplied on both sides with every element already in."""
+    table = [[int(v) for v in row] for row in table]
+    inside, gens = set(), []
+    for a in order:
+        if a in inside:
+            continue
+        gens.append(a)
+        inside.add(a)
+        todo = [a]
+        while todo:
+            x = todo.pop()
+            for y in list(inside):
+                for z in (table[x][y], table[y][x]):
+                    if z not in inside:
+                        inside.add(z)
+                        todo.append(z)
+    return gens
+
+
 def saction_generators_hold(S, maps):
     """theta_s theta_t = theta_st for all s and every generator t, as
     ``validate_saction`` checked it before the shared kernel: one
@@ -476,7 +499,7 @@ def validate_saction_scan(S, maps):
     idx = np.arange(m)
     for s in range(n):
         row = maps[s]
-        if row.max(initial=-1) >= m:
+        if row.max(initial=-1) >= m or row.min(initial=-1) < -1:
             raise errors.InvalidParams("map image out of range")
         vals = row[row >= 0]
         if len(vals) != len(set(vals.tolist())):
@@ -606,15 +629,18 @@ def semigroup_from_json_loads(text: str, name="S"):
     return validate_semigroup(names, table, zero, name=name)
 
 
-def validate_partial_action_loops(G, maps):
+def validate_partial_action_loops(G, maps, n_points=None):
     """The partial group action checks by loops over group elements and
-    points, in the order of ``validate_partial_action``."""
+    points, in the order of ``validate_partial_action``; the points are
+    the columns of ``maps`` unless ``n_points`` is given."""
     import numpy as np
 
     from germoid import errors
 
     maps = np.asarray(maps, dtype=np.int64)
-    m = maps.shape[1]
+    m = maps.shape[1] if n_points is None else n_points
+    if maps.shape != (len(G), m):
+        raise errors.InvalidParams("need one partial map per semigroup element")
 
     def theta(g, x):
         y = int(maps[g, x])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,105 @@ def test_undecodable_or_too_deeply_nested_file_exits_2(tmp_path):
     deep.write_text("[" * 100_000 + "]" * 100_000)
     assert verify_exit(binary) == 2
     assert verify_exit(deep) == 2
+
+
+# -- reading fixture files as bytes: the same outputs as reading text ---------------
+
+def b2_file(kind: str) -> bytes:
+    """B2 as ``gen`` writes it, in another layout, encoding or newline."""
+    text = fx.PRESETS["b2"]().to_json() + "\n"
+    doc = json.loads(text)
+    indent = json.dumps(doc, indent=1)
+    return {
+        "crlf": text.replace("\n", "\r\n").encode(),
+        "cr": text.replace("\n", "\r").encode(),
+        "indent": indent.encode(),
+        "indent-crlf": indent.replace("\n", "\r\n").encode(),
+        "bom": b"\xef\xbb\xbf" + text.encode(),
+        "invalid-utf8": text.encode() + b" " * 9000 + b"\xff\n",
+        "non-ascii": json.dumps(dict(doc, elements=["∅", *doc["elements"][1:]]),
+                                ensure_ascii=False).encode(),
+        "nested-table": json.dumps({"a": {"table": [[0]]}, **doc}).encode(),
+        "cr-error": indent.replace("\n", "\r").replace(
+            '"zero"', '"zero",').encode(),
+        "crlf-error": text.replace("\n", "\r\n").replace(
+            '"zero"', '"zero",').encode(),
+    }[kind]
+
+
+B2_ANALYZE = (0, '{"e_unitary": false, "elements": 5, "filters": {"contracted": 2, '
+              '"plain": 3, "tight": 2}, "group_order": 1, "idempotents": 3, '
+              '"name": "b2", "zero": 0, "zero_e_unitary": true}\n',
+              "b2: |S|=5 |E|=3 zero=0 E-unitary=False 0-E-unitary=True |G|=1 "
+              "filters=3/2/2\n")
+B2_VERIFY = (0, "".join(line + "\n" for line in [
+    '{"certificate": "", "check": "envelope", "fixture": "b2", "pass": true, '
+    '"reason": "fixture is not E-unitary", "sizes": {}, "skipped": true, '
+    '"wall_ms": 0, "witness": ""}',
+    '{"certificate": "", "check": "equiv[contracted]", "fixture": "b2", '
+    '"pass": true, "reason": "", "sizes": {"arrows": 4, "points": 2}, '
+    '"skipped": false, "wall_ms": 0, "witness": ""}',
+    '{"certificate": "", "check": "equiv[plain]", "fixture": "b2", '
+    '"pass": true, "reason": "", "sizes": {"arrows": 5, "points": 3}, '
+    '"skipped": false, "wall_ms": 0, "witness": ""}',
+    '{"certificate": "813882da16c22ca8", "check": "ks", "fixture": "b2", '
+    '"pass": true, "reason": "", "sizes": {"center_source": 2, '
+    '"center_target": 2, "essentially_surjective": true, "faithful": true, '
+    '"full": true, "fully_faithful": true, "source_arrows": 5, '
+    '"source_units": 3, "space_points": 2, "target_arrows": 2, '
+    '"target_units": 2, "weak_equivalence": true}, "skipped": false, '
+    '"wall_ms": 0, "witness": ""}',
+    '{"certificate": "", "check": "main1", "fixture": "b2", "pass": true, '
+    '"reason": "fixture is not E-unitary", "sizes": {}, "skipped": true, '
+    '"wall_ms": 0, "witness": ""}',
+    '{"certificate": "", "check": "main1reduced", "fixture": "b2", '
+    '"pass": true, "reason": "fixture is not E-unitary", "sizes": {}, '
+    '"skipped": true, "wall_ms": 0, "witness": ""}',
+    '{"certificate": "c5c25158dde5b90a", "check": "reduction[I=0]", '
+    '"fixture": "b2", "pass": true, "reason": "", "sizes": {"arrows": 4, '
+    '"ideal": 1}, "skipped": false, "wall_ms": 0, "witness": ""}']),
+    "suite all: 4/4 passed, 3 skipped, 0 failed\n")
+
+
+def read_error(message):
+    return 2, "", f"error: {message}\n"
+
+
+# exit code, stdout and stderr of analyze and verify --suite all, as they
+# were when the CLI read every file with Path.read_text()
+READER_CASES = {
+    "crlf": (B2_ANALYZE, B2_VERIFY),
+    "cr": (B2_ANALYZE, B2_VERIFY),
+    "indent": (B2_ANALYZE, B2_VERIFY),
+    "indent-crlf": (B2_ANALYZE, B2_VERIFY),
+    "non-ascii": (B2_ANALYZE, B2_VERIFY),
+    "nested-table": (B2_ANALYZE, B2_VERIFY),
+    "bom": (read_error(
+        "cannot parse PATH: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)"),) * 2,
+    "invalid-utf8": (read_error(
+        "cannot read PATH: 'utf-8' codec can't decode byte 0xff in position "
+        "9155: invalid start byte"),) * 2,
+    "cr-error": (read_error(
+        "cannot parse PATH: Expecting ':' delimiter: line 46 column 8 "
+        "(char 275)"),) * 2,
+    "crlf-error": (read_error(
+        "cannot parse PATH: Expecting ':' delimiter: line 1 column 151 "
+        "(char 150)"),) * 2,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READER_CASES))
+def test_reading_bytes_keeps_the_outputs_of_reading_text(tmp_path, capsys,
+                                                         kind):
+    path = tmp_path / "b2.json"
+    path.write_bytes(b2_file(kind))
+    got = []
+    for argv in (["analyze"], ["verify", "--suite", "all"]):
+        code, out, err = run_cli(capsys, *argv, str(path))
+        got.append((code, re.sub(r'"wall_ms": [^,]+', '"wall_ms": 0', out),
+                    err.replace(str(path), "PATH")))
+    assert tuple(got) == READER_CASES[kind]
 
 
 def test_malformed_size_limit_exits_2(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ compositions and representation matrices.
 import itertools
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -137,22 +138,24 @@ def test_validate_semigroup_on_a_large_table_matches_scan(data):
 @FEW
 @given(data=st.data())
 def test_a_failure_only_in_the_last_block_and_generator_matches_scan(data):
-    # A chain of n > 256 ids under min: every id is a generator, the top
-    # n - 1 the last.  Setting (top)(top) = v < n - 2 breaks (x top) top =
-    # x (top top) exactly for the x above v, and only for t = top; with v
-    # at least one below the first id of the last block of 16 rows, those
-    # x all lie in that block, so lights_test meets its failure in its very
-    # last step.
+    # A chain of n > 256 ids under min: every id is a generator.  Setting
+    # (top)(top) = v < n - 2 breaks (x top) top = x (top top) exactly for
+    # the x above v, and only for t = top; with v at least one below the
+    # first id of the last block of 16 rows, those x all lie in that block,
+    # so lights_test with the ids in order as generators meets its failure
+    # in its very last step.
     n = data.draw(st.integers(258, 320).filter(lambda n: n % 16 != 1),
                   label="n")
     last_block = (n - 1) // 16 * 16
     v = data.draw(st.integers(last_block - 1, n - 3), label="v")
     table = np.minimum.outer(np.arange(n), np.arange(n))
+    assert sorted(sg.greedy_generators(table)) == list(range(n))
     table[n - 1, n - 1] = v
-    gens = sg.greedy_generators(table)
     small = sg.narrow(table, -1, n - 1)
-    assert gens == list(range(n))
-    assert sg.lights_test(small, small, gens[:-1], sg.transposed(small))
+    ids = list(range(n))
+    assert sg.lights_test(small, small, ids[:-1], sg.transposed(small))
+    assert not sg.lights_test(small, small, ids, sg.transposed(small))
+    assert n - 1 in sg.greedy_generators(table)
     lhs, rhs = table[table[:, n - 1]], table[:, table[n - 1]]
     assert np.flatnonzero((lhs != rhs).any(axis=1)).min() >= last_block
     names = [str(i) for i in range(n)]
@@ -186,22 +189,63 @@ def closure_of(S, elements):
         closure |= new
 
 
+def candidate_order(table):
+    """The ids in ascending count of occurrences in ``table``,
+    non-idempotents before idempotents among equal counts, then by id."""
+    counts = Counter(np.asarray(table).ravel().tolist())
+    return sorted(range(len(table)),
+                  key=lambda a: (counts[a], table[a][a] == a, a))
+
+
 def test_greedy_generators_generate(semigroups):
-    # each id is a generator iff it is outside the closure of the earlier
-    # generators
+    # each candidate is a generator iff it is outside the closure of the
+    # earlier generators
     for S in semigroups:
         gens = sg.greedy_generators(S.table)
         assert closure_of(S, gens) == set(range(len(S)))
-        assert gens == sorted(gens)
+        order = candidate_order(S.table)
+        assert gens == [a for a in order if a in gens]
         for i, g in enumerate(gens):
             below = closure_of(S, gens[:i])
             assert g not in below
-            assert set(range(g)) <= below | set(gens[:i])
+            assert set(order[:order.index(g)]) <= below | set(gens[:i])
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_greedy_generators_match_the_loop(semigroups, data):
+    # on tables that need not be associative: the generators are those of
+    # the loop, and they generate the magma
+    S = data.draw(st.sampled_from(semigroups), label="S")
+    table = mutated_table(data, S)
+    small = sg.narrow(table, -1, len(S) - 1)
+    gens = sg.greedy_generators(small, sg.transposed(small))
+    assert gens == sg.greedy_generators(table) == \
+        oracles.greedy_generators_loop(table, candidate_order(table))
+    inside = set(gens)
+    while True:
+        grown = inside | {int(table[a, b]) for a in inside for b in inside}
+        if grown == inside:
+            break
+        inside = grown
+    assert inside == set(range(len(S)))
 
 
 def test_chain_needs_every_idempotent_as_generator():
+    # one generator at each of the 4 levels of the chain, each taken as a
+    # non-idempotent (f, g) that generates its level
     S = chain_by_cyclic(4, 3)
-    assert len(S.generators) == 4 + 1   # f1, f2, f3, the identity, one g
+    assert len(S.generators) == 4
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_symmetric_inverse_needs_at_most_n_generators(n):
+    assert len(fx.symmetric_inverse(n).generators) <= n
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (3, 2), (5, 7), (8, 16), (32, 16)])
+def test_a_chain_by_a_cyclic_group_takes_one_generator_a_level(k, m):
+    assert len(chain_by_cyclic(k, m).generators) == k
 
 
 # -- reading semigroup files: the byte kernel and json.loads ---------------------
@@ -365,6 +409,18 @@ def test_only_the_json_dumps_layouts_take_the_byte_path(semigroups):
         read_outcome(oracles.semigroup_from_json_loads, text)
 
 
+def test_a_table_key_spelled_with_an_escape_before_the_table_is_unsure():
+    # json.loads keeps the last "table"; the byte walk meets the escaped
+    # key first, before the "table": it found
+    S = fx.PRESETS["b2"]()
+    doc = {"elements": list(S.names), "table": S.table.tolist(), "zero": S.zero}
+    text = '{"t\\u0061ble": [[0]], ' + json.dumps(doc)[1:]
+    assert sg.read_object(text) is None
+    assert read_outcome(sg.semigroup_from_json, text) == \
+        read_outcome(oracles.semigroup_from_json_loads, text)
+    assert read_outcome(sg.semigroup_from_json, text)[0] == S.names
+
+
 @pytest.mark.parametrize("layout", ["default", "compact"])
 def test_table_from_bytes_reads_what_json_loads_reads(layout):
     rng = np.random.default_rng(7)
@@ -463,8 +519,7 @@ def test_lights_test_on_actions_matches_the_column_gather(actions, data):
 @given(data=st.data())
 def test_validate_saction_with_entries_below_minus_one_matches_scan(
         actions, data):
-    # such an entry would index a real point where lights_test expects its
-    # sentinel row, so the full scan decides
+    # such an entry names no point, as an image >= m names none
     action = data.draw(st.sampled_from(actions), label="action")
     S = action.semigroup
     maps = np.array(action.maps)
@@ -473,6 +528,21 @@ def test_validate_saction_with_entries_below_minus_one_matches_scan(
     maps[s, x] = data.draw(st.integers(-300, -2), label="value")
     assert outcome(germs.validate_saction, S, action.point_labels, maps) == \
         outcome(oracles.validate_saction_scan, S, maps)
+
+
+@pytest.mark.parametrize("every", [True, False])
+def test_an_entry_below_minus_one_is_out_of_range(every):
+    # beta of B2 with its -1 entries written as -2, or only its first one
+    S = fx.b2()
+    action = germs.beta_action(S)
+    maps = np.array(action.maps)
+    if every:
+        maps[maps == -1] = -2
+    else:
+        maps[tuple(np.argwhere(maps == -1)[0])] = -2
+    assert outcome(germs.validate_saction, S, action.point_labels, maps) == \
+        outcome(oracles.validate_saction_scan, S, maps) == \
+        ("InvalidParams", "map image out of range")
 
 
 @EXAMPLES
@@ -484,6 +554,19 @@ def test_validate_partial_action_matches_loops(random_eunitary, data):
     assert outcome(pa.validate_partial_action, theta.group,
                    theta.point_labels, maps) == \
         outcome(oracles.validate_partial_action_loops, theta.group, maps)
+
+
+@pytest.mark.parametrize("change", ["extra row", "dropped column"])
+def test_partial_action_maps_of_another_shape_are_invalid(change):
+    theta = pa.theta_from_sigma(fx.PRESETS["sd6"]())
+    maps = np.array(theta.maps)
+    maps = np.vstack([maps, maps[:1]]) if change == "extra row" else \
+        maps[:, :-1]
+    assert outcome(pa.validate_partial_action, theta.group,
+                   theta.point_labels, maps) == \
+        outcome(oracles.validate_partial_action_loops, theta.group, maps,
+                theta.n_points) == \
+        ("InvalidParams", "need one partial map per semigroup element")
 
 
 @pytest.fixture(scope="module")
