@@ -359,12 +359,26 @@ def _germ_arrays(action: SAction) -> dict:
 
 
 def universal_groupoid(S: InvSemigroup, contracted=False) -> GermGroupoid:
-    """Germ groupoid of the canonical action on the (contracted) filter space."""
+    """Germ groupoid of the canonical action on the (contracted) filter space.
+
+    Inside a :func:`~germoid.groupoids.validated_once` scope it is built
+    once per semigroup object and flag: a later call returns the groupoid
+    built there, through :func:`~germoid.groupoids.validate_groupoid`,
+    which returns a validated groupoid as it is.  Outside a scope every
+    call builds.
+    """
+    contracted = bool(contracted)
     if contracted and S.zero is None:
         raise errors.ContractedWithoutZero(S.name)
+    key = ("universal", id(S), contracted)
+    built = scope_twins(key)
+    if built:
+        return validate_groupoid(built[0])
     tag = "c" if contracted else "u"
-    return germ_groupoid(beta_action(S, contracted=contracted),
-                         name=f"G({S.name},{tag})")
+    g = germ_groupoid(beta_action(S, contracted=contracted),
+                      name=f"G({S.name},{tag})")
+    scope_enter(key, g)
+    return g
 
 
 def tight_groupoid(S: InvSemigroup) -> GermGroupoid:
@@ -445,11 +459,21 @@ def gspace_from_saction(action: SAction, contracted=None):
 
     The anchor sends x to the (principal) filter {e : x in X_e}; the arrow
     [s, p(x)] acts as theta_s.  Returns ``(GroupoidSpaceAction, GermGroupoid)``.
+
+    Inside a :func:`~germoid.groupoids.validated_once` scope, an action of
+    the same semigroup object with exactly equal maps and point labels,
+    converted there under the same flag, gives the pair that conversion
+    returned: the result depends on nothing else.
     """
     S = action.semigroup
     if contracted is None:
         contracted = S.zero is not None and not action.domain(S.zero)
     g = universal_groupoid(S, contracted=contracted)
+    key = ("gspace", id(S), bool(contracted), action.maps.shape)
+    for twin, pair in scope_twins(key):
+        if twin.point_labels == action.point_labels and \
+                np.array_equal(twin.maps, action.maps):
+            return pair
     space = g.action.space
     m_of = anchor_idempotents(action)
     points = np.arange(action.n_points)
@@ -466,6 +490,7 @@ def gspace_from_saction(action: SAction, contracted=None):
             "anchored point outside the domain of a representative")
     ga = validate_space_action(
         GroupoidSpaceAction(g, action.point_labels, anchor, act))
+    scope_enter(key, (action, (ga, g)))
     return ga, g
 
 

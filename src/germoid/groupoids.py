@@ -328,7 +328,14 @@ def validated_once():
     object that passed, so no such id is reused while it is open.  A later
     input under the same key is a twin when its arrays are exactly equal
     (``np.array_equal``) to one that passed; it skips the checks.  Nothing
-    that fails enters the scope."""
+    that fails enters the scope.
+
+    Three constructions are adopted from what the scope already proved:
+    ``germs.universal_groupoid`` builds one groupoid per semigroup object
+    and flag, ``semigroups.validate_group`` enters the group it passes as a
+    validated one-unit groupoid (:func:`enter_group`), and
+    ``germs.gspace_from_saction`` converts one S-action per semigroup
+    object, maps and point labels."""
     token = _twins.set({})
     try:
         yield
@@ -352,6 +359,13 @@ def scope_enter(key, entry) -> None:
         twins.setdefault(key, []).append(entry)
 
 
+def _twin_key(g: FiniteGroupoid) -> tuple:
+    """The scope key of a groupoid: its unit count and the bytes of its
+    ``dom``, ``ran``, ``inv`` and ``identity``."""
+    return (g.n_units, g.dom.tobytes(), g.ran.tobytes(), g.inv.tobytes(),
+            g.identity.tobytes())
+
+
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     """Exhaustive check of the groupoid axioms; raises on any failure.
 
@@ -370,12 +384,15 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     middle one: a crossover measured on the benchmark corpus.  A groupoid
     that passes keeps its middle arrows as the mask ``generators``.
 
-    Inside a :func:`validated_once` scope, a twin of a groupoid validated
-    there, equal in its units, ``dom``, ``ran``, ``inv`` and ``identity``,
-    so in its composable pairs, and in its ``products``, passes with the
-    twin's read-only pairs, products and generators; any other groupoid is
-    checked in full, and enters the scope if it passes.
+    A groupoid that has passed, whose arrays are read-only, is returned as
+    it is.  Inside a :func:`validated_once` scope, a twin of a groupoid
+    validated there, equal in its units, ``dom``, ``ran``, ``inv`` and
+    ``identity``, so in its composable pairs, and in its ``products``,
+    passes with the twin's read-only pairs, products and generators; any
+    other groupoid is checked in full, and enters the scope if it passes.
     """
+    if g.validated:
+        return g
     n, n_units = g.n_arrows, g.n_units
     check_size(n)
     if len(g.ran) != n or len(g.inv) != n or len(g.identity) != n_units:
@@ -383,8 +400,7 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
             "need one ran and inv entry per arrow and one identity per unit")
     key = None
     if _twins.get() is not None:
-        key = (n_units, g.dom.tobytes(), g.ran.tobytes(), g.inv.tobytes(),
-               g.identity.tobytes())
+        key = _twin_key(g)
         for twin in scope_twins(key):
             g._index = twin._index              # the same dom and ran
             if np.array_equal(g.products, twin.products):
@@ -418,14 +434,42 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     return g
 
 
-def groupoid_from_group(G, name=None) -> FiniteGroupoid:
-    """A group as a one-unit groupoid: every pair composes, so the pairs in
-    lexicographic order are the entries of its table in row order."""
+def _one_unit(G, name=None) -> FiniteGroupoid:
+    """The group G as a one-unit groupoid, not yet validated: every pair
+    composes, so the pairs in lexicographic order are the entries of its
+    table in row order."""
     n = len(G)
-    g = FiniteGroupoid(["pt"], [0] * n, [0] * n, G.table.ravel(), G.star,
-                       [G.identity], arrow_labels=G.names,
-                       name=name or G.name)
-    return validate_groupoid(g)
+    return FiniteGroupoid(["pt"], [0] * n, [0] * n, G.table.ravel(), G.star,
+                          [G.identity], arrow_labels=G.names,
+                          name=name or G.name)
+
+
+def groupoid_from_group(G, name=None) -> FiniteGroupoid:
+    """A group as a one-unit groupoid, validated."""
+    return validate_groupoid(_one_unit(G, name))
+
+
+def enter_group(G) -> None:
+    """Enter the group G, which ``semigroups.validate_group`` has passed,
+    in the current :func:`validated_once` scope as a validated one-unit
+    groupoid, with G's Light generators as its ``generators``; outside a
+    scope, do nothing.
+
+    This is exact.  G's only idempotent e is a two-sided identity
+    (es = ss*s = s = se), s*s = e makes s* the inverse of s,
+    Light's test has proved the table associative, and a set that
+    generates G as a magma generates it under composition.  The universal
+    groupoid of G has exactly these arrays, so it becomes a twin.  The
+    products are read from the table only when a groupoid is compared with
+    this one."""
+    if _twins.get() is None:
+        return
+    g = _one_unit(G)
+    gens = np.zeros(len(G), dtype=bool)
+    gens[list(G.generators)] = True
+    gens.setflags(write=False)
+    g.generators, g.validated = gens, True
+    scope_enter(_twin_key(g), g)
 
 
 def pair_groupoid(n: int, name=None) -> FiniteGroupoid:

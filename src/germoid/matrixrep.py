@@ -116,6 +116,14 @@ def check_rep_conditions(S: InvSemigroup) -> bool:
 
     Each condition is a boolean |S| x |S| array over (s, t), computed in
     row blocks of at most ``CHUNK`` entries.
+
+    In an inverse semigroup they always agree, so :func:`verify_intertwining`
+    does not run this check.  If s*s t = t, then t*s*s t = t*t.
+    Conversely, if t*t = t*s*s t, then t = tt*t = tt*s*s t = s*s tt*t =
+    s*s t, as the idempotents tt* and s*s commute.  The idempotent
+    w = t*s*s t lies below t*t, since w t*t = t*s*s tt*t = w, so
+    t*t <= w holds iff t*t = w.  ``tests/test_matrixrep.py`` runs it on
+    the corpus, random E-unitary semigroups and their Rees quotients.
     """
     n = len(S)
     ids = np.arange(n)
@@ -157,10 +165,12 @@ def intertwines(u, l, a) -> bool:
 
 
 def verify_intertwining(S: InvSemigroup) -> bool:
-    """U L_s = A_s U exactly for every s, plus the symbolic condition check."""
+    """U*U = I and U L_s = A_s U exactly for every s.  The order conditions
+    of :func:`check_rep_conditions` hold in every inverse semigroup, so they
+    are not checked here."""
     sigma = max_group_image(S)
     return intertwines(intertwiner_u(S, sigma), left_regular_rep(S),
-                       covariant_rep(S, sigma)) and check_rep_conditions(S)
+                       covariant_rep(S, sigma))
 
 
 # -- convolution algebras ---------------------------------------------------------

@@ -403,8 +403,12 @@ def table_from_bytes(buf: bytes, start: int = 0):
     the peak RSS barely moves: in one process, at a fixed 150 ``build_ladder``
     and 120 ``verify_mid`` op runs, it read 41.7-42.0 and 37.5-37.6 MB with
     these blocks, against 42.1-42.2 and 37.2-37.3 MB with the quarter
-    blocks (three runs each, 2-vCPU x86-64 host).  In a
-    block, the separators are the bytes b with b - 48 at least 10 as a
+    blocks (three runs each, 2-vCPU x86-64 host).  At 120 ``verify_mid``
+    runs a later tree read 39.8-39.9 MB, against 39.5-39.6 MB with an int32
+    index and 39.6-39.8 MB with half blocks; but numpy gathers through an
+    int32 index at about a third of the speed, so the CHAIN32xZ16 parse
+    took 8.1 ms with it, 6.0 ms with half blocks and 5.1-5.6 ms as it is.
+    In a block, the separators are the bytes b with b - 48 at least 10 as a
     byte, and the digits are the rest.  Row by row, the separators must
     spell ``[`` and ``]`` around k - 1 entry separators, and the digits
     between two separators must all lie in the k value slots, each slot
@@ -646,12 +650,19 @@ def semigroup_from_json(text: str | bytes, name="S") -> InvSemigroup:
 def validate_group(names, table, name="G") -> FiniteGroup:
     """Validate a table as a group: an inverse semigroup with a single
     idempotent e, which is then its identity with inverses s*, since
-    ss* = s*s = e gives s = ss*s = es = se."""
+    ss* = s*s = e gives s = ss*s = es = se.  Inside a
+    :func:`~germoid.groupoids.validated_once` scope, the group that passes
+    enters it as a validated one-unit groupoid
+    (:func:`~germoid.groupoids.enter_group`), which its universal groupoid
+    then adopts as a twin."""
+    from .groupoids import enter_group      # groupoids imports this module
+
     S = validate_semigroup(names, table, None, name=name)
     if len(S.idempotents) != 1:
         raise errors.NotAGroup(f"{len(S.idempotents)} idempotents, expected 1")
     G = FiniteGroup(names, S.table, S.star, S.idempotents[0], name=name)
     G._generators = S._generators
+    enter_group(G)
     return G
 
 

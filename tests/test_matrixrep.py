@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import b2_cover
@@ -147,6 +149,13 @@ class TestIntertwining:
         for S in corpus.values():
             assert mr.check_rep_conditions(S)
 
+    def test_the_conditions_are_not_checked_again(self, eunitary_corpus,
+                                                  monkeypatch):
+        monkeypatch.setattr(mr, "check_rep_conditions", lambda S: pytest.fail(
+            "verify_intertwining runs the order conditions"))
+        for S in eunitary_corpus.values():
+            assert mr.verify_intertwining(S), S.name
+
     def test_u_mutations_fail(self):
         _, u, l, a = rep_inputs(fx.s4_monoid())
         assert mr.intertwines(u, l, a)
@@ -196,6 +205,21 @@ class TestIntertwining:
         finally:
             tracemalloc.stop()
         assert peak < 6 << 20, peak
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_conditions_hold_on_every_validated_semigroup(corpus,
+                                                          random_eunitary, data):
+    # the proof in check_rep_conditions' docstring, on the corpus, the random
+    # E-unitary family and their Rees quotients by a principal ideal SsS
+    S = data.draw(st.sampled_from(list(corpus.values()) + random_eunitary),
+                  label="S")
+    assert mr.check_rep_conditions(S)
+    s = data.draw(st.integers(0, len(S) - 1), label="s")
+    ideal = np.unique(S.table[S.table[:, s]]).tolist()
+    if len(ideal) < len(S):
+        assert mr.check_rep_conditions(sg.rees_quotient(S, ideal)[0])
 
 
 class TestConvolutionAlgebra:

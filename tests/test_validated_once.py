@@ -531,3 +531,114 @@ def test_copies_that_break_only_composition_are_checked_in_full(S, g):
         with gpd.validated_once():
             validate(np.array(good))
             assert outcome(validate, bad) == expect
+
+
+# -- constructions adopted from what the scope proved --------------------------------
+
+def test_a_universal_groupoid_is_built_once_per_semigroup_and_flag(
+        S, full, monkeypatch):
+    passed = spy_on(monkeypatch, (germs, "validate_groupoid"))
+    built = spy_on(monkeypatch, (germs, "germ_groupoid"))
+    with gpd.validated_once():
+        first = germs.universal_groupoid(S)
+        again = germs.universal_groupoid(S, contracted=0)
+        assert again is first
+        assert [args[0] for args in passed] == [first, first]
+        assert len(built) == 1 and full == [first]
+    outside = germs.universal_groupoid(S)
+    assert outside is not first and len(built) == 2 and full[-1] is outside
+    assert germs.universal_groupoid(S) is not outside
+
+
+def test_the_universal_memo_keeps_the_flags_and_semigroups_apart(full):
+    B2 = fx.b2()
+    other = fx.b2()
+    with gpd.validated_once():
+        plain = germs.universal_groupoid(B2)
+        contracted = germs.universal_groupoid(B2, contracted=True)
+        twin = germs.universal_groupoid(other)
+        assert len({id(plain), id(contracted), id(twin)}) == 3
+        assert germs.universal_groupoid(B2, contracted=True) is contracted
+        assert twin.products is plain.products      # a twin, not a memo hit
+    assert full == [plain, contracted]
+
+
+def group_image(n=61):
+    """The cyclic group of order n as validated by ``validate_group``, and
+    its table: over 25 elements, so validation would take Light's test on
+    spanning-tree generators."""
+    Z = fx.cyclic_group(n)
+    return (lambda: sg.validate_group(Z.names, Z.table, name=f"Z{n}")), Z
+
+
+def test_a_validated_group_is_a_validated_one_unit_groupoid(full):
+    make, _ = group_image()
+    with gpd.validated_once():
+        G = make()
+        g = germs.universal_groupoid(G)
+        h = gpd.groupoid_from_group(G)
+        assert full == [] and g.validated and h.validated
+        assert h.products is g.products
+        assert not g.generators.flags.writeable
+        assert set(np.flatnonzero(g.generators).tolist()) == set(G.generators)
+        assert oracles.composition_closure(g, np.flatnonzero(g.generators)) \
+            == set(range(len(G)))
+        assert np.array_equal(oracles.comp_table(g), G.table)
+    assert germs.universal_groupoid(G) in full        # outside: in full
+    full.clear()
+    G = make()                                         # no scope: no entry
+    with gpd.validated_once():
+        g = germs.universal_groupoid(G)
+    assert full == [g]
+
+
+@pytest.mark.parametrize("value", ["other", "undefined"])
+def test_a_one_unit_groupoid_off_the_group_table_is_validated_in_full(
+        full, value):
+    make, Z = group_image()
+    products = np.array(Z.table.ravel())
+    products[-1] = (products[-1] + 1) % len(Z) if value == "other" else -1
+    build = lambda: gpd.FiniteGroupoid(["pt"], [0] * len(Z), [0] * len(Z),
+                                       products, Z.star, [Z.identity])
+    expect = outcome(gpd.validate_groupoid, build())
+    assert expect[0] != "ok"
+    with gpd.validated_once():
+        make()
+        full.clear()
+        bad = build()
+        assert outcome(gpd.validate_groupoid, bad) == expect
+        assert full == [bad]
+
+
+def test_an_equal_saction_of_the_same_semigroup_is_converted_once(
+        S, monkeypatch):
+    beta = germs.beta_action(S)
+    checked = spy_on(monkeypatch, (germs, "validate_space_action"))
+    with gpd.validated_once():
+        ga, g = germs.gspace_from_saction(beta)
+        copy = germs.SAction(S, list(beta.point_labels), np.array(beta.maps))
+        again = germs.gspace_from_saction(copy)
+        assert again[0] is ga and again[1] is g
+        assert len(checked) == 1
+        # the flag is part of the key
+        assert germs.gspace_from_saction(copy, contracted=False)[0] is ga
+
+
+def test_an_saction_not_equal_to_one_converted_is_converted_again(
+        S, monkeypatch):
+    beta = germs.beta_action(S)
+    other = fx.direct_product(fx.chain(8), fx.cyclic_group(4))
+    maps = np.array(beta.maps)
+    s, x = np.argwhere(maps >= 0)[-1]
+    maps[s, x] = (maps[s, x] + 1) % beta.n_points
+    cases = [lambda: germs.SAction(other, beta.point_labels, beta.maps),
+             lambda: germs.SAction(S, beta.point_labels, maps)]
+    expect = [outcome(germs.gspace_from_saction, make()) for make in cases]
+    checked = spy_on(monkeypatch, (germs, "validate_space_action"))
+    with gpd.validated_once():
+        ga, _ = germs.gspace_from_saction(beta)
+        assert [outcome(germs.gspace_from_saction, make()) for make in cases] \
+            == expect
+        assert len(checked) == 3
+        assert germs.gspace_from_saction(cases[0]())[0] is not ga
+    assert germs.gspace_from_saction(beta)[0] is not ga     # no open scope
