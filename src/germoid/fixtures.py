@@ -27,7 +27,7 @@ def chain(n: int, name=None) -> InvSemigroup:
     if n < 1:
         raise errors.InvalidParams("chain needs n >= 1")
     names = ["1"] + [f"f{i}" if n > 2 else "f" for i in range(1, n)]
-    table = [[max(i, j) for j in range(n)] for i in range(n)]
+    table = np.maximum.outer(np.arange(n), np.arange(n))
     return validate_semigroup(names, table, None, name=name or f"CHAIN{n}")
 
 
@@ -35,7 +35,7 @@ def cyclic_group(n: int, name=None) -> FiniteGroup:
     if n < 1:
         raise errors.InvalidParams("cyclic group needs n >= 1")
     names = ["1"] + [f"g{'^' + str(i) if i > 1 else ''}" for i in range(1, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table = np.add.outer(np.arange(n), np.arange(n)) % n
     return validate_group(names, table, name=name or f"Z{n}")
 
 
@@ -110,20 +110,21 @@ def semidirect(meet_table, G: FiniteGroup, action, enames=None, name=None) -> In
 
     Elements are pairs (e, g) with (e,g)(f,h) = (e ^ g.f, gh); the result is
     always E-unitary (asserted).  ``action[g]`` is the permutation of E given
-    by g.
+    by g; one array pass checks them all, naming the first g that fails.
     """
     meet = np.asarray(meet_table, dtype=np.int64)
     k = meet.shape[0]
     if enames is None:
         enames = [f"e{i}" for i in range(k)]
-    act = [tuple(action[g]) for g in range(len(G))]
-    for g, perm in enumerate(act):
-        if sorted(perm) != list(range(k)):
-            raise errors.ActionNotByAutomorphisms(f"action of {g} is not a permutation")
-        if (np.take(perm, meet) != meet[np.ix_(perm, perm)]).any():
-            raise errors.ActionNotByAutomorphisms(
-                f"action of {g} does not preserve the meet")
-    act = np.array(act, dtype=np.int64)
+    rows = [tuple(action[g]) for g in range(len(G))]
+    act = np.array([r if len(r) == k else (k,) * k for r in rows])  # k's: no permutation
+    perm = (np.sort(act, axis=1) == np.arange(k)).all(axis=1)
+    act = np.where(perm[:, None], act, np.arange(k)).astype(np.int64)  # others: identity
+    keeps = (act[:, meet] == meet[act[:, :, None], act[:, None, :]]).all(axis=(1, 2))
+    bad = np.flatnonzero(~(perm & keeps))
+    if len(bad):
+        raise errors.ActionNotByAutomorphisms(f"action of {bad[0]} " + (
+            "does not preserve the meet" if perm[bad[0]] else "is not a permutation"))
     if (act[:, act] != act[G.table]).any():      # [g, h, e]: g.(h.e) = (gh).e
         raise errors.ActionNotByAutomorphisms("action is not a homomorphism")
     # (e, g) has id e |G| + g, and (e, g)(f, h) = (e ^ g.f, gh)
@@ -287,12 +288,28 @@ def _random_semilattice(rng, max_size=8):
 
 
 def _semilattice_automorphisms(meet):
+    """The automorphisms p, p[a ^ b] = p[a] ^ p[b], of a semilattice in
+    lexicographic order, by a depth-first search that places p[0], p[1], ...
+    with each image in increasing order and checks the pair (a, b) once, when
+    the last of a, b and a ^ b is placed.  Every prefix of an automorphism
+    passes and a full p has passed every pair, so the leaves are exactly the
+    automorphisms, in the order of the scan over all k! permutations
+    (``oracles.semilattice_automorphisms_scan``): a seeded draw is unchanged.
+    """
     k = len(meet)
-    auts = []
-    for perm in permutations(range(k)):
-        if all(perm[meet[i][j]] == meet[perm[i]][perm[j]]
-               for i in range(k) for j in range(k)):
-            auts.append(perm)
+    triples = [(a, b, meet[a][b]) for a in range(k) for b in range(k)]
+    checks = [[t for t in triples if max(t) == i] for i in range(k)]
+    auts, p = [], [0] * k
+
+    def place(i):
+        if i == k:
+            return auts.append(tuple(p))
+        for v in range(k):
+            p[i] = v
+            if v not in p[:i] and all(p[c] == meet[p[a]][p[b]] for a, b, c in checks[i]):
+                place(i + 1)
+    place(0)
+    del place           # it refers to itself: free it now, not at the next gc
     return auts
 
 
@@ -305,19 +322,14 @@ def random_eunitary_semidirect(rng, max_order=64) -> InvSemigroup:
             continue
         auts = _semilattice_automorphisms(meet)
         perm = auts[rng.randrange(len(auts))]
-        order = 1
-        p = perm
-        ident = tuple(range(k))
-        while p != ident:
-            p = tuple(perm[i] for i in p)
-            order += 1
+        powers = [tuple(range(k))]           # perm^0, perm^1, ..., perm^order
+        while len(powers) == 1 or powers[-1] != powers[0]:
+            powers.append(tuple(perm[i] for i in powers[-1]))
+        order = len(powers) - 1
         mult = order * rng.randrange(1, max(2, max_order // (k * order) + 1))
         if k * mult > max_order:
             mult = order
         if k * mult > max_order:
             continue
-        G = cyclic_group(mult)
-        action = {0: ident}
-        for g in range(1, mult):
-            action[g] = tuple(perm[i] for i in action[g - 1])
-        return semidirect(meet, G, action, name=f"RSD{k}x{mult}")
+        action = {g: powers[g % order] for g in range(mult)}
+        return semidirect(meet, cyclic_group(mult), action, name=f"RSD{k}x{mult}")

@@ -86,12 +86,14 @@ class FiniteGroupoid:
 
     @functools.cached_property
     def products(self) -> np.ndarray:
-        """ab at each of the :attr:`composable_pairs` (a, b), read-only
-        int32, or -1 where the input gave none."""
+        """ab at each of the :attr:`composable_pairs` (a, b), read-only int32
+        (an input already so is shared), or -1 where the input gave none."""
         products, self._products = self._products, None
         if callable(products):
             products = products(*self.composable_pairs)
-        products = np.array(products, dtype=np.int32)
+        if not (isinstance(products, np.ndarray) and products.dtype == np.int32
+                and not products.flags.writeable):
+            products = np.array(products, dtype=np.int32)
         if products.shape != self.composable_pairs[0].shape:
             raise errors.InvalidParams("need one product per composable pair")
         products.setflags(write=False)
@@ -609,14 +611,15 @@ def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
 
     Inside a :func:`validated_once` scope, maps exactly equal to those of a
     functor that passed there between the same groupoids or their twins
-    (keyed by their ``products``) give a new functor unchecked.
+    (keyed by their index and ``products``: a twin shares both) give a new
+    functor unchecked.
     """
     um = np.array(unit_map, dtype=np.int64)
     f = np.array(arrow_map, dtype=np.int64)
     if len(um) != src.n_units or len(f) != src.n_arrows:
         raise errors.NotAFunctor("maps must cover all units and arrows")
-    key = ("functor", id(src.products), id(tgt.products), um.shape, f.shape) \
-        if src.validated and tgt.validated else None
+    key = ("functor", id(src._index), id(src.products), id(tgt._index),
+           id(tgt.products), um.shape, f.shape) if src.validated and tgt.validated else None
     if any(np.array_equal(um, u) and np.array_equal(f, a)
            for u, a, _ in scope_twins(key)):
         return GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
@@ -763,11 +766,11 @@ def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
 
     Inside a :func:`validated_once` scope, an action of a validated
     groupoid whose ``act`` and anchor are exactly equal to those of an
-    action of it or of a twin (keyed by the ``products``) that passed there
-    is marked validated unchecked."""
+    action of it or of a twin (keyed by its index and ``products``) that
+    passed there is marked validated unchecked."""
     h, m = action.groupoid, action.n_points
     anchor = np.asarray(action.anchor, dtype=np.int64)
-    key = ("space", id(h.products), action.act.shape, anchor.shape) \
+    key = ("space", id(h._index), id(h.products), action.act.shape, anchor.shape) \
         if h.validated else None
     if any(np.array_equal(action.act, t.act) and np.array_equal(anchor, t.anchor)
            for t in scope_twins(key)):

@@ -5,7 +5,7 @@ deliberately independent of the library's computation paths.
 """
 
 from collections import namedtuple
-from itertools import product
+from itertools import permutations, product
 
 
 def is_inverse_semigroup_table(table, zero=None):
@@ -1382,6 +1382,38 @@ def brandt_table_loops(G, n):
             p, h, q = elems[b]
             table[a][b] = index[(i, G.mul(g, h), q)] if j == p else 0
     return table
+
+
+def semilattice_automorphisms_scan(meet):
+    """The permutations p of a semilattice's ids with p[i ^ j] = p[i] ^ p[j]
+    for every i, j, by a scan over all k! permutations in lexicographic
+    order."""
+    k = len(meet)
+    auts = []
+    for perm in permutations(range(k)):
+        if all(perm[meet[i][j]] == meet[perm[i]][perm[j]]
+               for i in range(k) for j in range(k)):
+            auts.append(perm)
+    return auts
+
+
+def semidirect_action_loops(meet, G, action):
+    """Check that ``action[g]``, for each g of G in turn, is a permutation of
+    the semilattice's ids that preserves the meet, and then that g -> action[g]
+    is a homomorphism; raise what ``fixtures.semidirect`` raises."""
+    from germoid import errors
+    k = len(meet)
+    act = [tuple(action[g]) for g in range(len(G))]
+    for g, perm in enumerate(act):
+        if sorted(perm) != list(range(k)):
+            raise errors.ActionNotByAutomorphisms(f"action of {g} is not a permutation")
+        if any(perm[meet[i][j]] != meet[perm[i]][perm[j]]
+               for i in range(k) for j in range(k)):
+            raise errors.ActionNotByAutomorphisms(
+                f"action of {g} does not preserve the meet")
+    for g, h, e in product(range(len(G)), range(len(G)), range(k)):
+        if act[g][act[h][e]] != act[G.mul(g, h)][e]:
+            raise errors.ActionNotByAutomorphisms("action is not a homomorphism")
 
 
 def semidirect_table_loops(meet, G, action):

@@ -1,12 +1,13 @@
-"""Byte-identical outputs: SHA-256 digests of groupoid ``to_json()`` and of
-``verify --suite all`` report lines, pinned from the loop implementations
-the array kernels replaced.  Class numbering feeds the ``envelope`` and
+"""Byte-identical outputs: SHA-256 digests of groupoid ``to_json()``, of
+``verify --suite all`` report lines and of generated fixtures, pinned from
+the loop implementations the array kernels replaced.  Class numbering feeds the ``envelope`` and
 ``ks`` certificate digests, so the report digests catch any drift in it."""
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -89,3 +90,21 @@ def test_verify_report_stream_digest(tmp_path, preset, lines, digest):
     stream = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
     assert len(reports) == lines
     assert hashlib.sha256(stream.encode()).hexdigest() == digest
+
+
+def random_corpus_text():
+    """The fifty draws of the tests' random E-unitary corpus, one file a line."""
+    rng = random.Random(20240811)
+    return "\n".join(fx.random_eunitary_semidirect(rng).to_json() for _ in range(50))
+
+
+@pytest.mark.parametrize("make, digest", [
+    (random_corpus_text,
+     "828804cdadb994e7638ae160026d4d39aaa713ae30e6f193836854b4febf8c01"),
+    (lambda: fx.chain(64).to_json(),
+     "e9fb7e2b3b9114f7be2b16f7a3e63531de3fb2db94ffed148237fe4dad3dc8bc"),
+    (lambda: fx.cyclic_group(64).to_json(),
+     "25394727cca89a91fffa5567dcb1578c3e2555c7687577364faa5e722a57ecd8"),
+], ids=["random-corpus", "CHAIN64", "Z64"])
+def test_fixture_json_digest(make, digest):
+    assert hashlib.sha256(make().encode()).hexdigest() == digest

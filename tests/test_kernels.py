@@ -1692,6 +1692,11 @@ def cyclic_action(perm):
 
 
 def test_fixture_tables_match_loops():
+    for n in (1, 2, 3, 7, 16):
+        assert fx.chain(n).table.tolist() == \
+            [[max(i, j) for j in range(n)] for i in range(n)]
+        assert fx.cyclic_group(n).table.tolist() == \
+            [[(i + j) % n for j in range(n)] for i in range(n)]
     for G, n in ((fx.cyclic_group(1), 3), (fx.cyclic_group(3), 2), (s3_group(), 2)):
         assert fx.brandt(G, n).table.tolist() == oracles.brandt_table_loops(G, n)
     for S, T in ((fx.chain(3), fx.cyclic_group(4)), (fx.b2(), fx.i2()),
@@ -1705,6 +1710,93 @@ def test_fixture_tables_match_loops():
         G, action = cyclic_action(auts[rng.randrange(len(auts))])
         assert fx.semidirect(meet, G, action).table.tolist() == \
             oracles.semidirect_table_loops(meet, G, action)
+
+
+def chain_meet(k):
+    """The chain 0 > 1 > ... > k - 1."""
+    return [[max(a, b) for b in range(k)] for a in range(k)]
+
+
+def flat_meet(k):
+    """k - 1 incomparable atoms over the bottom k - 1."""
+    return [[a if a == b else k - 1 for b in range(k)] for a in range(k)]
+
+
+# k = 1, chains 1-8, atoms over a bottom 2-8 and the Boolean lattice 2^3
+SEMILATTICES = [[[0]]] + [chain_meet(k) for k in range(1, 9)] + \
+    [flat_meet(k) for k in range(2, 9)] + [[[a & b for b in range(8)] for a in range(8)]]
+
+
+def test_semilattice_automorphisms_match_the_scan():
+    rng = random.Random(11)
+    draws = [fx._random_semilattice(rng)[0] for _ in range(300)]
+    assert {len(meet) for meet in draws} >= set(range(1, 10))
+    for meet in draws + SEMILATTICES:
+        assert fx._semilattice_automorphisms(meet) == \
+            oracles.semilattice_automorphisms_scan(meet)
+    counts = [len(fx._semilattice_automorphisms(meet)) for meet in SEMILATTICES]
+    assert counts == [1] * 9 + [1, 2, 6, 24, 120, 720, 5040] + [6]
+
+
+@pytest.fixture(scope="module")
+def semilattice_actions():
+    """(meet, automorphisms) of 40 seeded random semilattices and of
+    ``SEMILATTICES``."""
+    rng = random.Random(12)
+    meets = [fx._random_semilattice(rng)[0] for _ in range(40)] + SEMILATTICES
+    return [(meet, fx._semilattice_automorphisms(meet)) for meet in meets]
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_semidirect_action_checks_match_loops(semilattice_actions, data):
+    # a cyclic action by a drawn automorphism, with up to three of its
+    # permutations mutated: a wrong length, a repeated or out-of-range image,
+    # the top moved (no automorphism fixes it then), another automorphism
+    meet, auts = data.draw(st.sampled_from(semilattice_actions), label="E")
+    k = len(meet)
+    G, valid = cyclic_action(data.draw(st.sampled_from(auts), label="perm"))
+    action = dict(valid)
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        g = data.draw(st.integers(0, len(G) - 1), label="g")
+        p = list(valid[g])
+        kind = data.draw(st.sampled_from(
+            ["short", "long", "repeat", "range", "top", "other"]), label="kind")
+        i, j = (data.draw(st.integers(0, k - 1), label=x) for x in "ij")
+        if kind == "short":
+            p.pop()
+        elif kind == "long":
+            p.append(p[i])
+        elif kind == "repeat":
+            p[i] = p[j]
+        elif kind == "range":
+            p[i] = data.draw(st.sampled_from([-1, k]), label="image")
+        elif kind == "top":
+            p[0], p[j] = p[j], p[0]
+        else:
+            p = list(data.draw(st.sampled_from(auts), label="other"))
+        action[g] = tuple(p)
+    expected = outcome(oracles.semidirect_action_loops, meet, G, action)
+    assert outcome(fx.semidirect, meet, G, action) == expected
+    if expected == ("ok", ""):
+        assert fx.semidirect(meet, G, action).table.tolist() == \
+            oracles.semidirect_table_loops(meet, G, action)
+
+
+def test_semidirect_names_the_first_failing_action():
+    G, meet = fx.cyclic_group(4), fx.v3_meet_table()
+    valid = {0: (0, 1, 2), 1: (1, 0, 2), 2: (0, 1, 2), 3: (1, 0, 2)}
+    for changes, message in [
+            ({1: (1, 0)}, "action of 1 is not a permutation"),
+            ({2: (0, 0, 2)}, "action of 2 is not a permutation"),
+            ({3: (1, 0.5, 2)}, "action of 3 is not a permutation"),
+            ({1: (2, 1, 0), 2: (0, 0, 2)}, "action of 1 does not preserve the meet"),
+            ({1: (1, 0, 3), 2: (2, 1, 0)}, "action of 1 is not a permutation"),
+            ({1: (0, 1, 2)}, "action is not a homomorphism")]:
+        action = {**valid, **changes}
+        expected = ("ActionNotByAutomorphisms", message)
+        assert outcome(oracles.semidirect_action_loops, meet, G, action) == expected
+        assert outcome(fx.semidirect, meet, G, action) == expected
 
 
 def test_eunitary_cover_table_matches_loops():

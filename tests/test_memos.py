@@ -12,6 +12,7 @@ import pytest
 from germoid import cli, errors
 from germoid import fixtures as fx
 from germoid import germs
+from germoid import groupoids as gpd
 from germoid import partial_actions as pa
 from germoid import semigroups as sg
 from germoid import spectra as sp
@@ -89,6 +90,30 @@ def test_memoized_maps_stay_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0
+
+
+def test_germ_groupoids_of_one_action_share_their_products():
+    # the memoized products are read-only int32, so a later build of the same
+    # action takes them as they are
+    action = germs.beta_action(fx.sd6())
+    first, second = germs.germ_groupoid(action), germs.germ_groupoid(action)
+    assert second.products is first.products
+
+
+def test_products_copy_an_array_they_could_not_share():
+    g = germs.universal_groupoid(fx.sd6())
+    writable = np.array(g.products)
+    for given, shared in ((g.products, True), (writable, False),
+                          (g.products.astype(np.int64), False),
+                          (g.products.tolist(), False)):
+        h = gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, given, g.inv, g.identity)
+        assert (h.products is given) is shared
+        assert h.products.dtype == np.int32 and not h.products.flags.writeable
+        assert np.array_equal(h.products, g.products)
+    assert writable.flags.writeable
+    with pytest.raises(errors.InvalidParams):
+        gpd.FiniteGroupoid(g.unit_labels, g.dom, g.ran, g.products[1:], g.inv,
+                           g.identity).products
 
 
 def test_anchor_idempotents_is_memoized_on_the_action(corpus):

@@ -308,10 +308,12 @@ def test_an_equal_input_skips_the_checks(S, g, kind, monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_an_equal_input_over_equal_but_other_objects_is_checked_in_full(
         S, g, kind, monkeypatch):
-    # keys hold the identity of S, G or the groupoids' products, not their
-    # contents: the copies were validated outside the scope
+    # keys hold the identity of S, G or the groupoids' index and products,
+    # not their contents: the copies were validated outside the scope, and
+    # g2 shares only g's products
     S2 = fx.direct_product(fx.chain(8), fx.cyclic_group(4))
     g2 = gpd.validate_groupoid(copy_of(g))
+    assert g2.products is g.products
     target, array, validate = kinds(S, g)[kind]
     _, other_array, validate_other = kinds(S2, g2)[kind]
     assert np.array_equal(array, other_array)
@@ -319,6 +321,22 @@ def test_an_equal_input_over_equal_but_other_objects_is_checked_in_full(
     with gpd.validated_once():
         validate(np.array(array))
         validate_other(np.array(array))
+    assert len(full) == 2
+
+
+def test_a_space_action_over_a_groupoid_sharing_only_its_products_is_checked(
+        S, monkeypatch):
+    # the groupoid of the action and a copy built from its products, both
+    # validated outside the scope: the same action over each is two checks
+    ga = germs.gspace_from_saction(germs.beta_action(S))[0]
+    h = ga.groupoid
+    h2 = gpd.validate_groupoid(copy_of(h))
+    assert h2.products is h.products
+    full = spy_on(monkeypatch, (gpd, "first_failing_pair"))
+    with gpd.validated_once():
+        for groupoid in (h, h2):
+            gpd.validate_space_action(gpd.GroupoidSpaceAction(
+                groupoid, ga.point_labels, ga.anchor, np.array(ga.act)))
     assert len(full) == 2
 
 
