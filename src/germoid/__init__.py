@@ -12,13 +12,10 @@ from .semigroups import (
     eunitary_cover,
     hom_from_sigma,
     is_e_unitary,
-    is_f_morphism,
     is_idempotent_pure_partial_hom,
     is_locally_idempotent_pure,
     is_zero_e_unitary,
     max_group_image,
-    meet_sigma,
-    natural_leq,
     partial_group_hom,
     rees_quotient,
     semigroup_from_json,
@@ -33,7 +30,6 @@ from .spectra import (
     Filter,
     Semilattice,
     check_ks_condition,
-    d_set,
     enumerate_filters,
     hat_map,
     semilattice_hom,
@@ -74,7 +70,6 @@ from .partial_actions import (
     enveloping_group_action,
     ks_pipeline,
     partial_trans_groupoid,
-    restrict_partial_action,
     theta_from_sigma,
     validate_partial_action,
     verify_main1,

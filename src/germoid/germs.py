@@ -20,7 +20,9 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
     GroupoidSpaceAction,
+    enter_proved,
     groupoid_functor,
+    middle_arrows,
     reduction,
     scope_enter,
     scope_twins,
@@ -71,15 +73,6 @@ class SAction:
 
     def domain(self, s: int) -> frozenset:
         return frozenset(int(x) for x in np.flatnonzero(self.maps[s] >= 0))
-
-    def to_json_dict(self, semigroup_ref=None) -> dict:
-        return {
-            "semigroup": semigroup_ref or self.semigroup.name,
-            "points": list(self.point_labels),
-            "maps": {str(s): [[int(x), int(y)]
-                              for x, y in enumerate(self.maps[s]) if y >= 0]
-                     for s in range(len(self.semigroup))},
-        }
 
     def restrict(self, subset, check_invariant=True) -> "SAction":
         """Restriction to an invariant point subset (re-indexed)."""
@@ -208,28 +201,45 @@ def beta_action(S: InvSemigroup, contracted=False) -> SAction:
     contracted = bool(contracted)
     if contracted not in S._beta:
         space = enumerate_filters(S, contracted=contracted)
-        action = validate_saction(
-            S, [space.label(i) for i in range(len(space))], beta_maps(S, space))
+        action = validate_saction(S, [space.label(i) for i in range(len(space))],
+                                  beta_maps(S, contracted))
         action.space = space
         S._beta[contracted] = action
     return S._beta[contracted]
 
 
-def beta_maps(S: InvSemigroup, space) -> np.ndarray:
+def below(S: InvSemigroup, s, f):
+    """Whether the idempotents f lie below s*s, for broadcast arrays s and
+    f: then the filter f^ is in the domain of beta_s."""
+    return S.table[f, S.table[S.star[s], s]] == f
+
+
+def beta_maps(S: InvSemigroup, contracted=False) -> np.ndarray:
     """maps[s, i] = index of the filter (s m_i s*)^ when m_i <= s*s, else -1,
-    where m_i is the minimum of filter i."""
-    n = len(S)
-    mins = np.asarray(space.mins, dtype=np.int64)
-    index = np.full(n, -1, dtype=np.int64)
-    index[mins] = np.arange(len(mins))
-    ss = S.table[S.star, np.arange(n)]
-    below = S.table[mins[None, :], ss[:, None]] == mins[None, :]   # m <= s*s
-    image = S.table[S.table[:, mins], S.star[:, None]]              # s m s*
-    maps = np.where(below, index[image], -1)
-    if (below & (maps < 0)).any():
-        s, i = np.argwhere(below & (maps < 0))[0]
-        space.index_of(int(image[s, i]))   # raises UnknownElement
-    return maps
+    where m_i is the minimum of filter i of
+    :func:`~germoid.spectra.enumerate_filters` of S, in row blocks of
+    ``CHUNK`` entries.  The read-only maps are memoized on the semigroup,
+    one per flag: ``beta_action``, ``partial_actions.theta_from_sigma`` and
+    ``partial_actions.verify_main1`` read them."""
+    contracted = bool(contracted)
+    if contracted not in S._beta_maps:
+        space = enumerate_filters(S, contracted=contracted)
+        mins = np.asarray(space.mins, dtype=np.int64)
+        index = np.full(len(S), -1, dtype=np.int64)
+        index[mins] = np.arange(len(mins))
+        maps = np.empty((len(S), len(mins)), dtype=np.int64)
+        step = max(1, CHUNK // max(len(mins), 1))
+        for lo in range(0, len(S), step):
+            s = np.arange(lo, min(lo + step, len(S)))[:, None]
+            inside = below(S, s, mins[None, :])
+            image = S.table[S.table[s, mins], S.star[s]]             # s m s*
+            block = maps[lo:lo + step] = np.where(inside, index[image], -1)
+            if (inside & (block < 0)).any():
+                r, i = np.argwhere(inside & (block < 0))[0]
+                space.index_of(int(image[r, i]))   # raises UnknownElement
+        maps.setflags(write=False)
+        S._beta_maps[contracted] = maps
+    return S._beta_maps[contracted]
 
 
 def restrict_maps(maps: np.ndarray, subset, check_invariant=True):
@@ -252,10 +262,14 @@ def restrict_maps(maps: np.ndarray, subset, check_invariant=True):
 
 class GermGroupoid(FiniteGroupoid):
     """A groupoid of germs: arrow ``arrow_at[s, x]`` is the germ [s, x],
-    and row a of ``arrow_pairs`` is (s, x) for the least such pair."""
+    and row a of ``arrow_pairs`` is (s, x) for the least such pair.  Its
+    ``semigroup`` is the action's, and its ``space`` the action's filter
+    space, or None."""
 
     def __init__(self, action: SAction, arrow_pairs, arrow_at, **kw):
         self.action = action
+        self.semigroup = action.semigroup
+        self.space = getattr(action, "space", None)
         self.arrow_pairs = arrow_pairs
         self.arrow_at = arrow_at
         for arr in (arrow_pairs, arrow_at):
@@ -267,34 +281,79 @@ class GermGroupoid(FiniteGroupoid):
         """Per arrow its germ (s, x): the rows of ``arrow_pairs``."""
         return tuple(map(tuple, self.arrow_pairs.tolist()))
 
-    @functools.cached_property
-    def germ_of(self) -> dict:
-        """(s, x) -> arrow id of the germ [s, x], over the germ set."""
-        s, x = np.nonzero(self.arrow_at >= 0)
-        return dict(zip(zip(s.tolist(), x.tolist()),
-                        self.arrow_at[s, x].tolist()))
-
-    @functools.cached_property
-    def germ_classes(self):
-        """Per arrow, the frozenset of (s, x) pairs of its germ class."""
-        classes = [[] for _ in range(self.n_arrows)]
-        for pair, arrow in self.germ_of.items():
-            classes[arrow].append(pair)
-        return tuple(frozenset(c) for c in classes)
-
     def germ(self, s, x):
         """Arrow id of the germ [s, x], or the array of them for arrays s
         and x; raises at the first (s, x) with x outside dom theta_s."""
         s, x = np.broadcast_arrays(np.asarray(s, dtype=np.int64),
                                    np.asarray(x, dtype=np.int64))
-        n, m = self.arrow_at.shape
-        known = (s >= 0) & (s < n) & (x >= 0) & (x < m)
-        arrows = np.where(known, self.arrow_at[s * known, x * known], -1)
+        known = (s >= 0) & (s < len(self.semigroup)) & (x >= 0) & (x < self.n_units)
+        arrows = np.where(known, self._germs_at(s * known, x * known), -1)
         if (arrows < 0).any():
             i = int(np.flatnonzero(arrows < 0)[0])
             raise errors.UnknownElement(
                 f"({s.flat[i]},{x.flat[i]}) is not in the germ set")
         return int(arrows) if arrows.ndim == 0 else arrows
+
+    def _germs_at(self, s, x):
+        """The arrows [s, x] for s and x in range, -1 outside the germ set."""
+        return self.arrow_at[s, x]
+
+
+class UniversalGroupoid(GermGroupoid):
+    """The groupoid of :func:`universal_groupoid`: each arrow is an element
+    of S, and ``arrow_of`` gives each element's arrow, or -1.  Born
+    validated; beta (the ``action``), ``arrow_at``, the arrow labels and the
+    ``generators`` are made when first read."""
+
+    def __init__(self, S: InvSemigroup, space, name):
+        n, table, star = len(S), S.table, S.star
+        mins = self._mins = np.asarray(space.mins, dtype=np.int64)
+        unit = np.full(n, -1, dtype=np.int64)
+        unit[mins] = np.arange(len(mins))
+        dom, label = unit[table[star, np.arange(n)]], least_above(S)
+        t = np.flatnonzero(dom >= 0)        # every element but a contracted zero
+        t = t[np.argsort(label[t] * len(mins) + dom[t])]
+        arrow_of = self.arrow_of = np.full(n, -1, dtype=np.int64)
+        arrow_of[t] = np.arange(len(t))
+        self.semigroup, self.space = S, space
+        self.arrow_pairs = np.column_stack((label[t], dom[t]))
+        self.arrow_pairs.setflags(write=False)
+        FiniteGroupoid.__init__(
+            self, [space.label(i) for i in range(len(space))], dom[t],
+            unit[table[t, star[t]]], lambda a, b: arrow_of[table[t[a], t[b]]],
+            arrow_of[star[t]], arrow_of[mins], name=name)
+
+    action = functools.cached_property(
+        lambda self: beta_action(self.semigroup, self.space.contracted))
+    generators = functools.cached_property(middle_arrows)
+    arrow_labels = functools.cached_property(lambda self: tuple(
+        f"[{self.semigroup.names[s]},{self.unit_labels[x]}]"
+        for s, x in self.arrow_pairs.tolist()))
+
+    @functools.cached_property
+    def arrow_at(self) -> np.ndarray:
+        at = self._germs_at(np.arange(len(self.semigroup))[:, None],
+                            np.arange(self.n_units)[None, :])
+        at.setflags(write=False)
+        return at
+
+    def _germs_at(self, s, x):          # [s, f^] is the arrow s f, f <= s*s
+        f = self._mins[x]
+        return np.where(below(self.semigroup, s, f),
+                        self.arrow_of[self.semigroup.table[s, f]], -1)
+
+
+def least_above(S: InvSemigroup) -> np.ndarray:
+    """Per element t the least s >= t: the first row of ``table[:, E]``
+    that holds t, as the elements below s are the s e, e in E(S).  Rows go
+    in blocks of ``CHUNK`` entries."""
+    n, E = len(S), np.asarray(S.idempotents, dtype=np.int64)
+    least = np.full(n, n, dtype=np.int64)
+    step = max(1, CHUNK // len(E))
+    for lo in range(0, n, step):
+        rows = S.table[lo:lo + step, E]
+        np.minimum.at(least, rows.ravel(), np.repeat(np.arange(lo, lo + len(rows)), len(E)))
+    return least
 
 
 def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
@@ -359,7 +418,26 @@ def _germ_arrays(action: SAction) -> dict:
 
 
 def universal_groupoid(S: InvSemigroup, contracted=False) -> GermGroupoid:
-    """Germ groupoid of the canonical action on the (contracted) filter space.
+    """Germ groupoid of the canonical action on the (contracted) filter
+    space, read off the table of S in O(|S| |E|) and born validated.
+
+    It is the inductive groupoid of S (Lawson, *Inverse Semigroups*, 1998,
+    ch. 4; Steinberg, Adv. Math. 223, 2010).  Every filter is principal, so
+    the units are the f^, f in E(S) (bar 0 when contracted).  By the germ
+    lemma of :func:`germ_groupoid`, with beta's anchor f at f^, the class
+    of (s, f^) is keyed by (s f, f^), and t = s f fixes f = t*t.  So the
+    arrows are the elements t (t != 0 when contracted), with dom t =
+    (t*t)^, ran t = (s f s*)^ = (t t*)^, identity f at f^, inverse
+    [s*, (t t*)^] = s* t t* = t*, and, for dom t = ran u, product
+    [s s', (u*u)^] = s u = s t*t u = t u.  The least (s, x) of the class of
+    t is (least s >= t, dom t) (:func:`least_above`), and germ_groupoid
+    numbers the arrows by it, so the arrays are exactly the same.  Its laws are
+    S's: associativity is the table's, which Light's test proved; the
+    endpoints of t u are u*t*t u = u*u and t u u*t* = t t*; t t*t = t gives
+    the identity and inverse laws.  So, for a ``validated`` S, it enters
+    the scope by :func:`~germoid.groupoids.enter_proved`, and a germ
+    groupoid of beta built there is compared with it as a twin; for S from
+    the raw constructor it is checked in full.
 
     Inside a :func:`~germoid.groupoids.validated_once` scope it is built
     once per semigroup object and flag: a later call returns the groupoid
@@ -375,8 +453,8 @@ def universal_groupoid(S: InvSemigroup, contracted=False) -> GermGroupoid:
     if built:
         return validate_groupoid(built[0])
     tag = "c" if contracted else "u"
-    g = germ_groupoid(beta_action(S, contracted=contracted),
-                      name=f"G({S.name},{tag})")
+    g = UniversalGroupoid(S, enumerate_filters(S, contracted), name=f"G({S.name},{tag})")
+    g = validate_groupoid(enter_proved(g) if S.validated else g)
     scope_enter(key, g)
     return g
 
@@ -392,7 +470,7 @@ def tight_groupoid(S: InvSemigroup) -> GermGroupoid:
     if S.zero is None:
         raise errors.NoZero(S.name)
     universal = universal_groupoid(S, contracted=True)
-    tight = tight_spectrum(universal.action.space)
+    tight = tight_spectrum(universal.space)
     g = germ_groupoid(universal.action.restrict(tight), name=f"Gt({S.name})")
     red = reduction(universal, tight)
     k = min(g.n_arrows, red.n_arrows)
@@ -441,7 +519,7 @@ def verify_reduction_iso(S: InvSemigroup, I):
     red = reduction(big, perp)
 
     # unit of red = filter m^ of S with m not in I; in Q it is qmap(m)^
-    unit_map = [quot.action.space.index_of(qmap(space.mins[x]))
+    unit_map = [quot.space.index_of(qmap(space.mins[x]))
                 for x in red.parent_units]
     unit_of = np.zeros(big.n_units, dtype=np.int64)
     unit_of[list(red.parent_units)] = unit_map
@@ -474,7 +552,7 @@ def gspace_from_saction(action: SAction, contracted=None):
         if twin.point_labels == action.point_labels and \
                 np.array_equal(twin.maps, action.maps):
             return pair
-    space = g.action.space
+    space = g.space
     m_of = anchor_idempotents(action)
     points = np.arange(action.n_points)
     if (m_of < 0).any() or (action.maps[m_of, points] < 0).any():
@@ -499,20 +577,14 @@ def saction_from_gspace(gaction: GroupoidSpaceAction) -> SAction:
     g = gaction.groupoid
     if not isinstance(g, GermGroupoid):
         raise errors.WrongGroupoid("expected a groupoid of germs")
-    S = g.action.semigroup
-    space = getattr(g.action, "space", None)
+    S, space = g.semigroup, g.space
     if space is None:
         raise errors.WrongGroupoid("expected the universal groupoid's action")
-    n = len(S)
     anchor = np.asarray(gaction.anchor, dtype=np.int64)
     mins = np.asarray(space.mins, dtype=np.int64)[anchor]
-    ss = S.table[S.star, np.arange(n)]
-    inside = S.table[mins[None, :], ss[:, None]] == mins[None, :]  # p(x) in D(s*s)
-    arrows = g.arrow_at[:, anchor]
-    if (inside & (arrows < 0)).any():
-        s, x = np.argwhere(inside & (arrows < 0))[0]
-        g.germ(int(s), int(anchor[x]))     # raises UnknownElement
-    maps = np.where(inside, gaction.act[arrows, np.arange(len(anchor))], -1)
+    s, x = np.nonzero(below(S, np.arange(len(S))[:, None], mins[None, :]))  # p(x) in D(s*s)
+    maps = np.full((len(S), len(anchor)), -1, dtype=np.int64)
+    maps[s, x] = gaction.act[g.germ(s, anchor[x]), x]
     return validate_saction(S, gaction.point_labels, maps)
 
 
@@ -551,7 +623,7 @@ def induced_functor(phi: SemigroupHom) -> GroupoidFunctor:
     gs = universal_groupoid(phi.source, contracted=False)
     gt = universal_groupoid(phi.target, contracted=False)
     ehom = restrict_to_idempotents(phi)
-    _, _, umap = hat_map(ehom, gs.action.space, gt.action.space)
+    _, _, umap = hat_map(ehom, gs.space, gt.space)
     s, x = gs.arrow_pairs.T
     arrow_map = gt.germ(np.asarray(phi.map)[s], np.asarray(umap)[x])
     return groupoid_functor(gs, gt, umap, arrow_map)

@@ -46,8 +46,8 @@ class FiniteGroupoid:
         self.ran = np.asarray(ran, dtype=np.int64)
         self.inv = np.asarray(inv, dtype=np.int64)
         self.identity = np.asarray(identity, dtype=np.int64)
-        self.arrow_labels = tuple(arrow_labels) if arrow_labels else tuple(
-            f"a{i}" for i in range(len(self.dom)))
+        if arrow_labels:
+            self.arrow_labels = tuple(arrow_labels)
         self.name = name
         self.validated = False     # set once validate_groupoid passes
         self._products = products
@@ -65,6 +65,11 @@ class FiniteGroupoid:
     def __repr__(self):
         return (f"FiniteGroupoid({self.name}, units={self.n_units}, "
                 f"arrows={self.n_arrows})")
+
+    @functools.cached_property
+    def arrow_labels(self) -> tuple:
+        """Per arrow its label, ``a<id>`` where the builder gave none."""
+        return tuple(f"a{i}" for i in range(self.n_arrows))
 
     @functools.cached_property
     def _index(self) -> tuple:
@@ -259,7 +264,7 @@ def check_endpoint_law(g: FiniteGroupoid, stray=()) -> None:
         a, b = divmod(int(keys.min()), n)
         raise errors.DomainMismatch(
             f"composition of {a}, {b} defined on the wrong domain"
-            if g.product(a, b) < 0 else f"composite {a}{b} has the wrong endpoints")
+            if g.product(a, b) < 0 else f"composite of {a}, {b} has the wrong endpoints")
 
 
 def check_laws(g: FiniteGroupoid) -> None:
@@ -332,10 +337,10 @@ def validated_once():
     (``np.array_equal``) to one that passed; it skips the checks.  Nothing
     that fails enters the scope.
 
-    Three constructions are adopted from what the scope already proved:
-    ``germs.universal_groupoid`` builds one groupoid per semigroup object
-    and flag, ``semigroups.validate_group`` enters the group it passes as a
-    validated one-unit groupoid (:func:`enter_group`), and
+    A groupoid whose laws its builder proved enters the scope by
+    :func:`enter_proved`, as one that passed.  Two constructions are
+    adopted from what the scope already holds: ``germs.universal_groupoid``
+    builds one groupoid per semigroup object and flag, and
     ``germs.gspace_from_saction`` converts one S-action per semigroup
     object, maps and point labels."""
     token = _twins.set({})
@@ -386,12 +391,13 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     middle one: a crossover measured on the benchmark corpus.  A groupoid
     that passes keeps its middle arrows as the mask ``generators``.
 
-    A groupoid that has passed, whose arrays are read-only, is returned as
-    it is.  Inside a :func:`validated_once` scope, a twin of a groupoid
-    validated there, equal in its units, ``dom``, ``ran``, ``inv`` and
-    ``identity``, so in its composable pairs, and in its ``products``,
-    passes with the twin's read-only pairs, products and generators; any
-    other groupoid is checked in full, and enters the scope if it passes.
+    A groupoid that has passed, or that :func:`enter_proved` marked, whose
+    arrays are read-only, is returned as it is.  Inside a
+    :func:`validated_once` scope, a twin of a groupoid that passed there,
+    equal in its units, ``dom``, ``ran``, ``inv`` and ``identity``, so in
+    its composable pairs, and in its ``products``, passes with the twin's
+    read-only pairs, products and generators; any other groupoid is checked
+    in full, and enters the scope if it passes.
     """
     if g.validated:
         return g
@@ -424,66 +430,35 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
         bc = products[row_start[b][:, None] + j]
         return products[row_start[ab][:, None] + j] != \
             products[row_start[a][:, None] + rank[bc]]
-    gens = generating_arrows(g, g.by_ran) if n > 25 else np.ones(n, dtype=bool)
+    gens = middle_arrows(g)
     bad = first_failing_pair(g, nonassociative, slot.shape[1], gens)
     if bad is not None:
         a, b, j = bad
         raise errors.CompositionNotAssociative(
             a, b, int(order[start[g.dom[b]] + j]))
-    gens.setflags(write=False)
     g.generators, g.validated = gens, True
     scope_enter(key, g)
     return g
 
 
-def _one_unit(G, name=None) -> FiniteGroupoid:
-    """The group G as a one-unit groupoid, not yet validated: every pair
-    composes, so the pairs in lexicographic order are the entries of its
-    table in row order."""
-    n = len(G)
-    return FiniteGroupoid(["pt"], [0] * n, [0] * n, G.table.ravel(), G.star,
-                          [G.identity], arrow_labels=G.names,
-                          name=name or G.name)
-
-
-def groupoid_from_group(G, name=None) -> FiniteGroupoid:
-    """A group as a one-unit groupoid, validated."""
-    return validate_groupoid(_one_unit(G, name))
-
-
-def enter_group(G) -> None:
-    """Enter the group G, which ``semigroups.validate_group`` has passed,
-    in the current :func:`validated_once` scope as a validated one-unit
-    groupoid, with G's Light generators as its ``generators``; outside a
-    scope, do nothing.
-
-    This is exact.  G's only idempotent e is a two-sided identity
-    (es = ss*s = s = se), s*s = e makes s* the inverse of s,
-    Light's test has proved the table associative, and a set that
-    generates G as a magma generates it under composition.  The universal
-    groupoid of G has exactly these arrays, so it becomes a twin.  The
-    products are read from the table only when a groupoid is compared with
-    this one."""
-    if _twins.get() is None:
-        return
-    g = _one_unit(G)
-    gens = np.zeros(len(G), dtype=bool)
-    gens[list(G.generators)] = True
+def middle_arrows(g: FiniteGroupoid) -> np.ndarray:
+    """The read-only mask of the middle arrows of Light's test in
+    :func:`validate_groupoid`: the :func:`generating_arrows`, or on at most
+    25 arrows every arrow.  Needs what ``validate_groupoid`` checks before
+    associativity."""
+    n = g.n_arrows
+    gens = generating_arrows(g, g.by_ran) if n > 25 else np.ones(n, dtype=bool)
     gens.setflags(write=False)
-    g.generators, g.validated = gens, True
-    scope_enter(_twin_key(g), g)
+    return gens
 
 
-def pair_groupoid(n: int, name=None) -> FiniteGroupoid:
-    """The pair groupoid on n units: one arrow (i <- j) per ordered pair."""
-    # arrow (i <- j) has id i n + j, and (i <- j)(j <- k) = (i <- k)
-    ran, dom = np.divmod(np.arange(n * n), n)
-    labels = [f"({i}<-{j})" for i, j in zip(ran.tolist(), dom.tolist())]
-    g = FiniteGroupoid([f"x{u}" for u in range(n)], dom, ran,
-                       lambda a, b: ran[a] * n + dom[b], dom * n + ran,
-                       np.arange(n) * (n + 1), arrow_labels=labels,
-                       name=name or f"Pair{n}")
-    return validate_groupoid(g)
+def enter_proved(g: FiniteGroupoid) -> FiniteGroupoid:
+    """Mark g validated, its laws being proved by its builder, and enter it
+    in the current :func:`validated_once` scope, if there is one, as a
+    groupoid that passed there: a twin of it is then adopted.  Returns g."""
+    g.validated = True
+    scope_enter(_twin_key(g) if _twins.get() is not None else None, g)
+    return g
 
 
 def _id_rows(text, rows, bounds, what):
@@ -642,36 +617,10 @@ def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
         src, lambda a, b, ab: (ab >= 0) & (products[start[a] + place[b]] != f[ab]), 1,
         None if tgt.generators is None else src.generators)
     if bad is not None:
-        raise errors.NotAFunctor(f"composition {bad[0]}{bad[1]} not preserved")
+        raise errors.NotAFunctor(f"composition of {bad[0]}, {bad[1]} not preserved")
     F = GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
     scope_enter(key, (um, f, F))
     return F
-
-
-def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
-    """F after G (first G, then F)."""
-    if G.target is not F.source and (
-            G.target.n_arrows != F.source.n_arrows):
-        raise errors.NotAFunctor("functors are not composable")
-    return groupoid_functor(G.source, F.target,
-                            np.array(F.unit_map)[list(G.unit_map)],
-                            np.array(F.arrow_map)[list(G.arrow_map)])
-
-
-def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:
-    return groupoid_functor(g, g, range(g.n_units), range(g.n_arrows))
-
-
-def invert_functor(F: GroupoidFunctor) -> GroupoidFunctor:
-    """The inverse of a bijective functor."""
-    if not verify_isomorphism(F):
-        raise errors.NotBijective("only bijective functors invert")
-    return groupoid_functor(F.target, F.source, np.argsort(F.unit_map),
-                            np.argsort(F.arrow_map))
-
-
-def inclusion_of_reduction(red: FiniteGroupoid, g: FiniteGroupoid) -> GroupoidFunctor:
-    return groupoid_functor(red, g, red.parent_units, red.parent_arrows)
 
 
 def comparison_map(F: GroupoidFunctor) -> np.ndarray:

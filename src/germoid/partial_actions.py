@@ -34,7 +34,6 @@ from .germs import (
     germ_groupoid,
     induced_functor,
     inverse_defects,
-    restrict_maps,
     saction_from_gspace,
     universal_groupoid,
 )
@@ -138,8 +137,8 @@ def theta_from_sigma(S: InvSemigroup,
     where E-unitarity enters), which is verified during assembly.  Its
     ``space`` is :func:`~germoid.spectra.enumerate_filters` of S.  For
     sigma None or S's own :func:`max_group_image` the action, validated
-    once, is memoized on the semigroup.  The maps beta_s are read from the
-    memoized :func:`~germoid.germs.beta_action` of S when it was built.
+    once, is memoized on the semigroup.  The maps beta_s are the memoized
+    :func:`~germoid.germs.beta_maps` of S.
     """
     if not is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
@@ -150,7 +149,7 @@ def theta_from_sigma(S: InvSemigroup,
         return S._theta
     G = sigma.group
     space = enumerate_filters(S, contracted=False)
-    beta = S._beta[False].maps if False in S._beta else beta_maps(S, space)
+    beta = beta_maps(S)
     s_of, x_of = np.nonzero(beta >= 0)
     g_of = np.asarray(sigma.classmap)[s_of]
     maps = np.full((len(G), len(space)), -1, dtype=np.int64)
@@ -190,8 +189,9 @@ def verify_main1(S: InvSemigroup):
     s, x = univ.arrow_pairs.T
     Phi = groupoid_functor(univ, trans, range(m), trans.arrow_at[classmap[s], x])
 
-    # per (g, x), the least s with sigma(s) = g and x in dom beta_{s*s}
-    s, x = np.nonzero(univ.action.maps[S.table[S.star, np.arange(n)]] >= 0)
+    # per (g, x), the least s with sigma(s) = g and x in dom beta_s, which
+    # is dom beta_{s*s}: read off the maps theta_from_sigma memoized
+    s, x = np.nonzero(beta_maps(S) >= 0)
     least = np.full(len(sigma.group) * m, n)          # n: no such s
     np.minimum.at(least, classmap[s] * m + x, s)
     g, y = trans.arrow_pairs.T
@@ -199,21 +199,6 @@ def verify_main1(S: InvSemigroup):
 
     ok = verify_isomorphism(Phi, Psi) and verify_isomorphism(Psi, Phi)
     return ok, Phi, Psi
-
-
-def restrict_partial_action(theta: PartialGroupAction, subset,
-                            check_invariant=True) -> PartialGroupAction:
-    """Restriction of a partial action to an invariant point subset.
-
-    Invariance (theta(g)(Y n X_{g^{-1}}) within Y) is checked unless
-    disabled; the restricted groupoid is the reduction of the unrestricted
-    one, which callers can assert arrow-for-arrow.
-    """
-    subset, sub = restrict_maps(theta.maps, subset, check_invariant)
-    restricted = validate_partial_action(
-        theta.group, [theta.point_labels[x] for x in subset], sub)
-    restricted.parent_points = tuple(subset.tolist())
-    return restricted
 
 
 @dataclass

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ class InvSemigroup:
     """A finite inverse semigroup: names, table, optional zero, computed star.
 
     Use :func:`validate_semigroup` to construct; the raw constructor trusts
-    its input.
+    its input.  Only a semigroup that passed is ``validated``: what follows
+    from the laws of S is taken as proved only then.
     """
 
     def __init__(self, names, table, zero, star, name="S"):
@@ -58,6 +60,7 @@ class InvSemigroup:
         self.star = star
         self.star.setflags(write=False)
         self.name = name
+        self.validated = False
         self._idempotents = tuple(
             int(e) for e in range(len(names)) if table[e, e] == e)
         self._leq = None
@@ -65,11 +68,12 @@ class InvSemigroup:
         self._sigma = None
         self._e_unitary = None
         # objects derived from S alone, each built and validated once, by
-        # spectra.idempotent_semilattice, spectra.enumerate_filters and
-        # germs.beta_action (these two keyed by the contracted flag), and
-        # partial_actions.theta_from_sigma
+        # spectra.idempotent_semilattice, spectra.enumerate_filters,
+        # germs.beta_maps and germs.beta_action (these three keyed by the
+        # contracted flag), and partial_actions.theta_from_sigma
         self._semilattice = None
         self._filters = {}
+        self._beta_maps = {}
         self._beta = {}
         self._theta = None
 
@@ -141,7 +145,12 @@ class FiniteGroup(InvSemigroup):
 
 @dataclass(frozen=True)
 class SigmaMap:
-    """The maximal group homomorphism sigma: S -> G(S) as a class map."""
+    """The maximal group homomorphism sigma: S -> G(S) as a class map.
+
+    S memoizes its sigma, so ``source`` is held through a weak reference:
+    a strong one would close a cycle, and S, with its arrays, would wait
+    for the cyclic garbage collector.  Hold S while its sigma is used;
+    reading ``source`` once S is freed raises ``ReferenceError``."""
 
     source: InvSemigroup
     group: FiniteGroup
@@ -149,6 +158,20 @@ class SigmaMap:
 
     def __call__(self, s: int) -> int:
         return self.classmap[s]
+
+
+# the dataclass's __init__ sets the field, and eq, repr and hash read it,
+# through this property
+def _sigma_source(sigma):
+    S = sigma._source()
+    if S is None:
+        raise ReferenceError("the semigroup of this sigma was freed")
+    return S
+
+
+SigmaMap.source = property(
+    _sigma_source,
+    lambda self, S: object.__setattr__(self, "_source", weakref.ref(S)))
 
 
 @dataclass(frozen=True)
@@ -372,7 +395,7 @@ def validate_semigroup(names, table, zero=None, name="S") -> InvSemigroup:
             raise errors.ZeroNotAbsorbing(int(np.flatnonzero(bad)[0]))
 
     S = InvSemigroup(names, table, zero, star, name=name)
-    S._generators = gens
+    S._generators, S.validated = gens, True
     return S
 
 
@@ -650,25 +673,13 @@ def semigroup_from_json(text: str | bytes, name="S") -> InvSemigroup:
 def validate_group(names, table, name="G") -> FiniteGroup:
     """Validate a table as a group: an inverse semigroup with a single
     idempotent e, which is then its identity with inverses s*, since
-    ss* = s*s = e gives s = ss*s = es = se.  Inside a
-    :func:`~germoid.groupoids.validated_once` scope, the group that passes
-    enters it as a validated one-unit groupoid
-    (:func:`~germoid.groupoids.enter_group`), which its universal groupoid
-    then adopts as a twin."""
-    from .groupoids import enter_group      # groupoids imports this module
-
+    ss* = s*s = e gives s = ss*s = es = se."""
     S = validate_semigroup(names, table, None, name=name)
     if len(S.idempotents) != 1:
         raise errors.NotAGroup(f"{len(S.idempotents)} idempotents, expected 1")
     G = FiniteGroup(names, S.table, S.star, S.idempotents[0], name=name)
-    G._generators = S._generators
-    enter_group(G)
+    G._generators, G.validated = S._generators, True
     return G
-
-
-def natural_leq(S: InvSemigroup, s: int, t: int) -> bool:
-    """s <= t in the natural partial order, via s = t s* s."""
-    return S.mul_all(t, S.inv(s), s) == s
 
 
 def max_group_image(S: InvSemigroup) -> SigmaMap:
@@ -726,21 +737,6 @@ def is_zero_e_unitary(S: InvSemigroup) -> bool:
     E = np.array([e for e in S.idempotents if e != S.zero], dtype=np.int64)
     other = S.table.diagonal() != np.arange(len(S))
     return not (S.table[np.ix_(other, E)] == E).any()
-
-
-def meet_sigma(S: InvSemigroup, s: int, t: int, sigma: SigmaMap | None = None) -> int:
-    """The meet of sigma-equivalent s, t in an E-unitary semigroup: t s* s."""
-    if sigma is None:
-        sigma = max_group_image(S)
-    if not is_e_unitary(S):
-        raise errors.NotEUnitary(S.name)
-    if sigma(s) != sigma(t):
-        raise errors.SigmaMismatch(s, t)
-    u = S.mul_all(t, S.inv(s), s)
-    if u != S.mul_all(s, S.inv(t), t):
-        raise errors.InvariantViolation(
-            "t s*s and s t*t must agree in an E-unitary semigroup", (s, t))
-    return u
 
 
 def is_ideal(S: InvSemigroup, I) -> bool:
@@ -879,14 +875,6 @@ def is_locally_idempotent_pure(phi: SemigroupHom) -> bool:
         if (to_idem[x] & ~idem[x]).any():
             return False
     return True
-
-
-def is_f_morphism(phi: SemigroupHom) -> bool:
-    """Every non-empty fiber of phi has a maximum in the natural order."""
-    m = np.asarray(phi.map)
-    # [u]: every s in the fiber of u is <= u
-    top = (phi.source.leq_matrix() | (m[:, None] != m[None, :])).all(axis=0)
-    return set(m[top].tolist()) == set(m.tolist())
 
 
 def subgroup_generated(G: FiniteGroup, gens):

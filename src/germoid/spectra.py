@@ -29,16 +29,19 @@ class Semilattice:
     """A finite meet semilattice over an explicit id set.
 
     Ids may be a subset of a parent semigroup's ids (for E(S)) or 0..k-1 for
-    standalone lattices; ``meet`` always works on those ids.
+    standalone lattices; ``meet`` always works on those ids.  The table is
+    checked unless its builder ``proved`` it a meet table.
     """
 
-    def __init__(self, elements, meet_table, names=None, zero=None):
+    def __init__(self, elements, meet_table, names=None, zero=None, proved=False):
         self.elements = tuple(int(e) for e in elements)
         self._pos = {e: i for i, e in enumerate(self.elements)}
         self._meet = np.asarray(meet_table, dtype=np.int64)
         self._meet.setflags(write=False)
         self.names = tuple(names) if names else tuple(str(e) for e in self.elements)
         self.zero = zero
+        if proved:
+            return
         # meet(e, f) = meet(f, e) and meet(e, meet(e, f)) = meet(e, f) on
         # the whole table; the first failing pair in row order raises, as
         # UnknownElement if its meet is not an element
@@ -85,10 +88,12 @@ class Semilattice:
 
 def idempotent_semilattice(S: InvSemigroup) -> Semilattice:
     """E(S) with the induced meet; ids are S's element ids.  The result is
-    memoized on the semigroup."""
+    memoized on the semigroup.  For a ``validated`` S its table is proved a
+    meet table: the idempotents commute, as ``validate_semigroup`` checked,
+    so ef = fe is idempotent and e(ef) = ef."""
     if S._semilattice is None:
         E = S.idempotents
-        S._semilattice = Semilattice(E, S.table[np.ix_(E, E)],
+        S._semilattice = Semilattice(E, S.table[np.ix_(E, E)], proved=S.validated,
                                      names=[S.names[e] for e in E], zero=S.zero)
     return S._semilattice
 
@@ -99,10 +104,6 @@ class Filter:
 
     min: int
     space: "CharSpace" = field(repr=False, compare=False)
-
-    def upset(self):
-        E = self.space.semilattice
-        return frozenset(e for e in E.elements if E.leq(self.min, e))
 
 
 class CharSpace:
@@ -126,13 +127,6 @@ class CharSpace:
     def label(self, idx: int) -> str:
         return self.semilattice.name_of(self.mins[idx]) + "^"
 
-    def to_json_dict(self, tight=None):
-        return {
-            "filters": [{"min": int(m)} for m in self.mins],
-            "contracted": self.contracted,
-            "tight": sorted(int(i) for i in tight) if tight is not None else None,
-        }
-
 
 def enumerate_filters(E: Semilattice | InvSemigroup, contracted=False) -> CharSpace:
     """All filters: one per element, minus the zero's when contracted.
@@ -152,13 +146,6 @@ def enumerate_filters(E: Semilattice | InvSemigroup, contracted=False) -> CharSp
     if S is not None:
         S._filters[contracted] = space
     return space
-
-
-def d_set(space: CharSpace, e: int) -> frozenset:
-    """D(e): indices of the filters containing e, i.e. with minimum <= e."""
-    E = space.semilattice
-    E.position(e)
-    return frozenset(i for i, m in enumerate(space.mins) if E.leq(m, e))
 
 
 def tight_spectrum(space: CharSpace) -> tuple:

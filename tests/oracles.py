@@ -296,7 +296,7 @@ def scan_endpoint_law(dom, ran, table):
             a, b = divmod(int(np.flatnonzero((wrong | ends).ravel())[0]), n)
             raise errors.DomainMismatch(
                 f"composition of {a + lo}, {b} defined on the wrong domain"
-                if wrong[a, b] else f"composite {a + lo}{b} has the wrong endpoints")
+                if wrong[a, b] else f"composite of {a + lo}, {b} has the wrong endpoints")
 
 
 def validate_groupoid_loops(g):
@@ -312,7 +312,7 @@ def validate_groupoid_loops(g):
                     f"composition of {a}, {b} defined on the wrong domain")
             if c is not None and (g.dom[c] != g.dom[b] or g.ran[c] != g.ran[a]):
                 raise errors.DomainMismatch(
-                    f"composite {a}{b} has the wrong endpoints")
+                    f"composite of {a}, {b} has the wrong endpoints")
     for u in range(g.n_units):
         i = int(g.identity[u])
         if not (0 <= i < n) or g.dom[i] != u or g.ran[i] != u:
@@ -758,7 +758,7 @@ def covariant_rep_loops(S, sigma, theta):
     into D(ss*)] e_e (x) e_{sigma(s) g}, one basis vector at a time."""
     import numpy as np
 
-    from germoid.spectra import d_set
+    from helpers import d_set
 
     G = sigma.group
     space = theta.space
@@ -890,7 +890,8 @@ def gelfand_indicator(S):
     ``d_set``."""
     import numpy as np
 
-    from germoid.spectra import d_set, enumerate_filters
+    from germoid.spectra import enumerate_filters
+    from helpers import d_set
 
     E = S.idempotents
     space = enumerate_filters(S, contracted=False)
@@ -907,7 +908,8 @@ def gelfand_check_loops(S):
     replaced."""
     import numpy as np
 
-    from germoid.spectra import d_set, enumerate_filters
+    from germoid.spectra import enumerate_filters
+    from helpers import d_set
 
     E = S.idempotents
     space = enumerate_filters(S, contracted=False)
@@ -962,7 +964,7 @@ def principal_downset(P, x):
 def check_ks_condition_by_sets(phi):
     """The KS certificates set by set: each corner eSf as a sub-poset and
     each preimage {s in eSf : phi(s) <= t} through ``downset_generators``."""
-    from germoid.semigroups import natural_leq
+    from helpers import natural_leq
 
     S, T = phi.source, phi.target
     PS = Poset.of_semigroup(S)
@@ -1241,7 +1243,7 @@ def partial_group_hom_loops(S, G, mapping):
 
 def is_zero_e_unitary_loops(S):
     """s >= e != 0 with e idempotent implies s is idempotent."""
-    from germoid.semigroups import natural_leq
+    from helpers import natural_leq
 
     for s in range(len(S)):
         if S.is_idempotent(s):
@@ -1254,7 +1256,7 @@ def is_zero_e_unitary_loops(S):
 
 def is_f_morphism_loops(phi):
     """Every non-empty fiber of phi has a maximum in the natural order."""
-    from germoid.semigroups import natural_leq
+    from helpers import natural_leq
 
     S = phi.source
     fibers = {}
@@ -1471,7 +1473,7 @@ def groupoid_functor_loops(src, tgt, unit_map, arrow_map):
         for b in range(src.n_arrows):
             c = int(table[a, b])
             if c >= 0 and compose(arrow_map[a], arrow_map[b]) != arrow_map[c]:
-                raise errors.NotAFunctor(f"composition {a}{b} not preserved")
+                raise errors.NotAFunctor(f"composition of {a}, {b} not preserved")
     return unit_map, arrow_map
 
 
@@ -1843,3 +1845,15 @@ def find_isomorphism(g, h, arrow_limit=64):
         return None
 
     return unit_backtrack(0, [-1] * g.n_units, [False] * h.n_units)
+
+
+# -- the universal groupoid as the germ groupoid of beta -------------------------------
+
+def universal_by_germs(S, contracted=False):
+    """``germs.universal_groupoid`` as the germ construction built it: the
+    groupoid of germs of beta on the (contracted) filter space, validated
+    in full, under the same name."""
+    from germoid.germs import beta_action, germ_groupoid
+
+    tag = "c" if contracted else "u"
+    return germ_groupoid(beta_action(S, contracted), name=f"G({S.name},{tag})")

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from conftest import b2_cover
 from germoid import errors
@@ -156,7 +157,7 @@ def test_criterion_4_tight_suite():
     assert (A.n_units, A.n_arrows) == (2, 4)
     assert (gt.n_units, gt.n_arrows) == (2, 4)
     assert A.germ_reps == gt.germ_reps  # same arrows, arrow-for-arrow
-    pair = oracles.find_isomorphism(A, gpd.pair_groupoid(2))
+    pair = oracles.find_isomorphism(A, helpers.pair_groupoid(2))
     assert pair is not None
 
     # the restricted partial action of the cover reproduces it arrow-for-arrow
@@ -176,7 +177,7 @@ def test_criterion_4_tight_suite():
     # restrict the partial transformation groupoid of the cover to the perp
     theta = pa.theta_from_sigma(T)
     perp, _ = germs.ideal_perp(T, I, contracted=False)
-    GY = pa.partial_trans_groupoid(pa.restrict_partial_action(theta, perp))
+    GY = pa.partial_trans_groupoid(helpers.restrict_partial_action(theta, perp))
     pos = {x: i for i, x in enumerate(perp)}
     okT, PhiT, PsiT = pa.verify_main1(T)
     assert okT
@@ -189,9 +190,9 @@ def test_criterion_4_tight_suite():
     assert gpd.verify_isomorphism(F_red_GY)
 
     # chain: A -> quot -> red -> G x Y, all explicit, arrow-for-arrow
-    chain = gpd.compose_functors(
-        F_red_GY, gpd.compose_functors(
-            gpd.invert_functor(F_red_quot), gpd.invert_functor(F_quot_A)))
+    chain = helpers.compose_functors(
+        F_red_GY, helpers.compose_functors(
+            helpers.invert_functor(F_red_quot), helpers.invert_functor(F_quot_A)))
     assert gpd.verify_isomorphism(chain)
     assert GY.n_arrows == 4
 
@@ -246,7 +247,7 @@ def test_criterion_6_ks_suite():
     resC = pa.ks_pipeline(sg.hom_from_sigma(sg.max_group_image(T)),
                           contract_to=perp)
     assert resC.ok
-    assert oracles.find_isomorphism(resC.target, gpd.pair_groupoid(2)) is not None
+    assert oracles.find_isomorphism(resC.target, helpers.pair_groupoid(2)) is not None
     _line(6, True,
           "ks pipeline: S3 (3 pts, 6 arrows, centers 3=3), S4 (isomorphism), "
           "B2 cover contracted to the perp (pair groupoid)")
@@ -263,7 +264,7 @@ def test_criterion_7_order_and_invariance_properties(named_eunitary, random_corp
             for t in range(len(S)):
                 if sigma(s) != sigma(t):
                     continue
-                u = sg.meet_sigma(S, s, t, sigma)
+                u = helpers.meet_sigma(S, s, t, sigma)
                 assert u == oracles.max_lower_bound(table, s, t)
                 assert S.mul(S.inv(u), u) == \
                     S.mul(S.mul(S.inv(s), s), S.mul(S.inv(t), t))
@@ -303,14 +304,14 @@ def test_criterion_7_order_and_invariance_properties(named_eunitary, random_corp
     f_checked = 0
     for S in (fx.s4_monoid(), fx.s3_monoid(), fx.cyclic_group(4)):
         phi = sg.hom_from_sigma(sg.max_group_image(S))
-        assert sg.is_f_morphism(phi)
+        assert helpers.is_f_morphism(phi)
         certs = sp.check_ks_condition(phi)
         for (e, f, t), cert in certs.items():
             if not cert.downset:
                 continue
             fiber = [s for s in range(len(S)) if phi(s) == t]
             u = next(u for u in fiber
-                     if all(sg.natural_leq(S, s, u) for s in fiber))
+                     if all(helpers.natural_leq(S, s, u) for s in fiber))
             assert cert.generators == (S.mul_all(e, u, f),)
             f_checked += 1
     _line(7, True,
@@ -362,8 +363,8 @@ def test_criterion_8_structural_property_suites(random_corpus):
                 len(S.idempotents) - 1
         for e in S.idempotents:
             for f in S.idempotents:
-                assert sp.d_set(space, e) & sp.d_set(space, f) == \
-                    sp.d_set(space, S.mul(e, f))
+                assert helpers.d_set(space, e) & helpers.d_set(space, f) == \
+                    helpers.d_set(space, S.mul(e, f))
     _line(8, True,
           f"validator matched oracle on {mutations} mutations; "
           f"{constructed} constructed groupoids re-validated; filter "

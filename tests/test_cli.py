@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from germoid import cli
 from germoid import fixtures as fx
-from germoid import groupoids as gpd
 from germoid import semigroups as sg
 from germoid import verify
 
@@ -546,7 +546,7 @@ def test_mutated_fixture_json_exits_0_or_2(tmp_path_factory, data):
 
 # -- malformed groupoid files: export-dot exits 2, never a traceback -------------
 
-PAIR3 = gpd.pair_groupoid(3).to_json()
+PAIR3 = helpers.pair_groupoid(3).to_json()
 
 
 def export_exit(path, text):
@@ -667,9 +667,9 @@ def pair3_comp(*edits, drop=(), extra=()):
     (pair3_comp(drop=[14]),                           # no triple at (4, 5)
      "composition of 4, 5 defined on the wrong domain"),
     (pair3_comp((14, 0)),                             # (4, 5) -> (0<-0)
-     "composite 45 has the wrong endpoints"),
+     "composite of 4, 5 has the wrong endpoints"),
     (pair3_comp(extra=[[4, 5, 5], [4, 5, 0]]),        # the last one counts
-     "composite 45 has the wrong endpoints"),
+     "composite of 4, 5 has the wrong endpoints"),
     (pair3_comp((14, 0), extra=[[1, 0, 1]]),          # the pair comes later
      "composition of 1, 0 defined on the wrong domain"),
     (pair3_comp(drop=[0], extra=[[1, 0, 1]]),         # the pair comes first

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from conftest import b2_cover
 from germoid import errors
@@ -40,7 +41,7 @@ class TestBetaAction:
         for S in corpus.values():
             action = germs.beta_action(S)
             for e in S.idempotents:
-                dse = sp.d_set(action.space, e)
+                dse = helpers.d_set(action.space, e)
                 for x in range(action.n_points):
                     expect = x if x in dse else None
                     assert action(e, x) == expect
@@ -60,13 +61,13 @@ class TestBetaAction:
             space = action.space
             for s in range(len(S)):
                 for i, m in enumerate(space.mins):
-                    upset = space.filters[i].upset()
+                    upset = helpers.upset(space.filters[i])
                     expect = oracles.semicharacter_beta(S, upset, s)
                     got = action(s, i)
                     if expect is None:
                         assert got is None
                     else:
-                        assert space.filters[got].upset() == expect
+                        assert helpers.upset(space.filters[got]) == expect
 
     def test_beta_inverse_and_range(self, corpus):
         for S in corpus.values():
@@ -74,8 +75,8 @@ class TestBetaAction:
             space = action.space
             for s in range(len(S)):
                 si = S.inv(s)
-                dss = sp.d_set(space, S.mul(si, s))
-                rss = sp.d_set(space, S.mul(s, si))
+                dss = helpers.d_set(space, S.mul(si, s))
+                rss = helpers.d_set(space, S.mul(s, si))
                 assert action.domain(s) == dss
                 assert {action(s, x) for x in dss} == set(rss)
                 for x in dss:
@@ -115,11 +116,11 @@ class TestGermGroupoid:
         for name in ("S4", "SD6", "B2", "S3", "I2"):
             S = corpus[name]
             action = germs.beta_action(S)
-            g = germs.germ_groupoid(action)
+            classes = helpers.germ_classes(germs.germ_groupoid(action))
             for x in range(action.n_points):
                 expect = sorted(oracles.germ_classes_at_point(S, action, x))
                 got = sorted(frozenset(s for s, _ in cls)
-                             for cls in g.germ_classes
+                             for cls in classes
                              if next(iter(cls))[1] == x
                              and all(p[1] == x for p in cls))
                 assert got == expect
@@ -129,13 +130,14 @@ class TestGermGroupoid:
             S = corpus[name]
             action = germs.beta_action(S)
             g = germs.germ_groupoid(action)
+            classes = helpers.germ_classes(g)
             for i in range(g.n_arrows):
                 for j in range(g.n_arrows):
                     if g.dom[i] != g.ran[j]:
                         continue
                     results = set()
-                    for (s, x) in g.germ_classes[i]:
-                        for (t, y) in g.germ_classes[j]:
+                    for (s, x) in classes[i]:
+                        for (t, y) in classes[j]:
                             if action(t, y) == x:
                                 results.add(g.germ(S.mul(s, t), y))
                     assert results == {int(g.product(i, j))}
@@ -156,8 +158,8 @@ class TestGermGroupoid:
             omega = {(s, x) for s in range(len(S))
                      for x in range(action.n_points)
                      if action(S.mul(S.inv(s), s), x) is not None}
-            assert omega == set(g.germ_of)
-            counted = sum(len(c) for c in g.germ_classes)
+            assert omega == set(helpers.germ_of(g))
+            counted = sum(len(c) for c in helpers.germ_classes(g))
             assert counted == len(omega)
 
 
@@ -183,7 +185,7 @@ class TestUniversalGroupoid:
     def test_b2_contracted_is_pair_groupoid(self):
         g = germs.universal_groupoid(fx.b2(), contracted=True)
         assert (g.n_units, g.n_arrows) == (2, 4)
-        assert oracles.find_isomorphism(g, gpd.pair_groupoid(2)) is not None
+        assert oracles.find_isomorphism(g, helpers.pair_groupoid(2)) is not None
 
     def test_b2_plain_has_isolated_zero_filter(self):
         g = germs.universal_groupoid(fx.b2(), contracted=False)
@@ -215,7 +217,7 @@ class TestTightGroupoid:
         # frozen from enumeration: the two singleton-domain partial
         # identities are the atoms; germs connect and rotate them
         assert g.n_arrows == 4
-        assert oracles.find_isomorphism(g, gpd.pair_groupoid(2)) is not None
+        assert oracles.find_isomorphism(g, helpers.pair_groupoid(2)) is not None
 
     def test_tight_units_invariant_under_beta(self, corpus):
         for name in ("B2", "I2", "SD6^0", "S4^0", "CHAIN2^0"):
@@ -345,10 +347,10 @@ class TestEquivCorrespondence:
                               if action(e, x) is not None}
                 m = space.mins[ga.anchor[x]]
                 assert containing == {e for e in S.idempotents
-                                      if sg.natural_leq(S, m, e)}
+                                      if helpers.natural_leq(S, m, e)}
 
     def test_wrong_groupoid_rejected(self):
-        pair = gpd.pair_groupoid(2)
+        pair = helpers.pair_groupoid(2)
         action = gpd.GroupoidSpaceAction(
             pair, ["x", "y"], [0, 1],
             np.array([[int(pair.ran[a]) if pair.dom[a] == x else -1
@@ -361,7 +363,7 @@ class TestExports:
     def test_saction_json_shape(self):
         import json
         action = germs.beta_action(fx.s4_monoid())
-        data = action.to_json_dict()
+        data = helpers.saction_dict(action)
         assert data["semigroup"] == "S4"
         assert len(data["points"]) == 2
         parsed = json.loads(json.dumps(data, sort_keys=True))
@@ -380,7 +382,7 @@ class TestExports:
     def test_charspace_json_shape(self):
         B2 = fx.b2()
         space = sp.enumerate_filters(B2, contracted=True)
-        data = space.to_json_dict(tight=sp.tight_spectrum(space))
+        data = helpers.space_dict(space, tight=sp.tight_spectrum(space))
         assert data["contracted"] is True
         assert data["filters"] == [{"min": 1}, {"min": 4}]
         assert data["tight"] == [0, 1]
@@ -413,7 +415,7 @@ class TestInducedFunctor:
         F1 = germs.induced_functor(phi)
         F2 = germs.induced_functor(psi)
         Fc = germs.induced_functor(comp)
-        chained = gpd.compose_functors(F2, F1)
+        chained = helpers.compose_functors(F2, F1)
         assert chained.arrow_map == Fc.arrow_map
         assert chained.unit_map == Fc.unit_map
 
@@ -453,24 +455,25 @@ class TestBlockImageCertificates:
             gs, gt = F.source, F.target
             space_s = gs.action.space
             space_t = gt.action.space
+            classes = helpers.germ_classes(gt)
             certs = sp.check_ks_condition(phi)
             T = phi.target
             for (e, f, t), cert in certs.items():
-                de = sp.d_set(space_s, e)
-                df = sp.d_set(space_s, f)
-                dtt = sp.d_set(space_t, T.mul(T.inv(t), t))
+                de = helpers.d_set(space_s, e)
+                df = helpers.d_set(space_s, f)
+                dtt = helpers.d_set(space_t, T.mul(T.inv(t), t))
                 lhs = set()
                 for a in range(gs.n_arrows):
                     img = F(a)
                     in_block = (
                         int(gs.ran[a]) in de and int(gs.dom[a]) in df
                         and int(gt.dom[img]) in dtt
-                        and any(u == t for u, _ in gt.germ_classes[img]))
+                        and any(u == t for u, _ in classes[img]))
                     if in_block:
                         lhs.add((int(gs.ran[a]), int(gs.dom[a]), img))
                 rhs = set()
                 for si in cert.generators:
-                    dsi = sp.d_set(space_s, S.mul(S.inv(si), si))
+                    dsi = helpers.d_set(space_s, S.mul(S.inv(si), si))
                     for x in dsi:
                         a = gs.germ(si, x)
                         rhs.add((int(gs.ran[a]), int(gs.dom[a]), F(a)))
@@ -488,13 +491,13 @@ class TestLocallyCoherentCertificateConstruction:
             P = oracles.Poset.of_semigroup(S)
             for f in T.idempotents:
                 pre = {s for s in range(len(S))
-                       if sg.natural_leq(T, phi(s), f)}
+                       if helpers.natural_leq(T, phi(s), f)}
                 gens = oracles.downset_generators(P, pre).generators
                 for e in S.idempotents:
                     eis = {S.mul_all(e, S.inv(si), si) for si in gens}
                     closure = {x for ei in eis for x in S.idempotents
-                               if sg.natural_leq(S, x, ei)}
+                               if helpers.natural_leq(S, x, ei)}
                     target = {x for x in S.idempotents
-                              if sg.natural_leq(S, x, e)
-                              and sg.natural_leq(T, phi(x), f)}
+                              if helpers.natural_leq(S, x, e)
+                              and helpers.natural_leq(T, phi(x), f)}
                     assert closure == target

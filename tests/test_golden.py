@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import helpers
 from germoid import cli
 from germoid import fixtures as fx
 from germoid import germs
@@ -54,7 +55,7 @@ def chain4_by_z6_envelope():
 
 
 @pytest.mark.parametrize("build, arrows, digest", [
-    (lambda: gpd.pair_groupoid(4), 16,
+    (lambda: helpers.pair_groupoid(4), 16,
      "05f5e76a2dfe57b8db43ef77b8b0caf82934f04e933e53314f40f888bde94edb"),
     # the semidirect product of an enveloping action: 4 units, 24 arrows
     (chain4_by_z6_envelope, 24,

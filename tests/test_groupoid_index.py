@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from germoid import errors
 from germoid import fixtures as fx
@@ -34,7 +35,7 @@ def reductions(g, rng, k=3):
 def built(random_eunitary):
     """The golden groupoids, every preset in all four variants, the random
     corpus, pair groupoids and reductions of them to unit subsets."""
-    out = [gpd.pair_groupoid(k) for k in (1, 2, 4, 11)]
+    out = [helpers.pair_groupoid(k) for k in (1, 2, 4, 11)]
     out += [groupoid_variant(FIXTURES[f](), v) for f, v in
             sorted({g[:2] for g in GOLDEN})]
     for preset in sorted(fx.PRESETS):
@@ -195,10 +196,10 @@ def test_a_reduction_has_no_generators_and_its_checks_scan_every_pair(
         assert red.generators is None
         seen.clear()
         gpd.validate_space_action(unit_action(red))
-        gpd.inclusion_of_reduction(red, g)
+        helpers.inclusion_of_reduction(red, g)
         assert seen == [None, None]
         gpd.validate_space_action(unit_action(g))
-        gpd.identity_functor(g)
+        helpers.identity_functor(g)
         assert seen[2] is g.generators and seen[3] is g.generators
 
 
@@ -253,7 +254,7 @@ def test_an_image_outside_the_points_is_an_invalid_action(preset):
 
 
 def test_functor_maps_are_tuples_of_python_ints():
-    g = gpd.pair_groupoid(3)
+    g = helpers.pair_groupoid(3)
     F = gpd.groupoid_functor(g, g, np.arange(3), np.arange(9, dtype=np.int32))
     assert F.unit_map == (0, 1, 2) and F.arrow_map == tuple(range(9))
     assert all(type(x) is int for x in F.unit_map + F.arrow_map)

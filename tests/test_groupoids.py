@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from germoid import errors
 from germoid import fixtures as fx
@@ -11,7 +12,7 @@ from germoid import semigroups as sg
 
 
 def z2_groupoid():
-    return gpd.groupoid_from_group(fx.cyclic_group(2))
+    return helpers.groupoid_from_group(fx.cyclic_group(2))
 
 
 def swap_action_groupoid():
@@ -31,12 +32,12 @@ class TestValidateGroupoid:
         assert g.n_units == 1 and g.n_arrows == 2
 
     def test_pair_groupoid(self):
-        g = gpd.pair_groupoid(2)
+        g = helpers.pair_groupoid(2)
         assert g.n_units == 2 and g.n_arrows == 4
         gpd.validate_groupoid(g)
 
     def test_missing_inverse_detected(self):
-        g = gpd.pair_groupoid(2)
+        g = helpers.pair_groupoid(2)
         bad = gpd.FiniteGroupoid(
             g.unit_labels, g.dom, g.ran, g.products,
             [0 if a == g.inv[a] else a for a in range(4)],  # break inverses
@@ -47,7 +48,7 @@ class TestValidateGroupoid:
     def test_domain_mismatch_detected(self):
         # a triple at a pair that does not compose: only a groupoid file
         # can give one
-        g = gpd.pair_groupoid(2)
+        g = helpers.pair_groupoid(2)
         a = next(a for a in range(4) if g.dom[a] != g.ran[a])
         b = next(b for b in range(4) if g.dom[a] != g.ran[b])
         data = json.loads(g.to_json())
@@ -56,7 +57,7 @@ class TestValidateGroupoid:
             gpd.groupoid_from_json(json.dumps(data))
 
     def test_json_roundtrip(self):
-        g = gpd.pair_groupoid(3)
+        g = helpers.pair_groupoid(3)
         h = gpd.groupoid_from_json(g.to_json())
         assert h.n_units == 3 and h.n_arrows == 9
         assert oracles.find_isomorphism(g, h) is not None
@@ -64,23 +65,23 @@ class TestValidateGroupoid:
 
 class TestReduction:
     def test_full_reduction_is_identity(self):
-        g = gpd.pair_groupoid(2)
+        g = helpers.pair_groupoid(2)
         r = gpd.reduction(g, range(2))
         assert r.n_arrows == g.n_arrows
 
     def test_pair3_to_pair2(self):
-        g = gpd.pair_groupoid(3)
+        g = helpers.pair_groupoid(3)
         r = gpd.reduction(g, [0, 2])
         assert r.n_units == 2 and r.n_arrows == 4
-        assert oracles.find_isomorphism(r, gpd.pair_groupoid(2)) is not None
+        assert oracles.find_isomorphism(r, helpers.pair_groupoid(2)) is not None
 
     def test_empty_reduction(self):
-        r = gpd.reduction(gpd.pair_groupoid(2), [])
+        r = gpd.reduction(helpers.pair_groupoid(2), [])
         assert r.n_units == 0 and r.n_arrows == 0
 
     def test_unknown_unit(self):
         with pytest.raises(errors.UnknownUnit):
-            gpd.reduction(gpd.pair_groupoid(2), [5])
+            gpd.reduction(helpers.pair_groupoid(2), [5])
 
 
 class TestSemidirectProduct:
@@ -94,7 +95,7 @@ class TestSemidirectProduct:
         assert sd.isotropy_orders() == (2, 2)
 
     def test_groupoid_acting_on_own_units(self):
-        h = gpd.pair_groupoid(2)
+        h = helpers.pair_groupoid(2)
         action = gpd.GroupoidSpaceAction(
             h, ["0", "1"], [0, 1],
             np.array([[int(h.ran[a]) if h.dom[a] == x else -1
@@ -105,7 +106,7 @@ class TestSemidirectProduct:
     def test_swap_is_pair_groupoid(self):
         sd = swap_action_groupoid()
         assert sd.n_arrows == 4
-        assert oracles.find_isomorphism(sd, gpd.pair_groupoid(2)) is not None
+        assert oracles.find_isomorphism(sd, helpers.pair_groupoid(2)) is not None
 
     def test_invalid_action_rejected(self):
         h = z2_groupoid()
@@ -136,13 +137,13 @@ class TestSemidirectProduct:
 
 class TestFunctorReport:
     def test_identity_functor(self):
-        g = gpd.pair_groupoid(2)
-        rep = gpd.functor_report(gpd.identity_functor(g))
+        g = helpers.pair_groupoid(2)
+        rep = gpd.functor_report(helpers.identity_functor(g))
         assert all(rep.values())
 
     def test_unit_inclusion_into_pair_groupoid(self):
-        unit = gpd.reduction(gpd.pair_groupoid(2), [0])
-        F = gpd.inclusion_of_reduction(unit, gpd.pair_groupoid(2))
+        unit = gpd.reduction(helpers.pair_groupoid(2), [0])
+        F = helpers.inclusion_of_reduction(unit, helpers.pair_groupoid(2))
         rep = gpd.functor_report(F)
         assert rep["fully_faithful"] and rep["essentially_surjective"]
         assert rep["weak_equivalence"]
@@ -150,8 +151,8 @@ class TestFunctorReport:
     def test_constant_functor_from_pair_groupoid(self):
         # trivial isotropy keeps the comparison map injective: the collapse
         # of the pair groupoid to the point is a weak equivalence
-        g = gpd.pair_groupoid(2)
-        t = gpd.groupoid_from_group(fx.cyclic_group(1))
+        g = helpers.pair_groupoid(2)
+        t = helpers.groupoid_from_group(fx.cyclic_group(1))
         F = gpd.groupoid_functor(g, t, [0, 0], [0, 0, 0, 0])
         rep = gpd.functor_report(F)
         assert rep["full"] and rep["essentially_surjective"]
@@ -159,74 +160,74 @@ class TestFunctorReport:
 
     def test_constant_functor_with_isotropy_not_faithful(self):
         g = z2_groupoid()
-        t = gpd.groupoid_from_group(fx.cyclic_group(1))
+        t = helpers.groupoid_from_group(fx.cyclic_group(1))
         F = gpd.groupoid_functor(g, t, [0], [0, 0])
         rep = gpd.functor_report(F)
         assert rep["full"] and rep["essentially_surjective"]
         assert not rep["faithful"]
 
     def test_weak_equivalences_compose(self):
-        pair = gpd.pair_groupoid(3)
+        pair = helpers.pair_groupoid(3)
         one = gpd.reduction(pair, [0])
         two = gpd.reduction(pair, [0, 1])
-        f1 = gpd.inclusion_of_reduction(one, two)
-        f2 = gpd.inclusion_of_reduction(two, pair)
+        f1 = helpers.inclusion_of_reduction(one, two)
+        f2 = helpers.inclusion_of_reduction(two, pair)
         assert gpd.functor_report(f1)["weak_equivalence"]
         assert gpd.functor_report(f2)["weak_equivalence"]
-        assert gpd.functor_report(gpd.compose_functors(f2, f1))["weak_equivalence"]
+        assert gpd.functor_report(helpers.compose_functors(f2, f1))["weak_equivalence"]
 
     def test_faithful_composes(self):
         g = swap_action_groupoid()
-        pair = gpd.pair_groupoid(2)
+        pair = helpers.pair_groupoid(2)
         iso = oracles.find_isomorphism(g, pair)
         assert gpd.functor_report(iso)["faithful"]
         back = oracles.find_isomorphism(pair, g)
-        comp = gpd.compose_functors(back, iso)
+        comp = helpers.compose_functors(back, iso)
         assert gpd.functor_report(comp)["faithful"]
 
     def test_reduction_meeting_every_orbit_is_weak_equivalence(self):
         # two-component groupoid: Z2 disjoint union with a pair groupoid
         from germoid.germs import universal_groupoid
         g = universal_groupoid(fx.s4_monoid())  # Z2 u Z2, two orbits
-        incl = gpd.inclusion_of_reduction(gpd.reduction(g, [0, 1]), g)
+        incl = helpers.inclusion_of_reduction(gpd.reduction(g, [0, 1]), g)
         assert gpd.functor_report(incl)["weak_equivalence"]
-        partial = gpd.inclusion_of_reduction(gpd.reduction(g, [0]), g)
+        partial = helpers.inclusion_of_reduction(gpd.reduction(g, [0]), g)
         assert not gpd.functor_report(partial)["essentially_surjective"]
 
 
 class TestIsomorphism:
     def test_identity(self):
-        g = gpd.pair_groupoid(2)
-        assert gpd.verify_isomorphism(gpd.identity_functor(g),
-                                      gpd.identity_functor(g))
+        g = helpers.pair_groupoid(2)
+        assert gpd.verify_isomorphism(helpers.identity_functor(g),
+                                      helpers.identity_functor(g))
 
     def test_pair_vs_swap_transformation_groupoid(self):
         assert oracles.find_isomorphism(
-            swap_action_groupoid(), gpd.pair_groupoid(2)) is not None
+            swap_action_groupoid(), helpers.pair_groupoid(2)) is not None
 
     def test_pair_vs_two_copies_of_z2(self):
         h = z2_groupoid()
         action = gpd.GroupoidSpaceAction(
             h, ["x", "y"], [0, 0], np.array([[0, 1], [0, 1]]))
         two_z2 = gpd.semidirect_product(action)
-        assert oracles.find_isomorphism(gpd.pair_groupoid(2), two_z2) is None
+        assert oracles.find_isomorphism(helpers.pair_groupoid(2), two_z2) is None
 
     def test_non_bijective_rejected(self):
-        g = gpd.pair_groupoid(2)
-        t = gpd.groupoid_from_group(fx.cyclic_group(1))
+        g = helpers.pair_groupoid(2)
+        t = helpers.groupoid_from_group(fx.cyclic_group(1))
         F = gpd.groupoid_functor(g, t, [0, 0], [0, 0, 0, 0])
         assert not gpd.verify_isomorphism(F)
 
     def test_size_guard(self):
-        big = gpd.pair_groupoid(9)  # 81 arrows
+        big = helpers.pair_groupoid(9)  # 81 arrows
         with pytest.raises(errors.SizeLimitExceeded):
             oracles.find_isomorphism(big, big)
 
     def test_search_distinguishes_equal_invariant_groups(self):
         # Z4 and the Klein four-group agree on every cheap invariant, so the
         # search itself must refute the isomorphism
-        z4 = gpd.groupoid_from_group(fx.cyclic_group(4))
-        klein = gpd.groupoid_from_group(sg.validate_group(
+        z4 = helpers.groupoid_from_group(fx.cyclic_group(4))
+        klein = helpers.groupoid_from_group(sg.validate_group(
             ["1", "a", "b", "ab"],
             [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]))
         assert z4.isotropy_orders() == klein.isotropy_orders()
@@ -260,14 +261,14 @@ class TestIsomorphism:
 
 class TestCocycleFaithfulness:
     def test_identity_injective(self):
-        g = gpd.pair_groupoid(2)
-        F = gpd.identity_functor(g)
+        g = helpers.pair_groupoid(2)
+        F = helpers.identity_functor(g)
         _, inj = oracles.cocycle_faithfulness_map(F)
         assert inj and gpd.is_faithful(F)
 
     def test_constant_from_pair_groupoid_not_injective_with_isotropy(self):
         g = z2_groupoid()
-        t = gpd.groupoid_from_group(fx.cyclic_group(1))
+        t = helpers.groupoid_from_group(fx.cyclic_group(1))
         F = gpd.groupoid_functor(g, t, [0], [0, 0])
         _, inj = oracles.cocycle_faithfulness_map(F)
         assert not inj and not gpd.is_faithful(F)
@@ -275,9 +276,9 @@ class TestCocycleFaithfulness:
 
 class TestEnvelopingActionOfFunctor:
     def test_identity_functor_weak_equivalence(self):
-        for g in (gpd.pair_groupoid(2), z2_groupoid()):
+        for g in (helpers.pair_groupoid(2), z2_groupoid()):
             action, alpha, sd, classes = gpd.enveloping_action_of_functor(
-                gpd.identity_functor(g))
+                helpers.identity_functor(g))
             rep = gpd.functor_report(alpha)
             assert rep["weak_equivalence"]
 
@@ -286,7 +287,7 @@ class TestEnvelopingActionOfFunctor:
         S3 = fx.s3_monoid()
         sigma = sg.max_group_image(S3)
         g = universal_groupoid(S3)
-        h = gpd.groupoid_from_group(sigma.group)
+        h = helpers.groupoid_from_group(sigma.group)
         F = gpd.groupoid_functor(
             g, h, [0] * g.n_units,
             [sigma(s) for s, _ in g.germ_reps])
@@ -299,16 +300,16 @@ class TestEnvelopingActionOfFunctor:
         assert all(proj(alpha(a)) == F(a) for a in range(g.n_arrows))
 
     def test_unit_inclusion_into_pair_groupoid(self):
-        pair = gpd.pair_groupoid(2)
+        pair = helpers.pair_groupoid(2)
         unit = gpd.reduction(pair, [0])
-        F = gpd.inclusion_of_reduction(unit, pair)
+        F = helpers.inclusion_of_reduction(unit, pair)
         action, alpha, sd, classes = gpd.enveloping_action_of_functor(F)
         assert gpd.functor_report(alpha)["weak_equivalence"]
         assert action.n_points == 2  # no collapsing: trivial isotropy
 
     def test_requires_faithful(self):
         g = z2_groupoid()
-        t = gpd.groupoid_from_group(fx.cyclic_group(1))
+        t = helpers.groupoid_from_group(fx.cyclic_group(1))
         F = gpd.groupoid_functor(g, t, [0], [0, 0])
         with pytest.raises(errors.NotFaithful):
             gpd.enveloping_action_of_functor(F)
@@ -316,11 +317,11 @@ class TestEnvelopingActionOfFunctor:
 
 class TestExports:
     def test_dot_contains_units_and_arrows(self):
-        g = gpd.pair_groupoid(2)
+        g = helpers.pair_groupoid(2)
         dot = g.to_dot()
         assert "digraph" in dot and "u0 -> u1" in dot
 
     def test_json_deterministic(self):
-        a = gpd.pair_groupoid(2).to_json()
-        b = gpd.pair_groupoid(2).to_json()
+        a = helpers.pair_groupoid(2).to_json()
+        b = helpers.pair_groupoid(2).to_json()
         assert a == b

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 from germoid import cli, errors
 from germoid import fixtures as fx
 from germoid import germs
@@ -70,7 +71,7 @@ def test_meet_sigma_sides_agree(monkeypatch):
     B2 = fx.b2()      # not E-unitary: e11 and e21 share the trivial sigma class
     monkeypatch.setattr(sg, "is_e_unitary", lambda S: True)
     with pytest.raises(errors.InvariantViolation) as info:
-        sg.meet_sigma(B2, 1, 3)
+        helpers.meet_sigma(B2, 1, 3)
     assert info.value.witness == (1, 3)
 
 

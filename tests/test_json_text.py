@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from germoid import errors
 from germoid import fixtures as fx
@@ -57,7 +58,7 @@ def test_the_random_corpus_matches_json_dumps(random_eunitary):
 
 
 def test_table_built_groupoids_match_json_dumps():
-    for g in [gpd.pair_groupoid(k) for k in (1, 2, 4, 11)] + \
+    for g in [helpers.pair_groupoid(k) for k in (1, 2, 4, 11)] + \
             [chain4_by_z6_envelope()]:
         assert g.to_json() == oracles.groupoid_json(g)
 
@@ -76,7 +77,7 @@ def test_groupoids_without_composable_pairs_match_json_dumps():
     empty = gpd.FiniteGroupoid([], [], [], [], [], [])
     assert empty.to_json() == oracles.groupoid_json(empty) == \
         '{"arrows": [], "comp": [], "inv": [], "units": []}'
-    none = gpd.reduction(gpd.pair_groupoid(3), [])
+    none = gpd.reduction(helpers.pair_groupoid(3), [])
     assert none.to_json() == oracles.groupoid_json(none)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from conftest import b2_cover
 from germoid import errors
@@ -224,11 +225,11 @@ def test_the_conditions_hold_on_every_validated_semigroup(corpus,
 
 class TestConvolutionAlgebra:
     def test_pair_groupoid_is_matrix_algebra(self):
-        alg = mr.convolution_algebra(gpd.pair_groupoid(2))
+        alg = mr.convolution_algebra(helpers.pair_groupoid(2))
         assert alg.dim == 4
         assert mr.center_dimension(alg) == 1
         # structure constants match matrix units: e_ij e_kl = [j = k] e_il
-        pg, compose = gpd.pair_groupoid(2), oracles.composer(alg.groupoid)
+        pg, compose = helpers.pair_groupoid(2), oracles.composer(alg.groupoid)
         for a in range(4):
             for b in range(4):
                 c = compose(a, b)
@@ -244,7 +245,7 @@ class TestConvolutionAlgebra:
         assert alg.dim == 4 and mr.center_dimension(alg) == 4
 
     def test_group_algebra(self):
-        alg = mr.convolution_algebra(gpd.groupoid_from_group(fx.cyclic_group(2)))
+        alg = mr.convolution_algebra(helpers.groupoid_from_group(fx.cyclic_group(2)))
         assert alg.dim == 2 and mr.center_dimension(alg) == 2
 
     def test_sd6_center_three(self):
@@ -266,13 +267,13 @@ class TestAlgebraMapFromFunctor:
         assert np.array_equal(mat @ mat.T, np.eye(4, dtype=np.int64))
 
     def test_identity_functor(self):
-        g = gpd.pair_groupoid(2)
-        mat = mr.algebra_map_from_functor(gpd.identity_functor(g))
+        g = helpers.pair_groupoid(2)
+        mat = mr.algebra_map_from_functor(helpers.identity_functor(g))
         assert np.array_equal(mat, np.eye(4, dtype=np.int64))
 
     def test_tight_b2_matches_pair_groupoid_algebra(self):
         gt = germs.tight_groupoid(fx.b2())
-        pair = gpd.pair_groupoid(2)
+        pair = helpers.pair_groupoid(2)
         F = oracles.find_isomorphism(gt, pair)
         mat = mr.algebra_map_from_functor(F)
         a1 = mr.convolution_algebra(gt)
@@ -287,8 +288,8 @@ class TestAlgebraMapFromFunctor:
         assert c1 == c2 == 3
 
     def test_rejects_non_bijective(self):
-        g = gpd.pair_groupoid(2)
-        t = gpd.groupoid_from_group(fx.cyclic_group(1))
+        g = helpers.pair_groupoid(2)
+        t = helpers.groupoid_from_group(fx.cyclic_group(1))
         F = gpd.groupoid_functor(g, t, [0, 0], [0, 0, 0, 0])
         with pytest.raises(errors.NotBijective):
             mr.algebra_map_from_functor(F)
@@ -328,12 +329,12 @@ class TestGelfand:
 
 class TestExports:
     def test_algebra_json_deterministic(self):
-        alg = mr.convolution_algebra(gpd.pair_groupoid(2))
+        alg = mr.convolution_algebra(helpers.pair_groupoid(2))
         assert alg.to_json() == mr.convolution_algebra(
-            gpd.pair_groupoid(2)).to_json()
+            helpers.pair_groupoid(2)).to_json()
 
     @pytest.mark.parametrize("build", [
-        lambda: gpd.pair_groupoid(2),
+        lambda: helpers.pair_groupoid(2),
         lambda: germs.universal_groupoid(fx.b2()),
         lambda: germs.universal_groupoid(fx.s3_monoid()),
     ], ids=["pair2", "b2", "s3"])

@@ -1,10 +1,14 @@
 """The objects derived from a semigroup alone are built and validated once
-per semigroup: its idempotent semilattice, its filter spaces, its beta
-actions, the partial action theta of its group image and the anchors of an
-action.  Groupoids are still built on every call."""
+per semigroup: its idempotent semilattice, its filter spaces, the maps of
+its beta actions and the actions, the partial action theta of its group
+image and the anchors of an action.  Groupoids are still built on every
+call.  Its sigma holds it weakly, so a semigroup whose sigma was computed
+is freed by reference counting."""
 
 import dataclasses
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -144,8 +148,9 @@ def test_group_image_keeps_the_generators_of_its_validation(monkeypatch):
 
 
 def test_verify_all_validates_each_beta_once(tmp_path, monkeypatch):
-    # CHAIN8 x Z16 has no zero: beta is built for it and, by the ks suite,
-    # for its group image Z16, with the plain flag only
+    # CHAIN8 x Z16 has no zero: beta is built for it, with the plain flag
+    # only, by the equiv suite; the universal groupoid of its group image
+    # Z16, the ks target, is read off Z16's table and needs no beta
     S = fx.direct_product(fx.chain(8), fx.cyclic_group(16))
     path = tmp_path / "CHAIN8xZ16.json"
     path.write_text(S.to_json())
@@ -155,18 +160,36 @@ def test_verify_all_validates_each_beta_once(tmp_path, monkeypatch):
     # a beta action carries its filter space; saction_from_gspace's do not
     betas = [(id(action.semigroup), action.space.contracted)
              for _, action in sactions if hasattr(action, "space")]
-    assert len(betas) == len(set(betas)) == 2
+    assert len(betas) == len(set(betas)) == 1
     assert {len(action.semigroup) for _, action in sactions
-            if hasattr(action, "space")} == {128, 16}
+            if hasattr(action, "space")} == {128}
     assert len(groupoids) == 12
 
 
 def test_theta_reads_the_maps_of_the_memoized_beta(tmp_path, monkeypatch):
-    # beta_maps runs once per semigroup: for CHAIN8 x Z16 in beta_action,
-    # which theta_from_sigma then reads, and for its group image Z16
+    # the maps of beta are made once per semigroup and flag: for CHAIN8 x Z16
+    # by theta_from_sigma in main1, and read again by verify_main1's mask
+    # and by beta_action in equiv; its group image Z16 needs none
     S = fx.direct_product(fx.chain(8), fx.cyclic_group(16))
     path = tmp_path / "CHAIN8xZ16.json"
     path.write_text(S.to_json())
     maps = spy(monkeypatch, germs, "beta_maps")
     assert cli.main(["verify", "--suite", "all", str(path)]) == 0
-    assert sorted(len(args[0]) for args, _ in maps) == [16, 128]
+    assert [len(args[0]) for args, _ in maps] == [128, 128, 128]
+    assert all(r is maps[0][1] for _, r in maps)
+    assert not maps[0][1].flags.writeable
+
+
+def test_a_semigroup_whose_sigma_was_computed_is_freed_by_reference_counting():
+    gc.disable()
+    try:
+        S = fx.direct_product(fx.chain(3), fx.cyclic_group(6))
+        sigma = sg.max_group_image(S)
+        assert sigma.source is S and sg.max_group_image(S) is sigma
+        ref = weakref.ref(S)
+        del S
+        assert ref() is None
+        with pytest.raises(ReferenceError):
+            sigma.source
+    finally:
+        gc.enable()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from conftest import b2_cover
 from germoid import errors
@@ -97,8 +98,8 @@ class TestThetaFromSigma:
                     if sigma(s) != sigma(t):
                         continue
                     overlap = action.domain(s) & action.domain(t)
-                    u = sg.meet_sigma(S, s, t, sigma)
-                    assert overlap == sp.d_set(
+                    u = helpers.meet_sigma(S, s, t, sigma)
+                    assert overlap == helpers.d_set(
                         space, S.mul(S.inv(u), u))
                     for x in overlap:
                         assert action(s, x) == action(t, x)
@@ -137,14 +138,14 @@ class TestMain1:
 class TestRestrictPartialAction:
     def test_whole_space_identity(self):
         theta = pa.theta_from_sigma(fx.sd6())
-        r = pa.restrict_partial_action(theta, range(theta.n_points))
+        r = helpers.restrict_partial_action(theta, range(theta.n_points))
         assert np.array_equal(r.maps, theta.maps)
 
     def test_cover_perp_reproduces_contracted_b2_groupoid(self):
         T, I, iso, B2, _ = b2_cover()
         theta = pa.theta_from_sigma(T)
         perp, space = germs.ideal_perp(T, I, contracted=False)
-        r = pa.restrict_partial_action(theta, perp)
+        r = helpers.restrict_partial_action(theta, perp)
         g = pa.partial_trans_groupoid(r)
         assert g.n_arrows == 4
         tight = germs.universal_groupoid(B2, contracted=True)
@@ -154,7 +155,7 @@ class TestRestrictPartialAction:
         T, I, iso, B2, _ = b2_cover()
         theta = pa.theta_from_sigma(T)
         perp, _ = germs.ideal_perp(T, I, contracted=False)
-        r = pa.restrict_partial_action(theta, perp)
+        r = helpers.restrict_partial_action(theta, perp)
         direct = pa.partial_trans_groupoid(r)
         reduced = gpd.reduction(pa.partial_trans_groupoid(theta), perp)
         assert direct.n_arrows == reduced.n_arrows
@@ -168,7 +169,7 @@ class TestRestrictPartialAction:
         gt = germs.tight_groupoid(B2)
         theta = pa.theta_from_sigma(T)
         perp, _ = germs.ideal_perp(T, I, contracted=False)
-        r = pa.restrict_partial_action(theta, perp)
+        r = helpers.restrict_partial_action(theta, perp)
         g = pa.partial_trans_groupoid(r)
         assert oracles.find_isomorphism(g, gt) is not None
 
@@ -177,7 +178,7 @@ class TestRestrictPartialAction:
         E = sp.idempotent_semilattice(fx.sd6())
         atom = theta.space.index_of(E.elements[0])
         with pytest.raises(errors.NotInvariant):
-            pa.restrict_partial_action(theta, [atom])
+            helpers.restrict_partial_action(theta, [atom])
 
 
 class TestEnvelope:
@@ -247,7 +248,7 @@ class TestKSPipeline:
         res = pa.ks_pipeline(phi, contract_to=perp)
         assert res.ok
         assert res.sizes["source_arrows"] == 4
-        pair = gpd.pair_groupoid(2)
+        pair = helpers.pair_groupoid(2)
         assert oracles.find_isomorphism(res.target, pair) is not None
 
     def test_b2_to_trivial_group(self):

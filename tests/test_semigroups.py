@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from germoid import errors
 from germoid import fixtures as fx
@@ -58,19 +59,19 @@ class TestValidation:
 class TestNaturalOrder:
     def test_chain2(self):
         S = fx.chain2()
-        assert sg.natural_leq(S, 1, 0)
-        assert not sg.natural_leq(S, 0, 1)
+        assert helpers.natural_leq(S, 1, 0)
+        assert not helpers.natural_leq(S, 0, 1)
 
     def test_b2_reflexive_and_incomparable(self):
         B2 = fx.b2()
         e12 = B2.names.index("e12")
         e11 = B2.names.index("e11")
-        assert sg.natural_leq(B2, e12, e12)
-        assert not sg.natural_leq(B2, e12, e11)
+        assert helpers.natural_leq(B2, e12, e12)
+        assert not helpers.natural_leq(B2, e12, e11)
 
     def test_zero_below_everything(self):
         B2 = fx.b2()
-        assert all(sg.natural_leq(B2, B2.zero, s) for s in range(len(B2)))
+        assert all(helpers.natural_leq(B2, B2.zero, s) for s in range(len(B2)))
 
     def test_agrees_with_defining_condition(self, corpus):
         for S in corpus.values():
@@ -192,13 +193,13 @@ class TestMeetSigma:
     def test_meet_of_element_with_itself(self):
         S4 = fx.s4_monoid()
         for s in range(len(S4)):
-            assert sg.meet_sigma(S4, s, s) == s
+            assert helpers.meet_sigma(S4, s, s) == s
 
     def test_s4_frozen_value(self):
         S4 = fx.s4_monoid()
         one_g = S4.names.index("(1,g)")
         f_g = S4.names.index("(f,g)")
-        assert sg.meet_sigma(S4, one_g, f_g) == f_g
+        assert helpers.meet_sigma(S4, one_g, f_g) == f_g
 
     def test_against_brute_force_meet(self, corpus, random_eunitary):
         pool = [corpus["S4"], corpus["SD6"], corpus["S3"]] + random_eunitary[:8]
@@ -209,7 +210,7 @@ class TestMeetSigma:
                 for t in range(len(S)):
                     if sigma(s) != sigma(t):
                         continue
-                    u = sg.meet_sigma(S, s, t)
+                    u = helpers.meet_sigma(S, s, t)
                     assert u == oracles.max_lower_bound(table, s, t)
                     uu = S.mul(S.inv(u), u)
                     assert uu == S.mul_all(S.inv(s), s,
@@ -218,9 +219,9 @@ class TestMeetSigma:
     def test_preconditions(self):
         S4 = fx.s4_monoid()
         with pytest.raises(errors.SigmaMismatch):
-            sg.meet_sigma(S4, 0, S4.names.index("(1,g)"))
+            helpers.meet_sigma(S4, 0, S4.names.index("(1,g)"))
         with pytest.raises(errors.NotEUnitary):
-            sg.meet_sigma(fx.i2(), 1, 1)
+            helpers.meet_sigma(fx.i2(), 1, 1)
 
 
 class TestReesQuotient:
@@ -326,16 +327,16 @@ class TestPartialHomsAndCover:
 class TestMorphismPredicates:
     def test_sigma_s4_is_f_morphism(self):
         S4 = fx.s4_monoid()
-        assert sg.is_f_morphism(sg.hom_from_sigma(sg.max_group_image(S4)))
+        assert helpers.is_f_morphism(sg.hom_from_sigma(sg.max_group_image(S4)))
 
     def test_identity_is_f_morphism(self, corpus):
         for S in corpus.values():
             ident = sg.semigroup_hom(S, S, range(len(S)))
-            assert sg.is_f_morphism(ident)
+            assert helpers.is_f_morphism(ident)
 
     def test_sigma_sd6_is_not_f_morphism(self):
         SD6 = fx.sd6()
-        assert not sg.is_f_morphism(sg.hom_from_sigma(sg.max_group_image(SD6)))
+        assert not helpers.is_f_morphism(sg.hom_from_sigma(sg.max_group_image(SD6)))
 
     def test_locally_idempotent_pure_examples(self, corpus):
         B2 = corpus["B2"]

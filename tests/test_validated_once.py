@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from germoid import cli, errors, germs, verify
 from germoid import fixtures as fx
@@ -129,13 +130,16 @@ def test_a_rule_twin_fills_no_table_of_its_own():
 
 
 def test_the_builders_of_one_fixture_make_twins(S, full):
+    # the universal groupoid is born validated; the other builders' arrays
+    # are compared with it, and adopt its products
     with gpd.validated_once():
         universal = germs.universal_groupoid(S)
         others = [pa.partial_trans_groupoid(pa.theta_from_sigma(S)),
+                  germs.germ_groupoid(germs.beta_action(S)),
                   germs.gspace_from_saction(germs.beta_action(S))[1],
                   gpd.semidirect_product(
                       germs.gspace_from_saction(germs.beta_action(S))[0])]
-    assert full == [universal]
+    assert full == [] and universal.validated
     assert all(h.products is universal.products for h in others)
 
 
@@ -163,7 +167,7 @@ def test_a_failing_validation_enters_no_scope(g, full):
 
 
 def test_the_scope_is_restored_after_an_exception(g, full):
-    other = gpd.pair_groupoid(3)
+    other = helpers.pair_groupoid(3)
     _, build = mutants(g)[0]
     with gpd.validated_once():
         gpd.validate_groupoid(copy_of(g))
@@ -185,6 +189,9 @@ def test_the_scope_is_restored_after_an_exception(g, full):
 
 def test_one_verify_of_the_same_file_twice_validates_each_fixture_in_full(
         S, full, tmp_path, capsys, monkeypatch):
+    # every groupoid of this fixture is a twin of its universal groupoid,
+    # which is born validated: a fixture validates nothing by check_laws,
+    # and builds its own universal groupoid, adopting nothing from the last
     path = tmp_path / "chain8xz4.json"
     path.write_text(S.to_json())
     calls, validate = [], gpd.validate_groupoid
@@ -194,15 +201,19 @@ def test_one_verify_of_the_same_file_twice_validates_each_fixture_in_full(
         return validate(h)
     for mod in (gpd, germs, pa, mr):
         monkeypatch.setattr(mod, "validate_groupoid", spy)
+    universal = germs.UniversalGroupoid
+    built = spy_on(monkeypatch, (germs, "UniversalGroupoid"))
     assert cli.main(["verify", "--suite", "all", str(path)]) == 0
-    once, n_calls = len(full), len(calls)
+    once, n_calls = len(built), len(calls)
     one = capsys.readouterr().out.splitlines()
     assert cli.main(["verify", "--suite", "all", str(path), str(path)]) == 0
     two = capsys.readouterr().out.splitlines()
-    assert 0 < once < n_calls
-    assert len(full) == 3 * once and len(calls) == 3 * n_calls
-    # the second fixture's first build is validated in full, not adopted
-    assert full[2 * once] is calls[2 * n_calls]
+    assert full == [] and 0 < once < n_calls
+    assert len(built) == 3 * once and len(calls) == 3 * n_calls
+    # each fixture's first call is its own universal groupoid, just built
+    firsts = [calls[i * n_calls] for i in range(3)]
+    assert all(isinstance(h, universal) for h in firsts)
+    assert len({id(h.semigroup) for h in firsts}) == 3
     assert len(two) == 2 * len(one)
 
 
@@ -392,7 +403,7 @@ def test_a_functor_with_another_unit_map_is_checked_in_full(g):
     expect = outcome(gpd.groupoid_functor, g, g, units, range(g.n_arrows))
     assert expect[0] == "NotAFunctor"
     with gpd.validated_once():
-        gpd.identity_functor(g)
+        helpers.identity_functor(g)
         assert outcome(gpd.groupoid_functor, g, g, units, range(g.n_arrows)) \
             == expect
 
@@ -403,7 +414,7 @@ def test_a_functor_between_twins_is_a_twin(g, monkeypatch):
         other = gpd.validate_groupoid(copy_of(g))
         assert other.products is one.products
         full = spy_on(monkeypatch, (gpd, "first_failing_pair"))
-        first = gpd.identity_functor(one)
+        first = helpers.identity_functor(one)
         F = gpd.groupoid_functor(other, one, range(g.n_units), range(g.n_arrows))
         assert len(full) == 1 and F.source is other and F is not first
     assert F.arrow_map == first.arrow_map
@@ -480,13 +491,16 @@ def test_a_twin_saction_shares_the_anchors(S, monkeypatch):
 
 def test_verify_reduces_the_anchors_once_per_action(monkeypatch):
     # the verify_mid pair of the benchmark: its two equiv checks meet the
-    # action beta again, as the S-action underlying its groupoid space
+    # action beta again, as the S-action underlying its groupoid space.
+    # The anchors are those of beta of CHAIN8 x Z16 and of its ks T-space,
+    # and of both betas of B(Z4, 4); the universal groupoid of Z16 is read
+    # off its table
     fixtures = [sg.validate_semigroup(T.names, T.table, T.zero, name=T.name)
                 for T in (fx.direct_product(fx.chain(8), fx.cyclic_group(16)),
                           fx.brandt(fx.cyclic_group(4), 4))]
     computed = anchor_reductions(monkeypatch)
     assert all(r.passed for r in verify.run_suite("all", fixtures))
-    assert len(computed) == len({(id(T), m) for T, m in computed}) == 5
+    assert len(computed) == len({(id(T), m) for T, m in computed}) == 4
 
 
 def test_verify_of_the_corpus_reduces_no_anchors_twice(corpus, monkeypatch):
@@ -555,17 +569,30 @@ def test_copies_that_break_only_composition_are_checked_in_full(S, g):
 
 def test_a_universal_groupoid_is_built_once_per_semigroup_and_flag(
         S, full, monkeypatch):
+    # each call passes its groupoid through validate_groupoid, which returns
+    # a groupoid born validated as it is
     passed = spy_on(monkeypatch, (germs, "validate_groupoid"))
-    built = spy_on(monkeypatch, (germs, "germ_groupoid"))
+    built = spy_on(monkeypatch, (germs, "UniversalGroupoid"))
     with gpd.validated_once():
         first = germs.universal_groupoid(S)
         again = germs.universal_groupoid(S, contracted=0)
         assert again is first
         assert [args[0] for args in passed] == [first, first]
-        assert len(built) == 1 and full == [first]
+        assert len(built) == 1 and full == []
     outside = germs.universal_groupoid(S)
-    assert outside is not first and len(built) == 2 and full[-1] is outside
+    assert outside is not first and len(built) == 2 and full == []
+    assert outside.validated and np.array_equal(outside.products, first.products)
     assert germs.universal_groupoid(S) is not outside
+
+
+def test_a_semigroup_from_the_raw_constructor_gets_its_groupoid_checked(S, full):
+    # the table build is proved only from a validated table
+    raw = sg.InvSemigroup(S.names, np.array(S.table), S.zero, np.array(S.star))
+    assert S.validated and not raw.validated
+    with gpd.validated_once():
+        g = germs.universal_groupoid(raw)
+    assert full == [g] and g.validated
+    assert np.array_equal(g.products, germs.universal_groupoid(S).products)
 
 
 def test_the_universal_memo_keeps_the_flags_and_semigroups_apart(full):
@@ -577,8 +604,10 @@ def test_the_universal_memo_keeps_the_flags_and_semigroups_apart(full):
         twin = germs.universal_groupoid(other)
         assert len({id(plain), id(contracted), id(twin)}) == 3
         assert germs.universal_groupoid(B2, contracted=True) is contracted
-        assert twin.products is plain.products      # a twin, not a memo hit
-    assert full == [plain, contracted]
+        # built again from its own table, not a memo hit
+        assert twin.products is not plain.products
+        assert np.array_equal(twin.products, plain.products)
+    assert full == []
 
 
 def group_image(n=61):
@@ -590,24 +619,27 @@ def group_image(n=61):
 
 
 def test_a_validated_group_is_a_validated_one_unit_groupoid(full):
+    # the universal groupoid of a group is born validated, its products
+    # the table; the same group as a one-unit groupoid is its twin
     make, _ = group_image()
     with gpd.validated_once():
         G = make()
         g = germs.universal_groupoid(G)
-        h = gpd.groupoid_from_group(G)
+        h = helpers.groupoid_from_group(G)
         assert full == [] and g.validated and h.validated
-        assert h.products is g.products
+        assert h.products is g.products and h.generators is g.generators
         assert not g.generators.flags.writeable
-        assert set(np.flatnonzero(g.generators).tolist()) == set(G.generators)
+        assert np.array_equal(g.generators, oracles.generating_arrows(g))
         assert oracles.composition_closure(g, np.flatnonzero(g.generators)) \
             == set(range(len(G)))
         assert np.array_equal(oracles.comp_table(g), G.table)
-    assert germs.universal_groupoid(G) in full        # outside: in full
-    full.clear()
-    G = make()                                         # no scope: no entry
+    assert germs.universal_groupoid(G) not in full      # outside too
+    G = make()
     with gpd.validated_once():
         g = germs.universal_groupoid(G)
-    assert full == [g]
+        assert gpd.validate_groupoid(helpers.groupoid_from_group(G)).products \
+            is g.products
+    assert full == []
 
 
 @pytest.mark.parametrize("value", ["other", "undefined"])
@@ -621,7 +653,7 @@ def test_a_one_unit_groupoid_off_the_group_table_is_validated_in_full(
     expect = outcome(gpd.validate_groupoid, build())
     assert expect[0] != "ok"
     with gpd.validated_once():
-        make()
+        germs.universal_groupoid(make())    # enters the one-unit groupoid
         full.clear()
         bad = build()
         assert outcome(gpd.validate_groupoid, bad) == expect
