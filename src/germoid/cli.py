@@ -45,11 +45,13 @@ class SystemExit2(Exception):
     """Signals exit code 2 (IO / parse problems)."""
 
 
-def _emit(text: str, out: str | None):
+def _emit(to_json, out: str | None):
+    """Print the text ``to_json()`` returns, or let ``to_json(out)`` write
+    it to the file ``out`` block by block, as the writer makes them."""
     if out:
-        Path(out).write_text(text + "\n")
+        to_json(out)
     else:
-        print(text)
+        print(to_json())
 
 
 def cmd_gen(args) -> int:
@@ -66,7 +68,7 @@ def cmd_gen(args) -> int:
         if args.preset is not None:
             params["preset" if args.kind == "semidirect" else "name"] = args.preset
     S = generate_fixture(args.kind, **params)
-    _emit(S.to_json(), args.out)
+    _emit(S.to_json, args.out)
     print(f"{S.name}: {len(S)} elements", file=sys.stderr)
     return 0
 
@@ -74,7 +76,7 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     S = _load(args.file)
     report = analyze(S)
-    _emit(json.dumps(report, sort_keys=True), None)
+    print(json.dumps(report, sort_keys=True))
     f = report["filters"]
     print(f"{S.name}: |S|={report['elements']} |E|={report['idempotents']} "
           f"zero={report['zero']} E-unitary={report['e_unitary']} "
@@ -87,7 +89,7 @@ def cmd_analyze(args) -> int:
 def cmd_groupoid(args) -> int:
     S = _load(args.file)
     g = groupoid_variant(S, args.variant)
-    _emit(g.to_json(), args.out)
+    _emit(g.to_json, args.out)
     if args.dot:
         Path(args.dot).write_text(g.to_dot() + "\n")
     iso = ",".join(map(str, g.isotropy_orders()))
@@ -113,7 +115,10 @@ def cmd_verify(args) -> int:
 
 def cmd_export_dot(args) -> int:
     g = _read(args.file, groupoid_from_json, "groupoid")
-    _emit(g.to_dot(), args.out)
+    if args.out:
+        Path(args.out).write_text(g.to_dot() + "\n")
+    else:
+        print(g.to_dot())
     return 0
 
 

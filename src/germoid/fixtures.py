@@ -2,7 +2,9 @@
 monoids, semilattice-by-group semidirect products, products, adjoined zeros.
 
 All generators return validated :class:`~germoid.semigroups.InvSemigroup`
-objects with deterministic element ordering.
+objects with deterministic element ordering: from validated inputs born
+validated (:func:`~germoid.semigroups.proved`, the proof in the docstring),
+else, like a literal table, checked by ``validate_semigroup``.
 """
 
 from __future__ import annotations
@@ -16,27 +18,36 @@ from .semigroups import (
     FiniteGroup,
     InvSemigroup,
     check_size,
+    greedy_generators,
     is_e_unitary,
+    lights_test,
+    proved,
+    transposed,
     validate_group,
     validate_semigroup,
 )
 
 
 def chain(n: int, name=None) -> InvSemigroup:
-    """Chain semilattice 1 > f1 > ... > f_{n-1}; product is the lower element."""
+    """Chain semilattice 1 > f1 > ... > f_{n-1}; product is the lower element.
+
+    Born validated: max is a semilattice, each element its own inverse."""
     if n < 1:
         raise errors.InvalidParams("chain needs n >= 1")
     names = ["1"] + [f"f{i}" if n > 2 else "f" for i in range(1, n)]
     table = np.maximum.outer(np.arange(n), np.arange(n))
-    return validate_semigroup(names, table, None, name=name or f"CHAIN{n}")
+    return proved(names, table, np.arange(n), name=name or f"CHAIN{n}")
 
 
 def cyclic_group(n: int, name=None) -> FiniteGroup:
+    """Z_n, g^i at id i; born validated: addition mod n is a group with
+    identity 0 and inverse -i mod n."""
     if n < 1:
         raise errors.InvalidParams("cyclic group needs n >= 1")
     names = ["1"] + [f"g{'^' + str(i) if i > 1 else ''}" for i in range(1, n)]
     table = np.add.outer(np.arange(n), np.arange(n)) % n
-    return validate_group(names, table, name=name or f"Z{n}")
+    return proved(names, table, -np.arange(n) % n, identity=0,
+                  name=name or f"Z{n}")
 
 
 def group_from_table(names, table, name="G") -> FiniteGroup:
@@ -45,7 +56,9 @@ def group_from_table(names, table, name="G") -> FiniteGroup:
 
 def brandt(G: FiniteGroup, n: int, name=None) -> InvSemigroup:
     """Brandt semigroup over G: elements 0 and (i, g, j), with
-    (i,g,j)(k,h,l) = (i, gh, l) if j = k, else 0."""
+    (i,g,j)(k,h,l) = (i, gh, l) if j = k, else 0.  Born validated over a
+    validated G: it is associative, regular by (i,g,j)(j,g*,i)(i,g,j) =
+    (i,gg*g,j), and its idempotents 0 and (i,e,i) commute."""
     if n < 1:
         raise errors.InvalidParams("brandt needs n >= 1")
     m = len(G)
@@ -60,8 +73,11 @@ def brandt(G: FiniteGroup, n: int, name=None) -> InvSemigroup:
         names = ["0"] + [f"e{i + 1}{j + 1}" for i, _, j in elems[1:]]
     else:
         names = ["0"] + [f"({i + 1},{G.names[g]},{j + 1})" for i, g, j in elems[1:]]
-    return validate_semigroup(names, table, zero=0,
-                              name=name or f"B({G.name},{n})")
+    name = name or f"B({G.name},{n})"
+    if G.validated:
+        star = np.append(0, 1 + (j * m + G.star[g]) * n + i)
+        return proved(names, table, star, zero=0, name=name)
+    return validate_semigroup(names, table, zero=0, name=name)
 
 
 def symmetric_inverse(n: int, name=None) -> InvSemigroup:
@@ -69,7 +85,8 @@ def symmetric_inverse(n: int, name=None) -> InvSemigroup:
 
     Its size, the sum over j of C(n, j)^2 j! partial bijections with j
     points in their domain, is checked against the size limit before any
-    element is built.
+    element is built.  Born validated: the inverse of a partial bijection
+    is its inverse map, the zero the empty map (Lawson, 1998, ch. 1.1).
     """
     if n < 0:
         raise errors.InvalidParams("need n >= 0")
@@ -95,14 +112,16 @@ def symmetric_inverse(n: int, name=None) -> InvSemigroup:
     element = np.empty((n + 1) ** n, dtype=np.int64)
     element[image[:, :n] @ weight] = np.arange(len(elems))
     table = element[product]
+    inverse = np.full_like(image, n)      # column n takes undefined points
+    np.put_along_axis(inverse, image[:, :n], np.arange(n), axis=1)
 
     def label(e):
         if not e:
             return "0"
         return "[" + ",".join(f"{x + 1}->{y + 1}" for x, y in e) + "]"
 
-    return validate_semigroup([label(e) for e in elems], table, zero=0,
-                              name=name or f"I{n}")
+    return proved([label(e) for e in elems], table,
+                  element[inverse[:, :n] @ weight], zero=0, name=name or f"I{n}")
 
 
 def semidirect(meet_table, G: FiniteGroup, action, enames=None, name=None) -> InvSemigroup:
@@ -111,6 +130,9 @@ def semidirect(meet_table, G: FiniteGroup, action, enames=None, name=None) -> In
     Elements are pairs (e, g) with (e,g)(f,h) = (e ^ g.f, gh); the result is
     always E-unitary (asserted).  ``action[g]`` is the permutation of E given
     by g; one array pass checks them all, naming the first g that fails.
+    Then, for a validated G and an E that :func:`is_semilattice`, it is born
+    validated with (e, g)* = (g*.e, g*) (Lawson, *Inverse Semigroups*, 1998,
+    ch. 5.2); otherwise its table is validated.
     """
     meet = np.asarray(meet_table, dtype=np.int64)
     k = meet.shape[0]
@@ -132,33 +154,53 @@ def semidirect(meet_table, G: FiniteGroup, action, enames=None, name=None) -> In
     f, h = e[None, :], g[None, :]
     table = meet[e[:, None], act[g[:, None], f]] * len(G) + G.table[g[:, None], h]
     names = [f"({enames[e]},{G.names[g]})" for e in range(k) for g in range(len(G))]
-    S = validate_semigroup(names, table, None, name=name or f"E:{G.name}")
+    name = name or f"E:{G.name}"
+    if G.validated and is_semilattice(meet):
+        S = proved(names, table, act[G.star[g], e] * len(G) + G.star[g], name=name)
+    else:
+        S = validate_semigroup(names, table, None, name=name)
     if not is_e_unitary(S):
         raise errors.InvariantViolation(
             "semidirect products must be E-unitary", S.name)
     return S
 
 
+def is_semilattice(meet) -> bool:
+    """Whether the array ``meet`` is a table of ids in range that is
+    commutative, idempotent and, by Light's test, associative."""
+    k = len(meet)
+    return 0 < k and meet.shape == (k, k) and 0 <= meet.min() and meet.max() < k \
+        and (meet == meet.T).all() and (meet.diagonal() == np.arange(k)).all() \
+        and lights_test(meet, meet, greedy_generators(meet), transposed(meet))
+
+
 def direct_product(S: InvSemigroup, T: InvSemigroup, name=None) -> InvSemigroup:
-    """S x T, with (s, t) at id s |T| + t."""
+    """S x T, with (s, t) at id s |T| + t; born validated from validated S
+    and T, with (s, t)* = (s*, t*) and zero (0, 0) when both have one."""
     m = len(T)
     table = S.table[:, None, :, None] * m + T.table[None, :, None, :]
     table = table.reshape(len(S) * m, len(S) * m)
     names = [f"({a},{b})" for a in S.names for b in T.names]
     zero = None if S.zero is None or T.zero is None else S.zero * m + T.zero
-    return validate_semigroup(names, table, zero,
-                              name=name or f"{S.name}x{T.name}")
+    name = name or f"{S.name}x{T.name}"
+    if S.validated and T.validated:
+        star = (S.star[:, None] * m + T.star).ravel()
+        return proved(names, table, star, zero=zero, name=name)
+    return validate_semigroup(names, table, zero, name=name)
 
 
 def adjoin_zero(S: InvSemigroup, name=None) -> InvSemigroup:
-    """S with a fresh absorbing zero appended (id = len(S))."""
+    """S with a fresh absorbing zero appended (id = len(S)); born validated
+    from a validated S, the new zero its own inverse."""
     n = len(S)
     table = np.zeros((n + 1, n + 1), dtype=np.int64)
     table[:n, :n] = S.table
     table[n, :] = n
     table[:, n] = n
-    return validate_semigroup(list(S.names) + ["0"], table, zero=n,
-                              name=name or f"{S.name}^0")
+    names, name = list(S.names) + ["0"], name or f"{S.name}^0"
+    if S.validated:
+        return proved(names, table, np.append(S.star, n), zero=n, name=name)
+    return validate_semigroup(names, table, zero=n, name=name)
 
 
 # -- named desk-scale fixtures -------------------------------------------------

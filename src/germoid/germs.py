@@ -61,7 +61,6 @@ class SAction:
         self.maps = np.asarray(maps, dtype=np.int64)
         self.maps.setflags(write=False)
         self._anchor = None         # memo of anchor_idempotents
-        self._germs = None          # memo of germ_groupoid's arrays
 
     @property
     def n_points(self):
@@ -375,20 +374,13 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     establishes.  So the class of (s, x) is keyed by (s m_x, x), at
     O(|S| |X|) cost.
 
-    The arrays derived from the action (``arrow_pairs``, ``arrow_at``,
-    ``dom``, ``ran``, ``inv``, ``identity``, the labels and, once a build
-    passes, the products) are memoized on it.  Each call builds its own
-    groupoid under its own name from them and validates it: inside a
-    :func:`~germoid.groupoids.validated_once` scope where one has passed,
-    that is the twin check.
+    Each call derives the arrays and validates the groupoid: inside a
+    :func:`~germoid.groupoids.validated_once` scope where an equal one has
+    passed, that is the twin check.
     """
-    if action._germs is None:
-        action._germs = _germ_arrays(action)
-    S = action.semigroup
-    g = validate_groupoid(GermGroupoid(action, name=name or f"{S.name}|germs",
-                                       **action._germs))
-    action._germs["products"] = g.products
-    return g
+    return validate_groupoid(GermGroupoid(
+        action, name=name or f"{action.semigroup.name}|germs",
+        **_germ_arrays(action)))
 
 
 def _germ_arrays(action: SAction) -> dict:

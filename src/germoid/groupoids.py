@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -20,7 +21,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import errors
-from .semigroups import CHUNK, check_size, file_text, holds_bool, json_rows
+from .semigroups import (
+    CHUNK, check_size, file_text, holds_bool, json_rows, write_json)
 
 
 class FiniteGroupoid:
@@ -124,12 +126,14 @@ class FiniteGroupoid:
         loops = self.dom[self.dom == self.ran]
         return tuple(sorted(np.bincount(loops, minlength=self.n_units).tolist()))
 
-    def to_json(self) -> str:
+    def to_json(self, file=None) -> str | None:
         """``json.dumps`` with sorted keys of the units, the arrows
         ``{"dom", "germ", "id", "label", "ran"}``, the ``[a, b, ab]``
         triples of the composable pairs in order and the ``[a, inverse]``
         pairs, each array written by :func:`~germoid.semigroups.json_rows`.
-        Only groupoids of germs have the key ``"germ"``, ``[s, x]``."""
+        Only groupoids of germs have the key ``"germ"``, ``[s, x]``.  Given
+        a path ``file``, the text goes there by
+        :func:`~germoid.semigroups.write_json` instead."""
         n, ids = self.n_arrows, np.arange(self.n_arrows)
         if type(self).germ_reps is None:        # not a groupoid of germs
             joints = ['{"dom": ', ', "id": ', ', "label": ', ', "ran": ', "}"]
@@ -146,12 +150,12 @@ class FiniteGroupoid:
                   json.dumps(v, sort_keys=True) for v in self.arrow_labels]
         comp = np.column_stack((*self.composable_pairs, self.products))
         units = json.dumps(list(self.unit_labels), sort_keys=True)
-        return b"".join([
-            b'{"arrows": ', *json_rows(joints, arrows, numbers, labels),
-            b', "comp": ', *json_rows(["[", ", ", ", ", "]"], comp, n),
-            b', "inv": ', *json_rows(["[", ", ", "]"],
-                                     np.column_stack((ids, self.inv)), n),
-            b', "units": ', units.encode(), b"}"]).decode()
+        return write_json(itertools.chain(
+            [b'{"arrows": '], json_rows(joints, arrows, numbers, labels),
+            [b', "comp": '], json_rows(["[", ", ", ", ", "]"], comp, n),
+            [b', "inv": '], json_rows(["[", ", ", "]"],
+                                      np.column_stack((ids, self.inv)), n),
+            [b', "units": ', units.encode(), b"}"]), file)
 
     def to_dot(self) -> str:
         lines = [f'digraph "{self.name}" {{']

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import helpers
 from germoid import cli
 from germoid import fixtures as fx
+from germoid import germs
+from germoid import groupoids as gpd
 from germoid import semigroups as sg
 from germoid import verify
 
@@ -474,6 +476,46 @@ def test_out_of_memory_exits_2_with_one_error_line(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err == "error: out of memory: " \
         "Unable to allocate 8.00 GiB for an array\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "chain", "--n", "6"],
+    ["gen", "preset", "--preset", "sd6"],
+], ids=["chain6", "sd6"])
+def test_gen_streams_to_out_the_bytes_it_prints(argv, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code, printed, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--out", str(path))[:2] == (0, "")
+    assert code == 0 and path.read_bytes() == printed.encode()
+
+
+def test_groupoid_streams_to_out_the_text_of_to_json(tmp_path, capsys):
+    S = fx.sd6()
+    src, path = tmp_path / "sd6.json", tmp_path / "universal.json"
+    src.write_text(S.to_json())
+    code, _, _ = run_cli(capsys, "groupoid", str(src), "--variant", "universal",
+                         "--out", str(path))
+    g = germs.universal_groupoid(S)
+    assert code == 0 and path.read_text() == g.to_json() + "\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "groupoid"])
+def test_a_write_that_fails_midway_leaves_no_file(command, tmp_path, capsys,
+                                                  monkeypatch):
+    src, path = tmp_path / "sd6.json", tmp_path / "out.json"
+    src.write_text(fx.sd6().to_json())
+    real = sg.json_rows
+
+    def one_block(*args):
+        yield next(real(*args))
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+    monkeypatch.setattr(sg, "json_rows", one_block)
+    monkeypatch.setattr(gpd, "json_rows", one_block)
+    argv = ["gen", "preset", "--preset", "sd6"] if command == "gen" else \
+        ["groupoid", str(src), "--variant", "universal"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "") and not path.exists()
+    assert err == "error: out of memory: Unable to allocate 8.00 GiB for an array\n"
 
 
 def verify_reports(capsys, path):

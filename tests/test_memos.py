@@ -96,12 +96,14 @@ def test_memoized_maps_stay_read_only():
             a[(0,) * a.ndim] = 0
 
 
-def test_germ_groupoids_of_one_action_share_their_products():
-    # the memoized products are read-only int32, so a later build of the same
-    # action takes them as they are
+def test_germ_groupoids_of_one_action_have_equal_products():
+    # nothing of a germ build is memoized on the action: each build derives
+    # its arrays and products again, equal to the first
     action = germs.beta_action(fx.sd6())
     first, second = germs.germ_groupoid(action), germs.germ_groupoid(action)
-    assert second.products is first.products
+    assert second.products is not first.products
+    assert np.array_equal(second.products, first.products)
+    assert second.products.dtype == np.int32
 
 
 def test_products_copy_an_array_they_could_not_share():
@@ -139,12 +141,19 @@ def test_failures_are_not_memoized():
             sp.enumerate_filters(chain2, contracted=True)
 
 
-def test_group_image_keeps_the_generators_of_its_validation(monkeypatch):
+def test_a_born_validated_group_finds_its_generators_once_on_first_read(
+        monkeypatch):
     G = sg.max_group_image(fx.direct_product(fx.chain(3), fx.cyclic_group(6))).group
-    expect = tuple(sg.greedy_generators(G.table))
-    monkeypatch.setattr(sg, "greedy_generators", lambda table: pytest.fail(
-        "the generators of a validated group are computed again"))
-    assert G.generators == expect
+    assert G.validated and G._generators is None
+    real, calls = sg.greedy_generators, []
+
+    def spy(table, tt=None):
+        calls.append(table)
+        return real(table, tt)
+    monkeypatch.setattr(sg, "greedy_generators", spy)
+    expect = tuple(real(G.table))
+    assert G.generators == expect and G.generators == expect
+    assert len(calls) == 1 and calls[0] is G.table
 
 
 def test_verify_all_validates_each_beta_once(tmp_path, monkeypatch):
