@@ -76,11 +76,9 @@ from .partial_actions import (
 )
 from .matrixrep import (
     ConvolutionAlgebra,
-    algebra_map_from_functor,
     center_dimension,
     convolution_algebra,
     covariant_rep,
-    gelfand_check,
     intertwiner_u,
     left_regular_rep,
     verify_intertwining,

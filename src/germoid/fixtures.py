@@ -18,14 +18,12 @@ from .semigroups import (
     FiniteGroup,
     InvSemigroup,
     check_size,
-    greedy_generators,
     is_e_unitary,
-    lights_test,
     proved,
-    transposed,
     validate_group,
     validate_semigroup,
 )
+from .spectra import is_semilattice
 
 
 def chain(n: int, name=None) -> InvSemigroup:
@@ -130,9 +128,10 @@ def semidirect(meet_table, G: FiniteGroup, action, enames=None, name=None) -> In
     Elements are pairs (e, g) with (e,g)(f,h) = (e ^ g.f, gh); the result is
     always E-unitary (asserted).  ``action[g]`` is the permutation of E given
     by g; one array pass checks them all, naming the first g that fails.
-    Then, for a validated G and an E that :func:`is_semilattice`, it is born
-    validated with (e, g)* = (g*.e, g*) (Lawson, *Inverse Semigroups*, 1998,
-    ch. 5.2); otherwise its table is validated.
+    Then, for a validated G and an E that
+    :func:`~germoid.spectra.is_semilattice`, it is born validated with
+    (e, g)* = (g*.e, g*) (Lawson, *Inverse Semigroups*, 1998, ch. 5.2);
+    otherwise its table is validated.
     """
     meet = np.asarray(meet_table, dtype=np.int64)
     k = meet.shape[0]
@@ -163,15 +162,6 @@ def semidirect(meet_table, G: FiniteGroup, action, enames=None, name=None) -> In
         raise errors.InvariantViolation(
             "semidirect products must be E-unitary", S.name)
     return S
-
-
-def is_semilattice(meet) -> bool:
-    """Whether the array ``meet`` is a table of ids in range that is
-    commutative, idempotent and, by Light's test, associative."""
-    k = len(meet)
-    return 0 < k and meet.shape == (k, k) and 0 <= meet.min() and meet.max() < k \
-        and (meet == meet.T).all() and (meet.diagonal() == np.arange(k)).all() \
-        and lights_test(meet, meet, greedy_generators(meet), transposed(meet))
 
 
 def direct_product(S: InvSemigroup, T: InvSemigroup, name=None) -> InvSemigroup:

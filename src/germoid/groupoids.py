@@ -329,9 +329,11 @@ _twins = contextvars.ContextVar("validated_twins", default=None)
 @contextlib.contextmanager
 def validated_once():
     """A scope in which each distinct input of :func:`validate_groupoid`,
-    :func:`validate_space_action`, :func:`groupoid_functor`,
-    ``germs.validate_saction`` and ``partial_actions.validate_partial_action``
-    is checked once; the outer scope, or none, is restored on exit.
+    :func:`groupoid_functor`, ``germs.validate_saction`` and
+    ``partial_actions.validate_partial_action`` is checked once; the outer
+    scope, or none, is restored on exit.  :func:`validate_space_action` is
+    not among them: the scope's ``gspace_from_saction`` memo already
+    returns every repeat before the space check.
 
     An input is keyed by the ``id`` of the validated objects it reads, a
     semigroup, a group or a groupoid's ``products`` (which only twins
@@ -717,18 +719,11 @@ def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
     the identity check passes, and are closed under composition:
     (a(bb'))x = ((ab)b')x = (ab)(b'x) = a(b(b'x)) = a((bb')x).
 
-    Inside a :func:`validated_once` scope, an action of a validated
-    groupoid whose ``act`` and anchor are exactly equal to those of an
-    action of it or of a twin (keyed by its index and ``products``) that
-    passed there is marked validated unchecked."""
+    Every action is checked in full, inside a :func:`validated_once` scope
+    too: ``germs.gspace_from_saction``, which makes the actions a verify
+    run checks, returns a repeated conversion before it gets here."""
     h, m = action.groupoid, action.n_points
     anchor = np.asarray(action.anchor, dtype=np.int64)
-    key = ("space", id(h._index), id(h.products), action.act.shape, anchor.shape) \
-        if h.validated else None
-    if any(np.array_equal(action.act, t.act) and np.array_equal(anchor, t.anchor)
-           for t in scope_twins(key)):
-        action.validated = True
-        return action
     act = np.maximum(action.act, -1)
     if act.shape != (h.n_arrows, m) or anchor.shape != (m,):
         raise errors.InvalidParams("need an image per arrow and point")
@@ -756,7 +751,6 @@ def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
     if bad is not None:
         raise errors.InvalidAction("action not functorial at ({},{},{})".format(*bad))
     action.validated = True
-    scope_enter(key, action)
     return action
 
 

@@ -6,9 +6,8 @@ Morita invariant.
 The operators L_s, A_s and U send each basis vector to a basis vector or to
 0, so they are stored as index arrays: entry t is the index of the image of
 basis vector t, or -1 where it goes to 0.  No floating point remains: the
-intertwining identity is checked by index gathers, the center dimension is a
-count of isotropy conjugacy classes, and the rank of the Gelfand indicator
-matrix is read off the natural order of the idempotents.
+intertwining identity is checked by index gathers, and the center dimension
+is a count of isotropy conjugacy classes.
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ import json
 import numpy as np
 
 from . import errors
-from .groupoids import (
-    FiniteGroupoid,
-    GroupoidFunctor,
-    arrows_at,
-    end_index,
-    validate_groupoid,
-)
+from .groupoids import FiniteGroupoid, arrows_at, end_index, validate_groupoid
 from .partial_actions import PartialGroupAction, theta_from_sigma
 from .semigroups import (
     CHUNK,
@@ -34,7 +27,6 @@ from .semigroups import (
     json_rows,
     max_group_image,
 )
-from .spectra import enumerate_filters
 
 
 def left_regular_rep(S: InvSemigroup) -> np.ndarray:
@@ -110,37 +102,6 @@ def covariant_rep(S: InvSemigroup, sigma: SigmaMap | None = None,
     return a
 
 
-def check_rep_conditions(S: InvSemigroup) -> bool:
-    """The three order conditions behind the intertwining identity agree:
-    s*s t = t, t*t = t*s*s t, and t*t <= t*s*s t, for every pair.
-
-    Each condition is a boolean |S| x |S| array over (s, t), computed in
-    row blocks of at most ``CHUNK`` entries.
-
-    In an inverse semigroup they always agree, so :func:`verify_intertwining`
-    does not run this check.  If s*s t = t, then t*s*s t = t*t.
-    Conversely, if t*t = t*s*s t, then t = tt*t = tt*s*s t = s*s tt*t =
-    s*s t, as the idempotents tt* and s*s commute.  The idempotent
-    w = t*s*s t lies below t*t, since w t*t = t*s*s tt*t = w, so
-    t*t <= w holds iff t*t = w.  ``tests/test_matrixrep.py`` runs it on
-    the corpus, random E-unitary semigroups and their Rees quotients.
-    """
-    n = len(S)
-    ids = np.arange(n)
-    table, star = S.table, S.star
-    ss = table[star, ids]                    # s*s, and t*t by column
-    rows = max(1, CHUNK // n)
-    for lo in range(0, n, rows):
-        s = ids[lo:lo + rows, None]
-        w = table[table[table[star[None, :], star[s]], s], ids]  # t*s*s t
-        c1 = table[ss[s], ids] == ids
-        c2 = w == ss
-        c3 = table[ss[None, :], w] == ss     # t*t <= w, both idempotent
-        if ((c1 != c2) | (c2 != c3)).any():
-            return False
-    return True
-
-
 def intertwines(u, l, a) -> bool:
     """Exact check that U*U = I and U L_s = A_s U for every s, on the
     partial-map forms of ``intertwiner_u``, ``left_regular_rep`` and
@@ -165,9 +126,15 @@ def intertwines(u, l, a) -> bool:
 
 
 def verify_intertwining(S: InvSemigroup) -> bool:
-    """U*U = I and U L_s = A_s U exactly for every s.  The order conditions
-    of :func:`check_rep_conditions` hold in every inverse semigroup, so they
-    are not checked here."""
+    """U*U = I and U L_s = A_s U exactly for every s.
+
+    The three order conditions behind the identity, s*s t = t, t*t = t*s*s t
+    and t*t <= t*s*s t, agree for every pair in an inverse semigroup, so
+    they are not checked.  If s*s t = t, then t*s*s t = t*t.  Conversely,
+    if t*t = t*s*s t, then t = tt*t = tt*s*s t = s*s tt*t = s*s t, as the
+    idempotents tt* and s*s commute.  And w = t*s*s t lies below t*t, as
+    w t*t = w, so t*t <= w iff t*t = w.  ``tests/oracles.py`` checks the
+    three pair by pair (``check_rep_conditions_loops``)."""
     sigma = max_group_image(S)
     return intertwines(intertwiner_u(S, sigma), left_regular_rep(S),
                        covariant_rep(S, sigma))
@@ -244,69 +211,3 @@ def center_dimension(alg: ConvolutionAlgebra) -> int:
         starts = np.cumsum(counts) - counts
         label[lo:lo + step] = np.minimum.reduceat(conj, starts)
     return len(np.unique(label))
-
-
-def algebra_map_from_functor(F: GroupoidFunctor):
-    """The basis relabeling of a bijective functor, checked to be an algebra
-    isomorphism (structure constants and involution transported).
-
-    Row a fails where F(a)F(b) != F(ab), or F(a) has more arrows composable
-    after it than a (as F is injective, a b with only F(a)F(b) defined); the
-    first row that fails, or whose inverse is lost, names the error."""
-    src, tgt = F.source, F.target
-    if sorted(F.arrow_map) != list(range(tgt.n_arrows)) or \
-            sorted(F.unit_map) != list(range(tgt.n_units)):
-        raise errors.NotBijective("functor must be bijective on units and arrows")
-    f = np.array(F.arrow_map, dtype=np.int64)
-    (a, b), ab = src.composable_pairs, src.products
-    moved = (ab < 0) | (tgt.product(f[a], f[b]) != f[ab])
-    fails = (np.bincount(a[moved], minlength=src.n_arrows) > 0) | \
-        (src.by_ran[1][src.dom] != tgt.by_ran[1][tgt.dom[f]])
-    lost = f[src.inv] != tgt.inv[f]
-    if (fails | lost).any():
-        raise errors.NotAFunctor(
-            "structure constants not transported" if fails[np.argmax(fails | lost)]
-            else "involution not preserved")
-    mat = np.zeros((tgt.n_arrows, src.n_arrows), dtype=np.int64)
-    mat[f, np.arange(src.n_arrows)] = 1
-    return mat
-
-
-def gelfand_check(S: InvSemigroup) -> bool:
-    """The finite Gelfand picture for the idempotent semilattice.
-
-    e -> indicator of D(e) must be multiplicative and of full rank |E|, and
-    the regular representation of the semilattice must be simultaneously
-    diagonal with diagonal entries matching those indicators under the
-    principal-filter bijection.
-
-    The filters of E are its principal ones, one per idempotent f with
-    minimum f, and filter f lies in D(e) iff f e = f.  So the indicator
-    matrix is one comparison of the meet table, ind[e, f] = [f e = f], and
-    multiplicativity, ind[e] ind[e'] = ind[e e'], is one comparison, in
-    blocks of pairs (e, e') of at most ``CHUNK`` entries.  The rank needs no
-    elimination.  Write f <= e for f e = f.  This relation is reflexive,
-    as each f is idempotent, and antisymmetric, as the meet table
-    commutes, which :func:`~germoid.spectra.enumerate_filters` checks.
-    Multiplicativity at (g, f) with g <= f gives D(g) = D(gf) = D(g) n
-    D(f), so h <= g implies h <= f: the relation is transitive, a partial
-    order, and ind is its matrix.  Listed along a linear extension that
-    matrix is unitriangular, so its rank is |E|.  Nor does the regular
-    representation need a test: it sends basis vector f to e f, so it is
-    diagonal with entry [e f = f] at f, which is ind[e, f] = [f e = f] as
-    the meet table commutes.  The loop with the elimination and the
-    diagonal comparison is ``tests/oracles.py``'s cross-check.
-    """
-    # one filter per idempotent, listed by its minimum in id order
-    E = np.asarray(enumerate_filters(S, contracted=False).mins, dtype=np.int64)
-    k = len(E)
-    meet = S.table[np.ix_(E, E)]
-    ind = meet.T == E                       # ind[i, j] = [e_j e_i = e_j]
-    step = max(1, CHUNK // max(k, 1))
-    for lo in range(0, k * k, step):
-        i, j = np.divmod(np.arange(lo, min(lo + step, k * k)), k)
-        # per pair (e_i, e_j), filter x lies in D(e_i) n D(e_j) and D(e_i e_j)
-        both = ind[i] & ind[j]
-        if not np.array_equal(both, S.table[E, meet[i, j][:, None]] == E):
-            return False
-    return True

@@ -90,12 +90,6 @@ class InvSemigroup:
     def mul(self, s: int, t: int) -> int:
         return int(self.table[s, t])
 
-    def mul_all(self, *elems: int) -> int:
-        acc = elems[0]
-        for t in elems[1:]:
-            acc = int(self.table[acc, t])
-        return acc
-
     def inv(self, s: int) -> int:
         return int(self.star[s])
 

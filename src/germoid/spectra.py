@@ -22,7 +22,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .semigroups import CHUNK, InvSemigroup, SemigroupHom, write_words
+from .semigroups import (
+    CHUNK,
+    InvSemigroup,
+    SemigroupHom,
+    greedy_generators,
+    lights_test,
+    transposed,
+    write_words,
+)
+
+
+def is_semilattice(meet) -> bool:
+    """Whether the array ``meet`` is a table of ids in range that is
+    commutative, idempotent and, by Light's test, associative."""
+    k = len(meet)
+    return 0 < k and meet.shape == (k, k) and 0 <= meet.min() and meet.max() < k \
+        and (meet == meet.T).all() and (meet.diagonal() == np.arange(k)).all() \
+        and lights_test(meet, meet, greedy_generators(meet), transposed(meet))
 
 
 class Semilattice:
@@ -44,7 +61,8 @@ class Semilattice:
             return
         # meet(e, f) = meet(f, e) and meet(e, meet(e, f)) = meet(e, f) on
         # the whole table; the first failing pair in row order raises, as
-        # UnknownElement if its meet is not an element
+        # UnknownElement if its meet is not an element.  Then the table of
+        # positions must be idempotent and associative
         k, m = len(self.elements), self._meet
         if m.shape != (k, k):
             raise errors.InvalidParams(f"meet table must be {k}x{k}")
@@ -58,6 +76,8 @@ class Semilattice:
             if known[e, f] or swapped[e, f]:
                 raise errors.InvalidParams("table is not a meet semilattice")
             raise errors.UnknownElement(f"{m[e, f]} is not in the semilattice")
+        if k and not is_semilattice(at):
+            raise errors.InvalidParams("table is not a meet semilattice")
 
     def __len__(self):
         return len(self.elements)
@@ -78,12 +98,6 @@ class Semilattice:
 
     def leq(self, e: int, f: int) -> bool:
         return self.meet(e, f) == e
-
-    def bottom(self) -> int:
-        b = self.elements[0]
-        for e in self.elements[1:]:
-            b = self.meet(b, e)
-        return b
 
 
 def idempotent_semilattice(S: InvSemigroup) -> Semilattice:

@@ -1,8 +1,9 @@
 """Constructions the tests build on that no command or suite reaches: small
 groupoids and functors, the germ classes of a groupoid of germs, dict forms
-of actions and filter spaces, the natural order, sigma meets, F-morphisms
-and restricted partial actions.  Each calls the package's validations
-through their modules, so a test's spies see them."""
+of actions and filter spaces, products of several elements, the natural
+order, sigma meets, F-morphisms and restricted partial actions.  Each calls
+the package's validations through their modules, so a test's spies see
+them."""
 
 import numpy as np
 
@@ -111,9 +112,17 @@ def space_dict(space, tight=None) -> dict:
     }
 
 
+def mul_all(S, *elems: int) -> int:
+    """The product of ``elems`` in S, from the left."""
+    acc = elems[0]
+    for t in elems[1:]:
+        acc = int(S.table[acc, t])
+    return acc
+
+
 def natural_leq(S, s: int, t: int) -> bool:
     """s <= t in the natural partial order, via s = t s* s."""
-    return S.mul_all(t, S.inv(s), s) == s
+    return mul_all(S, t, S.inv(s), s) == s
 
 
 def meet_sigma(S, s: int, t: int, sigma=None) -> int:
@@ -124,8 +133,8 @@ def meet_sigma(S, s: int, t: int, sigma=None) -> int:
         raise errors.NotEUnitary(S.name)
     if sigma(s) != sigma(t):
         raise errors.SigmaMismatch(s, t)
-    u = S.mul_all(t, S.inv(s), s)
-    if u != S.mul_all(s, S.inv(t), t):
+    u = mul_all(S, t, S.inv(s), s)
+    if u != mul_all(S, s, S.inv(t), t):
         raise errors.InvariantViolation(
             "t s*s and s t*t must agree in an E-unitary semigroup", (s, t))
     return u

@@ -153,11 +153,13 @@ def semicharacter_beta(S, phi_upset, s):
     ``phi_upset`` is the set of idempotents where phi is 1.  Returns the
     transported upset, or None when phi(s*s) = 0 (outside the domain).
     """
+    from helpers import mul_all
+
     ss = S.mul(S.inv(s), s)
     if ss not in phi_upset:
         return None
     return frozenset(e for e in S.idempotents
-                     if S.mul_all(S.inv(s), e, s) in phi_upset)
+                     if mul_all(S, S.inv(s), e, s) in phi_upset)
 
 
 # -- loop versions of the library's vectorized kernels ---------------------------
@@ -786,12 +788,15 @@ def intertwiner_u_loops(S, sigma):
 
 
 def check_rep_conditions_loops(S):
-    """s*s t = t, t*t = t*s*s t and t*t <= t*s*s t agree, pair by pair."""
+    """s*s t = t, t*t = t*s*s t and t*t <= t*s*s t agree, pair by pair: the
+    three order conditions behind ``matrixrep.verify_intertwining``."""
+    from helpers import mul_all
+
     for s in range(len(S)):
         for t in range(len(S)):
             tt = S.mul(S.inv(t), t)
-            w = S.mul_all(S.inv(t), S.inv(s), s, t)
-            c1 = S.mul_all(S.inv(s), s, t) == t
+            w = mul_all(S, S.inv(t), S.inv(s), s, t)
+            c1 = mul_all(S, S.inv(s), s, t) == t
             c2 = tt == w
             c3 = tt == S.mul(tt, w)
             if not (c1 == c2 == c3):
@@ -903,9 +908,11 @@ def gelfand_indicator(S):
 
 
 def gelfand_check_loops(S):
-    """``matrixrep.gelfand_check`` as a loop over pairs of idempotents with
-    ``d_set`` and a Bareiss rank of the indicator matrix, the loop it
-    replaced."""
+    """The finite Gelfand picture for E(S): e -> the indicator of D(e) is
+    multiplicative and of full rank |E|, and the regular representation of
+    E(S) is diagonal with those indicators, under the principal-filter
+    bijection; a loop over pairs of idempotents with ``d_set`` and a
+    Bareiss rank of the indicator matrix."""
     import numpy as np
 
     from germoid.spectra import enumerate_filters
@@ -964,14 +971,14 @@ def principal_downset(P, x):
 def check_ks_condition_by_sets(phi):
     """The KS certificates set by set: each corner eSf as a sub-poset and
     each preimage {s in eSf : phi(s) <= t} through ``downset_generators``."""
-    from helpers import natural_leq
+    from helpers import mul_all, natural_leq
 
     S, T = phi.source, phi.target
     PS = Poset.of_semigroup(S)
     certs = {}
     for e in S.idempotents:
         for f in S.idempotents:
-            corner = sorted({S.mul_all(e, s, f) for s in range(len(S))})
+            corner = sorted({mul_all(S, e, s, f) for s in range(len(S))})
             sub = Poset(corner, PS.leq)
             for t in range(len(T)):
                 pre = {s for s in corner if natural_leq(T, phi(s), t)}
@@ -1171,9 +1178,11 @@ def semigroup_json(S):
 
 def is_locally_idempotent_pure_loops(phi):
     """phi restricted to each local monoid eSe is idempotent pure."""
+    from helpers import mul_all
+
     S, T = phi.source, phi.target
     for e in S.idempotents:
-        local = {S.mul_all(e, s, e) for s in range(len(S))}
+        local = {mul_all(S, e, s, e) for s in range(len(S))}
         for x in local:
             if T.is_idempotent(phi(x)) and not S.is_idempotent(x):
                 return False
@@ -1184,7 +1193,8 @@ def semilattice_check_loops(elements, meet_table):
     """The meet-semilattice check of a table on the ids ``elements``, pair
     by pair: ``("ok", "")`` or the error type and message of the first
     failing pair, where meet(e, f) = meet(f, e) and
-    meet(e, meet(e, f)) = meet(e, f) are checked in that order."""
+    meet(e, meet(e, f)) = meet(e, f) are checked in that order; then
+    meet(e, e) = e for every e and associativity for every triple."""
     pos = {e: i for i, e in enumerate(elements)}
     for e in elements:
         for f in elements:
@@ -1195,6 +1205,12 @@ def semilattice_check_loops(elements, meet_table):
                 return "UnknownElement", f"{ef} is not in the semilattice"
             if meet_table[pos[e]][pos[ef]] != ef:
                 return "InvalidParams", "table is not a meet semilattice"
+
+    def meet(e, f):
+        return meet_table[pos[e]][pos[f]]
+    for e, f, g in product(elements, repeat=3):
+        if meet(e, e) != e or meet(meet(e, f), g) != meet(e, meet(f, g)):
+            return "InvalidParams", "table is not a meet semilattice"
     return "ok", ""
 
 
@@ -1303,13 +1319,15 @@ def is_ideal_loops(S, I):
 def proper_ideals_loops(S):
     """All non-empty proper ideals: the principal ideals {s} u Ss u sS u SsS
     closed under union."""
+    from helpers import mul_all
+
     n = len(S)
     principal = set()
     for s in range(n):
         J = {s}
         J |= {S.mul(x, s) for x in range(n)}
         J |= {S.mul(s, x) for x in range(n)}
-        J |= {S.mul_all(x, s, y) for x in range(n) for y in range(n)}
+        J |= {mul_all(S, x, s, y) for x in range(n) for y in range(n)}
         principal.add(frozenset(J))
     ideals = set(principal)
     frontier = set(principal)

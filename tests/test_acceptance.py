@@ -312,7 +312,7 @@ def test_criterion_7_order_and_invariance_properties(named_eunitary, random_corp
             fiber = [s for s in range(len(S)) if phi(s) == t]
             u = next(u for u in fiber
                      if all(helpers.natural_leq(S, s, u) for s in fiber))
-            assert cert.generators == (S.mul_all(e, u, f),)
+            assert cert.generators == (helpers.mul_all(S, e, u, f),)
             f_checked += 1
     _line(7, True,
           f"meets agree on {pairs} sigma-pairs; {faithful_checked} faithful "

@@ -297,7 +297,7 @@ class TestReductionIso:
             J = {s}
             J |= {S.mul(x, s) for x in range(n)}
             J |= {S.mul(s, x) for x in range(n)}
-            J |= {S.mul_all(x, s, y) for x in range(n) for y in range(n)}
+            J |= {helpers.mul_all(S, x, s, y) for x in range(n) for y in range(n)}
             return sorted(J)
 
         for S in random_eunitary[:8]:
@@ -494,7 +494,7 @@ class TestLocallyCoherentCertificateConstruction:
                        if helpers.natural_leq(T, phi(s), f)}
                 gens = oracles.downset_generators(P, pre).generators
                 for e in S.idempotents:
-                    eis = {S.mul_all(e, S.inv(si), si) for si in gens}
+                    eis = {helpers.mul_all(S, e, S.inv(si), si) for si in gens}
                     closure = {x for ei in eis for x in S.idempotents
                                if helpers.natural_leq(S, x, ei)}
                     target = {x for x in S.idempotents

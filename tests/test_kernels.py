@@ -1077,17 +1077,6 @@ def test_intertwiner_u_matches_loops(eunitary):
                               oracles.intertwiner_u_loops(S, sigma))
 
 
-@EXAMPLES
-@given(data=st.data())
-def test_check_rep_conditions_matches_loops(semigroups, data):
-    # the raw constructor takes a mutated table unchecked: both sides then
-    # evaluate the same products on a table that need not be associative
-    S = data.draw(st.sampled_from(semigroups), label="S")
-    T = sg.InvSemigroup(S.names, mutated_table(data, S), S.zero,
-                        np.array(S.star))
-    assert mr.check_rep_conditions(T) == oracles.check_rep_conditions_loops(T)
-
-
 @pytest.fixture(scope="module")
 def intertwining_inputs(eunitary):
     out = []
@@ -1137,68 +1126,12 @@ def test_check_intertwining_needs_an_isometry():
     assert not oracles.check_intertwining_dense(*dense_inputs(u, l, a))
 
 
-def gelfand_outcome(check, S):
-    """The verdict of ``check(S)``, or the error type and message it raises."""
-    verdicts = []
-    return outcome(lambda: verdicts.append(check(S))), verdicts
-
-
-def test_gelfand_check_matches_loops(corpus, random_eunitary):
-    for S in list(corpus.values()) + random_eunitary:
-        assert mr.gelfand_check(S) == oracles.gelfand_check_loops(S) is True
-
-
 def test_gelfand_indicator_has_full_bareiss_rank(corpus):
-    # the rank the docstring of gelfand_check derives from the order
+    # the rank that follows from the natural order: the indicator matrix,
+    # listed along a linear extension, is unitriangular
     for S in corpus.values():
         ind = oracles.gelfand_indicator(S)
         assert oracles.integer_rank(ind) == len(S.idempotents) == len(ind)
-
-
-@EXAMPLES
-@given(data=st.data())
-def test_gelfand_check_of_a_mutated_idempotent_table_matches_loops(
-        semigroups, data):
-    # the raw constructor takes the table unchecked; setting e f and f e
-    # together keeps the meet table commutative, so the check can get past
-    # the semilattice's to multiplicativity and the order
-    S = data.draw(st.sampled_from(semigroups), label="S")
-    E = S.idempotents
-    e = data.draw(st.sampled_from(E), label="e")
-    f = data.draw(st.sampled_from(E), label="f")
-    value = data.draw(st.sampled_from(E) | st.integers(0, len(S) - 1),
-                      label="value")
-    table = np.array(S.table)
-    table[e, f] = value
-    if data.draw(st.booleans(), label="both"):
-        table[f, e] = value
-    T = sg.InvSemigroup(S.names, table, S.zero, np.array(S.star))
-    assert gelfand_outcome(mr.gelfand_check, T) == \
-        gelfand_outcome(oracles.gelfand_check_loops, T)
-
-
-def commutative_bands(k):
-    """Every table on k idempotents that passes ``Semilattice``: commutative,
-    with e (e f) = e f, associative or not."""
-    pairs = list(itertools.combinations(range(k), 2))
-    for values in itertools.product(range(k), repeat=len(pairs)):
-        table = np.diag(np.arange(k))
-        for (e, f), v in zip(pairs, values):
-            table[e, f] = table[f, e] = v
-        if (table[np.arange(k)[:, None], table] == table).all():
-            yield table
-
-
-@pytest.mark.parametrize("k", [3, 4])
-def test_gelfand_check_of_a_nonassociative_meet_matches_loops(k):
-    seen = set()
-    for table in commutative_bands(k):
-        T = sg.InvSemigroup([str(e) for e in range(k)], table, None,
-                            np.arange(k))
-        got = gelfand_outcome(mr.gelfand_check, T)
-        assert got == gelfand_outcome(oracles.gelfand_check_loops, T), table
-        seen.add(oracles.first_nonassociative_triple(table) is None)
-    assert seen == {True, False}
 
 
 # -- centers ------------------------------------------------------------------------------
@@ -1511,6 +1444,13 @@ def test_semilattice_rejects_a_table_of_the_wrong_shape():
         sp.Semilattice([0, 1], [[0, 0], [0, 1], [1, 1]])
     with pytest.raises(errors.InvalidParams):
         sp.Semilattice([0, 1, 2], [[0, 0], [0, 1]])
+    # rock-paper-scissors: commutative, with e (e f) = e f, yet
+    # (0 ^ 1) ^ 2 = 2 and 0 ^ (1 ^ 2) = 0
+    rps = [[0, 0, 2], [0, 1, 1], [2, 1, 2]]
+    with pytest.raises(errors.InvalidParams, match="not a meet semilattice"):
+        sp.Semilattice([0, 1, 2], rps)
+    assert oracles.semilattice_check_loops([0, 1, 2], rps) == \
+        ("InvalidParams", "table is not a meet semilattice")
 
 
 def test_is_zero_e_unitary_matches_loops(semigroups):
@@ -1678,7 +1618,7 @@ def test_is_ideal_matches_loops(semigroups, data):
     S = data.draw(st.sampled_from(semigroups), label="S")
     if data.draw(st.booleans(), label="principal"):
         s = data.draw(st.integers(0, len(S) - 1), label="s")
-        I = {S.mul_all(x, s, y) for x in range(len(S)) for y in range(len(S))}
+        I = {helpers.mul_all(S, x, s, y) for x in range(len(S)) for y in range(len(S))}
     else:
         I = data.draw(st.sets(st.integers(0, len(S) - 1)), label="I")
     if data.draw(st.booleans(), label="toggle"):
@@ -1949,35 +1889,6 @@ def test_groupoid_functor_reports_a_lost_identity(functors):
     assert cases > 50
 
 
-def swapped_images(data, F):
-    """F's maps with two arrow images swapped, within one hom-set of the
-    target or anywhere, or a source or target table changed at one pair."""
-    src, tgt, unit_map, arrow_map = mutated_functor(data, F) if \
-        data.draw(st.booleans(), label="mutate") else \
-        (F.source, F.target, list(F.unit_map), list(F.arrow_map))
-    if data.draw(st.booleans(), label="swap") and src.n_arrows > 1:
-        moves = hom_set_moves(F)
-        if moves and data.draw(st.booleans(), label="in a hom-set"):
-            a, h = data.draw(st.sampled_from(moves), label="move")
-            b = arrow_map.index(h) if h in arrow_map else a
-        else:
-            a, b = data.draw(st.lists(st.integers(0, src.n_arrows - 1), min_size=2,
-                                      max_size=2, unique=True), label="pair")
-        arrow_map[a], arrow_map[b] = arrow_map[b], arrow_map[a]
-    return gpd.GroupoidFunctor(src, tgt, tuple(unit_map), tuple(arrow_map))
-
-
-@EXAMPLES
-@given(data=st.data())
-def test_algebra_map_from_functor_matches_loops(functors, data):
-    F = swapped_images(data, data.draw(st.sampled_from(functors), label="F"))
-    expect = outcome(oracles.algebra_map_from_functor_loops, F)
-    assert outcome(mr.algebra_map_from_functor, F) == expect
-    if expect == ("ok", ""):
-        assert np.array_equal(mr.algebra_map_from_functor(F),
-                              oracles.algebra_map_from_functor_loops(F))
-
-
 def test_algebra_maps_of_the_isomorphisms_match_loops(functors):
     bijective = [F for F in functors if F.source.n_arrows == F.target.n_arrows
                  and len(set(F.arrow_map)) == F.source.n_arrows
@@ -1986,15 +1897,17 @@ def test_algebra_maps_of_the_isomorphisms_match_loops(functors):
     assert len(bijective) > 20
     lost = 0
     for F in bijective:
-        assert np.array_equal(mr.algebra_map_from_functor(F),
-                              oracles.algebra_map_from_functor_loops(F))
+        # the basis relabeling: column a holds its one 1 in row F(a)
+        assert np.array_equal(oracles.algebra_map_from_functor_loops(F),
+                              np.eye(F.source.n_arrows, dtype=np.int64)[
+                                  list(F.arrow_map)].T)
         # a target whose inverses are rolled by one keeps every product
         tgt = F.target
         rolled = gpd.GroupoidFunctor(F.source, gpd.FiniteGroupoid(
             tgt.unit_labels, tgt.dom, tgt.ran, tgt.products,
             np.roll(tgt.inv, 1), tgt.identity), F.unit_map, F.arrow_map)
         expect = outcome(oracles.algebra_map_from_functor_loops, rolled)
-        assert outcome(mr.algebra_map_from_functor, rolled) == expect
+        assert expect in (("ok", ""), ("NotAFunctor", "involution not preserved"))
         lost += expect == ("NotAFunctor", "involution not preserved")
     assert lost > 10
 

@@ -1,8 +1,9 @@
 """Planted defects for the verify suites: each suite's verdict must turn to a
 failure, with its witness and exit code 1, when the one computation it rests
 on is broken.  ``main1reduced`` rests on ``matrixrep.intertwines`` alone,
-since the order conditions of ``check_rep_conditions`` hold in every inverse
-semigroup and are not checked.  ``main1`` rests on the functor checks of
+since the three order conditions behind the intertwining identity hold in
+every inverse semigroup (the proof is in ``verify_intertwining``'s
+docstring) and are not checked.  ``main1`` rests on the functor checks of
 Psi, the inverse of Phi.  The universal groupoid read off the table is born
 validated: a product swapped in it is caught by the functors into it and
 the groupoids built through it, in ``main1``, ``equiv`` and ``ks``."""

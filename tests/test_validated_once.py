@@ -1,16 +1,18 @@
 """Each distinct input validated once per ``validated_once`` scope: a twin
 groupoid equal in every array and in its composition adopts the checks,
 pairs, products and generators of the groupoid validated first; an S-action,
-partial group action, space action or functor exactly equal to one that
-passed skips its checks; anything else is validated in full, with the
-witness it gets outside a scope.  Also: a space action that passed
+partial group action or functor exactly equal to one that passed skips its
+checks; anything else, and every space action, is validated in full, with
+the witness it gets outside a scope.  Also: a space action that passed
 ``validate_space_action`` is not checked again by ``semidirect_product``,
 and two ``germ_groupoid`` builds of one action are equal; a twin S-action
 shares the anchors of the one that passed, so a verify run computes them
-once per semigroup and maps."""
+once per semigroup and maps; and every kind the scope looks up adopts
+something over the verify runs of the benchmark's fixtures."""
 
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -268,7 +270,10 @@ def kinds(S, g):
     }
 
 
-KINDS = ("saction", "partial", "space", "functor")
+# the kinds with a twin path, and with them the space actions, which have
+# none and are checked in full: the checked-in-full cases run on all four
+KINDS = ("saction", "partial", "functor")
+CHECKED = ("saction", "partial", "space", "functor")
 
 
 def spy_on(monkeypatch, target):
@@ -308,15 +313,13 @@ def test_an_equal_input_skips_the_checks(S, g, kind, monkeypatch):
         twin = validate(np.array(array))
         assert len(full) == 1
     assert twin is not first
-    if kind == "space":
-        assert twin.validated
-    elif kind == "functor":
+    if kind == "functor":
         assert twin.arrow_map == first.arrow_map and twin.unit_map == first.unit_map
     else:
         assert np.array_equal(twin.maps, first.maps)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", CHECKED)
 def test_an_equal_input_over_equal_but_other_objects_is_checked_in_full(
         S, g, kind, monkeypatch):
     # keys hold the identity of S, G or the groupoids' index and products,
@@ -351,7 +354,7 @@ def test_a_space_action_over_a_groupoid_sharing_only_its_products_is_checked(
     assert len(full) == 2
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", CHECKED)
 def test_no_twin_is_taken_outside_a_scope(S, g, kind, monkeypatch):
     target, array, validate = kinds(S, g)[kind]
     full = spy_on(monkeypatch, target)
@@ -364,7 +367,7 @@ def test_no_twin_is_taken_outside_a_scope(S, g, kind, monkeypatch):
     assert len(full) == 4
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", CHECKED)
 def test_an_input_one_entry_off_is_checked_in_full(S, g, kind):
     _, array, validate = kinds(S, g)[kind]
     copies = one_entry_off(array)
@@ -375,7 +378,7 @@ def test_an_input_one_entry_off_is_checked_in_full(S, g, kind):
         assert [outcome(validate, copy) for copy in copies] == expect
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", CHECKED)
 def test_a_failing_input_enters_no_scope(S, g, kind):
     _, array, validate = kinds(S, g)[kind]
     bad = one_entry_off(array)[0]
@@ -689,3 +692,57 @@ def test_an_saction_not_equal_to_one_converted_is_converted_again(
         assert len(checked) == 3
         assert germs.gspace_from_saction(cases[0]())[0] is not ga
     assert germs.gspace_from_saction(beta)[0] is not ga     # no open scope
+
+
+# -- what each kind adopts over verify runs ----------------------------------------------
+
+def census_fixtures():
+    """The six presets, CHAIN8 x Z16 and B(Z4, 4): the fixtures of the
+    benchmark's verify workloads, less its random draws."""
+    return [make() for make in fx.PRESETS.values()] + [
+        fx.direct_product(fx.chain(8), fx.cyclic_group(16)),
+        fx.brandt(fx.cyclic_group(4), 4)]
+
+
+def scope_kind(key) -> str:
+    """The kind of a scope key: its leading tag, or ``groupoid`` for the
+    key of a groupoid, which leads with its unit count."""
+    return key[0] if isinstance(key[0], str) else "groupoid"
+
+
+def test_every_kind_adopts_in_the_verify_runs(tmp_path, capsys, monkeypatch):
+    # per kind: lookups of the scope, and checks that passed (its entries;
+    # for groupoids, the check_laws calls, as born-validated builds enter
+    # the scope unlooked-up).  A kind whose every lookup is followed by a
+    # check adopts nothing, and its lookup is dead code
+    looked, passed = Counter(), Counter()
+    twins, enter, laws = gpd.scope_twins, gpd.scope_enter, gpd.check_laws
+
+    def spy_twins(key):
+        if key is not None and gpd._twins.get() is not None:
+            looked[scope_kind(key)] += 1
+        return twins(key)
+
+    def spy_enter(key, entry):
+        if key is not None and gpd._twins.get() is not None and \
+                scope_kind(key) != "groupoid":
+            passed[scope_kind(key)] += 1
+        return enter(key, entry)
+
+    def spy_laws(g):
+        passed["groupoid"] += 1
+        return laws(g)
+    for mod in (gpd, germs, pa):
+        monkeypatch.setattr(mod, "scope_twins", spy_twins)
+        monkeypatch.setattr(mod, "scope_enter", spy_enter)
+    monkeypatch.setattr(gpd, "check_laws", spy_laws)
+    for S in census_fixtures():
+        path = tmp_path / f"{S.name}.json"
+        path.write_text(S.to_json())
+        assert cli.main(["verify", "--suite", "all", str(path)]) == 0
+    capsys.readouterr()
+    census = {kind: (looked[kind], passed[kind]) for kind in looked}
+    assert {"functor", "saction", "partial", "gspace", "universal",
+            "groupoid"} <= set(census), census
+    idle = sorted(kind for kind, (n, k) in census.items() if n <= k)
+    assert idle == [], census
