@@ -20,12 +20,10 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
     GroupoidSpaceAction,
-    enter_proved,
+    born_validated,
     groupoid_functor,
     middle_arrows,
     reduction,
-    scope_enter,
-    scope_twins,
     semidirect_product,
     validate_groupoid,
     validate_space_action,
@@ -60,7 +58,9 @@ class SAction:
         self.point_labels = tuple(point_labels)
         self.maps = np.asarray(maps, dtype=np.int64)
         self.maps.setflags(write=False)
+        self.validated = False      # set once validate_saction passes
         self._anchor = None         # memo of anchor_idempotents
+        self._gspace = {}           # memo of gspace_from_saction, per flag
 
     @property
     def n_points(self):
@@ -74,11 +74,15 @@ class SAction:
         return frozenset(int(x) for x in np.flatnonzero(self.maps[s] >= 0))
 
     def restrict(self, subset, check_invariant=True) -> "SAction":
-        """Restriction to an invariant point subset (re-indexed)."""
+        """Restriction to an invariant point subset (re-indexed).  The
+        restriction of a validated action to a subset checked invariant is
+        validated: its maps are the old ones on the subset, so each law
+        holds there, and every point keeps an idempotent's domain."""
         subset, sub = restrict_maps(self.maps, subset, check_invariant)
         act = SAction(self.semigroup,
                       [self.point_labels[x] for x in subset], sub)
         act.parent_points = tuple(subset.tolist())
+        act.validated = self.validated and check_invariant
         return act
 
 
@@ -142,22 +146,12 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
     Light's test, on the maps in the narrowest integer type that holds
     them and on their transpose.  Only when it fails does
     :func:`~germoid.semigroups.first_failing_product` scan all pairs for
-    the first (s, t) at which the two sides differ.
-
-    Inside a :func:`~germoid.groupoids.validated_once` scope, maps exactly
-    equal to those of an action of the same S that passed there give a new
-    action unchecked.  It shares the passing action's memo of
-    :func:`anchor_idempotents`, which depends only on S and the maps.
+    the first (s, t) at which the two sides differ.  The action returned
+    is marked ``validated``.
     """
     action = SAction(S, point_labels, np.asarray(maps))
     n, m = len(S), action.n_points
     maps = action.maps
-    key = ("saction", id(S), maps.shape, m)
-    twin = next((t for t in scope_twins(key) if np.array_equal(maps, t.maps)),
-                None)
-    if twin is not None:
-        action._anchor = twin._anchor       # a function of S and the maps
-        return action
     if maps.shape != (n, m):
         raise errors.InvalidParams("need one partial map per semigroup element")
     out_of_range = ((maps >= m) | (maps < -1)).any(axis=1)
@@ -185,7 +179,7 @@ def validate_saction(S: InvSemigroup, point_labels, maps) -> SAction:
     covered = (maps[list(S.idempotents)] >= 0).any(axis=0)
     if not covered.all():
         raise errors.DomainsDontCover(int(np.flatnonzero(~covered)[0]))
-    scope_enter(key, action)
+    action.validated = True
     return action
 
 
@@ -374,13 +368,26 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     establishes.  So the class of (s, x) is keyed by (s m_x, x), at
     O(|S| |X|) cost.
 
-    Each call derives the arrays and validates the groupoid: inside a
-    :func:`~germoid.groupoids.validated_once` scope where an equal one has
-    passed, that is the twin check.
+    For an action that passed :func:`validate_saction` (or a restriction of
+    one, :meth:`SAction.restrict`) of a validated S, the groupoid is born
+    validated (Exel, *Inverse semigroups and combinatorial C*-algebras*,
+    2008, section 4); any other is checked in full.  Its laws follow from
+    S's and the action's.  The anchors are equivariant,
+    m_{theta_t(y)} t m_y = t m_y: y lies in dom theta_e for the idempotent
+    e = t* m_{theta_t(y)} t, so m_y <= e and t m_y = t e m_y = m_{theta_t(y)}
+    t m_y.  So [s, theta_t(y)][t, y] = [st, y] depends only on the classes:
+    st m_y = s m_{theta_t(y)} t m_y.  It is an arrow from y, as y lies in
+    dom theta_s theta_t = dom theta_st, to theta_st(y) = theta_s(theta_t(y));
+    associativity is S's.  [m_x, x] is an arrow, as the idempotent domains
+    cover X, and the identity at x, as s m_x m_x = s m_x and
+    m_{theta_s(x)} s m_x = s m_x.  [s*, theta_s(x)][s, x] = [s*s, x] =
+    [m_x, x], as x in dom theta_{s*s} gives m_x <= s*s, and
+    [s, x][s*, theta_s(x)] = [m_{theta_s(x)}, theta_s(x)] likewise.
     """
-    return validate_groupoid(GermGroupoid(
-        action, name=name or f"{action.semigroup.name}|germs",
-        **_germ_arrays(action)))
+    g = GermGroupoid(action, name=name or f"{action.semigroup.name}|germs",
+                     **_germ_arrays(action))
+    proved = action.validated and action.semigroup.validated
+    return validate_groupoid(born_validated(g) if proved else g)
 
 
 def _germ_arrays(action: SAction) -> dict:
@@ -426,36 +433,33 @@ def universal_groupoid(S: InvSemigroup, contracted=False) -> GermGroupoid:
     numbers the arrows by it, so the arrays are exactly the same.  Its laws are
     S's: associativity is the table's, which Light's test proved; the
     endpoints of t u are u*t*t u = u*u and t u u*t* = t t*; t t*t = t gives
-    the identity and inverse laws.  So, for a ``validated`` S, it enters
-    the scope by :func:`~germoid.groupoids.enter_proved`, and a germ
-    groupoid of beta built there is compared with it as a twin; for S from
-    the raw constructor it is checked in full.
+    the identity and inverse laws.  So, for a ``validated`` S, it is born
+    validated; for S from the raw constructor it is checked in full.
 
-    Inside a :func:`~germoid.groupoids.validated_once` scope it is built
-    once per semigroup object and flag: a later call returns the groupoid
-    built there, through :func:`~germoid.groupoids.validate_groupoid`,
-    which returns a validated groupoid as it is.  Outside a scope every
-    call builds.
+    It is memoized on S, one per flag, once it passes.  Every call passes
+    it through :func:`~germoid.groupoids.validate_groupoid`, which returns
+    a validated groupoid as it is.
     """
     contracted = bool(contracted)
     if contracted and S.zero is None:
         raise errors.ContractedWithoutZero(S.name)
-    key = ("universal", id(S), contracted)
-    built = scope_twins(key)
-    if built:
-        return validate_groupoid(built[0])
-    tag = "c" if contracted else "u"
-    g = UniversalGroupoid(S, enumerate_filters(S, contracted), name=f"G({S.name},{tag})")
-    g = validate_groupoid(enter_proved(g) if S.validated else g)
-    scope_enter(key, g)
+    g = S._universal.get(contracted)
+    if g is None:
+        tag = "c" if contracted else "u"
+        g = UniversalGroupoid(S, enumerate_filters(S, contracted),
+                              name=f"G({S.name},{tag})")
+        g.validated = S.validated
+    S._universal[contracted] = validate_groupoid(g)
     return g
 
 
 def tight_groupoid(S: InvSemigroup) -> GermGroupoid:
     """Germ groupoid of the action restricted to the tight spectrum.
 
-    Agrees arrow-for-arrow with the reduction of the contracted universal
-    groupoid to the tight units; a mismatch raises
+    The action is the restriction of beta to the tight filters, which are
+    invariant, so the groupoid is born validated.  It agrees arrow-for-arrow
+    with the reduction of the contracted universal groupoid to the tight
+    units; a mismatch raises
     :class:`~germoid.errors.InvariantViolation` with the first differing
     arrow.
     """
@@ -528,22 +532,16 @@ def gspace_from_saction(action: SAction, contracted=None):
     """Equip the point set of an S-action with its universal-groupoid action.
 
     The anchor sends x to the (principal) filter {e : x in X_e}; the arrow
-    [s, p(x)] acts as theta_s.  Returns ``(GroupoidSpaceAction, GermGroupoid)``.
-
-    Inside a :func:`~germoid.groupoids.validated_once` scope, an action of
-    the same semigroup object with exactly equal maps and point labels,
-    converted there under the same flag, gives the pair that conversion
-    returned: the result depends on nothing else.
+    [s, p(x)] acts as theta_s.  Returns ``(GroupoidSpaceAction, GermGroupoid)``,
+    memoized on the action, one per flag, once the space action passes.
     """
     S = action.semigroup
     if contracted is None:
         contracted = S.zero is not None and not action.domain(S.zero)
+    contracted = bool(contracted)
     g = universal_groupoid(S, contracted=contracted)
-    key = ("gspace", id(S), bool(contracted), action.maps.shape)
-    for twin, pair in scope_twins(key):
-        if twin.point_labels == action.point_labels and \
-                np.array_equal(twin.maps, action.maps):
-            return pair
+    if contracted in action._gspace:
+        return action._gspace[contracted]
     space = g.space
     m_of = anchor_idempotents(action)
     points = np.arange(action.n_points)
@@ -560,12 +558,20 @@ def gspace_from_saction(action: SAction, contracted=None):
             "anchored point outside the domain of a representative")
     ga = validate_space_action(
         GroupoidSpaceAction(g, action.point_labels, anchor, act))
-    scope_enter(key, (action, (ga, g)))
+    action._gspace[contracted] = ga, g
     return ga, g
 
 
 def saction_from_gspace(gaction: GroupoidSpaceAction) -> SAction:
-    """The S-action rho_s(x) = [s, p(x)] x underlying a universal-groupoid space."""
+    """The S-action rho_s(x) = [s, p(x)] x underlying a universal-groupoid
+    space, validated."""
+    maps = underlying_maps(gaction)
+    return validate_saction(gaction.groupoid.semigroup, gaction.point_labels, maps)
+
+
+def underlying_maps(gaction: GroupoidSpaceAction) -> np.ndarray:
+    """The maps of :func:`saction_from_gspace`, not yet validated:
+    ``maps[s, x]`` is [s, p(x)] x where p(x) lies in D(s*s), else -1."""
     g = gaction.groupoid
     if not isinstance(g, GermGroupoid):
         raise errors.WrongGroupoid("expected a groupoid of germs")
@@ -577,7 +583,7 @@ def saction_from_gspace(gaction: GroupoidSpaceAction) -> SAction:
     s, x = np.nonzero(below(S, np.arange(len(S))[:, None], mins[None, :]))  # p(x) in D(s*s)
     maps = np.full((len(S), len(anchor)), -1, dtype=np.int64)
     maps[s, x] = gaction.act[g.germ(s, anchor[x]), x]
-    return validate_saction(S, gaction.point_labels, maps)
+    return maps
 
 
 def verify_equiv_roundtrip(action: SAction):
@@ -586,11 +592,16 @@ def verify_equiv_roundtrip(action: SAction):
     Both composites must be identities, and the germ groupoid of the action
     must be isomorphic to the semidirect product of the universal groupoid
     with the point set, via [s, x] -> ([s, p(x)], x).  Returns (ok, functor).
+
+    Maps of the way back that equal those of a validated action are that
+    action; any others are validated, so that a broken image is named.
     """
     from .groupoids import verify_isomorphism
 
     ga, g = gspace_from_saction(action)
-    back = saction_from_gspace(ga)
+    maps = underlying_maps(ga)
+    back = action if action.validated and np.array_equal(maps, action.maps) \
+        else validate_saction(action.semigroup, ga.point_labels, maps)
     if not np.array_equal(back.maps, action.maps):
         return False, None
     germ = germ_groupoid(action)

@@ -9,8 +9,6 @@ and that is checked exhaustively.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import itertools
 import json
@@ -39,7 +37,8 @@ class FiniteGroupoid:
     """
 
     germ_reps = None        # per arrow its germ (s, x), in groupoids of germs
-    generators = None       # Light's middle arrows, once validate_groupoid passes
+    generators = None       # Light's middle arrows, once validate_groupoid passes;
+                            # none on a groupoid born validated by its builder
 
     def __init__(self, unit_labels, dom, ran, products, inv, identity,
                  arrow_labels=None, name="G"):
@@ -51,7 +50,8 @@ class FiniteGroupoid:
         if arrow_labels:
             self.arrow_labels = tuple(arrow_labels)
         self.name = name
-        self.validated = False     # set once validate_groupoid passes
+        self.validated = False     # set once validate_groupoid passes, or by
+                                   # a builder that proved the laws
         self._products = products
         for arr in (self.dom, self.ran, self.inv, self.identity):
             arr.setflags(write=False)
@@ -75,8 +75,8 @@ class FiniteGroupoid:
 
     @functools.cached_property
     def _index(self) -> tuple:
-        """``by_ran``, ``composable_pairs`` and ``offsets``, read-only, as a
-        twin shares them; endpoints in range."""
+        """``by_ran``, ``composable_pairs`` and ``offsets``, read-only;
+        endpoints in range."""
         by_ran = order, count, start = end_index(self.ran, self.n_units)
         counts, b = arrows_at(self.dom, by_ran)
         a = np.repeat(np.arange(self.n_arrows), counts)
@@ -322,63 +322,6 @@ def check_laws(g: FiniteGroupoid) -> None:
         raise errors.MissingInverse(_first(~good))
 
 
-# the scope of validated_once: per key, the objects that passed there, or None
-_twins = contextvars.ContextVar("validated_twins", default=None)
-
-
-@contextlib.contextmanager
-def validated_once():
-    """A scope in which each distinct input of :func:`validate_groupoid`,
-    :func:`groupoid_functor`, ``germs.validate_saction`` and
-    ``partial_actions.validate_partial_action`` is checked once; the outer
-    scope, or none, is restored on exit.  :func:`validate_space_action` is
-    not among them: the scope's ``gspace_from_saction`` memo already
-    returns every repeat before the space check.
-
-    An input is keyed by the ``id`` of the validated objects it reads, a
-    semigroup, a group or a groupoid's ``products`` (which only twins
-    share), and by the shapes of its own arrays.  The scope holds every
-    object that passed, so no such id is reused while it is open.  A later
-    input under the same key is a twin when its arrays are exactly equal
-    (``np.array_equal``) to one that passed; it skips the checks.  Nothing
-    that fails enters the scope.
-
-    A groupoid whose laws its builder proved enters the scope by
-    :func:`enter_proved`, as one that passed.  Two constructions are
-    adopted from what the scope already holds: ``germs.universal_groupoid``
-    builds one groupoid per semigroup object and flag, and
-    ``germs.gspace_from_saction`` converts one S-action per semigroup
-    object, maps and point labels."""
-    token = _twins.set({})
-    try:
-        yield
-    finally:
-        _twins.reset(token)
-
-
-def scope_twins(key) -> list:
-    """What passed under ``key`` in the current :func:`validated_once`
-    scope, in order; empty outside one or for the key None."""
-    twins = _twins.get()
-    return [] if twins is None or key is None else twins.get(key, [])
-
-
-def scope_enter(key, entry) -> None:
-    """Record ``entry``, which passed its checks, under ``key`` in the
-    current :func:`validated_once` scope, if there is one and the key is
-    not None."""
-    twins = _twins.get()
-    if twins is not None and key is not None:
-        twins.setdefault(key, []).append(entry)
-
-
-def _twin_key(g: FiniteGroupoid) -> tuple:
-    """The scope key of a groupoid: its unit count and the bytes of its
-    ``dom``, ``ran``, ``inv`` and ``identity``."""
-    return (g.n_units, g.dom.tobytes(), g.ran.tobytes(), g.inv.tobytes(),
-            g.identity.tobytes())
-
-
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     """Exhaustive check of the groupoid axioms; raises on any failure.
 
@@ -397,13 +340,8 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     middle one: a crossover measured on the benchmark corpus.  A groupoid
     that passes keeps its middle arrows as the mask ``generators``.
 
-    A groupoid that has passed, or that :func:`enter_proved` marked, whose
-    arrays are read-only, is returned as it is.  Inside a
-    :func:`validated_once` scope, a twin of a groupoid that passed there,
-    equal in its units, ``dom``, ``ran``, ``inv`` and ``identity``, so in
-    its composable pairs, and in its ``products``, passes with the twin's
-    read-only pairs, products and generators; any other groupoid is checked
-    in full, and enters the scope if it passes.
+    A groupoid that has passed, or that :func:`born_validated` marked, is
+    returned as it is.
     """
     if g.validated:
         return g
@@ -412,15 +350,6 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     if len(g.ran) != n or len(g.inv) != n or len(g.identity) != n_units:
         raise errors.InvalidParams(
             "need one ran and inv entry per arrow and one identity per unit")
-    key = None
-    if _twins.get() is not None:
-        key = _twin_key(g)
-        for twin in scope_twins(key):
-            g._index = twin._index              # the same dom and ran
-            if np.array_equal(g.products, twin.products):
-                g.products, g.generators, g.validated = \
-                    twin.products, twin.generators, True
-                return g
     check_laws(g)
     # for a pair (a, b) the c run over the arrows into dom b: the j-th has
     # rank j, so bc and (ab)c are the pairs row_start[b] + j and
@@ -443,7 +372,6 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
         raise errors.CompositionNotAssociative(
             a, b, int(order[start[g.dom[b]] + j]))
     g.generators, g.validated = gens, True
-    scope_enter(key, g)
     return g
 
 
@@ -458,12 +386,13 @@ def middle_arrows(g: FiniteGroupoid) -> np.ndarray:
     return gens
 
 
-def enter_proved(g: FiniteGroupoid) -> FiniteGroupoid:
-    """Mark g validated, its laws being proved by its builder, and enter it
-    in the current :func:`validated_once` scope, if there is one, as a
-    groupoid that passed there: a twin of it is then adopted.  Returns g."""
+def born_validated(g: FiniteGroupoid) -> FiniteGroupoid:
+    """Mark g validated, its laws being proved by its builder (the proof is
+    in the builder's docstring), once it passes the size check that
+    :func:`validate_groupoid` makes.  It keeps no ``generators``, so the
+    space-action and functor checks over it scan every pair.  Returns g."""
+    check_size(g.n_arrows)
     g.validated = True
-    scope_enter(_twin_key(g) if _twins.get() is not None else None, g)
     return g
 
 
@@ -541,7 +470,12 @@ def groupoid_from_json(text: str | bytes, name="G") -> FiniteGroupoid:
 
 
 def reduction(g: FiniteGroupoid, unit_subset, name=None) -> FiniteGroupoid:
-    """Full subgroupoid on a unit subset: arrows with both endpoints inside."""
+    """Full subgroupoid on a unit subset: arrows with both endpoints inside.
+
+    The reduction of a validated g is born validated: its arrows are closed
+    under the product (dom ab = dom b and ran ab = ran a stay inside), the
+    inverse (which swaps the ends) and the identities of the kept units,
+    so its laws are g's, restricted.  It keeps no ``generators``."""
     units = np.array(sorted(set(int(u) for u in unit_subset)), dtype=np.int64)
     outside = (units < 0) | (units >= g.n_units)
     if outside.any():
@@ -562,6 +496,7 @@ def reduction(g: FiniteGroupoid, unit_subset, name=None) -> FiniteGroupoid:
         name=name or f"{g.name}|")
     red.parent_units = tuple(units.tolist())
     red.parent_arrows = tuple(arrows.tolist())
+    red.validated = g.validated
     return red
 
 
@@ -583,27 +518,18 @@ def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
     """Validate dom/ran/composition/identity preservation, each on all
     arrows, units or composable pairs with a product at once; the witness
     is the first failing arrow, unit, or pair (a, b) in lexicographic
-    order.  When both groupoids carry ``generators``, F(ab) = F(a)F(b) is
-    checked by :func:`first_failing_pair` first for b among the source's.  That
-    suffices: after the endpoint and identity checks, the b for which it
-    holds for all a include the identities, and, as both are associative,
-    are closed under composition: F(a(bb')) = F((ab)b') = F(ab)F(b') =
-    (F(a)F(b))F(b') = F(a)F(bb').
-
-    Inside a :func:`validated_once` scope, maps exactly equal to those of a
-    functor that passed there between the same groupoids or their twins
-    (keyed by their index and ``products``: a twin shares both) give a new
-    functor unchecked.
+    order.  When the source carries ``generators`` and the target is
+    validated, F(ab) = F(a)F(b) is checked by :func:`first_failing_pair`
+    first for b among the source's.  That suffices: after the endpoint and
+    identity checks, the b for which it holds for all a include the
+    identities, and, as both are associative, are closed under
+    composition: F(a(bb')) = F((ab)b') = F(ab)F(b') = (F(a)F(b))F(b') =
+    F(a)F(bb').
     """
     um = np.array(unit_map, dtype=np.int64)
     f = np.array(arrow_map, dtype=np.int64)
     if len(um) != src.n_units or len(f) != src.n_arrows:
         raise errors.NotAFunctor("maps must cover all units and arrows")
-    key = ("functor", id(src._index), id(src.products), id(tgt._index),
-           id(tgt.products), um.shape, f.shape) if src.validated and tgt.validated else None
-    if any(np.array_equal(um, u) and np.array_equal(f, a)
-           for u, a, _ in scope_twins(key)):
-        return GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
     ok = (f >= 0) & (f < tgt.n_arrows)
     bad = ~ok
     bad[ok] = (tgt.dom[f[ok]] != um[src.dom[ok]]) | (tgt.ran[f[ok]] != um[src.ran[ok]])
@@ -621,12 +547,10 @@ def groupoid_functor(src: FiniteGroupoid, tgt: FiniteGroupoid,
     start, place, products = row_start[f], rank[f], tgt.products
     bad = first_failing_pair(
         src, lambda a, b, ab: (ab >= 0) & (products[start[a] + place[b]] != f[ab]), 1,
-        None if tgt.generators is None else src.generators)
+        src.generators if tgt.validated else None)
     if bad is not None:
         raise errors.NotAFunctor(f"composition of {bad[0]}, {bad[1]} not preserved")
-    F = GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
-    scope_enter(key, (um, f, F))
-    return F
+    return GroupoidFunctor(src, tgt, tuple(um.tolist()), tuple(f.tolist()))
 
 
 def comparison_map(F: GroupoidFunctor) -> np.ndarray:
@@ -717,11 +641,7 @@ def validate_space_action(action: GroupoidSpaceAction) -> GroupoidSpaceAction:
     ``generators``.  That suffices: the groupoid passed validation, and
     the b for which it holds for all a and x include the identities once
     the identity check passes, and are closed under composition:
-    (a(bb'))x = ((ab)b')x = (ab)(b'x) = a(b(b'x)) = a((bb')x).
-
-    Every action is checked in full, inside a :func:`validated_once` scope
-    too: ``germs.gspace_from_saction``, which makes the actions a verify
-    run checks, returns a repeated conversion before it gets here."""
+    (a(bb'))x = ((ab)b')x = (ab)(b'x) = a(b(b'x)) = a((bb')x)."""
     h, m = action.groupoid, action.n_points
     anchor = np.asarray(action.anchor, dtype=np.int64)
     act = np.maximum(action.act, -1)
@@ -788,7 +708,14 @@ def action_groupoid(maps, product, inverse, unit_label, label_names,
 
 def semidirect_product(action: GroupoidSpaceAction, name=None) -> FiniteGroupoid:
     """H x X with d(h, x) = x, r(h, x) = hx and (g, hy)(h, y) = (gh, y);
-    an action that has not passed :func:`validate_space_action` is checked."""
+    an action that has not passed :func:`validate_space_action` is checked.
+
+    Over a validated H it is born validated, its laws being H's and the
+    action's: (g, hy)(h, y) asks dom g = p(hy) = ran h (the anchor is
+    equivariant), so gh is defined, dom gh = dom h = p(y) makes (gh, y) an
+    arrow, and its range (gh)y = g(hy) is that of (g, hy) (functoriality);
+    associativity is H's; (1_p(x), x) is the identity at x, as 1x = x; and
+    (h^-1, hx) is the inverse of (h, x), as h^-1(hx) = (h^-1 h)x = x."""
     if not action.validated:
         validate_space_action(action)
     h = action.groupoid
@@ -796,10 +723,11 @@ def semidirect_product(action: GroupoidSpaceAction, name=None) -> FiniteGroupoid
     # g h is asked for only where (g, hy) and (h, y) are arrows, so where
     # dom g = p(hy) = ran h: the pair row_start[g] + rank[h]
     (row_start, rank), products = h.offsets, h.products
-    return validate_groupoid(action_groupoid(
+    sd = action_groupoid(
         action.act, lambda k, l: products[row_start[k] + rank[l]], h.inv,
         h.identity[anchor], h.arrow_labels, action.point_labels,
-        name=name or f"{h.name}|X"))
+        name=name or f"{h.name}|X")
+    return validate_groupoid(born_validated(sd) if h.validated else sd)
 
 
 def semidirect_projection(sd: FiniteGroupoid, h: FiniteGroupoid) -> GroupoidFunctor:

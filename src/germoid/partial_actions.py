@@ -16,14 +16,13 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
     action_groupoid,
+    born_validated,
     connected_components,
     enveloping_action_of_functor,
     functor_report,
     groupoid_functor,
     is_faithful,
     reduction,
-    scope_enter,
-    scope_twins,
     semidirect_projection,
     validate_groupoid,
     verify_isomorphism,
@@ -61,6 +60,7 @@ class PartialGroupAction:
         self.point_labels = tuple(point_labels)
         self.maps = np.asarray(maps, dtype=np.int64)
         self.maps.setflags(write=False)
+        self.validated = False      # set once validate_partial_action passes
 
     @property
     def n_points(self):
@@ -86,17 +86,12 @@ def validate_partial_action(G: FiniteGroup, point_labels, maps) -> PartialGroupA
     Each law is checked for all group elements at once, the last one by
     :func:`~germoid.semigroups.first_failing_product`, which fails a pair
     (g, h) where theta(g) theta(h) is defined at a point and differs there
-    from theta(gh); the witness is the first failure in id order.  Inside a
-    :func:`~germoid.groupoids.validated_once` scope, maps exactly equal to
-    those of a partial action of the same G that passed there give a new
-    action unchecked.
+    from theta(gh); the witness is the first failure in id order.  The
+    action returned is marked ``validated``.
     """
     theta = PartialGroupAction(G, point_labels, np.asarray(maps))
     m = theta.n_points
     maps = theta.maps
-    key = ("partial", id(G), maps.shape, m)
-    if any(np.array_equal(maps, t.maps) for t in scope_twins(key)):
-        return theta
     if maps.shape != (len(G), m):
         raise errors.InvalidParams("need one partial map per semigroup element")
     points = np.arange(m)
@@ -115,17 +110,31 @@ def validate_partial_action(G: FiniteGroup, point_labels, maps) -> PartialGroupA
         G.table, maps, lambda comp, direct: (comp >= 0) & (comp != direct))
     if bad is not None:
         raise errors.NotDualPrehom(bad[0], bad[1])
-    scope_enter(key, theta)
+    theta.validated = True
     return theta
 
 
 def partial_trans_groupoid(theta: PartialGroupAction, name=None) -> FiniteGroupoid:
-    """G x X with arrows (g, x) for x in X_{g^{-1}}, (g, x)(h, y) = (gh, y)."""
+    """G x X with arrows (g, x) for x in X_{g^{-1}}, (g, x)(h, y) = (gh, y).
+
+    For a theta that passed :func:`validate_partial_action` over a validated
+    G it is born validated, its laws being G's and theta's (Abadie, *On
+    partial actions and groupoids*, Proc. Amer. Math. Soc. 132, 2004): for
+    (g, theta(h)y) and (h, y), y lies in the domain of theta(g) theta(h) <=
+    theta(gh), so (gh, y) is an arrow, and its range theta(gh)y =
+    theta(g)(theta(h)y) is that of (g, theta(h)y); associativity is G's;
+    (1, x) is an arrow and the identity at x, as theta(1) is the identity
+    of X; and (g^-1, theta(g)x) is an arrow, as theta(g^-1) =
+    theta(g)^-1, and the inverse of (g, x).  Any other theta gives a
+    groupoid checked in full.
+    """
     G = theta.group
-    return validate_groupoid(action_groupoid(
+    trans = action_groupoid(
         theta.maps, lambda g, h: G.table[g, h], G.star,
         np.full(theta.n_points, G.identity), G.names, theta.point_labels,
-        name=name or f"{G.name}|X"))
+        name=name or f"{G.name}|X")
+    return validate_groupoid(
+        born_validated(trans) if theta.validated and G.validated else trans)
 
 
 def theta_from_sigma(S: InvSemigroup,
@@ -223,6 +232,16 @@ def enveloping_group_action(theta: PartialGroupAction) -> EnvelopeResult:
     groupoids is a weak equivalence (checked, returned in the report).
     An image outside the points raises ``InvalidAction`` at the first
     (g, x) in row order.
+
+    For a validated theta over a validated G, the global action is born
+    validated.  Left translation respects ~: a generating pair (g, x) ~
+    (h, y), y = theta(h^-1 g)x, is taken to (g'g, x) ~ (g'h, y), as
+    (g'h)^-1 g'g = h^-1 g; so it respects the equivalence they generate,
+    and g'[g, x] = [g'g, x] is well defined on classes.  Each map is then
+    total, [1 g, x] = [g, x], and g'(g''[g, x]) = [g'g''g, x] by G's
+    associativity: a global action, whose maps are bijections inverted by
+    g'^-1 and which satisfies theta(g')theta(g'') = theta(g'g'').  Any
+    other global action is checked by :func:`validate_partial_action`.
     """
     G = theta.group
     n, m = len(G), theta.n_points
@@ -240,7 +259,11 @@ def enveloping_group_action(theta: PartialGroupAction) -> EnvelopeResult:
     glob = index[G.table[:, rep_g] * m + rep_x]
     labels = [f"[{G.names[g]},{theta.point_labels[x]}]"
               for g, x in zip(rep_g.tolist(), rep_x.tolist())]
-    global_action = validate_partial_action(G, labels, glob)
+    if theta.validated and G.validated:
+        global_action = PartialGroupAction(G, labels, glob)
+        global_action.validated = True
+    else:
+        global_action = validate_partial_action(G, labels, glob)
     embedding = index[G.identity * m + np.arange(m)]
     if len(np.unique(embedding)) != m:
         raise errors.InvariantViolation(

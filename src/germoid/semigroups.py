@@ -72,12 +72,14 @@ class InvSemigroup:
         self._e_unitary = None
         # objects derived from S alone, each built and validated once, by
         # spectra.idempotent_semilattice, spectra.enumerate_filters,
-        # germs.beta_maps and germs.beta_action (these three keyed by the
-        # contracted flag), and partial_actions.theta_from_sigma
+        # germs.beta_maps, germs.beta_action and germs.universal_groupoid
+        # (these four keyed by the contracted flag), and
+        # partial_actions.theta_from_sigma
         self._semilattice = None
         self._filters = {}
         self._beta_maps = {}
         self._beta = {}
+        self._universal = {}
         self._theta = None
 
     def __len__(self):

@@ -21,7 +21,6 @@ from .germs import (
     verify_equiv_roundtrip,
     verify_reduction_iso,
 )
-from .groupoids import validated_once
 from .matrixrep import (
     center_dimension,
     convolution_algebra,
@@ -244,9 +243,8 @@ def run_suite(suite: str, fixtures) -> list:
         raise errors.InvalidParams(f"unknown suite {suite!r}")
     reports = []
     for S in fixtures:
-        with validated_once():          # its suites share its groupoids' checks
-            for name in names:
-                reports.extend(table[name](S))
+        for name in names:
+            reports.extend(table[name](S))
     reports.sort(key=lambda r: (r.fixture, r.check))
     return reports
 

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from germoid import fixtures as fx
+from germoid import groupoids as gpd
 from germoid import semigroups as sg
 
 
@@ -54,3 +55,15 @@ def random_eunitary():
     """Fifty randomized semidirect-product E-unitary fixtures, |S| <= 64."""
     rng = random.Random(20240811)
     return [fx.random_eunitary_semidirect(rng) for _ in range(50)]
+
+
+@pytest.fixture
+def full(monkeypatch):
+    """The groupoids that get validated in full, in call order."""
+    seen, laws = [], gpd.check_laws
+
+    def spy(h):
+        seen.append(h)
+        return laws(h)
+    monkeypatch.setattr(gpd, "check_laws", spy)
+    return seen

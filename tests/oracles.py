@@ -1871,7 +1871,10 @@ def universal_by_germs(S, contracted=False):
     """``germs.universal_groupoid`` as the germ construction built it: the
     groupoid of germs of beta on the (contracted) filter space, validated
     in full, under the same name."""
-    from germoid.germs import beta_action, germ_groupoid
+    from germoid.germs import GermGroupoid, _germ_arrays, beta_action
+    from germoid.groupoids import validate_groupoid
 
     tag = "c" if contracted else "u"
-    return germ_groupoid(beta_action(S, contracted), name=f"G({S.name},{tag})")
+    action = beta_action(S, contracted)
+    return validate_groupoid(GermGroupoid(action, name=f"G({S.name},{tag})",
+                                          **_germ_arrays(action)))

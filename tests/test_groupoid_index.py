@@ -188,12 +188,15 @@ def spied(monkeypatch):
 
 def test_a_reduction_has_no_generators_and_its_checks_scan_every_pair(
         built, monkeypatch):
+    # the reduction of a validated groupoid is born validated, with no
+    # generators (the oracle is in tests/test_born_groupoids.py)
     big = [g for g in built if g.n_arrows > 25 and g.n_units > 2]
     assert big
     seen = spied(monkeypatch)
     for g in big[:6]:
         red = gpd.reduction(g, range(0, g.n_units, 2))
-        assert red.generators is None
+        assert red.validated and red.generators is None
+        assert gpd.validate_groupoid(red) is red and red.generators is None
         seen.clear()
         gpd.validate_space_action(unit_action(red))
         helpers.inclusion_of_reduction(red, g)
@@ -206,13 +209,14 @@ def test_a_reduction_has_no_generators_and_its_checks_scan_every_pair(
 def test_the_pair_scan_sees_only_generator_pairs_unless_one_fails(built):
     for g in [g for g in built if g.n_arrows > 25][:6]:
         a, b = g.composable_pairs
-        middle = g.generators[b]
+        gens = gpd.middle_arrows(g)         # born groupoids carry none
+        middle = gens[b]
         seen = []
 
         def none_fail(pa, pb, pab):
             seen.append(len(pa))
             return np.zeros(len(pa), dtype=bool)
-        assert gpd.first_failing_pair(g, none_fail, 1, g.generators) is None
+        assert gpd.first_failing_pair(g, none_fail, 1, gens) is None
         assert sum(seen) == np.count_nonzero(middle) < len(a)
         seen.clear()
         assert gpd.first_failing_pair(g, none_fail) is None
@@ -225,10 +229,9 @@ def test_the_pair_scan_sees_only_generator_pairs_unless_one_fails(built):
         def from_pair(j):
             return lambda pa, pb, pab: pa * g.n_arrows + pb >= key[j]
         if last + 1 < len(a):
-            assert gpd.first_failing_pair(g, from_pair(last + 1), 1,
-                                          g.generators) is None
+            assert gpd.first_failing_pair(g, from_pair(last + 1), 1, gens) is None
         j = np.flatnonzero(~middle[:last])[0]
-        assert gpd.first_failing_pair(g, from_pair(j), 1, g.generators) == \
+        assert gpd.first_failing_pair(g, from_pair(j), 1, gens) == \
             (int(a[j]), int(b[j]), 0)
 
 

@@ -789,21 +789,17 @@ def test_a_groupoid_file_gives_the_row_scan_witness(groupoids, data):
 @pytest.fixture(scope="module")
 def product_groupoids(corpus):
     """The universal, contracted and tight groupoids of the presets, Z61, a
-    reduction, twins adopted inside a ``validated_once`` scope, and a
-    groupoid with no arrows."""
+    reduction, copies of three of them validated in full, and a groupoid
+    with no arrows."""
     out = [germs.universal_groupoid(S) for S in corpus.values()]
     with_zero = [S for S in corpus.values() if S.zero is not None]
     out += [germs.universal_groupoid(S, contracted=True) for S in with_zero]
     out += [germs.tight_groupoid(S) for S in with_zero]
     out += [helpers.groupoid_from_group(fx.cyclic_group(61)),
             gpd.reduction(germs.universal_groupoid(corpus["I2"]), [0, 2, 3])]
-    with gpd.validated_once():
-        for g in out[:3]:
-            first, twin = (gpd.validate_groupoid(gpd.FiniteGroupoid(
-                g.unit_labels, g.dom, g.ran, np.array(g.products), g.inv,
-                g.identity)) for _ in range(2))
-            assert twin.products is first.products
-            out.append(twin)
+    out += [gpd.validate_groupoid(gpd.FiniteGroupoid(
+        g.unit_labels, g.dom, g.ran, np.array(g.products), g.inv, g.identity))
+        for g in out[:3]]
     return out + [gpd.FiniteGroupoid([], [], [], [], [], [])]
 
 

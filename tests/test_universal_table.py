@@ -13,7 +13,6 @@ import oracles
 from germoid import errors
 from germoid import fixtures as fx
 from germoid import germs
-from germoid import groupoids as gpd
 
 
 def flags(S):
@@ -96,13 +95,3 @@ def semigroups(draw):
 def test_drawn_semigroups(S):
     same_as_the_germ_groupoid(S)
     same_germs(S)
-
-
-def test_inside_a_scope_the_germ_groupoid_of_beta_is_its_twin():
-    # the check that verify_equiv_roundtrip's germ_groupoid makes: the germ
-    # construction, compared with the table build, adopts its products
-    S = fx.symmetric_inverse(3)
-    with gpd.validated_once():
-        g = germs.universal_groupoid(S)
-        h = germs.germ_groupoid(germs.beta_action(S))
-        assert h.validated and h.products is g.products
