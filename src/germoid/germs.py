@@ -339,8 +339,11 @@ class UniversalGroupoid(GermGroupoid):
 def least_above(S: InvSemigroup) -> np.ndarray:
     """Per element t the least s >= t: the first row of ``table[:, E]``
     that holds t, as the elements below s are the s e, e in E(S).  Rows go
-    in blocks of ``CHUNK`` entries."""
+    in blocks of ``CHUNK`` entries.  A finite semigroup has an idempotent;
+    a table with none raises :class:`~germoid.errors.InvariantViolation`."""
     n, E = len(S), np.asarray(S.idempotents, dtype=np.int64)
+    if not len(E):
+        raise errors.InvariantViolation("a finite semigroup must have an idempotent", S.name)
     least = np.full(n, n, dtype=np.int64)
     step = max(1, CHUNK // len(E))
     for lo in range(0, n, step):
@@ -371,8 +374,11 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     For an action that passed :func:`validate_saction` (or a restriction of
     one, :meth:`SAction.restrict`) of a validated S, the groupoid is born
     validated (Exel, *Inverse semigroups and combinatorial C*-algebras*,
-    2008, section 4); any other is checked in full.  Its laws follow from
-    S's and the action's.  The anchors are equivariant,
+    2008, section 4); any other is checked in full.  Of S's memoized beta,
+    it has the arrays of S's memoized universal groupoid (proved in
+    :func:`universal_groupoid`), and takes its composable-pair index, if
+    S holds it, but not its products.  Its laws follow from S's and the
+    action's.  The anchors are equivariant,
     m_{theta_t(y)} t m_y = t m_y: y lies in dom theta_e for the idempotent
     e = t* m_{theta_t(y)} t, so m_y <= e and t m_y = t e m_y = m_{theta_t(y)}
     t m_y.  So [s, theta_t(y)][t, y] = [st, y] depends only on the classes:
@@ -384,15 +390,19 @@ def germ_groupoid(action: SAction, name=None) -> GermGroupoid:
     [m_x, x], as x in dom theta_{s*s} gives m_x <= s*s, and
     [s, x][s*, theta_s(x)] = [m_{theta_s(x)}, theta_s(x)] likewise.
     """
-    g = GermGroupoid(action, name=name or f"{action.semigroup.name}|germs",
-                     **_germ_arrays(action))
-    proved = action.validated and action.semigroup.validated
+    S = action.semigroup
+    g = GermGroupoid(action, name=name or f"{S.name}|germs", **_germ_arrays(action))
+    proved = action.validated and S.validated
+    for flag, beta in S._beta.items():
+        if proved and beta is action and flag in S._universal:
+            g._index = S._universal[flag]._index
     return validate_groupoid(born_validated(g) if proved else g)
 
 
 def _germ_arrays(action: SAction) -> dict:
     """The keyword arguments of :class:`GermGroupoid` for the germs of an
-    action, bar the name; ``products`` is the rule (a, b) -> ab."""
+    action, bar the name; ``products`` is the rule (a, b) -> ab, and
+    ``arrow_labels`` a function that makes them."""
     S = action.semigroup
     n, m = len(S), action.n_points
     maps = action.maps
@@ -412,8 +422,8 @@ def _germ_arrays(action: SAction) -> dict:
         products=lambda a, b: arrow_at[S.table[label[a], label[b]], dom[b]],
         # [e, x] = [m_x, x] for every idempotent e whose domain holds x
         identity=arrow_at[anchor, np.arange(m)],
-        arrow_labels=tuple(f"[{S.names[s]},{action.point_labels[x]}]"
-                           for s, x in zip(label.tolist(), dom.tolist())))
+        arrow_labels=lambda: [f"[{S.names[s]},{action.point_labels[x]}]"
+                              for s, x in zip(label.tolist(), dom.tolist())])
 
 
 def universal_groupoid(S: InvSemigroup, contracted=False) -> GermGroupoid:

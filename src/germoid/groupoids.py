@@ -47,8 +47,7 @@ class FiniteGroupoid:
         self.ran = np.asarray(ran, dtype=np.int64)
         self.inv = np.asarray(inv, dtype=np.int64)
         self.identity = np.asarray(identity, dtype=np.int64)
-        if arrow_labels:
-            self.arrow_labels = tuple(arrow_labels)
+        self._arrow_labels = arrow_labels
         self.name = name
         self.validated = False     # set once validate_groupoid passes, or by
                                    # a builder that proved the laws
@@ -70,8 +69,12 @@ class FiniteGroupoid:
 
     @functools.cached_property
     def arrow_labels(self) -> tuple:
-        """Per arrow its label, ``a<id>`` where the builder gave none."""
-        return tuple(f"a{i}" for i in range(self.n_arrows))
+        """Per arrow its label: the builder's, given as a sequence or as a
+        function called on first read, or ``a<id>`` where it gave none."""
+        labels, self._arrow_labels = self._arrow_labels, None
+        if callable(labels):
+            labels = labels()
+        return tuple(labels) if labels else tuple(f"a{i}" for i in range(self.n_arrows))
 
     @functools.cached_property
     def _index(self) -> tuple:
@@ -475,7 +478,8 @@ def reduction(g: FiniteGroupoid, unit_subset, name=None) -> FiniteGroupoid:
     The reduction of a validated g is born validated: its arrows are closed
     under the product (dom ab = dom b and ran ab = ran a stay inside), the
     inverse (which swaps the ends) and the identities of the kept units,
-    so its laws are g's, restricted.  It keeps no ``generators``."""
+    so its laws are g's, restricted.  It keeps no ``generators``; its
+    labels, g's, are read when first read."""
     units = np.array(sorted(set(int(u) for u in unit_subset)), dtype=np.int64)
     outside = (units < 0) | (units >= g.n_units)
     if outside.any():
@@ -492,7 +496,7 @@ def reduction(g: FiniteGroupoid, unit_subset, name=None) -> FiniteGroupoid:
         unew[g.dom[arrows]], unew[g.ran[arrows]],
         lambda a, b: anew[g.product(arrows[a], arrows[b])],
         anew[g.inv[arrows]], anew[g.identity[units]],
-        arrow_labels=[g.arrow_labels[a] for a in arrows.tolist()],
+        arrow_labels=lambda: [g.arrow_labels[a] for a in arrows.tolist()],
         name=name or f"{g.name}|")
     red.parent_units = tuple(units.tolist())
     red.parent_arrows = tuple(arrows.tolist())
@@ -684,21 +688,25 @@ def action_groupoid(maps, product, inverse, unit_label, label_names,
     Arrows are numbered in lexicographic order of (label, x).  The result,
     not yet validated, carries ``arrow_pairs``, the (label, x) of each
     arrow as rows of an array, and ``arrow_at``, the arrow id of each
-    (label, x) or -1.
+    (label, x) or -1.  Its arrow labels "(name,point)" are made when first
+    read, from ``label_names`` or, where that is a function, what it gives.
     """
     m = len(point_labels)
     label, dom = np.nonzero(maps >= 0)
     arrow_at = np.full(maps.shape, -1, dtype=np.int64)
     arrow_at[label, dom] = np.arange(len(label))
     ran = maps[label, dom]
+
+    def labels():
+        names = label_names() if callable(label_names) else label_names
+        return [f"({names[a]},{point_labels[x]})"
+                for a, x in zip(label.tolist(), dom.tolist())]
     g = FiniteGroupoid(
         point_labels, dom, ran,
         lambda a, b: arrow_at[product(label[a], label[b]), dom[b]],
         arrow_at[np.asarray(inverse)[label], ran],
         arrow_at[unit_label, np.arange(m)],
-        arrow_labels=[f"({label_names[a]},{point_labels[x]})"
-                      for a, x in zip(label.tolist(), dom.tolist())],
-        name=name)
+        arrow_labels=labels, name=name)
     g.arrow_pairs = np.column_stack((label, dom))
     g.arrow_at = arrow_at
     for arr in (g.arrow_pairs, g.arrow_at):
@@ -715,7 +723,10 @@ def semidirect_product(action: GroupoidSpaceAction, name=None) -> FiniteGroupoid
     equivariant), so gh is defined, dom gh = dom h = p(y) makes (gh, y) an
     arrow, and its range (gh)y = g(hy) is that of (g, hy) (functoriality);
     associativity is H's; (1_p(x), x) is the identity at x, as 1x = x; and
-    (h^-1, hx) is the inverse of (h, x), as h^-1(hx) = (h^-1 h)x = x."""
+    (h^-1, hx) is the inverse of (h, x), as h^-1(hx) = (h^-1 h)x = x.  If
+    the anchor is the identity on H's units, arrow (h, dom h) is arrow h,
+    with range ran h (equivariance): it has H's ends, and takes H's
+    composable-pair index."""
     if not action.validated:
         validate_space_action(action)
     h = action.groupoid
@@ -725,8 +736,10 @@ def semidirect_product(action: GroupoidSpaceAction, name=None) -> FiniteGroupoid
     (row_start, rank), products = h.offsets, h.products
     sd = action_groupoid(
         action.act, lambda k, l: products[row_start[k] + rank[l]], h.inv,
-        h.identity[anchor], h.arrow_labels, action.point_labels,
+        h.identity[anchor], lambda: h.arrow_labels, action.point_labels,
         name=name or f"{h.name}|X")
+    if h.validated and np.array_equal(anchor, np.arange(h.n_units)):
+        sd._index = h._index
     return validate_groupoid(born_validated(sd) if h.validated else sd)
 
 

@@ -146,14 +146,16 @@ class ConvolutionAlgebra:
     """The arrow-basis algebra of a finite groupoid.
 
     The product of basis elements is e_a e_b = e_{ab} when composable and 0
-    otherwise; the involution sends e_a to e_{a^{-1}}.
+    otherwise; the involution sends e_a to e_{a^{-1}}.  The basis ``labels``
+    and the ``inv`` tuple are read from the groupoid when read.
     """
 
     def __init__(self, groupoid: FiniteGroupoid):
         self.groupoid = groupoid
         self.dim = groupoid.n_arrows
-        self.inv = tuple(groupoid.inv.tolist())
-        self.labels = groupoid.arrow_labels
+
+    inv = property(lambda self: tuple(self.groupoid.inv.tolist()))
+    labels = property(lambda self: self.groupoid.arrow_labels)
 
     def to_json(self) -> str:
         """``json.dumps`` with sorted keys of the basis labels, the
@@ -165,8 +167,7 @@ class ConvolutionAlgebra:
         return b"".join([
             b'{"basis": ', json.dumps(list(self.labels), sort_keys=True).encode(),
             b', "dim": ', str(n).encode(),
-            b', "inv": ', *json_rows(["", ""], np.array(self.inv, dtype=np.int64)
-                                     .reshape(n, 1), n),
+            b', "inv": ', *json_rows(["", ""], g.inv.reshape(n, 1), n),
             b', "mult": ', *json_rows(["[", ", ", ", ", "]"], mult, n),
             b"}"]).decode()
 

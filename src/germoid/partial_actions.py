@@ -61,6 +61,7 @@ class PartialGroupAction:
         self.maps = np.asarray(maps, dtype=np.int64)
         self.maps.setflags(write=False)
         self.validated = False      # set once validate_partial_action passes
+        self._groupoid = None       # memo of partial_trans_groupoid, once born
 
     @property
     def n_points(self):
@@ -126,15 +127,19 @@ def partial_trans_groupoid(theta: PartialGroupAction, name=None) -> FiniteGroupo
     (1, x) is an arrow and the identity at x, as theta(1) is the identity
     of X; and (g^-1, theta(g)x) is an arrow, as theta(g^-1) =
     theta(g)^-1, and the inverse of (g, x).  Any other theta gives a
-    groupoid checked in full.
+    groupoid checked in full.  The born groupoid is memoized on theta, with
+    its first name; each call returns it through ``validate_groupoid``.
     """
     G = theta.group
-    trans = action_groupoid(
-        theta.maps, lambda g, h: G.table[g, h], G.star,
-        np.full(theta.n_points, G.identity), G.names, theta.point_labels,
-        name=name or f"{G.name}|X")
-    return validate_groupoid(
-        born_validated(trans) if theta.validated and G.validated else trans)
+    trans = theta._groupoid
+    if trans is None:
+        trans = action_groupoid(
+            theta.maps, lambda g, h: G.table[g, h], G.star,
+            np.full(theta.n_points, G.identity), G.names, theta.point_labels,
+            name=name or f"{G.name}|X")
+        if theta.validated and G.validated:
+            theta._groupoid = born_validated(trans)
+    return validate_groupoid(trans)
 
 
 def theta_from_sigma(S: InvSemigroup,

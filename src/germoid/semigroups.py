@@ -859,7 +859,7 @@ def semigroup_hom(S: InvSemigroup, T: InvSemigroup, mapping) -> SemigroupHom:
     bad = np.argwhere(m[S.table] != T.table[np.ix_(m, m)])
     if len(bad):
         s, t = bad[0]
-        raise errors.NotAHomomorphism(f"phi({s}{t}) != phi({s})phi({t})")
+        raise errors.NotAHomomorphism(f"phi({s} {t}) != phi({s})phi({t})")
     return SemigroupHom(S, T, mapping)
 
 
@@ -897,7 +897,7 @@ def partial_group_hom(S: InvSemigroup, G: FiniteGroup, mapping) -> PartialGroupH
             (st != z) & nonzero[lo:lo + rows, None] & nonzero
         if bad.any():
             s, t = np.argwhere(bad)[0] + (lo, 0)
-            raise errors.NotAHomomorphism(f"phi({s}{t}) != phi({s})phi({t})")
+            raise errors.NotAHomomorphism(f"phi({s} {t}) != phi({s})phi({t})")
     E = np.asarray(S.idempotents)
     off = (phi[E] != G.identity) & (E != z)
     if off.any():

@@ -394,7 +394,8 @@ def check_ks_condition(phi: SemigroupHom) -> KSCertificates:
     The elements below s are the s e for e in E(S).  So the preimages
     ``pre[s, t]`` (phi(s) <= t) are downsets iff phi(s e) <= phi(s) for
     every s and e, and if not, ``NotADownset`` names what a scan of the
-    corners in order would.  The same products s e != s mark the members
+    corners in order would, as phi(s) <= phi(s) (else InvariantViolation
+    names phi(s)).  The same products s e != s mark the members
     of each preimage that are not maximal; the rest are Gen_t, the maximal
     members of the preimage of t.  For idempotents e, f, e s f is the
     greatest element of eSf below s (Lawson, *Inverse Semigroups*, 1998,
@@ -416,6 +417,11 @@ def check_ks_condition(phi: SemigroupHom) -> KSCertificates:
     for lo in range(0, n, rows):
         below = S.table[lo:lo + rows][:, E]              # [s, e]: s e
         if not leq_t[image[below], image[lo:lo + rows, None]].all():
+            loose = ~leq_t[image, image]
+            if loose.any():
+                raise errors.InvariantViolation(
+                    "natural order of the target must be reflexive",
+                    int(image[np.argmax(loose)]))
             raise _first_escape(S, pre)
         u, e = np.nonzero(below != ids[lo:lo + rows, None])
         v, t = np.nonzero(pre[u + lo])

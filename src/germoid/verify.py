@@ -184,6 +184,11 @@ def suite_equiv(S: InvSemigroup) -> list:
 
 
 def suite_envelope(S: InvSemigroup) -> list:
+    """The inclusion G x X -> G x X~ of theta's globalization is a weak
+    equivalence.  A defect in ``groupoids.action_groupoid``'s product rule
+    meets both sides of it, so this check cannot see one.  The source is
+    the G x X memoized on theta, main1's, so ``main1``, ``equiv`` and ``ks``
+    cover that rule; ``tests/test_born_groupoids.py`` pins that they do."""
     if not is_e_unitary(S):
         return [_skip("envelope", S.name, "fixture is not E-unitary")]
 

@@ -1248,7 +1248,7 @@ def partial_group_hom_loops(S, G, mapping):
             st = S.mul(s, t)
             if st != S.zero and mapping[st] != G.mul(mapping[s], mapping[t]):
                 raise errors.NotAHomomorphism(
-                    f"phi({s}{t}) != phi({s})phi({t})")
+                    f"phi({s} {t}) != phi({s})phi({t})")
     for e in S.idempotents:
         if e != S.zero and mapping[e] != G.identity:
             raise errors.NotAHomomorphism(
@@ -1288,7 +1288,7 @@ def semigroup_hom_loops(S, T, mapping):
     for s in range(len(S)):
         for t in range(len(S)):
             if mapping[S.mul(s, t)] != T.mul(mapping[s], mapping[t]):
-                return "NotAHomomorphism", f"phi({s}{t}) != phi({s})phi({t})"
+                return "NotAHomomorphism", f"phi({s} {t}) != phi({s})phi({t})"
     return "ok", ""
 
 

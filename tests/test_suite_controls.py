@@ -6,7 +6,9 @@ every inverse semigroup (the proof is in ``verify_intertwining``'s
 docstring) and are not checked.  ``main1`` rests on the functor checks of
 Psi, the inverse of Phi.  The universal groupoid read off the table is born
 validated: a product swapped in it is caught by the functors into it and
-the groupoids built through it, in ``main1``, ``equiv`` and ``ks``."""
+the groupoids built through it, in ``main1``, ``equiv`` and ``ks``.  A
+broken born group image fails the suites that read it with a report, not
+a raw exception."""
 
 import json
 
@@ -18,6 +20,7 @@ from germoid import fixtures as fx
 from germoid import germs
 from germoid import matrixrep as mr
 from germoid import partial_actions as pa
+from germoid import semigroups as sg
 
 
 @pytest.mark.parametrize("make", [
@@ -134,3 +137,47 @@ def test_verify_fails_with_two_products_of_the_table_build_swapped(
     assert {r["check"]: r["witness"] for r in reports if not r["pass"]} == witnesses
     assert all(r["skipped"] is False for r in reports if not r["pass"])
     assert any(name.startswith("G(S,") for name, *_ in swapped)
+
+
+@pytest.mark.parametrize("mutation, witnesses", [
+    # G(SD6) with star [1, 0]: its natural order is not reflexive, which
+    # the KS certificates assume
+    ("inverses", {
+        "envelope": "InverseMismatch: theta(0^-1) != theta(0)^-1",
+        "ks": "InvariantViolation: natural order of the target must be "
+              "reflexive (witness 0)",
+        "main1": "InverseMismatch: theta(0^-1) != theta(0)^-1",
+        "main1reduced": "InverseMismatch: theta(0^-1) != theta(0)^-1"}),
+    # products 0 0 and 0 1 swapped: a table with no idempotent, whose
+    # universal groupoid (the ks target) cannot be read off it
+    ("products", {
+        "envelope": "NotDualPrehom: theta(0)theta(0) is not a restriction of theta(00)",
+        "ks": "InvariantViolation: a finite semigroup must have an idempotent "
+              "(witness G(S))",
+        "main1": "NotDualPrehom: theta(0)theta(0) is not a restriction of theta(00)",
+        "main1reduced": "NotDualPrehom: theta(0)theta(0) is not a restriction of theta(00)"}),
+])
+def test_verify_reports_a_broken_born_group_image(mutation, witnesses, tmp_path,
+                                                  capsys, monkeypatch):
+    # the group image is born validated (semigroups.proved), so a broken
+    # one meets the kernels' own assumptions: each must fail its check
+    # with a witness, not escape as an IndexError or ZeroDivisionError
+    path = tmp_path / "S.json"
+    path.write_text(fx.sd6().to_json())
+    real, broken = sg.proved, []
+
+    def proved(names, table, star, **kw):
+        if kw.get("identity") is not None:
+            table, star = np.array(table), np.array(star)
+            if mutation == "inverses":
+                star = star[::-1].copy()
+            else:
+                table[0, [0, 1]] = table[0, [1, 0]]
+            broken.append(kw["name"])
+        return real(names, table, star, **kw)
+    monkeypatch.setattr(sg, "proved", proved)
+    assert cli.main(["verify", "--suite", "all", str(path)]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {r["check"]: r["witness"] for r in reports if not r["pass"]} == witnesses
+    assert all(r["skipped"] is False for r in reports)
+    assert broken == ["G(S)"]
