@@ -27,7 +27,6 @@ from .fixtures import generate_fixture
 from .spectra import (
     CharSpace,
     DownsetCertificate,
-    Filter,
     Semilattice,
     check_ks_condition,
     enumerate_filters,

@@ -67,12 +67,6 @@ class NotEUnitary(GermoidError):
     pass
 
 
-class SigmaMismatch(GermoidError):
-    def __init__(self, s, t):
-        super().__init__(f"elements {s}, {t} lie in different sigma classes")
-        self.witness = (s, t)
-
-
 class NotAnIdeal(GermoidError):
     pass
 
@@ -201,7 +195,7 @@ class IdentityNotTotal(ValidationError):
 
 class NotDualPrehom(ValidationError):
     def __init__(self, g, h):
-        super().__init__(f"theta({g})theta({h}) is not a restriction of theta({g}{h})")
+        super().__init__(f"theta({g})theta({h}) is not a restriction of theta({g} {h})")
         self.witness = (g, h)
 
 

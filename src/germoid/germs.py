@@ -60,7 +60,7 @@ class SAction:
         self.maps.setflags(write=False)
         self.validated = False      # set once validate_saction passes
         self._anchor = None         # memo of anchor_idempotents
-        self._gspace = {}           # memo of gspace_from_saction, per flag
+        self._gspace = None         # memo of gspace_from_saction
 
     @property
     def n_points(self):
@@ -73,16 +73,17 @@ class SAction:
     def domain(self, s: int) -> frozenset:
         return frozenset(int(x) for x in np.flatnonzero(self.maps[s] >= 0))
 
-    def restrict(self, subset, check_invariant=True) -> "SAction":
-        """Restriction to an invariant point subset (re-indexed).  The
-        restriction of a validated action to a subset checked invariant is
-        validated: its maps are the old ones on the subset, so each law
-        holds there, and every point keeps an idempotent's domain."""
-        subset, sub = restrict_maps(self.maps, subset, check_invariant)
+    def restrict(self, subset) -> "SAction":
+        """Restriction to an invariant point subset (re-indexed); a subset
+        that is not invariant raises :class:`~germoid.errors.NotInvariant`.
+        The restriction of a validated action is validated: its maps are
+        the old ones on the subset, so each law holds there, and every
+        point keeps an idempotent's domain."""
+        subset, sub = restrict_maps(self.maps, subset)
         act = SAction(self.semigroup,
                       [self.point_labels[x] for x in subset], sub)
         act.parent_points = tuple(subset.tolist())
-        act.validated = self.validated and check_invariant
+        act.validated = self.validated
         return act
 
 
@@ -235,19 +236,20 @@ def beta_maps(S: InvSemigroup, contracted=False) -> np.ndarray:
     return S._beta_maps[contracted]
 
 
-def restrict_maps(maps: np.ndarray, subset, check_invariant=True):
-    """Partial maps (rows of -1-padded images) restricted to a point subset.
+def restrict_maps(maps: np.ndarray, subset):
+    """Partial maps (rows of -1-padded images) restricted to an invariant
+    point subset.
 
     Returns ``(subset, sub)``: the sorted subset and the restricted maps,
-    re-indexed to it.  With ``check_invariant``, the first (row, point)
-    mapped outside the subset raises :class:`~germoid.errors.NotInvariant`.
+    re-indexed to it.  The first (row, point) mapped outside the subset
+    raises :class:`~germoid.errors.NotInvariant`.
     """
     subset = np.array(sorted(set(int(x) for x in subset)), dtype=np.int64)
     pos = np.full(maps.shape[1] + 1, -1, dtype=np.int64)   # pos[-1] = -1
     pos[subset] = np.arange(len(subset))
     rows = maps[:, subset]
     sub = np.where(rows >= 0, pos[rows], -1)
-    if check_invariant and ((rows >= 0) & (sub < 0)).any():
+    if ((rows >= 0) & (sub < 0)).any():
         g, i = np.argwhere((rows >= 0) & (sub < 0))[0]
         raise errors.NotInvariant(int(g), int(subset[i]))
     return subset, sub
@@ -488,22 +490,20 @@ def tight_groupoid(S: InvSemigroup) -> GermGroupoid:
     return g
 
 
-def ideal_perp(S: InvSemigroup, I, contracted=None):
+def ideal_perp(S: InvSemigroup, I):
     """Unit subset I-perp = {filters avoiding E n I} of the filter space.
 
     For principal filters these are exactly the x^ with x an idempotent not
-    in I.  Returns ``(filter indices, space)``; the flag defaults to
-    'contracted iff S has a zero', matching how the universal groupoid of a
-    semigroup with zero is taken.
+    in I.  Returns ``(filter indices, space)``; the space is contracted iff
+    S has a zero, matching how the universal groupoid of a semigroup with
+    zero is taken.
     """
     I = set(I)
     if not is_ideal(S, I):
         raise errors.NotAnIdeal(f"{sorted(I)} is not an ideal")
     if len(I) == len(S):
         raise errors.ImproperIdeal("I-perp of the whole semigroup")
-    if contracted is None:
-        contracted = S.zero is not None
-    space = enumerate_filters(S, contracted=contracted)
+    space = enumerate_filters(S, contracted=S.zero is not None)
     perp = tuple(i for i, m in enumerate(space.mins) if m not in I)
     return perp, space
 
@@ -519,9 +519,8 @@ def verify_reduction_iso(S: InvSemigroup, I):
 
     Q, qmap = rees_quotient(S, I)
     quot = universal_groupoid(Q, contracted=True)
-    contracted = S.zero is not None
-    big = universal_groupoid(S, contracted=contracted)
-    perp, space = ideal_perp(S, I, contracted=contracted)
+    big = universal_groupoid(S, contracted=S.zero is not None)
+    perp, space = ideal_perp(S, I)
     red = reduction(big, perp)
 
     # unit of red = filter m^ of S with m not in I; in Q it is qmap(m)^
@@ -538,20 +537,20 @@ def verify_reduction_iso(S: InvSemigroup, I):
 
 # -- the correspondence between S-spaces and universal-groupoid spaces -----------
 
-def gspace_from_saction(action: SAction, contracted=None):
+def gspace_from_saction(action: SAction):
     """Equip the point set of an S-action with its universal-groupoid action.
 
     The anchor sends x to the (principal) filter {e : x in X_e}; the arrow
-    [s, p(x)] acts as theta_s.  Returns ``(GroupoidSpaceAction, GermGroupoid)``,
-    memoized on the action, one per flag, once the space action passes.
+    [s, p(x)] acts as theta_s.  The groupoid is the contracted universal
+    groupoid iff S has a zero whose domain is empty, as no filter of the
+    anchor then holds the zero.  Returns ``(GroupoidSpaceAction,
+    GermGroupoid)``, memoized on the action once the space action passes.
     """
     S = action.semigroup
-    if contracted is None:
-        contracted = S.zero is not None and not action.domain(S.zero)
-    contracted = bool(contracted)
-    g = universal_groupoid(S, contracted=contracted)
-    if contracted in action._gspace:
-        return action._gspace[contracted]
+    g = universal_groupoid(
+        S, contracted=S.zero is not None and not action.domain(S.zero))
+    if action._gspace is not None:
+        return action._gspace
     space = g.space
     m_of = anchor_idempotents(action)
     points = np.arange(action.n_points)
@@ -568,7 +567,7 @@ def gspace_from_saction(action: SAction, contracted=None):
             "anchored point outside the domain of a representative")
     ga = validate_space_action(
         GroupoidSpaceAction(g, action.point_labels, anchor, act))
-    action._gspace[contracted] = ga, g
+    action._gspace = ga, g
     return ga, g
 
 
@@ -636,7 +635,7 @@ def induced_functor(phi: SemigroupHom) -> GroupoidFunctor:
     gs = universal_groupoid(phi.source, contracted=False)
     gt = universal_groupoid(phi.target, contracted=False)
     ehom = restrict_to_idempotents(phi)
-    _, _, umap = hat_map(ehom, gs.space, gt.space)
+    umap = hat_map(ehom, gs.space, gt.space)
     s, x = gs.arrow_pairs.T
     arrow_map = gt.germ(np.asarray(phi.map)[s], np.asarray(umap)[x])
     return groupoid_functor(gs, gt, umap, arrow_map)

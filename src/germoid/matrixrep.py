@@ -18,11 +18,10 @@ import numpy as np
 
 from . import errors
 from .groupoids import FiniteGroupoid, arrows_at, end_index, validate_groupoid
-from .partial_actions import PartialGroupAction, theta_from_sigma
+from .partial_actions import theta_from_sigma
 from .semigroups import (
     CHUNK,
     InvSemigroup,
-    SigmaMap,
     is_e_unitary,
     json_rows,
     max_group_image,
@@ -42,8 +41,9 @@ def left_regular_rep(S: InvSemigroup) -> np.ndarray:
     return l
 
 
-def intertwiner_u(S: InvSemigroup, sigma: SigmaMap | None = None) -> np.ndarray:
-    """The intertwiner e_t -> e_{t*t} (x) e_{sigma(t)} as the vector
+def intertwiner_u(S: InvSemigroup) -> np.ndarray:
+    """The intertwiner e_t -> e_{t*t} (x) e_{sigma(t)}, for sigma S's
+    :func:`~germoid.semigroups.max_group_image`, as the vector
     ``u[t] = pos(t*t) |G| + sigma(t)``, with pos(e) the place of e in
     ``S.idempotents``: the basis index of the pair (t*t, sigma(t)).
 
@@ -52,8 +52,7 @@ def intertwiner_u(S: InvSemigroup, sigma: SigmaMap | None = None) -> np.ndarray:
     """
     if not is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
-    if sigma is None:
-        sigma = max_group_image(S)
+    sigma = max_group_image(S)
     pos = np.zeros(len(S), dtype=np.int64)
     pos[list(S.idempotents)] = np.arange(len(S.idempotents))
     u = (pos[S.table[S.star, np.arange(len(S))]] * len(sigma.group)
@@ -62,8 +61,7 @@ def intertwiner_u(S: InvSemigroup, sigma: SigmaMap | None = None) -> np.ndarray:
     return u
 
 
-def covariant_rep(S: InvSemigroup, sigma: SigmaMap | None = None,
-                  theta: PartialGroupAction | None = None) -> np.ndarray:
+def covariant_rep(S: InvSemigroup) -> np.ndarray:
     """The operators A_s on l2(E) (x) l2(G) of the covariant representation,
     as partial maps of the basis e_e (x) e_g, whose index is pos(e) |G| + g
     with pos(e) the place of e in ``S.idempotents``.
@@ -72,14 +70,13 @@ def covariant_rep(S: InvSemigroup, sigma: SigmaMap | None = None,
     filter-space partial action is defined on e^ at sigma(s) g and lands in
     D(ss*): the translated-projection coefficient evaluated at e^.  Row s
     holds ``a[s, pos(e) |G| + g] = pos(e) |G| + sigma(s) g`` where m = 1
-    and -1 where m = 0.
+    and -1 where m = 0.  sigma is S's
+    :func:`~germoid.semigroups.max_group_image` and the partial action its
+    memoized :func:`~germoid.partial_actions.theta_from_sigma`.
     """
     if not is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
-    if sigma is None:
-        sigma = max_group_image(S)
-    if theta is None:
-        theta = theta_from_sigma(S, sigma)
+    sigma, theta = max_group_image(S), theta_from_sigma(S)
     G = sigma.group
     space = theta.space
     n, k, m = len(S), len(S.idempotents), len(G)
@@ -135,9 +132,7 @@ def verify_intertwining(S: InvSemigroup) -> bool:
     idempotents tt* and s*s commute.  And w = t*s*s t lies below t*t, as
     w t*t = w, so t*t <= w iff t*t = w.  ``tests/oracles.py`` checks the
     three pair by pair (``check_rep_conditions_loops``)."""
-    sigma = max_group_image(S)
-    return intertwines(intertwiner_u(S, sigma), left_regular_rep(S),
-                       covariant_rep(S, sigma))
+    return intertwines(intertwiner_u(S), left_regular_rep(S), covariant_rep(S))
 
 
 # -- convolution algebras ---------------------------------------------------------

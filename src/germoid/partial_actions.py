@@ -40,7 +40,6 @@ from .semigroups import (
     FiniteGroup,
     InvSemigroup,
     SemigroupHom,
-    SigmaMap,
     first_failing_product,
     is_e_unitary,
     is_locally_idempotent_pure,
@@ -142,25 +141,22 @@ def partial_trans_groupoid(theta: PartialGroupAction, name=None) -> FiniteGroupo
     return validate_groupoid(trans)
 
 
-def theta_from_sigma(S: InvSemigroup,
-                     sigma: SigmaMap | None = None) -> PartialGroupAction:
+def theta_from_sigma(S: InvSemigroup) -> PartialGroupAction:
     """The partial action of the maximal group image on the filter space.
 
-    theta(g) is the union of beta_s over the sigma-fiber of g; overlapping
-    members of a fiber agree on the intersection of their domains (this is
-    where E-unitarity enters), which is verified during assembly.  Its
-    ``space`` is :func:`~germoid.spectra.enumerate_filters` of S.  For
-    sigma None or S's own :func:`max_group_image` the action, validated
+    theta(g) is the union of beta_s over the sigma-fiber of g, for sigma
+    S's :func:`max_group_image`; overlapping members of a fiber agree on
+    the intersection of their domains (this is where E-unitarity enters),
+    which is verified during assembly.  Its ``space`` is
+    :func:`~germoid.spectra.enumerate_filters` of S.  The action, validated
     once, is memoized on the semigroup.  The maps beta_s are the memoized
     :func:`~germoid.germs.beta_maps` of S.
     """
     if not is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
-    own = max_group_image(S)
-    if sigma is None:
-        sigma = own
-    if sigma is own and S._theta is not None:
+    if S._theta is not None:
         return S._theta
+    sigma = max_group_image(S)
     G = sigma.group
     space = enumerate_filters(S, contracted=False)
     beta = beta_maps(S)
@@ -177,9 +173,7 @@ def theta_from_sigma(S: InvSemigroup,
     theta = validate_partial_action(
         G, [space.label(i) for i in range(len(space))], maps)
     theta.space = space
-    theta.sigma = sigma
-    if sigma is own:
-        S._theta = theta
+    S._theta = theta
     return theta
 
 
@@ -195,7 +189,7 @@ def verify_main1(S: InvSemigroup):
         raise errors.NotEUnitary(S.name)
     sigma = max_group_image(S)
     univ = universal_groupoid(S, contracted=False)
-    theta = theta_from_sigma(S, sigma)
+    theta = theta_from_sigma(S)
     trans = partial_trans_groupoid(theta, name=f"G({S.name})xE^")
 
     n, m = len(S), univ.n_units

@@ -112,23 +112,15 @@ def idempotent_semilattice(S: InvSemigroup) -> Semilattice:
     return S._semilattice
 
 
-@dataclass(frozen=True)
-class Filter:
-    """A principal filter, stored by its minimum element id."""
-
-    min: int
-    space: "CharSpace" = field(repr=False, compare=False)
-
-
 class CharSpace:
-    """The space of filters (semi-characters) of a finite semilattice."""
+    """The space of filters (semi-characters) of a finite semilattice,
+    each filter stored by its minimum element id in ``mins``."""
 
     def __init__(self, semilattice: Semilattice, contracted: bool, mins):
         self.semilattice = semilattice
         self.contracted = contracted
         self.mins = tuple(mins)
         self._index = {m: i for i, m in enumerate(self.mins)}
-        self.filters = tuple(Filter(m, self) for m in self.mins)
 
     def __len__(self):
         return len(self.mins)
@@ -142,24 +134,18 @@ class CharSpace:
         return self.semilattice.name_of(self.mins[idx]) + "^"
 
 
-def enumerate_filters(E: Semilattice | InvSemigroup, contracted=False) -> CharSpace:
-    """All filters: one per element, minus the zero's when contracted.
-
-    The filter space of E(S) is memoized on the semigroup S, one per flag.
+def enumerate_filters(S: InvSemigroup, contracted=False) -> CharSpace:
+    """All filters of E(S): one per idempotent, minus the zero's when
+    contracted.  The space is memoized on S, one per flag.
     """
     contracted = bool(contracted)
-    S = E if isinstance(E, InvSemigroup) else None
-    if S is not None:
-        if contracted in S._filters:
-            return S._filters[contracted]
+    if contracted not in S._filters:
         E = idempotent_semilattice(S)
-    if contracted and E.zero is None:
-        raise errors.ContractedWithoutZero("contracted space needs a zero")
-    mins = [e for e in E.elements if not (contracted and e == E.zero)]
-    space = CharSpace(E, contracted, sorted(mins))
-    if S is not None:
-        S._filters[contracted] = space
-    return space
+        if contracted and E.zero is None:
+            raise errors.ContractedWithoutZero("contracted space needs a zero")
+        mins = [e for e in E.elements if not (contracted and e == E.zero)]
+        S._filters[contracted] = CharSpace(E, contracted, sorted(mins))
+    return S._filters[contracted]
 
 
 def tight_spectrum(space: CharSpace) -> tuple:
@@ -237,19 +223,13 @@ def restrict_to_idempotents(phi: SemigroupHom) -> SemilatticeHom:
     return semilattice_hom(E1, E2, {e: phi(e) for e in E1.elements})
 
 
-def hat_map(phi: SemilatticeHom, source_space: CharSpace | None = None,
-            target_space: CharSpace | None = None):
-    """The induced map on filter spaces, x^ -> phi(x)^.
-
-    Returns ``(source_space, target_space, mapping)`` where ``mapping`` takes
-    filter indices to filter indices.
+def hat_map(phi: SemilatticeHom, source_space: CharSpace,
+            target_space: CharSpace) -> tuple:
+    """The induced map on filter spaces, x^ -> phi(x)^, as the tuple that
+    takes each filter index of ``source_space`` to its filter index in
+    ``target_space``.
     """
-    if source_space is None:
-        source_space = enumerate_filters(phi.source)
-    if target_space is None:
-        target_space = enumerate_filters(phi.target)
-    mapping = tuple(target_space.index_of(phi(m)) for m in source_space.mins)
-    return source_space, target_space, mapping
+    return tuple(target_space.index_of(phi(m)) for m in source_space.mins)
 
 
 def _first_escape(S: InvSemigroup, pre):

@@ -77,10 +77,11 @@ def germ_classes(g) -> tuple:
     return tuple(frozenset(c) for c in classes)
 
 
-def upset(f) -> frozenset:
-    """The elements of the principal filter ``f``."""
-    E = f.space.semilattice
-    return frozenset(e for e in E.elements if E.leq(f.min, e))
+def upset(space, i: int) -> frozenset:
+    """The elements of filter ``i`` of ``space``, the principal filter of
+    its minimum."""
+    E = space.semilattice
+    return frozenset(e for e in E.elements if E.leq(space.mins[i], e))
 
 
 def d_set(space, e: int) -> frozenset:
@@ -125,6 +126,15 @@ def natural_leq(S, s: int, t: int) -> bool:
     return mul_all(S, t, S.inv(s), s) == s
 
 
+class SigmaMismatch(errors.GermoidError):
+    """Two elements given to :func:`meet_sigma` lie in different sigma
+    classes."""
+
+    def __init__(self, s, t):
+        super().__init__(f"elements {s}, {t} lie in different sigma classes")
+        self.witness = (s, t)
+
+
 def meet_sigma(S, s: int, t: int, sigma=None) -> int:
     """The meet of sigma-equivalent s, t in an E-unitary semigroup: t s* s."""
     if sigma is None:
@@ -132,7 +142,7 @@ def meet_sigma(S, s: int, t: int, sigma=None) -> int:
     if not sg.is_e_unitary(S):
         raise errors.NotEUnitary(S.name)
     if sigma(s) != sigma(t):
-        raise errors.SigmaMismatch(s, t)
+        raise SigmaMismatch(s, t)
     u = mul_all(S, t, S.inv(s), s)
     if u != mul_all(S, s, S.inv(t), t):
         raise errors.InvariantViolation(
@@ -148,14 +158,14 @@ def is_f_morphism(phi) -> bool:
     return set(m[top].tolist()) == set(m.tolist())
 
 
-def restrict_partial_action(theta, subset, check_invariant=True):
+def restrict_partial_action(theta, subset):
     """Restriction of a partial action to an invariant point subset.
 
-    Invariance (theta(g)(Y n X_{g^{-1}}) within Y) is checked unless
-    disabled; the restricted groupoid is the reduction of the unrestricted
-    one, which callers can assert arrow-for-arrow.
+    Invariance (theta(g)(Y n X_{g^{-1}}) within Y) is checked; the
+    restricted groupoid is the reduction of the unrestricted one, which
+    callers can assert arrow-for-arrow.
     """
-    subset, sub = germs.restrict_maps(theta.maps, subset, check_invariant)
+    subset, sub = germs.restrict_maps(theta.maps, subset)
     restricted = pa.validate_partial_action(
         theta.group, [theta.point_labels[x] for x in subset], sub)
     restricted.parent_points = tuple(subset.tolist())

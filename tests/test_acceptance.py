@@ -89,10 +89,9 @@ def test_criterion_2_main1reduced_suite(named_eunitary, random_corpus):
     # change of u or of l[s] fails; covariant mutations are pinned on every
     # column that the intertwiner reaches
     S = fx.sd6()
-    sigma = sg.max_group_image(S)
-    u = np.array(mr.intertwiner_u(S, sigma))
+    u = np.array(mr.intertwiner_u(S))
     l = np.array(mr.left_regular_rep(S))
-    a = np.array(mr.covariant_rep(S, sigma))
+    a = np.array(mr.covariant_rep(S))
     dim = a.shape[1]
     mutations = failures = 0
     for t in range(len(u)):
@@ -176,7 +175,7 @@ def test_criterion_4_tight_suite():
 
     # restrict the partial transformation groupoid of the cover to the perp
     theta = pa.theta_from_sigma(T)
-    perp, _ = germs.ideal_perp(T, I, contracted=False)
+    perp, _ = germs.ideal_perp(T, I)
     GY = pa.partial_trans_groupoid(helpers.restrict_partial_action(theta, perp))
     pos = {x: i for i, x in enumerate(perp)}
     okT, PhiT, PsiT = pa.verify_main1(T)
@@ -243,7 +242,7 @@ def test_criterion_6_ks_suite():
     assert res4.ok and gpd.verify_isomorphism(res4.alpha)
 
     T, I, iso, B2, _ = b2_cover()
-    perp, _ = germs.ideal_perp(T, I, contracted=False)
+    perp, _ = germs.ideal_perp(T, I)
     resC = pa.ks_pipeline(sg.hom_from_sigma(sg.max_group_image(T)),
                           contract_to=perp)
     assert resC.ok
@@ -291,7 +290,7 @@ def test_criterion_7_order_and_invariance_properties(named_eunitary, random_corp
     for S in (fx.b2(), fx.i2(), fx.adjoin_zero(fx.s4_monoid()), b2_cover()[0]):
         for I in sg.enumerate_proper_ideals(S):
             flag = S.zero is not None
-            perp, space = germs.ideal_perp(S, I, contracted=flag)
+            perp, space = germs.ideal_perp(S, I)
             action = germs.beta_action(S, contracted=flag)
             pset = set(perp)
             for s in range(len(S)):

@@ -267,7 +267,7 @@ def test_a_swapped_product_in_a_born_group_image_fails_verify(tmp_path, capsys,
     assert cli.main(["verify", "--suite", "all", str(path)]) == 1
     reports = {r["check"]: r for r in map(json.loads,
                                            capsys.readouterr().out.splitlines())}
-    witness = "NotDualPrehom: theta(1)theta(0) is not a restriction of theta(10)"
+    witness = "NotDualPrehom: theta(1)theta(0) is not a restriction of theta(1 0)"
     for check in ("main1", "main1reduced", "envelope"):
         assert reports[check]["pass"] is False, check
         assert reports[check]["witness"] == witness, check

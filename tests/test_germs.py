@@ -61,13 +61,13 @@ class TestBetaAction:
             space = action.space
             for s in range(len(S)):
                 for i, m in enumerate(space.mins):
-                    upset = helpers.upset(space.filters[i])
+                    upset = helpers.upset(space, i)
                     expect = oracles.semicharacter_beta(S, upset, s)
                     got = action(s, i)
                     if expect is None:
                         assert got is None
                     else:
-                        assert helpers.upset(space.filters[got]) == expect
+                        assert helpers.upset(space, got) == expect
 
     def test_beta_inverse_and_range(self, corpus):
         for S in corpus.values():
@@ -261,7 +261,7 @@ class TestIdealPerp:
             S = corpus[name]
             for I in sg.enumerate_proper_ideals(S):
                 flag = S.zero is not None
-                perp, space = germs.ideal_perp(S, I, contracted=flag)
+                perp, space = germs.ideal_perp(S, I)
                 action = germs.beta_action(S, contracted=flag)
                 pset = set(perp)
                 for s in range(len(S)):

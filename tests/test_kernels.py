@@ -1055,8 +1055,8 @@ def test_left_regular_rep_matches_loops(semigroups):
 def test_covariant_rep_matches_loops(eunitary):
     for S in eunitary:
         sigma = sg.max_group_image(S)
-        theta = pa.theta_from_sigma(S, sigma)
-        a = mr.covariant_rep(S, sigma, theta)
+        theta = pa.theta_from_sigma(S)
+        a = mr.covariant_rep(S)
         dim = len(S.idempotents) * len(sigma.group)
         assert a.shape == (len(S), dim)
         assert np.array_equal(oracles.dense(a, dim),
@@ -1066,7 +1066,7 @@ def test_covariant_rep_matches_loops(eunitary):
 def test_intertwiner_u_matches_loops(eunitary):
     for S in eunitary:
         sigma = sg.max_group_image(S)
-        u = mr.intertwiner_u(S, sigma)
+        u = mr.intertwiner_u(S)
         dim = len(S.idempotents) * len(sigma.group)
         assert u.shape == (len(S),)
         assert np.array_equal(oracles.dense(u, dim),
@@ -1077,9 +1077,8 @@ def test_intertwiner_u_matches_loops(eunitary):
 def intertwining_inputs(eunitary):
     out = []
     for S in eunitary:
-        sigma = sg.max_group_image(S)
-        out.append((mr.intertwiner_u(S, sigma), mr.left_regular_rep(S),
-                    mr.covariant_rep(S, sigma)))
+        out.append((mr.intertwiner_u(S), mr.left_regular_rep(S),
+                    mr.covariant_rep(S)))
     return out
 
 

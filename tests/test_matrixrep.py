@@ -75,7 +75,7 @@ class TestIntertwiner:
     def test_isometry_for_every_eunitary_fixture(self, eunitary_corpus):
         for S in eunitary_corpus.values():
             sigma = sg.max_group_image(S)
-            u = mr.intertwiner_u(S, sigma)
+            u = mr.intertwiner_u(S)
             dim = len(S.idempotents) * len(sigma.group)
             assert not u.flags.writeable
             assert ((u >= 0) & (u < dim)).all()
@@ -86,7 +86,7 @@ class TestIntertwiner:
     def test_uut_projects_onto_reached_pairs(self):
         S3 = fx.s3_monoid()
         sigma = sg.max_group_image(S3)
-        u = mr.intertwiner_u(S3, sigma)
+        u = mr.intertwiner_u(S3)
         assert set(u.tolist()) == reached_columns(S3, sigma)
 
     def test_requires_e_unitary(self):
@@ -97,10 +97,9 @@ class TestIntertwiner:
 class TestCovariantRep:
     def test_idempotent_projects_like_lambda_through_u(self):
         S = fx.s4_monoid()
-        sigma = sg.max_group_image(S)
-        u = mr.intertwiner_u(S, sigma)
+        u = mr.intertwiner_u(S)
         l = mr.left_regular_rep(S)
-        a = mr.covariant_rep(S, sigma)
+        a = mr.covariant_rep(S)
         cols = np.arange(a.shape[1])
         for e in S.idempotents:
             assert np.array_equal(np.where(l[e] >= 0, u[l[e]], -1), a[e, u])
@@ -109,7 +108,7 @@ class TestCovariantRep:
     def test_undefined_translation_kills_basis_vector(self):
         S3 = fx.s3_monoid()
         sigma = sg.max_group_image(S3)
-        a = mr.covariant_rep(S3, sigma)
+        a = mr.covariant_rep(S3)
         index = oracles.pair_basis(S3, sigma)
         t = S3.names.index("t")
         # theta(g) is undefined at 1^, so A_t annihilates e_1 (x) e_1bar
@@ -121,7 +120,7 @@ class TestCovariantRep:
         # [t*t <= t* s*s t] e_{t*t} (x) e_{sigma(st)} on the image of U
         for S in eunitary_corpus.values():
             sigma = sg.max_group_image(S)
-            a = mr.covariant_rep(S, sigma)
+            a = mr.covariant_rep(S)
             index = oracles.pair_basis(S, sigma)
             G = sigma.group
             for s in range(len(S)):
@@ -137,8 +136,8 @@ class TestCovariantRep:
 
 def rep_inputs(S):
     sigma = sg.max_group_image(S)
-    return (sigma, np.array(mr.intertwiner_u(S, sigma)),
-            np.array(mr.left_regular_rep(S)), np.array(mr.covariant_rep(S, sigma)))
+    return (sigma, np.array(mr.intertwiner_u(S)),
+            np.array(mr.left_regular_rep(S)), np.array(mr.covariant_rep(S)))
 
 
 class TestIntertwining:

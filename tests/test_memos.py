@@ -1,11 +1,12 @@
 """The objects derived from a semigroup alone are built and validated once
 per semigroup: its idempotent semilattice, its filter spaces, the maps of
 its beta actions and the actions, the partial action theta of its group
-image and the anchors of an action.  Groupoids are still built on every
-call.  Its sigma holds it weakly, so a semigroup whose sigma was computed
-is freed by reference counting."""
+image and the anchors of an action.  Of the groupoids, only the universal
+groupoid (per flag) and G x E^ (on theta) are memoized; the others are
+built on every call.  Its sigma holds it weakly, so a semigroup whose
+sigma was computed is freed by reference counting, and so is a filter
+space, which refers to nothing that refers back to it."""
 
-import dataclasses
 import gc
 import sys
 import weakref
@@ -17,6 +18,7 @@ from germoid import cli, errors
 from germoid import fixtures as fx
 from germoid import germs
 from germoid import groupoids as gpd
+from germoid import matrixrep as mr
 from germoid import partial_actions as pa
 from germoid import semigroups as sg
 from germoid import spectra as sp
@@ -61,15 +63,16 @@ def test_one_filter_space_serves_beta_and_theta(eunitary_corpus):
                 sp.enumerate_filters(S, contracted=True)
 
 
-def test_theta_is_memoized_only_for_the_own_sigma():
+def test_theta_is_one_object_per_semigroup(monkeypatch):
+    # sigma is S's maximal group image, so theta is built and validated
+    # once per semigroup, and main1 and the covariant representation read it
+    validated = spy(monkeypatch, pa, "validate_partial_action")
     S = fx.s4_monoid()
-    sigma = sg.max_group_image(S)
     theta = pa.theta_from_sigma(S)
-    assert pa.theta_from_sigma(S, sigma) is theta
-    other = pa.theta_from_sigma(S, dataclasses.replace(sigma))
-    assert other is not theta and other.space is theta.space
-    assert np.array_equal(other.maps, theta.maps)
-    assert pa.theta_from_sigma(S) is theta
+    assert theta.validated and pa.theta_from_sigma(S) is theta
+    assert pa.verify_main1(S)[0] and mr.verify_intertwining(S)
+    assert pa.theta_from_sigma(S) is theta and len(validated) == 1
+    assert pa.theta_from_sigma(fx.s4_monoid()) is not theta
 
 
 def test_equal_tables_keep_separate_memos():
@@ -200,5 +203,19 @@ def test_a_semigroup_whose_sigma_was_computed_is_freed_by_reference_counting():
         assert ref() is None
         with pytest.raises(ReferenceError):
             sigma.source
+    finally:
+        gc.enable()
+
+
+def test_a_filter_space_is_freed_by_reference_counting():
+    # a space holds its minima as ids, with no object that refers back to
+    # it, so it is freed with its semigroup without the cycle collector
+    gc.disable()
+    try:
+        S = fx.b2()
+        space = sp.enumerate_filters(S, True)
+        ref = weakref.ref(space)
+        del space, S
+        assert ref() is None
     finally:
         gc.enable()

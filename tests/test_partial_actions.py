@@ -144,7 +144,7 @@ class TestRestrictPartialAction:
     def test_cover_perp_reproduces_contracted_b2_groupoid(self):
         T, I, iso, B2, _ = b2_cover()
         theta = pa.theta_from_sigma(T)
-        perp, space = germs.ideal_perp(T, I, contracted=False)
+        perp, space = germs.ideal_perp(T, I)
         r = helpers.restrict_partial_action(theta, perp)
         g = pa.partial_trans_groupoid(r)
         assert g.n_arrows == 4
@@ -154,7 +154,7 @@ class TestRestrictPartialAction:
     def test_restriction_commutes_with_reduction(self):
         T, I, iso, B2, _ = b2_cover()
         theta = pa.theta_from_sigma(T)
-        perp, _ = germs.ideal_perp(T, I, contracted=False)
+        perp, _ = germs.ideal_perp(T, I)
         r = helpers.restrict_partial_action(theta, perp)
         direct = pa.partial_trans_groupoid(r)
         reduced = gpd.reduction(pa.partial_trans_groupoid(theta), perp)
@@ -168,7 +168,7 @@ class TestRestrictPartialAction:
         T, I, iso, B2, _ = b2_cover()
         gt = germs.tight_groupoid(B2)
         theta = pa.theta_from_sigma(T)
-        perp, _ = germs.ideal_perp(T, I, contracted=False)
+        perp, _ = germs.ideal_perp(T, I)
         r = helpers.restrict_partial_action(theta, perp)
         g = pa.partial_trans_groupoid(r)
         assert oracles.find_isomorphism(g, gt) is not None
@@ -244,7 +244,7 @@ class TestKSPipeline:
     def test_b2_cover_contracted(self):
         T, I, iso, B2, _ = b2_cover()
         phi = sg.hom_from_sigma(sg.max_group_image(T))
-        perp, _ = germs.ideal_perp(T, I, contracted=False)
+        perp, _ = germs.ideal_perp(T, I)
         res = pa.ks_pipeline(phi, contract_to=perp)
         assert res.ok
         assert res.sizes["source_arrows"] == 4
@@ -307,7 +307,7 @@ class TestKSPipeline:
             assert sg.is_e_unitary(T)
             ok, _ = germs.verify_reduction_iso(T, I)
             assert ok
-            perp, _ = germs.ideal_perp(T, I, contracted=False)
+            perp, _ = germs.ideal_perp(T, I)
             res = pa.ks_pipeline(
                 sg.hom_from_sigma(sg.max_group_image(T)), contract_to=perp)
             assert res.ok

@@ -218,7 +218,7 @@ class TestMeetSigma:
 
     def test_preconditions(self):
         S4 = fx.s4_monoid()
-        with pytest.raises(errors.SigmaMismatch):
+        with pytest.raises(helpers.SigmaMismatch):
             helpers.meet_sigma(S4, 0, S4.names.index("(1,g)"))
         with pytest.raises(errors.NotEUnitary):
             helpers.meet_sigma(fx.i2(), 1, 1)

@@ -151,11 +151,11 @@ def test_verify_fails_with_two_products_of_the_table_build_swapped(
     # products 0 0 and 0 1 swapped: a table with no idempotent, whose
     # universal groupoid (the ks target) cannot be read off it
     ("products", {
-        "envelope": "NotDualPrehom: theta(0)theta(0) is not a restriction of theta(00)",
+        "envelope": "NotDualPrehom: theta(0)theta(0) is not a restriction of theta(0 0)",
         "ks": "InvariantViolation: a finite semigroup must have an idempotent "
               "(witness G(S))",
-        "main1": "NotDualPrehom: theta(0)theta(0) is not a restriction of theta(00)",
-        "main1reduced": "NotDualPrehom: theta(0)theta(0) is not a restriction of theta(00)"}),
+        "main1": "NotDualPrehom: theta(0)theta(0) is not a restriction of theta(0 0)",
+        "main1reduced": "NotDualPrehom: theta(0)theta(0) is not a restriction of theta(0 0)"}),
 ])
 def test_verify_reports_a_broken_born_group_image(mutation, witnesses, tmp_path,
                                                   capsys, monkeypatch):

@@ -76,7 +76,7 @@ def mutants(g):
     return out
 
 
-def test_the_builders_of_one_fixture_make_twins(S, full):
+def test_the_builders_of_one_fixture_make_equal_born_groupoids(S, full):
     # equal copies that skip their checks: the universal groupoid and the
     # builders whose laws are proved are born validated, with equal arrays
     universal = germs.universal_groupoid(S)
@@ -104,7 +104,7 @@ def test_a_twin_that_differs_in_one_entry_is_validated_in_full(g, full, case):
     assert len(full) == 1
 
 
-def test_a_failing_validation_enters_no_scope(g, full):
+def test_a_failing_validation_keeps_nothing(g, full):
     # nothing is kept of a failing check: it fails again, in full
     _, build = mutants(g)[0]
     for _ in range(2):
@@ -521,7 +521,7 @@ def test_a_one_unit_groupoid_off_the_group_table_is_validated_in_full(
 def test_an_equal_saction_of_the_same_semigroup_is_converted_once(monkeypatch):
     # the round trip of verify_equiv_roundtrip gives back maps equal to
     # beta's: they are beta, validated once, whose groupoid space is
-    # memoized on it per flag; an equal copy is converted again
+    # memoized on it; an equal copy is converted again
     S = fx.direct_product(fx.chain(8), fx.cyclic_group(4))
     beta = germs.beta_action(S)
     checked = spy_on(monkeypatch, (germs, "validate_space_action"))
@@ -529,7 +529,7 @@ def test_an_equal_saction_of_the_same_semigroup_is_converted_once(monkeypatch):
     ok, _ = germs.verify_equiv_roundtrip(beta)
     assert ok and len(checked) == 1 and validated == []
     ga, g = germs.gspace_from_saction(beta)
-    assert germs.gspace_from_saction(beta, contracted=False) == (ga, g)
+    assert germs.gspace_from_saction(beta) == (ga, g)
     assert len(checked) == 1
     copy = germs.SAction(S, list(beta.point_labels), np.array(beta.maps))
     assert germs.gspace_from_saction(copy)[0] is not ga
